@@ -176,8 +176,6 @@ def _engine_kwargs(args, registry_kwargs):
     kwargs["seed"] = args.seed
     kwargs["num_workers"] = args.workers
     kwargs["executor"] = args.executor
-    if getattr(args, "columnar", None) is not None:
-        kwargs["columnar"] = args.columnar
     if args.max_supersteps is not None:
         kwargs["max_supersteps"] = args.max_supersteps
     if getattr(args, "store", None) is not None:
@@ -770,11 +768,6 @@ def build_parser():
         p.add_argument("--executor", choices=EXECUTOR_NAMES, default="serial",
                        help="superstep execution backend (results and traces "
                             "are identical across backends)")
-        p.add_argument("--columnar", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="force the columnar (packed-batch) or envelope "
-                            "message transport; default picks columnar "
-                            "automatically (results are identical)")
         p.add_argument("--store", choices=("auto", "memory", "spill"),
                        default=None,
                        help="vertex/message store plane: 'memory' (dicts), "

@@ -1,4 +1,4 @@
-"""Columnar message batches and shared-memory transport (the fast data plane).
+"""Columnar message batches and shared-memory transport (the in-memory data plane).
 
 ``BENCH_engine.json`` showed the processes backend losing to serial:
 every superstep pickled ~50k :class:`~repro.pregel.messages.Envelope`
@@ -39,18 +39,20 @@ never travel at all.
 crosses the process boundary as one shared-memory block handoff; the
 parent attaches, copies, and unlinks at the barrier, so no segment
 outlives its superstep (the chaos harness asserts ``/dev/shm`` stays
-clean). Same-address-space backends ship frames as plain bytes.
+clean). Same-address-space backends skip frames altogether and hand the
+barrier their live :class:`ColumnarOutbox`.
 
 Determinism
 -----------
-The envelope path canonicalizes each inbox by a stable sort on
-``repr(source)``; ties (equal reprs) fall back to merge position, i.e.
-``(worker id, emission order)``. The columnar store reproduces exactly
-that order when it materializes an inbox — broadcast expansion walks
-in-neighbor lists pre-sorted by ``(repr, worker, load order)`` and the
-general path sorts decorated entries by ``(repr(source), worker id,
-emission seq)`` — so canonical trace digests are byte-identical across
-serial/threads/processes, worker counts, and columnar on/off. The
+Canonical inbox order (:meth:`MessageStore.canonicalize
+<repro.pregel.messages.MessageStore.canonicalize>` over a worker-id-order
+merge) is a stable sort on ``repr(source)``; ties (equal reprs) fall back
+to merge position, i.e. ``(worker id, emission order)``. The columnar
+store reproduces exactly that order when it materializes an inbox —
+broadcast expansion walks in-neighbor lists pre-sorted by ``(repr, worker,
+load order)`` and the general path sorts decorated entries by
+``(repr(source), worker id, emission seq)`` — so canonical trace digests
+are byte-identical across serial/threads/processes and worker counts. The
 determinism suite and graft-san pin this.
 """
 
@@ -347,8 +349,7 @@ class ColumnarOutbox:
 
     The two hot shapes map to two sections:
 
-    - point sends group into per-target :class:`_PointBatch` columns —
-      the packed replacement for ``group_by_target``'s envelope lists;
+    - point sends group into per-target :class:`_PointBatch` columns;
     - broadcasts append **one compact record** ``(source, seq, value)``;
       the receiver expands them against the (fork-inherited) reverse
       adjacency, so a fan-out of ten thousand neighbors ships as a dozen
@@ -871,7 +872,7 @@ class ColumnarMessageStore:
     expansion work lands on the worker side of the fence — parallel where
     the hardware allows — instead of in the parent's serial barrier.
 
-    Canonical order: an inbox's envelope-path order is the stable sort by
+    Canonical order: an inbox's reference order is the stable sort by
     ``repr(source)`` over worker-id-merge order, i.e. exactly
     ``(repr(source), worker_id, emission seq)``. The pure-broadcast fast
     path walks in-neighbor lists pre-sorted by that key; the mixed path
@@ -982,8 +983,7 @@ class ColumnarMessageStore:
         Only debug-facing readers (Graft capture, checkpoints) pay for the
         envelope objects; broadcast-derived envelopes carry the
         :data:`~repro.pregel.messages.BROADCAST_TARGET` placeholder in
-        their target field, exactly like the envelope path's shared
-        broadcast envelopes.
+        their target field.
         """
         cached = self._envelope_cache.get(target)
         if cached is not None:
@@ -1018,7 +1018,7 @@ class ColumnarMessageStore:
 
         Each entry is ``(repr(source), worker_id, seq, source, value,
         from_broadcast)``; sorting by the first three fields reproduces the
-        envelope path's stable repr-sort over worker-merge order exactly.
+        reference stable repr-sort over worker-merge order exactly.
         """
         entries = [
             (repr(source), wid, seq, source, value, False)
@@ -1104,10 +1104,10 @@ class ColumnarMessageStore:
     def to_message_store(self):
         """Materialize everything into a plain envelope MessageStore.
 
-        The slow-path escape hatch for barriers that mutate the graph (or
-        drop messages): the resulting store behaves exactly like the
-        envelope path's post-canonicalize store, in repr-sorted target
-        order, so mutations/rollback/drop logic needs no columnar cases.
+        The slow-path escape hatch for barriers that permute inboxes,
+        mutate the graph, or drop messages: the resulting store holds
+        every inbox in canonical order, targets repr-sorted, so
+        permutation/mutation/drop logic needs no columnar cases.
         """
         store = MessageStore()
         by_target = store._by_target

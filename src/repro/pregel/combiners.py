@@ -23,9 +23,10 @@ class MessageCombiner:
     def fold_column(self, values):
         """Fold a whole inbox's value column (non-empty, canonical order).
 
-        The columnar barrier hands the packed value list straight here, so
-        an inbox combines without ever materializing envelopes. The default
-        left fold is byte-identical to the envelope path's pairwise
+        The barrier hands the packed value list straight here, so an inbox
+        combines without ever materializing envelopes. The default left
+        fold is byte-identical to :meth:`MessageStore.combine
+        <repro.pregel.messages.MessageStore.combine>`'s pairwise
         :meth:`combine`; subclasses may override with a C-speed reduction
         as long as the result is exactly equal.
         """

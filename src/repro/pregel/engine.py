@@ -15,13 +15,13 @@
 
 Superstep execution is split into two layers. Each worker's share of a
 superstep is packaged as a *step*: a closure that prepares the worker,
-runs ``compute()`` over its active vertices against a private grouped
+runs ``compute()`` over its active vertices against a private packed
 outbox and aggregator buffer, and returns a
 :class:`~repro.pregel.runtime.StepOutcome`. An
 :class:`~repro.pregel.runtime.ExecutionBackend` (``executor="serial" |
 "threads" | "processes"``) schedules the steps; the engine then reduces
 all outcomes at the barrier **in worker-id order** — message merge,
-aggregator partial fold, mutation application, error selection — so
+mutation application, aggregator partial fold, error selection — so
 results, aggregator values, and Graft trace files are identical whichever
 backend ran the steps.
 
@@ -175,12 +175,6 @@ class PregelEngine:
         :class:`~repro.pregel.runtime.ExecutionBackend` instance. Results
         and Graft traces are identical across backends; see
         ``docs/performance.md``.
-    columnar:
-        Message/state transport: ``True`` forces the columnar data plane
-        (packed batches; shared-memory frames under ``processes``),
-        ``False`` the classic envelope path, ``None`` (default) picks
-        columnar unless a ``delivery_schedule`` is installed. Results and
-        trace digests are identical either way; see ``docs/columnar.md``.
     master:
         Optional :class:`~repro.pregel.MasterComputation` instance.
     combiner:
@@ -208,11 +202,6 @@ class PregelEngine:
     checkpoint_config:
         Optional :class:`~repro.pregel.CheckpointConfig`; enables periodic
         checkpoints to the simulated DFS and failure recovery.
-    failure_injections:
-        Optional list of ``(superstep, worker_id)`` simulated machine
-        failures. With checkpointing enabled, each triggers a Pregel-style
-        rollback to the last checkpoint; without it, the job fails with
-        :class:`~repro.pregel.WorkerFailure`.
     fault_injector:
         Optional :class:`~repro.chaos.FaultInjector` (or anything with its
         hook methods). Consulted at deterministic points — superstep start,
@@ -238,12 +227,10 @@ class PregelEngine:
         on_error="raise",
         listeners=None,
         checkpoint_config=None,
-        failure_injections=None,
         fault_injector=None,
         on_message_to_missing="create",
         executor="serial",
         delivery_schedule=None,
-        columnar=None,
         store=None,
         memory_limit=None,
         num_partitions=None,
@@ -269,20 +256,11 @@ class PregelEngine:
             and memory_limit is not None
             and estimated_graph_bytes(graph) > memory_limit
         )
-        if spill:
-            if columnar:
-                raise PregelError(
-                    "columnar=True cannot be combined with store='spill'; "
-                    "the spill plane routes messages through sorted run "
-                    "files, not packed column frames"
-                )
-            if delivery_schedule is not None:
-                raise PregelError(
-                    "a delivery_schedule cannot be combined with "
-                    "store='spill'; graft-san permutations operate on the "
-                    "in-memory envelope store"
-                )
-            columnar = False
+        if spill and delivery_schedule is not None:
+            raise PregelError(
+                "a delivery_schedule cannot be combined with store='spill'; "
+                "graft-san permutations operate on the in-memory store"
+            )
         self._computation_factory = computation_factory
         self._graph = graph
         if partitioner is not None:
@@ -332,29 +310,14 @@ class PregelEngine:
             if delivery_schedule is not None
             else None
         )
-        # Columnar data plane: on by default (None = auto) for every
-        # backend — same canonical digests, flat buffers instead of
-        # per-envelope objects — except under a graft-san delivery
-        # schedule, which permutes envelope stores and therefore pins the
-        # classic path.
-        if columnar and delivery_schedule is not None:
-            raise PregelError(
-                "columnar=True cannot be combined with a delivery_schedule; "
-                "graft-san permutations operate on the envelope store"
-            )
-        if columnar is None:
-            columnar = delivery_schedule is None
-        self._columnar = bool(columnar)
-        self._run_state = ColumnarRunState() if self._columnar else None
+        # The in-memory plane's topology index and frame transport; the
+        # spill plane routes through run files and needs neither.
+        self._run_state = None if spill else ColumnarRunState()
         self._transport = (
             ShmTransport()
-            if self._columnar and self._backend.transfers_state
+            if not spill and self._backend.transfers_state
             else InlineTransport()
         )
-        self._pending_failures = {
-            superstep: worker_id
-            for superstep, worker_id in (failure_injections or [])
-        }
         self._ran = False
         # Populated by run():
         self.workers = []
@@ -489,14 +452,13 @@ class PregelEngine:
         """
         transfers_state = self._backend.transfers_state
         on_error = self._on_error
-        columnar = self._columnar
         spill = self._store is not None
         delay = fault.get("delay") if fault else None
         crash_after = fault.get("crash_after") if fault else None
 
         def step():
             buffer = self.aggregators.buffer()
-            worker.prepare_superstep(buffer, columnar=columnar)
+            worker.prepare_superstep(buffer)
             error = None
             if delay:
                 time.sleep(delay)
@@ -516,24 +478,19 @@ class PregelEngine:
             payloads = None
             state = None
             frame = None
+            # Same-address-space backends hand the live packed outbox to
+            # the barrier; the spill plane has none (messages are already
+            # in run files, or in the worker's deferred router).
             outbox = worker.outbox
-            if spill:
-                # Messages are already in run files (or the worker's
-                # deferred router under ``transfers_state``); nothing is
-                # grouped in an outbox.
-                outbox = {}
-                if transfers_state:
-                    payloads = [
-                        collector(worker.worker_id)
-                        for collector in payload_collectors
-                    ]
-                    state = worker.collect_spill_state()
-            elif transfers_state:
+            if transfers_state:
+                outbox = None
                 payloads = [
                     collector(worker.worker_id)
                     for collector in payload_collectors
                 ]
-                if columnar:
+                if spill:
+                    state = worker.collect_spill_state()
+                else:
                     # Pack outbox + values + halt flags (+ adjacency only
                     # when mutated) into one flat frame and ship it as a
                     # shared-memory block; nothing per-message crosses the
@@ -546,9 +503,6 @@ class PregelEngine:
                             state_sections=True,
                         )
                     )
-                    outbox = {}
-                else:
-                    state = (worker.values, worker.edges, worker.halted)
             return StepOutcome(
                 worker_id=worker.worker_id,
                 elapsed=timer.elapsed,
@@ -614,9 +568,11 @@ class PregelEngine:
             while superstep < self._max_supersteps:
                 if injector is not None:
                     injector.begin_superstep(superstep)
-                failed_worker = self._pending_failures.pop(superstep, None)
-                if failed_worker is None and injector is not None:
-                    failed_worker = injector.barrier_crash(superstep)
+                failed_worker = (
+                    injector.barrier_crash(superstep)
+                    if injector is not None
+                    else None
+                )
                 if failed_worker is not None:
                     if self._checkpoint_config is None:
                         raise WorkerFailure(failed_worker, superstep)
@@ -820,62 +776,44 @@ class PregelEngine:
         """Reduce step outcomes in worker-id order.
 
         Every reduction here is a deterministic fold over ``outcomes``
-        (already ordered by worker id): absorb transferred state, merge
-        grouped outboxes, canonicalize inbox order, combine, apply
-        mutations, fold aggregator partials. No step result is consumed in
-        completion order, which is what makes the barrier
-        backend-independent.
+        (already ordered by worker id): absorb listener payloads and
+        transferred state, route messages, combine, apply mutations, fold
+        aggregator partials. No step result is consumed in completion
+        order, which is what makes the barrier backend-independent.
         """
-        if self._store is not None:
-            return self._spill_barrier(
-                outcomes, superstep_metrics, payload_collectors
-            )
-        if self._columnar:
-            return self._columnar_barrier(
-                outcomes, superstep_metrics, payload_collectors
-            )
-        if self._backend.transfers_state:
+        try:
+            if self._backend.transfers_state:
+                for outcome in outcomes:
+                    for listener, payload in zip(
+                        payload_collectors, outcome.payloads
+                    ):
+                        listener.absorb_step_payload(outcome.worker_id, payload)
+            if self._store is not None:
+                outgoing = self._spill_barrier(outcomes, superstep_metrics)
+            else:
+                outgoing = self._memory_barrier(outcomes, superstep_metrics)
+        except BaseException:
+            # Frames the barrier did not get to retrieve would outlive the
+            # run in /dev/shm; releasing a retrieved one is a no-op.
             for outcome in outcomes:
-                worker = self.workers[outcome.worker_id]
-                worker.values, worker.edges, worker.halted = outcome.state
-                for listener, payload in zip(payload_collectors, outcome.payloads):
-                    listener.absorb_step_payload(outcome.worker_id, payload)
-        outgoing = MessageStore()
-        for outcome in outcomes:
-            outgoing.merge_grouped(outcome.outbox)
-        outgoing.canonicalize()
-        if self._delivery_schedule is not None:
-            # graft-san: re-open the Pregel model's delivery-order freedom.
-            # Runs in the parent over the canonicalized store, so the
-            # permutation is a pure function of (seed, schedule, superstep,
-            # target) — identical across backends and worker counts. The
-            # messages delivered here are consumed one superstep later.
-            superstep_metrics.inboxes_permuted = (
-                self._delivery_schedule.permute_store(
-                    outgoing, superstep_metrics.superstep + 1
-                )
-            )
-        if self._combiner is not None:
-            superstep_metrics.messages_combined = outgoing.combine(self._combiner)
-        self._apply_mutations(outcomes, outgoing)
+                release_frame(outcome.frame)
+            raise
         for outcome in outcomes:
             self.aggregators.merge_partials(outcome.agg_partials)
         self.aggregators.barrier()
         return outgoing
 
-    def _columnar_barrier(self, outcomes, superstep_metrics, payload_collectors):
-        """The barrier's columnar twin: absorb frames, keep messages packed.
+    def _memory_barrier(self, outcomes, superstep_metrics):
+        """The in-memory plane: absorb frames, keep messages packed.
 
-        Same reductions, same worker-id order. Messages stay as packed
-        columns in a :class:`ColumnarMessageStore` unless this barrier
-        must mutate the graph or drop inboxes, in which case the store is
-        materialized to envelopes first (see ``docs/columnar.md`` for the
-        fallback rules).
+        Messages stay as packed columns in a :class:`ColumnarMessageStore`
+        unless this barrier must permute inboxes (graft-san), mutate the
+        graph, or drop inboxes, in which case the store is materialized to
+        envelopes first (see ``docs/columnar.md`` for the fallback rules).
         """
         run_state = self._run_state
         transfers = self._backend.transfers_state
         store = ColumnarMessageStore(run_state)
-        superstep_metrics.transport = "columnar"
         any_dirty = False
         for outcome in outcomes:
             if transfers:
@@ -893,59 +831,58 @@ class PregelEngine:
                     worker.edges = frame.edges
                 any_dirty |= frame.edges_dirty
                 store.absorb_frame(frame)
-                for listener, payload in zip(payload_collectors, outcome.payloads):
-                    listener.absorb_step_payload(outcome.worker_id, payload)
             else:
                 outbox = outcome.outbox
                 superstep_metrics.transport_batches += outbox.batch_count()
                 any_dirty |= self.workers[outcome.worker_id].edges_dirty
                 store.absorb_outbox(outcome.worker_id, outbox)
-        if any_dirty:
-            # In-place adjacency edits: the reverse index is stale for the
-            # *next* superstep (this superstep's compact broadcasts came
-            # only from clean workers, so expanding them below is safe).
-            run_state.invalidate()
         mutating = any(
             outcome.add_vertex_requests or outcome.remove_vertex_requests
             for outcome in outcomes
         )
-        if self._combiner is not None:
+        if any_dirty or mutating:
+            # The reverse index is stale for the *next* superstep. This
+            # superstep's compact broadcasts came only from clean workers,
+            # and a mutating barrier materializes below before it touches
+            # the graph, so expanding them against the old index is safe.
+            run_state.invalidate()
+        if self._delivery_schedule is not None:
+            # graft-san: re-open the Pregel model's delivery-order freedom.
+            # Runs in the parent over the canonical materialized store, so
+            # the permutation is a pure function of (seed, schedule,
+            # superstep, target) — identical across backends and worker
+            # counts. The messages delivered here are consumed one
+            # superstep later.
+            outgoing = store.to_message_store()
+            superstep_metrics.inboxes_permuted = (
+                self._delivery_schedule.permute_store(
+                    outgoing, superstep_metrics.superstep + 1
+                )
+            )
+            if self._combiner is not None:
+                superstep_metrics.messages_combined = outgoing.combine(
+                    self._combiner
+                )
+        elif self._combiner is not None:
             # Folds run on the packed value columns; the result is one
-            # envelope per inbox, so the combined store is an envelope
-            # store and the mutation logic below needs no columnar cases.
+            # envelope per inbox, i.e. an envelope store.
             outgoing, eliminated = store.combine_into(self._combiner)
             superstep_metrics.messages_combined = eliminated
-            self._apply_mutations(outcomes, outgoing)
-            if mutating:
-                run_state.invalidate()
+        elif mutating or (
+            self._on_message_to_missing == "drop"
+            and store.missing_targets(self._locations)
+        ):
+            outgoing = store.to_message_store()
         else:
-            missing = store.missing_targets(self._locations)
-            if mutating or (missing and self._on_message_to_missing == "drop"):
-                # Graph-mutating barrier (or inbox drops): materialize to
-                # envelopes while the index still matches emit-time
-                # adjacency, then mutate freely.
-                outgoing = store.to_message_store()
-                self._apply_mutations(outcomes, outgoing)
-                run_state.invalidate()
-            else:
-                outgoing = store
-                if missing:
-                    # Pure message-driven creation (Giraph's default
-                    # resolver): new vertices have no edges, so the index
-                    # stays valid and messages stay packed.
-                    for target in sorted(missing, key=repr):
-                        worker_index = self._partitioner.worker_for(target)
-                        default = self._computations[
-                            worker_index
-                        ].default_vertex_value(target)
-                        self._create_vertex(target, default)
-        for outcome in outcomes:
-            self.aggregators.merge_partials(outcome.agg_partials)
-        self.aggregators.barrier()
+            # Nothing left but Giraph's default resolver creating targets:
+            # new vertices have no edges, so the index stays valid and
+            # messages stay packed.
+            outgoing = store
+        self._apply_mutations(outcomes, outgoing)
         return outgoing
 
-    def _spill_barrier(self, outcomes, superstep_metrics, payload_collectors):
-        """The barrier's out-of-core twin: absorb pages, hand off runs.
+    def _spill_barrier(self, outcomes, superstep_metrics):
+        """The out-of-core plane: absorb pages, hand off runs.
 
         Same reductions in the same worker-id order as the in-memory
         barrier. Messages were already routed into sorted per-partition
@@ -978,10 +915,6 @@ class PregelEngine:
                     )
                 suspects |= shipped["suspects"]
                 combined += shipped["messages_combined"]
-                for listener, payload in zip(
-                    payload_collectors, outcome.payloads
-                ):
-                    listener.absorb_step_payload(outcome.worker_id, payload)
             else:
                 worker = self.workers[outcome.worker_id]
                 router = worker.router
@@ -1000,9 +933,6 @@ class PregelEngine:
         self._apply_spill_mutations(
             outcomes, outgoing, suspects, suspect_counts
         )
-        for outcome in outcomes:
-            self.aggregators.merge_partials(outcome.agg_partials)
-        self.aggregators.barrier()
         # This superstep's inbox runs are fully consumed; the next
         # rollback restores messages from a checkpoint, never from here.
         store.clear_runs(superstep)
@@ -1036,6 +966,36 @@ class PregelEngine:
         sees the post-mutation graph, exactly like the in-memory
         ``missing_targets`` scan.
         """
+        removed = self._apply_vertex_requests(outcomes)
+        removed_missing = [
+            vertex_id for vertex_id in removed
+            if vertex_id not in self._locations
+        ]
+        if removed_missing:
+            for target, count in outgoing.count_targets(
+                self._partitioner, removed_missing
+            ).items():
+                suspects.add(target)
+                suspect_counts[target] = suspect_counts.get(target, 0) + count
+        self._resolve_missing(
+            (target for target in suspects if target not in self._locations),
+            lambda target: outgoing.drop_target(
+                target, suspect_counts.get(target, 0)
+            ),
+        )
+
+    def _apply_mutations(self, outcomes, outgoing):
+        """Removals, then additions, then message-driven vertex creation."""
+        self._apply_vertex_requests(outcomes)
+        # A store still packed never has inboxes to drop (the barrier
+        # materializes first), so only envelope stores need ``drop_inbox``.
+        self._resolve_missing(
+            outgoing.missing_targets(self._locations),
+            lambda target: outgoing.drop_inbox(target),
+        )
+
+    def _apply_vertex_requests(self, outcomes):
+        """Explicit removals, then additions; returns the ids removed."""
         removed = []
         for outcome in outcomes:
             for vertex_id in outcome.remove_vertex_requests:
@@ -1047,52 +1007,18 @@ class PregelEngine:
             for vertex_id, value in outcome.add_vertex_requests:
                 if vertex_id not in self._locations:
                     self._create_vertex(vertex_id, value)
-        removed_missing = [
-            vertex_id for vertex_id in removed
-            if vertex_id not in self._locations
-        ]
-        if removed_missing:
-            for target, count in outgoing.count_targets(
-                self._partitioner, removed_missing
-            ).items():
-                suspects.add(target)
-                suspect_counts[target] = suspect_counts.get(target, 0) + count
-        missing = sorted(
-            (target for target in suspects if target not in self._locations),
-            key=repr,
-        )
-        if self._on_message_to_missing == "create":
-            for target in missing:
-                worker_index = self._partitioner.worker_for(target)
-                default = self._computations[
-                    worker_index
-                ].default_vertex_value(target)
-                self._create_vertex(target, default)
-        else:
-            for target in missing:
-                outgoing.drop_target(target, suspect_counts.get(target, 0))
+        return removed
 
-    def _apply_mutations(self, outcomes, outgoing):
-        """Removals, then additions, then message-driven vertex creation."""
-        for outcome in outcomes:
-            for vertex_id in outcome.remove_vertex_requests:
-                location = self._locations.pop(vertex_id, None)
-                if location is not None:
-                    self.workers[location].remove_vertex(vertex_id)
-        for outcome in outcomes:
-            for vertex_id, value in outcome.add_vertex_requests:
-                if vertex_id not in self._locations:
-                    self._create_vertex(vertex_id, value)
-        # Repr-sorted so creation order — and therefore compute order on
-        # the owning worker — is independent of partitioning and of the
-        # columnar/envelope transport choice.
-        missing = sorted(
-            outgoing.missing_targets(self._locations), key=repr
-        )
+    def _resolve_missing(self, missing, drop):
+        """Settle messages addressed to vertices that do not exist.
+
+        Giraph's default vertex resolver creates the vertex (``"create"``);
+        the other standard behaviour discards the messages via ``drop``.
+        Repr-sorted so creation order — and therefore compute order on the
+        owning worker — is independent of partitioning and of the plane.
+        """
+        missing = sorted(missing, key=repr)
         if self._on_message_to_missing == "create":
-            # Giraph's default vertex resolver: a message to a missing id
-            # creates the vertex. The "drop" policy silently discards such
-            # messages instead (the other standard resolver behaviour).
             for target in missing:
                 worker_index = self._partitioner.worker_for(target)
                 default = self._computations[worker_index].default_vertex_value(
@@ -1101,7 +1027,7 @@ class PregelEngine:
                 self._create_vertex(target, default)
         else:
             for target in missing:
-                outgoing.drop_inbox(target)
+                drop(target)
 
     def _create_vertex(self, vertex_id, value):
         worker_index = self._partitioner.worker_for(vertex_id)

@@ -7,31 +7,33 @@ captured vertex with their endpoints. The plain Giraph ``compute()`` API
 still sees only message *values*; envelopes surface through
 ``ctx.message_envelopes()`` and the debugger.
 
-Hot-path notes
---------------
-Workers emit into *grouped outboxes* (``{target: [envelopes]}``) so the
-barrier merge is one ``extend`` per ``(worker, target)`` batch instead of
-one dict operation per envelope, and the first worker to reach a target
-hands its batch over without copying. After merging every worker's outbox
-the store is :meth:`canonicalized <MessageStore.canonicalize>`: each inbox
-is stably sorted by the repr of the source id, which makes inbox order —
-and therefore combiner folds, ``sum(messages)`` float reductions, and
-Graft's captured ``incoming`` lists — independent of how vertices were
-partitioned across workers. That ordering is what lets trace files merge
-byte-identically across execution backends and worker counts.
+Where envelopes still exist
+---------------------------
+Workers emit into packed outboxes and the barrier keeps messages packed
+(:mod:`repro.pregel.columnar`); a :class:`MessageStore` is the
+*materialized* form — what a combine produces, what a checkpoint
+restores, and what a barrier that permutes, mutates or drops inboxes
+works on. Its inboxes are in canonical order: stably sorted by the repr of
+the source id, which makes inbox order — and therefore combiner folds,
+``sum(messages)`` float reductions, and Graft's captured ``incoming``
+lists — independent of how vertices were partitioned across workers.
+:meth:`~MessageStore.merge_grouped` + :meth:`~MessageStore.canonicalize`
+build that order from per-worker ``{target: [envelopes]}`` batches the
+slow, obvious way; the packed store's tests use them as the reference.
 """
 
 from typing import NamedTuple
 
 
 class _BroadcastTargetType:
-    """Placeholder target of a shared broadcast envelope.
+    """Placeholder target of a broadcast-derived envelope.
 
-    A broadcast (``send_message_to_all_neighbors``) builds *one* envelope
-    and files it into every neighbor's outbox batch; the real target is
-    the batch key. A dedicated singleton (rather than None) keeps the
-    placeholder distinguishable from a user vertex id, and ``__reduce__``
-    preserves identity across the process backend's pickle pipe.
+    A broadcast (``send_message_to_all_neighbors``) is one compact record
+    expanded on the receiving side; the envelopes materialized from it
+    carry this placeholder, and the real target is the inbox key. A
+    dedicated singleton (rather than None) keeps the placeholder
+    distinguishable from a user vertex id, and ``__reduce__`` preserves
+    identity across pickling.
     """
 
     __slots__ = ()
@@ -55,9 +57,9 @@ class Envelope(NamedTuple):
 
     ``source`` is None for combined messages (per-source identity is folded
     away) and for engine-synthesized messages. ``target`` is
-    :data:`BROADCAST_TARGET` for envelopes shared across a broadcast
-    fan-out — there the authoritative target is the outbox/inbox key the
-    envelope is filed under, never the field.
+    :data:`BROADCAST_TARGET` for envelopes materialized from a broadcast
+    fan-out — there the authoritative target is the inbox key the envelope
+    is filed under, never the field.
 
     A ``NamedTuple`` rather than a dataclass: envelope construction is the
     single hottest allocation in the engine, and tuple ``__new__`` avoids
@@ -72,18 +74,6 @@ class Envelope(NamedTuple):
 def _canonical_source_key(envelope):
     """Partition-independent sort key for inbox ordering."""
     return repr(envelope.source)
-
-
-def group_by_target(envelopes):
-    """Group an iterable of envelopes into ``{target: [envelopes]}``."""
-    grouped = {}
-    for envelope in envelopes:
-        batch = grouped.get(envelope.target)
-        if batch is None:
-            grouped[envelope.target] = [envelope]
-        else:
-            batch.append(envelope)
-    return grouped
 
 
 class MessageStore:
@@ -103,13 +93,11 @@ class MessageStore:
             self.deliver(envelope)
 
     def merge_grouped(self, grouped):
-        """Merge a grouped outbox (``{target: [envelopes]}``) in one pass.
+        """Merge one worker's ``{target: [envelopes]}`` batches in one pass.
 
-        The batch list is adopted directly when the target has no inbox yet
-        (the common case: each worker is the only sender to most of its
-        targets), so routing a message costs one dict lookup per *batch*,
-        not per envelope. Callers hand over ownership of the batch lists.
-        Returns the number of envelopes merged.
+        The batch list is adopted directly when the target has no inbox
+        yet; callers hand over ownership of the batch lists. Returns the
+        number of envelopes merged.
         """
         by_target = self._by_target
         merged = 0

@@ -63,8 +63,8 @@ class SuperstepMetrics:
     #: superstep's barrier (0 unless a graft-san run is active).
     inboxes_permuted: int = 0
     #: Data plane that carried this superstep's messages:
-    #: ``"columnar"`` (packed batches) or ``"envelope"`` (object lists).
-    transport: str = "envelope"
+    #: ``"columnar"`` (packed batches) or ``"spill"`` (sorted run files).
+    transport: str = "columnar"
     #: Frame bytes shipped across process boundaries at the barrier
     #: (0 under same-address-space backends — nothing is copied).
     transport_bytes: int = 0

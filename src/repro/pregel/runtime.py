@@ -10,11 +10,12 @@ the barrier in worker-id order, which is why results and trace files do
 not depend on the backend chosen.
 
 Step functions are data-parallel by construction: each one touches only
-its own worker's vertex state, a private grouped outbox, and a private
+its own worker's vertex state, a private packed outbox, and a private
 :class:`~repro.pregel.aggregators.AggregatorBuffer`, so the thread backend
 needs no locks. The process backend additionally ships each worker's
-mutated state back to the parent (``StepOutcome.state``), since fork gives
-children copy-on-write memory the parent never sees.
+mutated state back to the parent (``StepOutcome.frame``, or
+``StepOutcome.state`` on the spill plane), since fork gives children
+copy-on-write memory the parent never sees.
 
 CPython note: threads still share the GIL, so the thread backend helps
 workloads that release it (I/O, native extensions) and provides the
@@ -37,9 +38,11 @@ class StepOutcome:
     """Everything one worker's superstep produced, ready for the barrier.
 
     Plain data (no live worker references) so the process backend can
-    pickle it across a pipe. ``state`` is ``None`` except under backends
-    with ``transfers_state``, where it carries the worker's post-step
-    ``(values, edges, halted)`` dicts. ``error`` holds the
+    pickle it across a pipe. ``outbox`` is the worker's live packed
+    outbox under same-address-space backends. Under backends with
+    ``transfers_state`` it is ``None`` and the worker's products travel
+    instead as ``frame`` (in-memory plane) or ``state`` (the spill
+    plane's dirty pages and sealed runs). ``error`` holds the
     :class:`~repro.common.errors.ComputeError` that aborted the step under
     the ``raise`` policy, if any. ``payloads`` carries opaque per-listener
     data collected in the child (e.g. Graft's buffered capture records).
@@ -51,7 +54,7 @@ class StepOutcome:
 
     worker_id: int
     elapsed: float = 0.0
-    outbox: dict = field(default_factory=dict)
+    outbox: object = None
     agg_partials: dict = field(default_factory=dict)
     add_vertex_requests: list = field(default_factory=list)
     remove_vertex_requests: list = field(default_factory=list)

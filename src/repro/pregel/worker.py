@@ -18,7 +18,6 @@ from array import array
 from repro.common.errors import ComputeError, InjectedWorkerCrash
 from repro.pregel.columnar import ColumnarOutbox
 from repro.pregel.context import ComputeContext, ComputeServices
-from repro.pregel.messages import BROADCAST_TARGET, Envelope
 
 
 class _WorkerServices(ComputeServices):
@@ -36,56 +35,17 @@ class _WorkerServices(ComputeServices):
     def note_edges_mutated(self):
         # One worker-wide flag: any in-place adjacency edit this superstep
         # taints broadcast-compaction and forces the engine to rebuild the
-        # columnar reverse index (and, under the process backend, to ship
-        # this worker's edges back).
+        # reverse index (and, under the process backend, to ship this
+        # worker's edges back).
         self._worker.edges_dirty = True
 
-    def emit(self, envelope):
-        worker = self._worker
-        outbox = worker.outbox
-        batch = outbox.get(envelope.target)
-        if batch is None:
-            outbox[envelope.target] = [envelope]
-        else:
-            batch.append(envelope)
-        worker.messages_sent += 1
-        worker.bytes_sent += _estimate_bytes(envelope.value)
-
-    def emit_broadcast(self, source, targets, value):
-        # Broadcast fast path: one shared envelope, one size estimate, and
-        # one counter update for the whole fan-out. The envelope is filed
-        # under every target's batch — immutable, so sharing is safe — and
-        # its authoritative target is the batch key, not its target field.
-        worker = self._worker
-        outbox = worker.outbox
-        shared = Envelope(source=source, target=BROADCAST_TARGET, value=value)
-        for target in targets:
-            batch = outbox.get(target)
-            if batch is None:
-                outbox[target] = [shared]
-            else:
-                batch.append(shared)
-        worker.messages_sent += len(targets)
-        worker.bytes_sent += len(targets) * _estimate_bytes(value)
-
-    def request_add_vertex(self, vertex_id, value):
-        self._worker.add_vertex_requests.append((vertex_id, value))
-
-    def request_remove_vertex(self, vertex_id):
-        self._worker.remove_vertex_requests.append(vertex_id)
-
-
-class _ColumnarServices(_WorkerServices):
-    """Emission into packed columns instead of envelope lists.
-
-    Point sends append to the target's typed column batch; broadcasts
-    append one compact ``(source, seq, value)`` record for the whole
-    fan-out — unless this worker already mutated adjacency this superstep
-    (``edges_dirty``), in which case the engine-side reverse index no
-    longer matches the emit-time neighbor set and the fan-out is filed as
-    explicit per-target entries instead. Counters and byte estimates match
-    the envelope services exactly.
-    """
+    # Emission goes into packed columns: point sends append to the
+    # target's typed column batch; a broadcast appends one compact
+    # ``(source, seq, value)`` record for the whole fan-out — unless this
+    # worker already mutated adjacency this superstep (``edges_dirty``),
+    # in which case the engine-side reverse index no longer matches the
+    # emit-time neighbor set and the fan-out is filed as explicit
+    # per-target entries instead.
 
     def emit(self, envelope):
         worker = self._worker
@@ -104,6 +64,12 @@ class _ColumnarServices(_WorkerServices):
             worker.outbox.add_broadcast(source, value, fan_out)
         worker.messages_sent += fan_out
         worker.bytes_sent += fan_out * _estimate_bytes(value)
+
+    def request_add_vertex(self, vertex_id, value):
+        self._worker.add_vertex_requests.append((vertex_id, value))
+
+    def request_remove_vertex(self, vertex_id):
+        self._worker.remove_vertex_requests.append(vertex_id)
 
 
 # Fixed estimates for types whose size doesn't depend on content enough to
@@ -159,13 +125,10 @@ class Worker:
         self.values = {}
         self.edges = {}
         self.halted = {}
-        self._envelope_services = _WorkerServices(self)
-        self._columnar_services = _ColumnarServices(self)
-        self._services = self._envelope_services
+        self._services = _WorkerServices(self)
         self._aggregators = None
         # Per-superstep outputs, reset by prepare_superstep():
-        self.columnar = False
-        self.outbox = {}
+        self.outbox = ColumnarOutbox()
         self.edges_dirty = False
         self.add_vertex_requests = []
         self.remove_vertex_requests = []
@@ -217,7 +180,7 @@ class Worker:
 
     # -- superstep execution -------------------------------------------------
 
-    def prepare_superstep(self, aggregators, columnar=False):
+    def prepare_superstep(self, aggregators):
         """Reset per-superstep outputs and bind the aggregator sink.
 
         ``aggregators`` is anything with ``visible_value``/``aggregate`` —
@@ -225,19 +188,9 @@ class Worker:
         (serial semantics) or a worker-local
         :class:`~repro.pregel.aggregators.AggregatorBuffer` (what the
         engine's backends hand out so steps never share mutable state).
-
-        ``columnar`` selects the packed outbox + columnar emission services
-        for this superstep (the engine's columnar fast path); otherwise
-        emission goes through the classic grouped-envelope outbox.
         """
         self._aggregators = aggregators
-        self.columnar = columnar
-        if columnar:
-            self.outbox = ColumnarOutbox()
-            self._services = self._columnar_services
-        else:
-            self.outbox = {}
-            self._services = self._envelope_services
+        self.outbox = ColumnarOutbox()
         self.edges_dirty = False
         self.add_vertex_requests = []
         self.remove_vertex_requests = []
@@ -249,23 +202,13 @@ class Worker:
     def outbox_envelopes(self):
         """All envelopes emitted this superstep, fully addressed.
 
-        Envelope outboxes report emission order per target (shared
-        broadcast envelopes rewritten with the batch's real target);
-        columnar outboxes expand compact broadcast records against the
-        worker's adjacency and restore global emission order via the seq
-        column. Debug/introspection only — never on the hot path.
+        Expands compact broadcast records against the worker's adjacency
+        and restores global emission order via the seq column.
+        Debug/introspection only — never on the hot path.
         """
-        if self.columnar:
-            return self.outbox.envelopes(
-                lambda source: self.edges.get(source, ())
-            )
-        return [
-            envelope
-            if envelope.target is not BROADCAST_TARGET
-            else Envelope(envelope.source, target, envelope.value)
-            for target, batch in self.outbox.items()
-            for envelope in batch
-        ]
+        return self.outbox.envelopes(
+            lambda source: self.edges.get(source, ())
+        )
 
     def active_vertices(self, superstep, message_store):
         """Ids this worker must run compute() on this superstep, in order."""
@@ -369,10 +312,10 @@ class Worker:
 class _SpillServices(_WorkerServices):
     """Emission straight into the worker's run router.
 
-    No grouped outbox exists under the spill plane: every send is routed
+    No outbox exists under the spill plane: every send is routed
     to its target partition's sorted run file immediately, so emission
     memory stays bounded by the router's chunk buffer. Counters and byte
-    estimates match the envelope services exactly.
+    estimates match the in-memory services exactly.
     """
 
     def emit(self, envelope):
@@ -404,7 +347,8 @@ class SpilledWorker(Worker):
 
     def __init__(self, worker_id, run_seed):
         super().__init__(worker_id, run_seed)
-        self._spill_services = _SpillServices(self)
+        self._services = _SpillServices(self)
+        self.outbox = None
         self.store = None
         self.spill_partitioner = None
         self.locations = None
@@ -433,11 +377,11 @@ class SpilledWorker(Worker):
 
     # -- superstep execution ----------------------------------------------
 
-    def prepare_superstep(self, aggregators, columnar=False):
-        # The spill plane has no columnar outbox; emission always routes
-        # through the run router (the engine refuses columnar + spill).
-        super().prepare_superstep(aggregators, columnar=False)
-        self._services = self._spill_services
+    def prepare_superstep(self, aggregators):
+        # The spill plane has no outbox; emission always routes through
+        # the run router.
+        super().prepare_superstep(aggregators)
+        self.outbox = None
         self.messages_combined = 0
         self.router = None
 

@@ -2,9 +2,19 @@
 
 import pytest
 
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.datasets import load_dataset, premade_graph
 from repro.graph import GraphBuilder
 from repro.simfs import SimFileSystem
+
+
+def worker_crashes(*crashes):
+    """A ``fault_injector=`` that kills worker ``w`` at the barrier entering
+    superstep ``s``, once, for each ``(s, w)`` pair."""
+    return FaultInjector(FaultPlan("worker-crashes", [
+        FaultSpec("worker_crash", superstep=superstep, worker_id=worker_id)
+        for superstep, worker_id in crashes
+    ]))
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
-"""Columnar-transport determinism: packed batches change nothing observable.
+"""In-memory data plane determinism: packed batches change nothing observable.
 
-The contract of the columnar data plane (ISSUE 7): for the same job, runs
-with ``columnar=True`` (packed batches, shared-memory frames under the
-processes backend) and ``columnar=False`` (per-envelope object lists) must
-produce the same :class:`~repro.pregel.PregelResult` and byte-identical
-Graft traces — per-worker file hashes AND the canonical merged digest —
-across backends and worker counts. This is the tier-1 matrix gate: if a
-packed column, a compact broadcast record, or a shared-memory frame ever
-reorders or rewrites a message, a digest here splits.
+The packed outbox -> ``ColumnarMessageStore`` path (shared-memory frames
+under the processes backend) replaced a plane that moved per-envelope
+object lists. The contract it was admitted under still holds and is gated
+here: for the same job, every backend and worker count must reproduce the
+:class:`~repro.pregel.PregelResult` and canonical trace digest **the
+envelope plane produced** — pinned below from the last commit that had
+it — with per-worker trace files byte-identical between serial and
+processes. If a packed column, a compact broadcast record, or a
+shared-memory frame ever reorders or rewrites a message, a digest here
+splits. ``test_spill_determinism`` cross-checks the same jobs against the
+independently implemented spill plane.
 """
 
 import hashlib
@@ -15,12 +18,10 @@ import hashlib
 import pytest
 
 from repro.algorithms import PageRank, ShortestPaths
-from repro.common.errors import PregelError
 from repro.datasets import load_dataset
 from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.trace import canonical_trace_digest, worker_trace_path
-from repro.pregel import Computation, MinCombiner, PregelEngine
-from repro.pregel.permutation import PermutationSchedule
+from repro.pregel import Computation, MinCombiner
 
 WORKER_COUNTS = (1, 2, 4)
 EXECUTORS = ("serial", "processes")
@@ -29,7 +30,7 @@ EXECUTORS = ("serial", "processes")
 class TopologyChurn(Computation):
     """Mutates topology every superstep while messages keep flowing.
 
-    Exercises every columnar fallback edge at once: dirty-adjacency
+    Exercises every materialization edge at once: dirty-adjacency
     workers file explicit broadcasts, messages to missing targets force
     vertex creation at the barrier, and explicit add/remove requests make
     the barrier materialize envelopes before mutating.
@@ -63,7 +64,7 @@ class TuplePing(Computation):
     """Sends tuple payloads — no packed column exists for them.
 
     Every column degrades to the pickled-object fallback mid-superstep;
-    delivery order and traces must still match the envelope plane.
+    delivery order and traces must still match the envelope plane's.
     """
 
     def initial_value(self, vertex_id, input_value):
@@ -89,6 +90,34 @@ JOBS = {
 }
 
 
+#: What the retired envelope plane (``columnar=False`` at commit b2123e5)
+#: produced for each job — identical on serial/processes and 1/2/4 workers
+#: there: (supersteps, captures, sha256 of the repr-sorted values, canonical
+#: trace digest).
+ENVELOPE_PLANE = {
+    "mutation": (
+        4, 720,
+        "474b7100beecd03e83b11343e6c5eb85b958798acd86fd181781a8e051a35314",
+        "4dd05a0f35e0dc744900bcef3c3e1d38d95e5b84769d0a2a377b3ffc05464ce5",
+    ),
+    "pagerank": (
+        5, 450,
+        "42b7c2c395dae17fb66b34cd6778ce98cff8472cc555aabd0a8c753b7c28e216",
+        "4a9bc689be5439f3134c6e23407038be01fe8031f0df5ba6fd479019fd425091",
+    ),
+    "sssp_combined": (
+        6, 318,
+        "421a14ab386cfd9ad83a0be8f151a203895b038f7e284251fcf76c97fe39bae1",
+        "9128f632dfd3216b1b1644c2f7caf1f15083dbb36aa9bfa4b4744fde149710ec",
+    ),
+    "tuple_fallback": (
+        4, 360,
+        "42c4536518b0a8bcd9b9b7adc7458a7ba9fb521f4799225b6d1f77efe821b733",
+        "38936f1c119d79fbf69ac0cbf691e8097301acc4a4851b94259d8c058339d99a",
+    ),
+}
+
+
 def _graph():
     return load_dataset("web-BS", num_vertices=90, seed=11)
 
@@ -96,9 +125,9 @@ def _graph():
 _CACHE = {}
 
 
-def _run(job, executor, workers, columnar):
+def _run(job, executor, workers):
     """Run one debugged job; memoized so each config executes once."""
-    key = (job, executor, workers, columnar)
+    key = (job, executor, workers)
     if key not in _CACHE:
         factory, extra_kwargs = JOBS[job]
         run = debug_run(
@@ -111,7 +140,6 @@ def _run(job, executor, workers, columnar):
             num_workers=workers,
             executor=executor,
             max_supersteps=8,
-            columnar=columnar,
             **extra_kwargs,
         )
         assert run.ok, f"{key}: {run.failure}"
@@ -133,26 +161,31 @@ def _run(job, executor, workers, columnar):
     return _CACHE[key]
 
 
+def _values_sha(values):
+    pairs = sorted((repr(k), repr(v)) for k, v in values.items())
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("job", sorted(JOBS))
 def test_columnar_matches_envelope(job, executor, workers):
-    """columnar on/off parity at every (backend, worker count) cell."""
-    envelope = _run(job, executor, workers, columnar=False)
-    columnar = _run(job, executor, workers, columnar=True)
-    assert columnar["values"] == envelope["values"]
-    assert columnar["supersteps"] == envelope["supersteps"]
-    assert columnar["halt_reason"] == envelope["halt_reason"]
-    assert columnar["captures"] == envelope["captures"]
-    assert columnar["file_hashes"] == envelope["file_hashes"]
-    assert columnar["canonical_digest"] == envelope["canonical_digest"]
+    """Parity with the envelope plane at every (backend, worker count) cell."""
+    supersteps, captures, values_sha, digest = ENVELOPE_PLANE[job]
+    columnar = _run(job, executor, workers)
+    assert columnar["supersteps"] == supersteps
+    assert columnar["halt_reason"] == "converged"
+    assert columnar["captures"] == captures
+    assert _values_sha(columnar["values"]) == values_sha
+    assert columnar["canonical_digest"] == digest
+    assert columnar["file_hashes"] == _run(job, "serial", workers)["file_hashes"]
 
 
 @pytest.mark.parametrize("job", sorted(JOBS))
 def test_columnar_processes_matches_serial(job):
     """Shared-memory frames reproduce the serial backend byte-for-byte."""
-    reference = _run(job, "serial", 4, columnar=True)
-    candidate = _run(job, "processes", 4, columnar=True)
+    reference = _run(job, "serial", 4)
+    candidate = _run(job, "processes", 4)
     assert candidate["values"] == reference["values"]
     assert candidate["file_hashes"] == reference["file_hashes"]
     assert candidate["canonical_digest"] == reference["canonical_digest"]
@@ -162,20 +195,7 @@ def test_columnar_processes_matches_serial(job):
 def test_columnar_digest_stable_across_worker_counts(job):
     """The canonical merged trace is one hash whatever the partitioning."""
     digests = {
-        workers: _run(job, "serial", workers, columnar=True)[
-            "canonical_digest"
-        ]
+        workers: _run(job, "serial", workers)["canonical_digest"]
         for workers in WORKER_COUNTS
     }
     assert len(set(digests.values())) == 1, digests
-
-
-def test_columnar_rejects_delivery_schedule():
-    """graft-san permutations need envelopes; forcing both is an error."""
-    with pytest.raises(PregelError, match="columnar"):
-        PregelEngine(
-            PageRank,
-            _graph(),
-            columnar=True,
-            delivery_schedule=PermutationSchedule(schedule=1),
-        )

@@ -9,6 +9,11 @@ Two halves of one claim:
   order-insensitive canonical digest across >= 3 permutation schedules on
   all three execution backends, and carries zero proven GL016-GL020
   findings.
+
+Permuted runs materialize the packed store before shuffling it. The
+digests, ``inboxes_permuted`` totals and first divergence pinned here were
+recorded at commit b2123e5, where permuted runs still had an envelope
+emission plane of their own — they are what keeps the two routes equal.
 """
 
 import pytest
@@ -28,9 +33,18 @@ from repro.algorithms import (
 )
 from repro.analysis import PROVEN, analyze_computation
 from repro.datasets import load_dataset, random_symmetric_weights
-from repro.graft.sanitizer import run_sanitizer
+from repro.graft import CaptureAllActiveConfig, debug_run
+from repro.graft.sanitizer import order_insensitive_digest, run_sanitizer
+from repro.graft.trace import canonical_trace_digest
 from repro.graph import to_undirected
+from repro.pregel.permutation import PermutationSchedule
 from repro.pregel.runtime import EXECUTOR_NAMES
+
+from tests.integration.test_columnar_determinism import (
+    TopologyChurn,
+    _graph as _churn_graph,
+    _values_sha,
+)
 
 DETERMINISM_RULES = ("GL016", "GL017", "GL018", "GL019", "GL020")
 SCHEDULES = 3
@@ -78,6 +92,29 @@ ALGORITHMS = {
     ),
 }
 
+#: name -> (the digest the baseline and every schedule reproduce,
+#: ``inboxes_permuted`` over the three schedules), on every backend.
+PINNED = {
+    "components": ("4d2786060a075b3979c61734253f359e4e36524528b21d1fbd6ef20593b60f17", 333),
+    "gc": ("a70a08446f36324c81d534500f5205320dbcc4366fd10816989d85162889639c", 1038),
+    "kcore": ("00b193b12fa75d2275d4de404fbe28d3a739d54215e7975ba1dea2aea704282f", 0),
+    "label-prop": ("4ccf3089348dd6276f1764abea55b8ca7af485c659f3f163f75e681e6a5973dd", 600),
+    "mwm": ("f2a3a8bd486b2ee09f91f52f2e3762ba5e1a697db93fd8ffb16c3ec2f0c4a6f3", 261),
+    "pagerank": ("426424bc1b253bb6bdeb6f6add1666829151eb77a3aec128b36e4fd246e597f0", 360),
+    "rw": ("74943769818ab8bef2fb2c27c0df9c6115f7443754085628710f9b467c1787c3", 474),
+    "sssp": ("d8a58cf07aeccf8551dbce2af7031cb6ccec55f6e0cc88266046190b9c5b9000", 174),
+    "triangles": ("0b073b6c0d990e5318fcc6e89e7bdaabbfcc10d18d19392a71954443521f63ac", 120),
+}
+
+#: ``BuggyLabelPropagation(iterations=6)`` on 4 workers: baseline digest,
+#: then one distinct digest per schedule.
+BUGGY_BASELINE = "9ccdf29c1d9c84a8fbc321a8743f483f19e6a75cf5de8c2e39d2affa7faed3c1"
+BUGGY_SCHEDULES = {
+    1: "d3c1d931ed1cdcd7dded565de185ba9e2c99e952b944401fecae67e89bc57953",
+    2: "fb1863771c4cb2711af68adf2fc0b7de0e59d81d220393f739e37568bc89def8",
+    3: "0589005bf0ce98c7094837f8fdf72559902836b7620ffa8cf6935e9dcaf5affd",
+}
+
 _CACHE = {}
 
 
@@ -109,31 +146,35 @@ class TestClosedLoop:
         assert gl016, "the seeded tie-break bug must be flagged"
 
     def test_buggy_label_propagation_diverges(self):
-        report = run_sanitizer(
-            lambda: BuggyLabelPropagation(iterations=6),
-            to_undirected(_directed()),
-            schedules=SCHEDULES,
-            seed=7,
-            num_workers=4,
-        )
-        assert report.ok, report.failures
-        assert not report.deterministic
-        assert report.divergent_schedules, "permutation must expose the bug"
-        assert report.inboxes_permuted > 0
+        for executor in EXECUTOR_NAMES:
+            report = run_sanitizer(
+                lambda: BuggyLabelPropagation(iterations=6),
+                to_undirected(_directed()),
+                schedules=SCHEDULES,
+                seed=7,
+                num_workers=4,
+                executor=executor,
+            )
+            assert report.ok, report.failures
+            assert not report.deterministic
+            assert report.baseline_digest == BUGGY_BASELINE
+            assert report.schedule_digests == BUGGY_SCHEDULES
+            assert report.divergent_schedules == [1, 2, 3]
+            assert report.inboxes_permuted == 720
 
-        divergence = report.first_divergence
-        assert divergence is not None
-        assert divergence.schedule in report.divergent_schedules
-        assert divergence.superstep >= 1
-        assert divergence.field, "divergence must name the record field"
-        assert divergence.baseline != divergence.permuted
-        assert str(divergence.superstep) in divergence.summary()
+            divergence = report.first_divergence
+            assert (
+                divergence.schedule, divergence.superstep,
+                divergence.vertex_id, divergence.field,
+            ) == (1, 1, "0", "value_after")
+            assert (divergence.baseline, divergence.permuted) == ("9", "16")
+            assert str(divergence.superstep) in divergence.summary()
 
-        # The GL016 finding is judged against the runtime evidence.
-        verdicts = report.verdicts()
-        assert verdicts, "the lint finding must receive a verdict"
-        assert all(v == "confirmed" for v in verdicts.values())
-        assert report.observed_evidence_kinds() == ["order_divergence"]
+            # The GL016 finding is judged against the runtime evidence.
+            verdicts = report.verdicts()
+            assert [finding.rule_id for finding in verdicts] == ["GL016"]
+            assert all(v == "confirmed" for v in verdicts.values())
+            assert report.observed_evidence_kinds() == ["order_divergence"]
 
     def test_sanitizer_report_round_trips_to_dict(self):
         report = run_sanitizer(
@@ -181,8 +222,12 @@ def test_deterministic_across_schedules(algorithm, executor):
     assert len(report.schedules) >= 3
     assert report.deterministic, report.summary()
     assert report.observed_evidence_kinds() == []
-    # Refuted-or-empty verdicts: nothing may be "confirmed" on clean code.
-    assert "confirmed" not in report.verdicts().values()
+    # No order-sensitivity finding to judge on clean code, let alone confirm.
+    assert report.verdicts() == {}
+    digest, inboxes_permuted = PINNED[algorithm]
+    assert report.baseline_digest == digest
+    assert set(report.schedule_digests.values()) == {digest}
+    assert report.inboxes_permuted == inboxes_permuted
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -193,6 +238,33 @@ def test_digest_identical_across_backends(algorithm):
         for executor in EXECUTOR_NAMES
     }
     assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("executor", ["serial", "processes"])
+def test_mutations_under_schedule(executor):
+    """A barrier that permutes AND mutates: vertex creation, explicit
+    add/remove requests and dirty adjacency all land on the store the
+    schedule just shuffled."""
+    run = debug_run(
+        TopologyChurn, _churn_graph(), CaptureAllActiveConfig(),
+        job_id="churn", lint=False, seed=7, num_workers=2,
+        executor=executor, max_supersteps=8,
+        delivery_schedule=PermutationSchedule(1),
+    )
+    assert run.ok, run.failure
+    fs = run.session.filesystem
+    assert run.result.num_supersteps == 4
+    assert run.capture_count == 720
+    assert run.result.metrics.total_inboxes_permuted == 175
+    assert _values_sha(run.result.vertex_values) == (
+        "474b7100beecd03e83b11343e6c5eb85b958798acd86fd181781a8e051a35314"
+    )
+    assert canonical_trace_digest(fs, "churn") == (
+        "1bcaea17d22fbf1f09447da6ca99159a14e6304c65818578d16ee71f019a03c2"
+    )
+    assert order_insensitive_digest(fs, "churn") == (
+        "4158d642fc46b19624f93de4b97e009ef4f77ba4172a6c5d1788622d8ccc8173"
+    )
 
 
 # -- wiring: verdicts feed the score, the view, and the fidelity report --------

@@ -21,7 +21,10 @@ from repro.graft.trace import canonical_trace_digest
 from repro.pregel import MinCombiner, PregelEngine
 from repro.pregel.permutation import PermutationSchedule
 
-from tests.integration.test_columnar_determinism import TopologyChurn
+from tests.integration.test_columnar_determinism import (
+    TopologyChurn,
+    TuplePing,
+)
 
 WORKER_COUNTS = (1, 2, 4)
 EXECUTORS = ("serial", "processes")
@@ -31,6 +34,7 @@ JOBS = {
     "sssp_combined": (lambda: ShortestPaths(0), {"combiner": MinCombiner()}),
     "mutation": (TopologyChurn, {}),
     "mutation_drop": (TopologyChurn, {"on_message_to_missing": "drop"}),
+    "tuple_fallback": (TuplePing, {}),
 }
 
 
@@ -156,13 +160,8 @@ def test_auto_spills_only_above_the_ceiling():
     assert under._store is None
 
 
-def test_spill_rejects_columnar_and_schedules():
+def test_spill_rejects_delivery_schedule():
     graph = load_dataset("web-BS", num_vertices=30, seed=11)
-    with pytest.raises(PregelError, match="columnar"):
-        PregelEngine(
-            lambda: PageRank(iterations=2), graph,
-            store="spill", columnar=True,
-        )
     with pytest.raises(PregelError, match="delivery_schedule"):
         PregelEngine(
             lambda: PageRank(iterations=2), graph,

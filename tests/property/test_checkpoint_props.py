@@ -13,6 +13,7 @@ from repro.algorithms import PageRank, RandomWalk
 from repro.datasets import erdos_renyi
 from repro.pregel import CheckpointConfig, run_computation
 from repro.simfs import SimFileSystem
+from tests.conftest import worker_crashes
 
 
 class TestRecoveryTransparency:
@@ -32,7 +33,7 @@ class TestRecoveryTransparency:
             checkpoint_config=CheckpointConfig(
                 SimFileSystem(), every_n_supersteps=interval
             ),
-            failure_injections=[(fail_at, worker)],
+            fault_injector=worker_crashes((fail_at, worker)),
         )
         assert recovered.recoveries == 1
         assert recovered.vertex_values == baseline.vertex_values
@@ -53,6 +54,6 @@ class TestRecoveryTransparency:
             checkpoint_config=CheckpointConfig(
                 SimFileSystem(), every_n_supersteps=interval
             ),
-            failure_injections=[(fail_at, 0)],
+            fault_injector=worker_crashes((fail_at, 0)),
         )
         assert recovered.vertex_values == baseline.vertex_values

@@ -9,6 +9,7 @@ from repro.graph import GraphBuilder
 from repro.pregel import CheckpointConfig, PregelEngine, WorkerFailure, run_computation
 from repro.pregel.checkpoint import latest_checkpoint_path
 from repro.simfs import SimFileSystem
+from tests.conftest import worker_crashes
 
 
 def chain(n=6):
@@ -60,7 +61,7 @@ class TestFailureRecovery:
             run_computation(
                 lambda: PageRank(iterations=6),
                 chain(),
-                failure_injections=[(3, 1)],
+                fault_injector=worker_crashes((3, 1)),
             )
         assert info.value.superstep == 3
 
@@ -71,7 +72,7 @@ class TestFailureRecovery:
             chain(),
             seed=5,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=3),
-            failure_injections=[(5, 2)],
+            fault_injector=worker_crashes((5, 2)),
         )
         assert recovered.recoveries == 1
         assert recovered.vertex_values == baseline.vertex_values
@@ -85,7 +86,7 @@ class TestFailureRecovery:
             graph,
             seed=9,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=2),
-            failure_injections=[(4, 0)],
+            fault_injector=worker_crashes((4, 0)),
         )
         assert recovered.vertex_values == baseline.vertex_values
 
@@ -101,7 +102,7 @@ class TestFailureRecovery:
             seed=2,
             max_supersteps=200,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=4),
-            failure_injections=[(7, 1)],
+            fault_injector=worker_crashes((7, 1)),
         )
         assert recovered.recoveries == 1
         assert recovered.vertex_values == baseline.vertex_values
@@ -113,7 +114,7 @@ class TestFailureRecovery:
             chain(),
             seed=1,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=2),
-            failure_injections=[(3, 0), (7, 2)],
+            fault_injector=worker_crashes((3, 0), (7, 2)),
         )
         assert recovered.recoveries == 2
         assert recovered.vertex_values == baseline.vertex_values
@@ -125,7 +126,7 @@ class TestFailureRecovery:
             chain(),
             seed=1,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=100),
-            failure_injections=[(0, 1)],
+            fault_injector=worker_crashes((0, 1)),
         )
         assert recovered.recoveries == 1
         assert recovered.vertex_values == baseline.vertex_values
@@ -137,7 +138,7 @@ class TestFailureRecovery:
             chain(),
             seed=5,
             checkpoint_config=CheckpointConfig(fs, every_n_supersteps=3),
-            failure_injections=[(5, 2)],
+            fault_injector=worker_crashes((5, 2)),
         )
         # Rollback re-runs supersteps, so more compute happened overall...
         assert (
@@ -166,7 +167,7 @@ class TestGraftUnderRecovery:
             CaptureAllActiveConfig(),
             seed=5,
             checkpoint_config=CheckpointConfig(SimFileSystem(), every_n_supersteps=2),
-            failure_injections=[(3, 1)],
+            fault_injector=worker_crashes((3, 1)),
         )
         assert recovered.ok
         assert recovered.result.recoveries == 1

@@ -240,6 +240,31 @@ class TestTransport:
         release_frame(None)
         release_frame(("bytes", b""))
 
+    def test_failed_barrier_releases_unretrieved_frames(self, monkeypatch):
+        """Worker 1's frame fails to parse: workers 2 and 3 have shipped
+        segments the barrier will never retrieve."""
+        from repro.algorithms import PageRank
+        from repro.chaos.orchestrator import _shm_segments
+        from repro.datasets import load_dataset
+        from repro.pregel import engine, run_computation
+
+        def parse(blob, interner):
+            frame = parse_frame(blob, interner)
+            if frame.worker_id == 1:
+                raise PregelError("frame 1 is unreadable")
+            return frame
+
+        monkeypatch.setattr(engine, "parse_frame", parse)
+        before = _shm_segments()
+        with pytest.raises(PregelError, match="unreadable"):
+            run_computation(
+                lambda: PageRank(iterations=2),
+                load_dataset("web-BS", num_vertices=40, seed=3),
+                num_workers=4,
+                executor="processes",
+            )
+        assert _shm_segments() - before == set()
+
 
 # ---------------------------------------------------------------------------
 # Property test: canonical order through the whole plane

@@ -1,6 +1,6 @@
 """Unit tests for message envelopes and the per-superstep store."""
 
-from repro.pregel.messages import Envelope, MessageStore, group_by_target
+from repro.pregel.messages import Envelope, MessageStore
 
 
 class TestMessageStore:
@@ -53,17 +53,6 @@ class TestMessageStore:
         assert [e.value for e in store.inbox("a")] == [1, 3]
         assert [e.value for e in store.inbox("b")] == [2]
         assert store.total_messages == 3
-
-    def test_group_by_target(self):
-        grouped = group_by_target(
-            [
-                Envelope(source=0, target="a", value=1),
-                Envelope(source=0, target="b", value=2),
-                Envelope(source=1, target="a", value=3),
-            ]
-        )
-        assert set(grouped) == {"a", "b"}
-        assert [e.value for e in grouped["a"]] == [1, 3]
 
     def test_canonicalize_orders_inbox_by_source(self):
         """Delivery order becomes partition-independent after canonicalize().

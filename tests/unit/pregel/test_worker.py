@@ -136,9 +136,11 @@ class TestRunSuperstep:
         store = MessageStore()
         store.deliver(Envelope(source="b", target="a", value="payload"))
         worker.run_superstep(Echo(), 1, store, 2, 2)
-        envelopes = worker.outbox_envelopes()
-        assert len(envelopes) == 1
-        assert envelopes[0].target == "b"
+        # One broadcast = one compact record in the packed outbox, expanded
+        # against the worker's adjacency only for introspection.
+        assert worker.outbox.bcast_sources == ["a"]
+        assert worker.outbox.point == {}
+        assert worker.outbox_envelopes() == [Envelope("a", "b", "payload")]
         assert worker.messages_sent == 1
         assert worker.bytes_sent > 0
 
@@ -201,7 +203,8 @@ class TestRunSuperstep:
         store.deliver(Envelope(source="b", target="a", value=1))
         worker.run_superstep(Echo(), 1, store, 2, 2)
         worker.prepare_superstep(AggregatorRegistry())
-        assert worker.outbox == {}
+        assert worker.outbox.messages == 0
+        assert worker.outbox.batch_count() == 0
         assert worker.outbox_envelopes() == []
         assert worker.messages_sent == 0
         assert worker.compute_calls == 0
