@@ -86,7 +86,7 @@ NUM_CLIENTS = 8
 
 def _build_job(fs, job_id, num_vertices, num_supersteps, rng):
     """One job's trace files + metrics.json; returns records written."""
-    store = TraceStore(fs, job_id, NUM_WORKERS, format="v2")
+    store = TraceStore(fs, job_id, NUM_WORKERS)
     metrics = RunMetrics()
     fanout = 8
     for superstep in range(num_supersteps):

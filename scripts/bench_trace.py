@@ -2,8 +2,7 @@
 
 Builds a synthetic capture trace (PageRank-shaped records, >=50k vertex
 records across several worker files, flushed at superstep barriers exactly
-like a real run) in both storage formats, then measures what the indexed
-v2 format buys:
+like a real run), then measures what the indexed v2 format buys:
 
 - **cold open** — constructing a reader. Eager decodes every record;
   lazy parses only the sidecar block directory.
@@ -11,14 +10,13 @@ v2 format buys:
   The "jump straight to the suspicious vertex" move from the paper's GUI:
   lazy does one index lookup, one ranged read, one record decode.
 - **warm queries** — repeated gets/history/at_superstep on a live reader.
-- **storage** — v2 bytes vs. v1 bytes, sidecar overhead, zlib ratio.
+- **storage** — v2 bytes vs. v1 bytes (the canonical JSON-line stream,
+  which is the v1 encoding by definition), sidecar overhead, zlib ratio.
 
 Gates (exit status 1 when violated):
 
 - lazy cold open must be >= 5x faster than eager on the same trace;
 - lazy cold point query must be >= 20x faster than eager cold (open+get);
-- ``canonical_trace_digest`` must be identical for the v1 and v2
-  encodings of the same records;
 - lazy and eager readers must return equivalent answers over a query
   sample (get / history / at_superstep / violations / exceptions).
 
@@ -45,6 +43,7 @@ from repro.graft.trace import (
     TraceReader,
     TraceStore,
     canonical_trace_digest,
+    iter_canonical_trace_lines,
     trace_stats,
 )
 from repro.simfs import SimFileSystem
@@ -61,9 +60,9 @@ ROUNDS = 3
 JOB = "bench"
 
 
-def _build_trace(fs, fmt, num_vertices, num_supersteps, rng):
+def _build_trace(fs, num_vertices, num_supersteps, rng):
     """Write a synthetic all-active capture trace, flushed per superstep."""
-    store = TraceStore(fs, JOB, NUM_WORKERS, format=fmt)
+    store = TraceStore(fs, JOB, NUM_WORKERS)
     for superstep in range(num_supersteps):
         records = []
         for vertex_id in range(num_vertices):
@@ -157,33 +156,30 @@ def _check_equivalence(fs, num_vertices, num_supersteps, rng):
 def run_bench(num_vertices=2_500, num_supersteps=20, rounds=ROUNDS):
     """Run all measurements; return (report dict, list of gate failures)."""
     rng = random.Random(SEED)
-    fs_v2 = SimFileSystem()
-    records = _build_trace(fs_v2, "v2", num_vertices, num_supersteps,
+    fs = SimFileSystem()
+    records = _build_trace(fs, num_vertices, num_supersteps,
                            random.Random(SEED))
-    fs_v1 = SimFileSystem()
-    _build_trace(fs_v1, "v1", num_vertices, num_supersteps,
-                 random.Random(SEED))
 
     eager_open, eager_reader = _best_seconds(
-        lambda: TraceReader(fs_v2, JOB, mode="eager"), rounds
+        lambda: TraceReader(fs, JOB, mode="eager"), rounds
     )
     lazy_open, _ = _best_seconds(
-        lambda: TraceReader(fs_v2, JOB, mode="lazy"), rounds
+        lambda: TraceReader(fs, JOB, mode="lazy"), rounds
     )
 
     probe_vid = num_vertices // 2
     probe_step = num_supersteps // 2
 
     def eager_point():
-        return TraceReader(fs_v2, JOB, mode="eager").get(probe_vid, probe_step)
+        return TraceReader(fs, JOB, mode="eager").get(probe_vid, probe_step)
 
     def lazy_point():
-        return TraceReader(fs_v2, JOB, mode="lazy").get(probe_vid, probe_step)
+        return TraceReader(fs, JOB, mode="lazy").get(probe_vid, probe_step)
 
     eager_point_s, _ = _best_seconds(eager_point, rounds)
     lazy_point_s, _ = _best_seconds(lazy_point, rounds)
 
-    warm = TraceReader(fs_v2, JOB, mode="lazy")
+    warm = TraceReader(fs, JOB, mode="lazy")
     query_rng = random.Random(SEED + 1)
     probes = [
         (query_rng.randrange(num_vertices), query_rng.randrange(num_supersteps))
@@ -198,14 +194,16 @@ def run_bench(num_vertices=2_500, num_supersteps=20, rounds=ROUNDS):
     history_s, _ = _best_seconds(lambda: warm.history(probe_vid), rounds)
     at_step_s, _ = _best_seconds(lambda: warm.at_superstep(probe_step), rounds)
 
-    digest_v2 = canonical_trace_digest(fs_v2, JOB)
-    digest_v1 = canonical_trace_digest(fs_v1, JOB)
+    digest = canonical_trace_digest(fs, JOB)
     equivalence_problems = _check_equivalence(
-        fs_v2, num_vertices, num_supersteps, rng
+        fs, num_vertices, num_supersteps, rng
     )
 
-    stats = trace_stats(fs_v2, JOB)
-    v1_bytes = sum(f["bytes"] for f in trace_stats(fs_v1, JOB)["files"])
+    stats = trace_stats(fs, JOB)
+    v1_bytes = sum(
+        len(line.encode("utf-8")) + 1
+        for line in iter_canonical_trace_lines(fs, JOB)
+    )
 
     open_speedup = eager_open / lazy_open if lazy_open else float("inf")
     point_speedup = (
@@ -222,11 +220,6 @@ def run_bench(num_vertices=2_500, num_supersteps=20, rounds=ROUNDS):
         failures.append(
             f"lazy cold point query only {point_speedup:.1f}x faster than "
             f"eager; floor is {POINT_QUERY_SPEEDUP_FLOOR}x"
-        )
-    if digest_v1 != digest_v2:
-        failures.append(
-            f"canonical digest differs across encodings: "
-            f"v1={digest_v1[:16]}... v2={digest_v2[:16]}..."
         )
     failures.extend(equivalence_problems)
 
@@ -264,11 +257,7 @@ def run_bench(num_vertices=2_500, num_supersteps=20, rounds=ROUNDS):
             "compression_ratio": stats["totals"]["compression_ratio"],
             "index_coverage": stats["totals"]["index_coverage"],
         },
-        "canonical_digest": {
-            "v1": digest_v1,
-            "v2": digest_v2,
-            "identical": digest_v1 == digest_v2,
-        },
+        "canonical_digest": digest,
         "gates": {
             "open_speedup_floor": OPEN_SPEEDUP_FLOOR,
             "point_query_speedup_floor": POINT_QUERY_SPEEDUP_FLOOR,
@@ -316,8 +305,6 @@ def main(argv=None):
           f"{report['cold_point_query_seconds']['lazy']}s vs eager "
           f"{report['cold_point_query_seconds']['eager']}s "
           f"({report['cold_point_query_seconds']['speedup']}x)")
-    print(f"  digests identical across v1/v2: "
-          f"{report['canonical_digest']['identical']}")
     if failures:
         for failure in failures:
             print(f"  GATE FAILED: {failure}")

@@ -35,7 +35,7 @@ from repro.graft.capture import (
     MasterContextRecord,
     Violation,
 )
-from repro.graft.trace import TRACE_FORMAT_V2, TraceReader, TraceStore
+from repro.graft.trace import TraceReader, TraceStore
 from repro.pregel.engine import PregelEngine
 
 _JOB_COUNTER = itertools.count()
@@ -44,23 +44,22 @@ _JOB_COUNTER = itertools.count()
 class GraftSession:
     """Run-time capture machinery; also an engine listener."""
 
-    def __init__(self, config, graph, filesystem, job_id, num_workers, codec=None,
-                 trace_format=TRACE_FORMAT_V2):
+    def __init__(self, config, graph, filesystem, job_id, num_workers, codec=None):
         self.config = config.validate()
         self._graph = graph
         self.filesystem = filesystem
         self.job_id = job_id
         self.num_workers = num_workers
-        self.store = TraceStore(
-            filesystem, job_id, num_workers, codec, format=trace_format
-        )
+        self.store = TraceStore(filesystem, job_id, num_workers, codec)
         self._worker_ids = itertools.count()
         self._static_reasons = {}
         self._current_aggregators = {}
-        # Per-worker capture buffers. During a superstep each worker's step
-        # appends only to its own list (no locks needed under concurrent
-        # backends); the barrier drains them to the trace files in
-        # worker-id order — the order a serial run would have written.
+        # Per-worker pending records: ``_buffers`` are ready to write,
+        # ``_deferred`` still await the barrier-time extended checks.
+        # During a superstep each worker's step appends only to its own
+        # list (no locks needed under concurrent backends); the barrier
+        # drains them to the trace files in worker-id order — the order a
+        # serial run would have written.
         self._buffers = {wid: [] for wid in range(num_workers)}
         self._deferred = {wid: [] for wid in range(num_workers)}
         self._engine = None
@@ -106,34 +105,27 @@ class GraftSession:
         """
         self._buffers[record.worker_id].append(record)
 
-    def buffer_record(self, record, deferred_sends=()):
+    def buffer_record(self, record):
         """Hold a record until barrier-time extended checks run."""
-        self._deferred[record.worker_id].append((record, tuple(deferred_sends)))
+        self._deferred[record.worker_id].append(record)
 
-    def _write_record(self, record):
-        """Write one capture immediately, enforcing the safety net."""
-        if self.capture_limit_hit:
-            return
-        if self.capture_count >= self.config.max_captures():
-            self.capture_limit_hit = True
-            return
-        self.store.write_vertex_record(record)
-        self.capture_count += 1
-
-    def _drain_buffers(self):
-        """Flush per-worker capture buffers to the store in worker-id order.
+    def _drain(self, pending, keep=None):
+        """Write pending records to the store in worker-id order.
 
         Reproduces a serial run's write order exactly: worker 0's records
         (in compute order), then worker 1's, and so on — which also makes
         the max-captures cutoff land on the same record regardless of the
-        execution backend.
+        execution backend. ``keep`` filters each worker's records first
+        (the deferred checks, which decide whether a record is captured).
         """
         max_captures = self.config.max_captures()
-        for worker_id in sorted(self._buffers):
-            records = self._buffers[worker_id]
+        for worker_id in sorted(pending):
+            records = pending[worker_id]
             if not records:
                 continue
-            self._buffers[worker_id] = []
+            pending[worker_id] = []
+            if keep is not None:
+                records = [record for record in records if keep(record)]
             if self.capture_limit_hit:
                 continue
             allowed = max_captures - self.capture_count
@@ -180,9 +172,11 @@ class GraftSession:
         )
 
     def on_superstep_end(self, superstep, metrics):
-        self._drain_buffers()
-        if any(self._deferred.values()):
-            self._evaluate_deferred(superstep)
+        self._drain(self._buffers)
+        self._drain(
+            self._deferred,
+            keep=lambda record: self._passes_deferred_checks(record, superstep),
+        )
         self.superstep_metrics.append(metrics)
         self.store.flush()
 
@@ -200,7 +194,7 @@ class GraftSession:
                 self._buffers[wid] = []
         for wid in self._deferred:
             self._deferred[wid] = []
-        self._drain_buffers()
+        self._drain(self._buffers)
         self.store.flush()
 
     def on_rollback(self, failed_superstep, restored_superstep):
@@ -225,7 +219,7 @@ class GraftSession:
     def finalize(self):
         """Flush and close trace writers; idempotent."""
         if not self._finalized:
-            self._drain_buffers()
+            self._drain(self._buffers)
             self.store.close()
             self._finalized = True
 
@@ -251,28 +245,20 @@ class GraftSession:
                         entry.append(REASON_NEIGHBOR)
         self._static_reasons = {v: tuple(r) for v, r in reasons.items()}
 
-    def _evaluate_deferred(self, superstep):
+    def _passes_deferred_checks(self, record, superstep):
         """Barrier-time extended constraints (Section 7 future work).
 
-        Runs after the immediate buffers drained, in worker-id order then
-        per-worker compute order — the order a serial run evaluated (and
-        wrote) them in.
+        ``_drain`` calls this in worker-id then compute order — the order a
+        serial run evaluated them in. True when the record is captured.
         """
-        for worker_id in sorted(self._deferred):
-            pending = self._deferred[worker_id]
-            if not pending:
-                continue
-            self._deferred[worker_id] = []
-            for record, sends in pending:
-                if self.checks_messages_with_target:
-                    self._check_target_constraints(record, sends, superstep)
-                if self.checks_neighborhoods:
-                    self._check_neighborhood(record, superstep)
-                if record.reasons:
-                    self._write_record(record)
+        if self.checks_messages_with_target:
+            self._check_target_constraints(record, superstep)
+        if self.checks_neighborhoods:
+            self._check_neighborhood(record, superstep)
+        return bool(record.reasons)
 
-    def _check_target_constraints(self, record, sends, superstep):
-        for target, value in sends:
+    def _check_target_constraints(self, record, superstep):
+        for target, value in record.sent:
             try:
                 target_value = self._engine.vertex_value(target)
             except PregelError:
@@ -325,7 +311,7 @@ class DebugRun:
     """Everything a user does after (or about) one debugged run."""
 
     def __init__(self, session, computation_factory, graph, result, failure,
-                 lint_report=None, reader_mode="lazy"):
+                 lint_report=None):
         self.session = session
         self.computation_factory = computation_factory
         self.graph = graph
@@ -336,9 +322,7 @@ class DebugRun:
         self.lint_report = lint_report
         #: Index-backed by default: opening the reader parses only the
         #: sidecars; records decode as the views ask for them.
-        self.reader = TraceReader(
-            session.filesystem, session.job_id, mode=reader_mode
-        )
+        self.reader = TraceReader(session.filesystem, session.job_id)
 
     # -- outcome ------------------------------------------------------------
 
@@ -636,8 +620,6 @@ def debug_run(
     job_id=None,
     lint=True,
     strict=False,
-    trace_format=TRACE_FORMAT_V2,
-    reader_mode="lazy",
     **engine_kwargs,
 ):
     """Run a computation under Graft and return a :class:`DebugRun`.
@@ -658,11 +640,6 @@ def debug_run(
     superstep executes. ``lint=False`` skips the analysis entirely. The
     report is kept on ``DebugRun.lint_report`` and cross-linked to runtime
     violations and fidelity checks.
-
-    ``trace_format`` picks the storage encoding (``"v2"`` framed+indexed,
-    the default, or ``"v1"`` JSON lines); ``reader_mode`` picks how
-    ``DebugRun.reader`` answers queries (``"lazy"`` index-backed, the
-    default, or ``"eager"`` decode-everything). See docs/trace-format.md.
     """
     from repro.graft.instrumenter import instrument
     from repro.simfs.filesystem import SimFileSystem
@@ -680,10 +657,7 @@ def debug_run(
     if partitioner is not None:
         num_workers = partitioner.num_workers
 
-    session = GraftSession(
-        config, graph, filesystem, job_id, num_workers,
-        trace_format=trace_format,
-    )
+    session = GraftSession(config, graph, filesystem, job_id, num_workers)
     engine = PregelEngine(
         instrument(computation_factory, session),
         graph,
@@ -701,5 +675,5 @@ def debug_run(
     _persist_metrics(session, result)
     return DebugRun(
         session, computation_factory, graph, result, failure,
-        lint_report=lint_report, reader_mode=reader_mode,
+        lint_report=lint_report,
     )

@@ -11,10 +11,12 @@ Per ``compute()`` call the wrapper:
 
 1. notes the pre-call context (value, incoming messages, and — when the
    vertex is already known to be captured — an eager copy of its edges);
-2. attaches a send observer that checks the message-value constraint at
-   each send, before any combining (so the constraint sees the source id,
-   per the paper's signature);
-3. invokes the user's ``compute()``;
+2. invokes the user's ``compute()`` on the untouched context;
+3. when it returns *or raises*, walks the context's send log once and
+   checks the message-value constraint on every ``(target, value)`` in
+   send order — with the sender's id and before any combining, per the
+   paper's signature — so a debugged run emits exactly the outbox a plain
+   run does;
 4. afterwards checks the vertex-value constraint on the final value and
    decides whether to capture (any of the five categories, or
    all-active), honoring the superstep filter and the max-captures
@@ -61,39 +63,6 @@ def instrument(computation_factory, session):
     return instrumented_factory
 
 
-class _SendObserver:
-    """Intercepts sends for one compute() call; checks message constraints."""
-
-    def __init__(self, session, check_now):
-        self._session = session
-        self._check_now = check_now
-        self.violations = []
-        self.deferred_sends = []
-
-    def on_send(self, ctx, target, value):
-        config = self._session.config
-        if self._check_now and not config.message_value_constraint(
-            value, ctx.vertex_id, target, ctx.superstep
-        ):
-            self.violations.append(
-                Violation(
-                    kind="message",
-                    vertex_id=ctx.vertex_id,
-                    superstep=ctx.superstep,
-                    details={
-                        "message": value,
-                        "source": ctx.vertex_id,
-                        "target": target,
-                    },
-                )
-            )
-        if self._session.checks_messages_with_target:
-            self.deferred_sends.append((target, value))
-
-    def on_set_value(self, ctx, old, new):
-        """Value updates are validated once, after compute() returns."""
-
-
 class InstrumentedComputation(Computation):
     """The wrapped computation the engine actually runs."""
 
@@ -130,16 +99,20 @@ class InstrumentedComputation(Computation):
         value_before = ctx.value
         edges_before = ctx.edges_snapshot() if eager else None
 
-        observer = None
-        if session.checks_messages or session.checks_messages_with_target:
-            observer = _SendObserver(session, session.checks_messages)
-            ctx.attach_observer(observer)
-
+        violations = []
         try:
-            self._inner.compute(ctx, messages)
+            try:
+                self._inner.compute(ctx, messages)
+            finally:
+                # Inside the same try: a predicate that raises is captured
+                # as this vertex's exception, like a raise in compute().
+                if session.checks_messages:
+                    self._check_messages(ctx, violations)
         except Exception as exc:  # noqa: BLE001 - captured, then policy decides
             if config.capture_exceptions():
-                self._capture_exception(ctx, exc, value_before, edges_before, observer)
+                self._capture_exception(
+                    ctx, exc, value_before, edges_before, violations
+                )
                 if config.continue_on_exception():
                     ctx.vote_to_halt()
                     return
@@ -148,7 +121,6 @@ class InstrumentedComputation(Computation):
         reasons = list(static_reasons)
         if all_active:
             reasons.append(REASON_ALL_ACTIVE)
-        violations = list(observer.violations) if observer else []
         if violations:
             reasons.append(REASON_MESSAGE)
         if session.checks_vertex_values and not config.vertex_value_constraint(
@@ -171,10 +143,29 @@ class InstrumentedComputation(Computation):
             ctx, value_before, edges_before, reasons, violations
         )
         if needs_deferral:
-            sends = observer.deferred_sends if observer is not None else ()
-            session.buffer_record(record, sends)
-        elif reasons:
+            session.buffer_record(record)
+        else:
             session.emit_record(record)
+
+    def _check_messages(self, ctx, violations):
+        """Append a violation per sent message failing the constraint."""
+        constraint = self._session.config.message_value_constraint
+        source = ctx.vertex_id
+        superstep = ctx.superstep
+        for target, value in ctx.sent_messages():
+            if not constraint(value, source, target, superstep):
+                violations.append(
+                    Violation(
+                        kind="message",
+                        vertex_id=source,
+                        superstep=superstep,
+                        details={
+                            "message": value,
+                            "source": source,
+                            "target": target,
+                        },
+                    )
+                )
 
     def _build_record(self, ctx, value_before, edges_before, reasons, violations):
         # The inbox is immutable during compute(), so the incoming list can
@@ -195,14 +186,13 @@ class InstrumentedComputation(Computation):
             run_seed=self._session.run_seed,
             value_after=ctx.value,
             edges_after=ctx.edges_snapshot(),
-            sent=[(e.target, e.value) for e in ctx.sent_envelopes],
+            sent=ctx.sent_messages(),
             halted=ctx.halted,
             reasons=reasons,
             violations=violations,
         )
 
-    def _capture_exception(self, ctx, exc, value_before, edges_before, observer):
-        violations = list(observer.violations) if observer else []
+    def _capture_exception(self, ctx, exc, value_before, edges_before, violations):
         record = self._build_record(
             ctx,
             value_before,

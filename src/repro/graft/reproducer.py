@@ -196,7 +196,7 @@ class ReplayHarness:
         outcome = ReplayOutcome(
             value=ctx.value,
             edges=ctx.edges_snapshot(),
-            sent=[(e.target, e.value) for e in ctx.sent_envelopes],
+            sent=ctx.sent_messages(),
             halted=ctx.halted,
             aggregated=list(_services.aggregated),
             exception=exception,

@@ -3,9 +3,9 @@
 Layout under one job directory (mirroring Graft's per-worker HDFS files)::
 
     /graft/<job_id>/worker-<i>.trace       vertex captures for worker i
-    /graft/<job_id>/worker-<i>.trace.idx   index sidecar (v2 format only)
+    /graft/<job_id>/worker-<i>.trace.idx   index sidecar
     /graft/<job_id>/master.trace           master captures
-    /graft/<job_id>/master.trace.idx       index sidecar (v2 format only)
+    /graft/<job_id>/master.trace.idx       index sidecar
 
 :class:`TraceStore` is the write side, owned by the Graft session while the
 job runs; :class:`TraceReader` is the read side, used by the GUI views and
@@ -14,16 +14,17 @@ file system and codec — a different process (the paper's "copy into your
 IDE" step) can do it, provided the modules defining the value types are
 imported.
 
-Two storage formats exist (see docs/trace-format.md):
+Two storage formats can be read (see docs/trace-format.md):
 
-- ``"v1"`` — one JSON line per record; human-greppable, but any read
-  decodes the entire file.
-- ``"v2"`` (default) — framed records with interned field keys, optional
-  zlib block compression, and an index sidecar built incrementally at
-  flush boundaries. The sidecar maps ``(superstep, repr(vertex_id))`` to
-  a byte extent plus violation/exception posting data, which is what
-  makes the default ``mode="lazy"`` reader's open and point queries
-  O(result) instead of O(trace).
+- ``"v2"`` — what :class:`TraceStore` writes: framed records with interned
+  field keys, optional zlib block compression, and an index sidecar built
+  incrementally at flush boundaries. The sidecar maps ``(superstep,
+  repr(vertex_id))`` to a byte extent plus violation/exception posting
+  data, which is what makes the default ``mode="lazy"`` reader's open and
+  point queries O(result) instead of O(trace).
+- ``"v1"`` — read-only legacy: one JSON line per record (the canonical
+  line encoding of :func:`~repro.graft.capture.record_to_line`), no
+  sidecar; any read decodes the entire file.
 
 :class:`TraceReader` accepts ``mode="lazy"`` (index-backed, decode on
 demand, LRU-bounded memory) or ``mode="eager"`` (decode everything up
@@ -82,7 +83,6 @@ from repro.simfs.writers import (
     DEFAULT_BUFFER_BYTES,
     DEFAULT_BUFFER_LINES,
     BlockWriter,
-    LineWriter,
     append_retrying,
 )
 
@@ -287,31 +287,6 @@ class _V2FileWriter:
         self._block_writer.close()
 
 
-class _V1FileWriter:
-    """Legacy JSON-lines writer, kept for compatibility tooling and tests."""
-
-    def __init__(self, filesystem, path, codec):
-        self._writer = LineWriter(filesystem, path)
-        self._codec = codec
-        self.path = path
-
-    def write_record(self, record):
-        self._writer.write_line(record_to_line(record, self._codec))
-
-    def write_records(self, records):
-        codec = self._codec
-        self._writer.write_lines(record_to_line(r, codec) for r in records)
-
-    def flush(self):
-        self._writer.flush()
-
-    def repair(self):
-        self._writer.repair()
-
-    def close(self):
-        self._writer.close()
-
-
 class TraceStore:
     """Write side: per-worker appenders plus the master appender."""
 
@@ -321,22 +296,16 @@ class TraceStore:
         job_id,
         num_workers,
         codec=None,
-        format=TRACE_FORMAT_V2,
         compression=True,
     ):
-        if format not in (TRACE_FORMAT_V1, TRACE_FORMAT_V2):
-            raise TraceError(f"unknown trace format {format!r}")
         self._fs = filesystem
         self.job_id = job_id
-        self.format = format
         self._codec = codec or default_codec
 
         def make_writer(path):
-            if format == TRACE_FORMAT_V2:
-                return _V2FileWriter(
-                    filesystem, path, self._codec, compression=compression
-                )
-            return _V1FileWriter(filesystem, path, self._codec)
+            return _V2FileWriter(
+                filesystem, path, self._codec, compression=compression
+            )
 
         self._worker_writers = [
             make_writer(worker_trace_path(job_id, worker_id))
@@ -378,8 +347,8 @@ class TraceStore:
     def flush(self):
         """Flush all writers (the session does this at superstep barriers).
 
-        For v2 files each flush is also an index boundary: the buffered
-        records become one block and one sidecar line.
+        Each flush is also an index boundary: the buffered records become
+        one block and one sidecar line.
         """
         for writer in self._worker_writers:
             writer.flush()
@@ -403,8 +372,17 @@ class TraceStore:
         self._master_writer.close()
 
     def total_bytes(self):
-        """Bytes currently stored for this job's traces (sidecars included)."""
-        return self._fs.total_bytes(job_directory(self.job_id))
+        """Bytes stored in this job's trace files and their index sidecars.
+
+        Only ``*.trace`` and ``*.trace.idx`` count: the job directory also
+        holds ``metrics.json``, whose float timings change length from one
+        identical run to the next.
+        """
+        return sum(
+            self._fs.stat(path).size
+            for path in self._fs.glob_files(job_directory(self.job_id))
+            if path.endswith((".trace", ".trace.idx"))
+        )
 
 
 # -- read side: sources -------------------------------------------------------

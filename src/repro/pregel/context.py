@@ -33,7 +33,7 @@ class _BroadcastSend(NamedTuple):
 
     The fast broadcast path must not allocate one envelope per neighbor
     just for bookkeeping; it notes the value and a snapshot of the targets
-    instead, and :attr:`ComputeContext.sent_envelopes` expands it only when
+    instead, and :meth:`ComputeContext.sent_messages` expands it only when
     somebody (Graft's capture, the reproducer) actually reads the sends.
     """
 
@@ -87,7 +87,7 @@ class ComputeContext:
     """The object handed to ``Computation.compute()``.
 
     Attributes populated by the call are inspected afterwards by the worker
-    (and by Graft's instrumentation): ``sent_envelopes``, ``halted``, and
+    (and by Graft's instrumentation): ``sent_messages()``, ``halted``, and
     the possibly-updated ``value``.
     """
 
@@ -102,7 +102,6 @@ class ComputeContext:
         num_edges,
         services,
         run_seed=0,
-        observer=None,
     ):
         self.vertex_id = vertex_id
         self._value = value
@@ -113,20 +112,9 @@ class ComputeContext:
         self.num_edges = num_edges
         self._services = services
         self._run_seed = run_seed
-        self._observer = observer
         self._rng = None
         self.halted = False
         self._sends = []
-
-    def attach_observer(self, observer):
-        """Attach an interception observer (Graft's instrumentation point).
-
-        The observer's ``on_set_value(ctx, old, new)`` and ``on_send(ctx,
-        target, value)`` hooks fire before each value update and message
-        send. This is the Python analogue of the paper's Javassist wrap:
-        user code is untouched; the wrapper injects observation.
-        """
-        self._observer = observer
 
     # -- vertex value ---------------------------------------------------
 
@@ -137,8 +125,6 @@ class ComputeContext:
 
     def set_value(self, new_value):
         """Update the vertex value (Giraph's ``vertex.setValue``)."""
-        if self._observer is not None:
-            self._observer.on_set_value(self, self._value, new_value)
         self._value = new_value
 
     # -- edges ------------------------------------------------------------
@@ -190,31 +176,25 @@ class ComputeContext:
         """Incoming messages with their source ids (debugger-facing view)."""
         return list(self._incoming)
 
-    @property
-    def sent_envelopes(self):
-        """Envelopes sent during this compute(), in send order.
+    def sent_messages(self):
+        """``(target, value)`` for every message sent so far, in send order.
 
-        Materialized on read: broadcasts are stored compactly (one record
-        per fan-out) and expanded to per-target envelopes only here, so
-        only readers of the send log — Graft capture, the reproducer's
-        fidelity check — pay for the envelope objects.
+        The send log read back: broadcasts are stored compactly (one entry
+        per fan-out) and expanded per target only here, so only its readers
+        — Graft's message constraints and capture, the reproducer's
+        fidelity check — pay for the pairs.
         """
-        source = self.vertex_id
-        envelopes = []
+        sent = []
         for entry in self._sends:
             if entry.__class__ is _BroadcastSend:
-                envelopes.extend(
-                    Envelope(source=source, target=target, value=entry.value)
-                    for target in entry.targets
-                )
+                value = entry.value
+                sent.extend([(target, value) for target in entry.targets])
             else:
-                envelopes.append(entry)
-        return envelopes
+                sent.append((entry.target, entry.value))
+        return sent
 
     def send_message(self, target, value):
         """Send a message for delivery in the next superstep."""
-        if self._observer is not None:
-            self._observer.on_send(self, target, value)
         envelope = Envelope(source=self.vertex_id, target=target, value=value)
         self._sends.append(envelope)
         self._services.emit(envelope)
@@ -222,16 +202,10 @@ class ComputeContext:
     def send_message_to_all_neighbors(self, value):
         """Send the same message along every outgoing edge.
 
-        Without an observer attached this takes a fast path: the fan-out is
-        handed to the services as ``(source, targets, value)`` so the host
-        can route one shared envelope instead of building one per neighbor.
-        With an observer (Graft's message-constraint hook needs to see each
-        send) it falls back to per-message ``send_message``.
+        The fan-out is handed to the services as ``(source, targets,
+        value)`` so the host can route one shared envelope instead of
+        building one per neighbor.
         """
-        if self._observer is not None:
-            for target in list(self._edges):
-                self.send_message(target, value)
-            return
         targets = tuple(self._edges)
         self._sends.append(_BroadcastSend(value, targets))
         self._services.emit_broadcast(self.vertex_id, targets, value)

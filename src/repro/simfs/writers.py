@@ -7,11 +7,10 @@ hitting HDFS.
 
 Two writers live here:
 
-- :class:`LineWriter` — plain text lines (the v1 trace format and job
-  output files). Flushing is adaptive: a flush happens when *either* the
-  line-count threshold or the byte threshold is reached, so many tiny
-  records batch up into large appends while a few huge records don't pin
-  megabytes in memory.
+- :class:`LineWriter` — plain text lines (job output files). Flushing is
+  adaptive: a flush happens when *either* the line-count threshold or the
+  byte threshold is reached, so many tiny records batch up into large
+  appends while a few huge records don't pin megabytes in memory.
 - :class:`BlockWriter` — length-prefixed, optionally zlib-compressed
   binary frames (the v2 trace format's block layer). The caller hands it
   whole payloads; it reports back exactly where each block landed so an

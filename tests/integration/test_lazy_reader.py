@@ -13,13 +13,15 @@ from repro.datasets import premade_graph
 from repro.graft import CaptureAllActiveConfig, debug_run, replay_from_trace
 from repro.graft.trace import TraceReader, canonical_trace_digest
 from repro.pregel import EXECUTOR_NAMES
+from tests.conftest import rewrite_trace_as_v1
 
 WORKER_COUNTS = (1, 3)
 
 
 def _run(executor, workers, trace_format="v2"):
+    """A debugged job; ``"v1"`` re-encodes its files as legacy JSON lines."""
     graph = premade_graph("petersen")
-    return debug_run(
+    run = debug_run(
         lambda: PageRank(iterations=4),
         graph,
         CaptureAllActiveConfig(),
@@ -28,8 +30,12 @@ def _run(executor, workers, trace_format="v2"):
         lint=False,
         num_workers=workers,
         executor=executor,
-        trace_format=trace_format,
     )
+    if trace_format == "v1":
+        fs = run.session.filesystem
+        rewrite_trace_as_v1(fs, "lazyjob")
+        run.reader = TraceReader(fs, "lazyjob")
+    return run
 
 
 @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
@@ -96,14 +102,17 @@ def test_replay_from_trace_point_lookup():
 
 
 def test_debug_run_reader_mode_eager_option():
+    """The eager oracle over a debug_run's files, built by the caller."""
     run = debug_run(
         lambda: PageRank(iterations=3),
         premade_graph("triangle"),
         CaptureAllActiveConfig(),
         seed=1,
         lint=False,
-        reader_mode="eager",
     )
     assert run.ok
-    assert run.reader.mode == "eager"
+    assert run.reader.mode == "lazy"
+    run.reader = TraceReader(
+        run.session.filesystem, run.session.job_id, mode="eager"
+    )
     assert run.captured(0, 1).vertex_id == 0

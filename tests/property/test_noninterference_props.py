@@ -3,7 +3,9 @@
 Whatever the DebugConfig, a debugged run must produce exactly the same
 vertex values, superstep count, and halt reason as the uninstrumented
 engine on the same seed — the debugger's Heisenberg-freedom, which the
-paper's overhead experiment silently assumes.
+paper's overhead experiment silently assumes. That covers the data plane
+too: message constraints are checked over the send log, so a debugged run
+ships the same outbox (compact broadcasts included) as the plain one.
 """
 
 from hypothesis import given, settings
@@ -53,6 +55,22 @@ class TestNonInterference:
         assert debugged.result.vertex_values == plain.vertex_values
         assert debugged.result.num_supersteps == plain.num_supersteps
         assert debugged.result.halt_reason == plain.halt_reason
+
+    @given(st.integers(0, 40), st.integers(0, 40))
+    @settings(max_examples=10, deadline=None)
+    def test_data_plane_unperturbed(self, graph_seed, run_seed):
+        graph = erdos_renyi(10, 0.3, seed=graph_seed, directed=False)
+        plain = run_computation(ConnectedComponents, graph, seed=run_seed)
+        debugged = debug_run(ConnectedComponents, graph, EverythingConfig(),
+                             seed=run_seed)
+
+        def data_plane(result):
+            return [
+                (s.messages_sent, s.bytes_sent, s.transport_batches)
+                for s in result.metrics.supersteps
+            ]
+
+        assert data_plane(debugged.result) == data_plane(plain)
 
     @given(st.integers(0, 40), st.sampled_from(CONFIG_FACTORIES))
     @settings(max_examples=10, deadline=None)

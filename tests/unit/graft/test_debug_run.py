@@ -259,6 +259,22 @@ class TestRunPlumbing:
         run = debug_run(Gossip, ring_graph(4), CaptureAllActiveConfig(), seed=1)
         assert run.trace_bytes > 0
 
+    def test_trace_bytes_counts_trace_files_only(self):
+        """metrics.json sits in the job directory but is not trace bytes."""
+        sizes = []
+        for _attempt in range(2):
+            run = debug_run(Gossip, ring_graph(4), CaptureAllActiveConfig(), seed=1)
+            fs = run.session.filesystem
+            directory = f"/graft/{run.session.job_id}"
+            assert fs.is_file(f"{directory}/metrics.json")
+            assert run.trace_bytes == sum(
+                fs.stat(path).size
+                for path in fs.glob_files(directory)
+                if path.endswith((".trace", ".trace.idx"))
+            )
+            sizes.append(run.trace_bytes)
+        assert sizes[0] == sizes[1]
+
     def test_summary_mentions_captures(self):
         run = debug_run(Gossip, ring_graph(4), CaptureAllActiveConfig(), seed=1)
         assert "captures" in run.summary()

@@ -3,6 +3,7 @@
 from repro.graft import CaptureAllActiveConfig, DebugConfig, debug_run
 from repro.graft.debug_run import GraftSession
 from repro.graft.instrumenter import instrument
+from repro.graft.trace import iter_file_records, worker_trace_path
 from repro.graph import GraphBuilder
 from repro.pregel import Computation, PregelEngine
 from repro.simfs import SimFileSystem
@@ -217,3 +218,153 @@ class TestTrackingScope:
             CaptureAllActiveConfig(max_captures=4),
         )
         assert run.capture_count == 4
+
+
+class OddMessagesOnly(DebugConfig):
+    """Message constraint: even integers violate; ``"boom"`` breaks the check."""
+
+    def message_value_constraint(self, message, source_id, target_id, superstep):
+        if message == "boom":
+            raise RuntimeError("predicate blew up")
+        return message % 2 == 1
+
+    def continue_on_exception(self):
+        return True
+
+
+class BroadcastThenPoint(Computation):
+    """Superstep 0: one broadcast (4) then one point send (6 or 7) to vertex 0."""
+
+    def compute(self, ctx, messages):
+        if ctx.superstep == 0:
+            ctx.send_message_to_all_neighbors(4)
+            ctx.send_message(0, 6 if ctx.vertex_id == 2 else 7)
+        ctx.vote_to_halt()
+
+
+class SendThenRaise(Computation):
+    def compute(self, ctx, messages):
+        if ctx.superstep == 0:
+            ctx.send_message_to_all_neighbors(2)
+            raise ValueError("after the send")
+        ctx.vote_to_halt()
+
+
+class SendPoison(Computation):
+    def compute(self, ctx, messages):
+        if ctx.superstep == 0:
+            ctx.send_message_to_all_neighbors(8)
+            if ctx.vertex_id == 1:
+                ctx.send_message(0, "boom")
+        ctx.vote_to_halt()
+
+
+class HaltNow(Computation):
+    def compute(self, ctx, messages):
+        ctx.vote_to_halt()
+
+
+class TestSendLogConstraints:
+    def test_violations_in_send_order_on_every_backend(self):
+        graph = GraphBuilder(directed=False).cycle(*range(5)).build()
+        expected_of_2 = [
+            {"message": 4, "source": 2, "target": 1},
+            {"message": 4, "source": 2, "target": 3},
+            {"message": 6, "source": 2, "target": 0},
+        ]
+        per_backend = {}
+        for executor in ("serial", "threads", "processes"):
+            run = debug_run(
+                BroadcastThenPoint, graph, OddMessagesOnly(), seed=3,
+                lint=False, num_workers=3, executor=executor,
+            )
+            assert run.ok
+            assert [v.details for v in run.captured(2, 0).violations] == expected_of_2
+            per_backend[executor] = [
+                (v.kind, v.vertex_id, v.superstep, v.details)
+                for v in run.violations()
+            ]
+        # Two broadcast violations per vertex plus vertex 2's point send.
+        assert len(per_backend["serial"]) == 11
+        assert per_backend["threads"] == per_backend["serial"]
+        assert per_backend["processes"] == per_backend["serial"]
+
+    def test_violation_kept_when_compute_raises_after_the_send(self):
+        run = debug_run(SendThenRaise, small_graph(), OddMessagesOnly(), lint=False)
+        record = run.captured(0, 0)
+        assert record.exception.type_name == "ValueError"
+        assert record.sent == [(1, 2)]
+        assert [v.details for v in record.violations] == [
+            {"message": 2, "source": 0, "target": 1}
+        ]
+
+    def test_raising_predicate_is_captured_as_the_vertex_exception(self):
+        run = debug_run(SendPoison, small_graph(), OddMessagesOnly(), lint=False)
+        assert run.ok  # continue_on_exception: only vertex 1 is halted
+        record = run.captured(1, 0)
+        assert record.exception.type_name == "RuntimeError"
+        assert "predicate blew up" in record.exception.message
+        # The violation found before the predicate raised stays on the record.
+        assert [v.details["message"] for v in record.violations] == [8]
+        assert run.captured(0, 0).exception is None
+
+    def test_target_constraint_reads_record_sent_on_processes(self):
+        class NoSixToZero(DebugConfig):
+            def message_value_constraint_with_target(
+                self, message, source_id, target_id, target_value, superstep
+            ):
+                return not (message == 6 and target_value == "zero")
+
+        class Named(BroadcastThenPoint):
+            def initial_value(self, vertex_id, input_value):
+                return "zero" if vertex_id == 0 else "other"
+
+        graph = GraphBuilder(directed=False).cycle(*range(5)).build()
+        found = {}
+        for executor in ("serial", "processes"):
+            run = debug_run(
+                Named, graph, NoSixToZero(), lint=False, num_workers=3,
+                executor=executor,
+            )
+            found[executor] = [(v.kind, v.details) for v in run.violations()]
+            assert run.capture_count == 1
+        assert found["serial"] == [(
+            "message_target",
+            {"message": 6, "source": 2, "target": 0, "target_value": "zero"},
+        )]
+        assert found["processes"] == found["serial"]
+
+    def test_max_captures_cut_under_deferred_checks(self):
+        """The safety net keeps the first N in (worker, compute) order."""
+
+        class AlwaysViolates(DebugConfig):
+            def __init__(self, limit):
+                self._limit = limit
+
+            def neighborhood_constraint(self, value, neighbor_values, vertex_id,
+                                        superstep):
+                return False
+
+            def max_captures(self):
+                return self._limit
+
+        graph = GraphBuilder(directed=False).cycle(*range(9)).build()
+
+        def file_order(run):
+            fs, job = run.session.filesystem, run.session.job_id
+            return [
+                record.key
+                for worker_id in range(3)
+                for record in iter_file_records(
+                    fs, worker_trace_path(job, worker_id)
+                )
+            ]
+
+        uncapped = debug_run(HaltNow, graph, AlwaysViolates(1000), lint=False,
+                             num_workers=3)
+        assert uncapped.capture_count == 9 and not uncapped.capture_limit_hit
+        for executor in ("serial", "processes"):
+            capped = debug_run(HaltNow, graph, AlwaysViolates(4), lint=False,
+                               num_workers=3, executor=executor)
+            assert capped.capture_limit_hit
+            assert file_order(capped) == file_order(uncapped)[:4]

@@ -38,9 +38,17 @@ class TestTraceStore:
         assert not list(iter_file_records(fs, worker_trace_path("jobX", 0)))
 
     def test_total_bytes_counts_job_directory(self, fs):
+        """Trace files and sidecars only — not metrics.json beside them."""
         store = store_with_records(fs, [sample_record()])
         assert store.total_bytes() > 0
         assert store.total_bytes() == fs.total_bytes("/graft/jobX")
+        fs.write_text("/graft/jobX/metrics.json", '{"seconds": 0.125}')
+        assert store.total_bytes() < fs.total_bytes("/graft/jobX")
+        assert store.total_bytes() == sum(
+            fs.stat(path).size
+            for path in fs.glob_files("/graft/jobX")
+            if path.endswith((".trace", ".trace.idx"))
+        )
 
     def test_records_written_counter(self, fs):
         store = store_with_records(

@@ -31,7 +31,7 @@ QUERIES_PER_THREAD = 60
 
 
 def _build_trace(fs, job_id="job-hammer"):
-    store = TraceStore(fs, job_id, NUM_WORKERS, format="v2")
+    store = TraceStore(fs, job_id, NUM_WORKERS)
     for superstep in range(NUM_SUPERSTEPS):
         records = []
         for vertex_id in range(NUM_VERTICES):

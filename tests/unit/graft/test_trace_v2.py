@@ -22,6 +22,7 @@ from repro.graft.trace import (
     worker_trace_path,
 )
 from repro.graft.traceformat import IDX_MAGIC, TRACE_MAGIC
+from tests.conftest import rewrite_trace_as_v1
 from tests.unit.graft.test_capture import sample_record
 
 JOB = "jobV2"
@@ -29,7 +30,7 @@ JOB = "jobV2"
 
 def build_store(fs, fmt="v2", vertices=12, supersteps=4, workers=3):
     """A small trace with violations, an exception, and per-step flushes."""
-    store = TraceStore(fs, JOB, workers, format=fmt)
+    store = TraceStore(fs, JOB, workers)
     for step in range(supersteps):
         for vid in range(vertices):
             violations = (
@@ -49,6 +50,8 @@ def build_store(fs, fmt="v2", vertices=12, supersteps=4, workers=3):
         )
         store.flush()
     store.close()
+    if fmt == "v1":
+        rewrite_trace_as_v1(fs, JOB)
     return store
 
 
@@ -88,46 +91,46 @@ class TestV2FileLayout:
         assert [r.key for r in v2] == [r.key for r in v1]
         assert v2[0].value_before == v1[0].value_before
 
-    def test_unknown_format_rejected(self, fs):
-        with pytest.raises(TraceError, match="unknown trace format"):
-            TraceStore(fs, JOB, 1, format="v3")
-
     def test_unknown_reader_mode_rejected(self, fs):
         build_store(fs)
         with pytest.raises(TraceError, match="unknown TraceReader mode"):
             TraceReader(fs, JOB, mode="sometimes")
 
 
+def assert_all_queries_agree(lazy, eager):
+    """Every TraceReader query answers identically on both readers."""
+    assert len(lazy) == len(eager) == 48
+    assert lazy.supersteps() == eager.supersteps() == [0, 1, 2, 3]
+    for vid in range(12):
+        for step in range(4):
+            assert lazy.has(vid, step) and eager.has(vid, step)
+            a, b = lazy.get(vid, step), eager.get(vid, step)
+            assert a.key == b.key
+            assert a.value_before == b.value_before
+            assert a.violations == b.violations
+    assert not lazy.has(99, 0) and not eager.has(99, 0)
+    for step in range(4):
+        assert [r.key for r in lazy.at_superstep(step)] == \
+            [r.key for r in eager.at_superstep(step)]
+    for vid in (0, 5, 11):
+        assert [r.superstep for r in lazy.history(vid)] == \
+            [r.superstep for r in eager.history(vid)]
+    assert lazy.captured_vertex_ids() == eager.captured_vertex_ids()
+    assert [(v.vertex_id, v.superstep) for v in lazy.violations()] == \
+        [(v.vertex_id, v.superstep) for v in eager.violations()]
+    assert [(r.key, e.type_name) for r, e in lazy.exceptions()] == \
+        [(r.key, e.type_name) for r, e in eager.exceptions()]
+    assert [r.key for r in lazy.vertex_records] == \
+        [r.key for r in eager.vertex_records]
+    assert [m.superstep for m in lazy.master_records] == \
+        [m.superstep for m in eager.master_records]
+    assert lazy.master_at(2).aggregators == eager.master_at(2).aggregators
+
+
 class TestLazyEagerEquivalence:
     def test_all_queries_agree(self, fs):
         build_store(fs)
-        lazy, eager = readers(fs)
-        assert len(lazy) == len(eager) == 48
-        assert lazy.supersteps() == eager.supersteps() == [0, 1, 2, 3]
-        for vid in range(12):
-            for step in range(4):
-                assert lazy.has(vid, step) and eager.has(vid, step)
-                a, b = lazy.get(vid, step), eager.get(vid, step)
-                assert a.key == b.key
-                assert a.value_before == b.value_before
-                assert a.violations == b.violations
-        assert not lazy.has(99, 0) and not eager.has(99, 0)
-        for step in range(4):
-            assert [r.key for r in lazy.at_superstep(step)] == \
-                [r.key for r in eager.at_superstep(step)]
-        for vid in (0, 5, 11):
-            assert [r.superstep for r in lazy.history(vid)] == \
-                [r.superstep for r in eager.history(vid)]
-        assert lazy.captured_vertex_ids() == eager.captured_vertex_ids()
-        assert [(v.vertex_id, v.superstep) for v in lazy.violations()] == \
-            [(v.vertex_id, v.superstep) for v in eager.violations()]
-        assert [(r.key, e.type_name) for r, e in lazy.exceptions()] == \
-            [(r.key, e.type_name) for r, e in eager.exceptions()]
-        assert [r.key for r in lazy.vertex_records] == \
-            [r.key for r in eager.vertex_records]
-        assert [m.superstep for m in lazy.master_records] == \
-            [m.superstep for m in eager.master_records]
-        assert lazy.master_at(2).aggregators == eager.master_at(2).aggregators
+        assert_all_queries_agree(*readers(fs))
 
     def test_get_missing_raises_not_captured(self, fs):
         build_store(fs)
@@ -257,12 +260,14 @@ class TestRecovery:
 
 class TestV1Fallback:
     def test_lazy_reader_reads_v1_files(self, fs):
-        build_store(fs, fmt="v1")
-        lazy, eager = readers(fs)
-        assert len(lazy) == len(eager) == 48
-        assert lazy.get(2, 1).violations == eager.get(2, 1).violations
-        assert [r.key for r in lazy.vertex_records] == \
-            [r.key for r in eager.vertex_records]
+        """Both reader modes answer every query on v1 files like the v2 twin."""
+        build_store(fs, fmt="v2")
+        fs1 = type(fs)()
+        build_store(fs1, fmt="v1")
+        assert not fs1.glob_files("/graft", suffix=".idx")
+        v2_eager = TraceReader(fs, JOB, mode="eager")
+        for v1_reader in readers(fs1):
+            assert_all_queries_agree(v1_reader, v2_eager)
 
     def test_digest_identical_across_formats(self, fs):
         build_store(fs, fmt="v2")

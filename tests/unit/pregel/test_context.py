@@ -62,21 +62,6 @@ class TestValueAndGlobals:
         ctx.set_value(42)
         assert ctx.value == 42
 
-    def test_observer_sees_value_updates(self):
-        seen = []
-
-        class Observer:
-            def on_set_value(self, ctx, old, new):
-                seen.append((old, new))
-
-            def on_send(self, ctx, target, value):
-                pass
-
-        ctx, _services = make_ctx()
-        ctx.attach_observer(Observer())
-        ctx.set_value(11)
-        assert seen == [(10, 11)]
-
 
 class TestEdges:
     def test_neighbor_queries(self):
@@ -120,31 +105,31 @@ class TestMessaging:
         assert len(services.emitted) == 1
         envelope = services.emitted[0]
         assert (envelope.source, envelope.target, envelope.value) == ("v", "a", 5)
-        assert ctx.sent_envelopes == [envelope]
+        assert ctx.sent_messages() == [("a", 5)]
 
     def test_send_to_all_neighbors(self):
         ctx, services = make_ctx()
         ctx.send_message_to_all_neighbors("hello")
         assert sorted(e.target for e in services.emitted) == ["a", "b"]
 
-    def test_observer_sees_sends_before_emit(self):
-        order = []
+    def test_send_log_keeps_send_order_across_point_and_broadcast(self):
+        ctx, _services = make_ctx()
+        ctx.send_message("b", 1)
+        ctx.send_message_to_all_neighbors("all")
+        ctx.send_message("elsewhere", 2)
+        assert ctx.sent_messages() == [
+            ("b", 1), ("a", "all"), ("b", "all"), ("elsewhere", 2),
+        ]
 
-        class Observer:
-            def on_send(self, ctx, target, value):
-                order.append("observe")
-
-            def on_set_value(self, ctx, old, new):
-                pass
-
-        class OrderedServices(RecordingServices):
-            def emit(self, envelope):
-                order.append("emit")
-
-        ctx, _services = make_ctx(services=OrderedServices())
-        ctx.attach_observer(Observer())
-        ctx.send_message("a", 1)
-        assert order == ["observe", "emit"]
+    def test_send_log_broadcast_targets_are_those_at_send_time(self):
+        ctx, _services = make_ctx()
+        ctx.send_message_to_all_neighbors("before")
+        ctx.remove_edge("a")
+        ctx.add_edge("c")
+        ctx.send_message_to_all_neighbors("after")
+        assert ctx.sent_messages() == [
+            ("a", "before"), ("b", "before"), ("b", "after"), ("c", "after"),
+        ]
 
 
 class TestAggregatorsAndHalting:

@@ -23,7 +23,7 @@ NUM_WORKERS = 2
 
 
 def build_job(fs, job_id, with_flags=True):
-    store = TraceStore(fs, job_id, NUM_WORKERS, format="v2")
+    store = TraceStore(fs, job_id, NUM_WORKERS)
     for superstep in range(NUM_SUPERSTEPS):
         records = []
         for vertex_id in range(NUM_VERTICES):
