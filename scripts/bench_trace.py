@@ -4,6 +4,9 @@ Builds a synthetic capture trace (PageRank-shaped records, >=50k vertex
 records across several worker files, flushed at superstep barriers exactly
 like a real run), then measures what the indexed v2 format buys:
 
+- **write** — the barrier-drain path: ``write_vertex_records`` +
+  ``write_master_record`` + ``flush`` per superstep, ``close`` at the end
+  (row encoding, block packing, zlib, index lines), records per second.
 - **cold open** — constructing a reader. Eager decodes every record;
   lazy parses only the sidecar block directory.
 - **cold point query** — fresh reader + one ``get(vertex, superstep)``.
@@ -18,7 +21,9 @@ Gates (exit status 1 when violated):
 - lazy cold open must be >= 5x faster than eager on the same trace;
 - lazy cold point query must be >= 20x faster than eager cold (open+get);
 - lazy and eager readers must return equivalent answers over a query
-  sample (get / history / at_superstep / violations / exceptions).
+  sample (get / history / at_superstep / violations / exceptions);
+- the write path must sustain >= 11,000 records/s (half the reference
+  box's rate).
 
 Usage::
 
@@ -54,15 +59,20 @@ OPEN_SPEEDUP_FLOOR = 5.0
 #: Required speedup of a lazy cold point query over an eager one.
 POINT_QUERY_SPEEDUP_FLOOR = 20.0
 
+#: Required write-path throughput: half of what the reference box measures
+#: on the full workload (BENCH_trace.json ``write.records_per_second``).
+WRITE_RATE_FLOOR = 11_000
+
 SEED = 11
 NUM_WORKERS = 4
 ROUNDS = 3
 JOB = "bench"
 
 
-def _build_trace(fs, num_vertices, num_supersteps, rng):
-    """Write a synthetic all-active capture trace, flushed per superstep."""
-    store = TraceStore(fs, JOB, NUM_WORKERS)
+def _make_batches(num_vertices, num_supersteps, rng):
+    """A synthetic all-active capture: one ``(vertex records, master
+    record)`` batch per superstep."""
+    batches = []
     for superstep in range(num_supersteps):
         records = []
         for vertex_id in range(num_vertices):
@@ -99,14 +109,23 @@ def _build_trace(fs, num_vertices, num_supersteps, rng):
                 violations=violations,
                 exception=exception,
             ))
-        store.write_vertex_records(records)
-        store.write_master_record(MasterContextRecord(
+        batches.append((records, MasterContextRecord(
             superstep=superstep, aggregators={"dangling": 0.15},
             aggregators_before={"dangling": 0.0},
-        ))
+        )))
+    return batches
+
+
+def _write_trace(batches):
+    """Write the batches as a run does, flushed at superstep barriers."""
+    fs = SimFileSystem()
+    store = TraceStore(fs, JOB, NUM_WORKERS)
+    for records, master_record in batches:
+        store.write_vertex_records(records)
+        store.write_master_record(master_record)
         store.flush()
     store.close()
-    return store.records_written
+    return fs, store.records_written
 
 
 def _best_seconds(fn, rounds=ROUNDS):
@@ -156,9 +175,9 @@ def _check_equivalence(fs, num_vertices, num_supersteps, rng):
 def run_bench(num_vertices=2_500, num_supersteps=20, rounds=ROUNDS):
     """Run all measurements; return (report dict, list of gate failures)."""
     rng = random.Random(SEED)
-    fs = SimFileSystem()
-    records = _build_trace(fs, num_vertices, num_supersteps,
-                           random.Random(SEED))
+    batches = _make_batches(num_vertices, num_supersteps, random.Random(SEED))
+    write_s, (fs, records) = _best_seconds(lambda: _write_trace(batches), rounds)
+    write_rate = records / write_s
 
     eager_open, eager_reader = _best_seconds(
         lambda: TraceReader(fs, JOB, mode="eager"), rounds
@@ -222,6 +241,11 @@ def run_bench(num_vertices=2_500, num_supersteps=20, rounds=ROUNDS):
             f"eager; floor is {POINT_QUERY_SPEEDUP_FLOOR}x"
         )
     failures.extend(equivalence_problems)
+    if write_rate < WRITE_RATE_FLOOR:
+        failures.append(
+            f"trace write path sustained only {write_rate:,.0f} records/s; "
+            f"floor is {WRITE_RATE_FLOOR:,}"
+        )
 
     report = {
         "benchmark": "trace_store",
@@ -233,6 +257,10 @@ def run_bench(num_vertices=2_500, num_supersteps=20, rounds=ROUNDS):
             "num_workers": NUM_WORKERS,
             "seed": SEED,
             "rounds": rounds,
+        },
+        "write": {
+            "seconds": round(write_s, 6),
+            "records_per_second": round(write_rate),
         },
         "cold_open_seconds": {
             "eager": round(eager_open, 6),
@@ -261,6 +289,7 @@ def run_bench(num_vertices=2_500, num_supersteps=20, rounds=ROUNDS):
         "gates": {
             "open_speedup_floor": OPEN_SPEEDUP_FLOOR,
             "point_query_speedup_floor": POINT_QUERY_SPEEDUP_FLOOR,
+            "write_records_per_second_floor": WRITE_RATE_FLOOR,
             "passed": not failures,
             "failures": failures,
         },
@@ -298,6 +327,8 @@ def main(argv=None):
     print(f"  records: {report['workload']['total_records']:,} "
           f"({report['storage']['v2_bytes']:,} bytes v2, "
           f"{report['storage']['v1_bytes']:,} bytes v1)")
+    print(f"  write: {report['write']['seconds']}s "
+          f"({report['write']['records_per_second']:,} records/s)")
     print(f"  cold open: lazy {report['cold_open_seconds']['lazy']}s vs "
           f"eager {report['cold_open_seconds']['eager']}s "
           f"({report['cold_open_seconds']['speedup']}x)")

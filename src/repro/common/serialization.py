@@ -19,11 +19,25 @@ must never execute arbitrary code.
 
 import dataclasses
 import json
-import math
+from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import attrgetter
 
 from repro.common.errors import SerializationError
 
 _TYPE_KEY = "__t__"
+
+# The text form every trace, checkpoint and output file uses: compact,
+# keys sorted. One shared encoder serves every value :meth:`ValueCodec.dumps`
+# does not write itself (it keeps no state between calls).
+_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+_CONSTANT_TEXT = {None: "null", True: "true", False: "false"}.__getitem__
+_EXACT_STR = {str}
+
+# Literals of the ``{"__t__": ...}`` envelopes, keys already in sorted order.
+_TUPLE_OPEN = '{"__t__":"tuple","items":['
+_DICT_OPEN = '{"__t__":"dict","items":['
+_ITEMS_CLOSE = "]}"
 
 
 class ValueCodec:
@@ -50,6 +64,24 @@ class ValueCodec:
             dict: self._encode_dict,
             bytes: self._encode_bytes,
         }
+        # The same dispatch for the one-pass text form (:meth:`dumps`).
+        # Classes absent here — sets, bytes, subclasses of builtins,
+        # ``to_payload`` types — are written from their :meth:`encode` tree.
+        self._writers = {
+            type(None): _CONSTANT_TEXT,
+            bool: _CONSTANT_TEXT,
+            str: encode_basestring_ascii,
+            int: repr,               # exact class, so this is int.__repr__
+            float: self._float_text,
+            list: self._list_text,
+            tuple: self._tuple_text,
+            dict: self._dict_text,
+        }
+        # Per registered class: dataclass field names in declaration order
+        # (None for ``to_payload`` classes), computed once at registration.
+        self._field_names = {}
+        # Per registered dataclass: how :meth:`_registered_text` writes it.
+        self._text_plans = {}
 
     def register(self, cls, name=None):
         """Register a value type so instances can round-trip through traces.
@@ -77,6 +109,13 @@ class ValueCodec:
         self._types_by_name[name] = cls
         self._names_by_type[cls] = name
         self._dispatch[cls] = self._encode_registered
+        if is_dataclass:
+            names = tuple(f.name for f in dataclasses.fields(cls))
+            self._field_names[cls] = names
+            self._text_plans[cls] = _obj_text_plan(name, names)
+            self._writers[cls] = self._registered_text
+        else:
+            self._field_names[cls] = None
         return cls
 
     def is_registered(self, cls):
@@ -97,9 +136,9 @@ class ValueCodec:
 
     @staticmethod
     def _encode_float(value):
-        if math.isnan(value) or math.isinf(value):
-            return {_TYPE_KEY: "float", "repr": repr(value)}
-        return value
+        if isfinite(value):
+            return value
+        return {_TYPE_KEY: "float", "repr": repr(value)}
 
     def _encode_list(self, value):
         return [self.encode(item) for item in value]
@@ -120,9 +159,14 @@ class ValueCodec:
     def _encode_dict(self, value):
         if all(isinstance(k, str) for k in value) and _TYPE_KEY not in value:
             return {k: self.encode(v) for k, v in value.items()}
+        return self.encode_items(value)
+
+    def encode_items(self, mapping):
+        """The order-preserving form of a mapping, whatever its key types."""
+        encode = self.encode
         return {
             _TYPE_KEY: "dict",
-            "items": [[self.encode(k), self.encode(v)] for k, v in value.items()],
+            "items": [[encode(k), encode(v)] for k, v in mapping.items()],
         }
 
     @staticmethod
@@ -165,11 +209,9 @@ class ValueCodec:
         )
 
     def _fields_of(self, value):
-        if dataclasses.is_dataclass(value):
-            return {
-                field.name: self.encode(getattr(value, field.name))
-                for field in dataclasses.fields(value)
-            }
+        names = self._field_names[type(value)]
+        if names is not None:
+            return {name: self.encode(getattr(value, name)) for name in names}
         return {k: self.encode(v) for k, v in value.to_payload().items()}
 
     def decode(self, data):
@@ -211,8 +253,75 @@ class ValueCodec:
         return cls.from_payload(fields)
 
     def dumps(self, value):
-        """Encode ``value`` to a compact one-line JSON string."""
-        return json.dumps(self.encode(value), separators=(",", ":"), sort_keys=True)
+        """Encode ``value`` to a compact one-line JSON string.
+
+        Byte-for-byte ``json.dumps(self.encode(value), separators=(",",
+        ":"), sort_keys=True)``, written in one pass: the common classes
+        emit their text directly, everything else goes through the
+        :meth:`encode` tree.
+        """
+        return (self._writers.get(value.__class__) or self._tree_text)(value)
+
+    def dumps_each(self, values):
+        """:meth:`dumps` of every value of an iterable, as a list."""
+        writer_of = self._writers.get
+        tree_text = self._tree_text
+        return [(writer_of(value.__class__) or tree_text)(value) for value in values]
+
+    def dumps_items(self, mapping):
+        """Text of :meth:`encode_items`."""
+        writer_of = self._writers.get
+        tree_text = self._tree_text
+        return _DICT_OPEN + ",".join([
+            "[" + (writer_of(key.__class__) or tree_text)(key)
+            + "," + (writer_of(value.__class__) or tree_text)(value) + "]"
+            for key, value in mapping.items()
+        ]) + _ITEMS_CLOSE
+
+    @staticmethod
+    def dumps_tuple(item_texts):
+        """Text of a tuple whose items are already text."""
+        return _TUPLE_OPEN + ",".join(item_texts) + _ITEMS_CLOSE
+
+    def _tree_text(self, value):
+        return _JSON.encode(self.encode(value))
+
+    # Per-type text writers, reached through ``_writers``.
+
+    def _float_text(self, value):
+        if isfinite(value):
+            return repr(value)              # exact class, so float.__repr__
+        return self._tree_text(value)
+
+    def _list_text(self, value):
+        if not value:
+            return "[]"
+        return "[" + ",".join(self.dumps_each(value)) + "]"
+
+    def _tuple_text(self, value):
+        return self.dumps_tuple(self.dumps_each(value))
+
+    def _dict_text(self, value):
+        if not value:
+            return "{}"
+        key_classes = set(map(type, value))
+        if key_classes == _EXACT_STR:
+            if _TYPE_KEY in value:
+                return self.dumps_items(value)
+            keys = sorted(value)
+            pairs = zip(
+                map(encode_basestring_ascii, keys),
+                self.dumps_each(map(value.__getitem__, keys)),
+            )
+            return "{" + ",".join(map("%s:%s".__mod__, pairs)) + "}"
+        if all(issubclass(cls, str) for cls in key_classes):
+            # Keyed by str subclasses: the tree decides.
+            return self._tree_text(value)
+        return self.dumps_items(value)
+
+    def _registered_text(self, value):
+        fields_of, template = self._text_plans[value.__class__]
+        return template % tuple(self.dumps_each(fields_of(value)))
 
     def loads(self, text):
         """Decode a JSON string produced by :meth:`dumps`."""
@@ -221,6 +330,22 @@ class ValueCodec:
         except json.JSONDecodeError as exc:
             raise SerializationError(f"malformed trace line: {exc}") from exc
         return self.decode(data)
+
+
+def _obj_text_plan(type_name, field_names):
+    """How a registered dataclass is written: ``(instance -> its field
+    values in sorted-name order, %-template of the envelope around them)``."""
+    names = sorted(field_names)
+    if len(names) > 1:
+        fields_of = attrgetter(*names)
+    else:       # attrgetter would return a bare value, or refuse no names
+        def fields_of(value):
+            return [getattr(value, name) for name in names]
+    slots = ",".join(
+        encode_basestring_ascii(name).replace("%", "%%") + ":%s" for name in names
+    )
+    tail = encode_basestring_ascii(type_name).replace("%", "%%")
+    return fields_of, '{"__t__":"obj","fields":{' + slots + '},"type":' + tail + "}"
 
 
 #: Process-wide default codec. Algorithm modules register their value types

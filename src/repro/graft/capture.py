@@ -16,6 +16,7 @@ trace files small, textual, and diffable.
 """
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter, is_, itemgetter
 
 from repro.common.serialization import register_value_type
 
@@ -124,9 +125,27 @@ class MasterContextRecord:
 
 
 # -- serialization -----------------------------------------------------------
+#
+# A record has two encodings with identical field values: the canonical
+# JSON line (field names as keys; what digests and v1 files hold) and the
+# compact v2 row. Both are written as text in one pass by
+# :class:`RecordEncoder`; :func:`record_to_row` is the same row as a codec
+# tree, for callers that want structure (the debug server) and as the
+# reference the text is tested against.
+#
+# Edge maps are written in the codec's order-preserving item form whatever
+# their key type (``send_message_to_all_neighbors`` follows edge order, so
+# replay needs it); an empty map stays ``{}``.
 
 _VERTEX_KIND = "vertex"
 _MASTER_KIND = "master"
+
+KIND_VERTEX = 0
+KIND_MASTER = 1
+
+_SCALAR_CLASSES = frozenset((int, float, str, bool, type(None)))
+
+_EDGE_FIELDS = ("edges_before", "edges_after")
 
 # fields() walks the dataclass machinery on every call; records are encoded
 # in bulk on the capture hot path, so cache the names per record class.
@@ -141,18 +160,170 @@ def _field_names(cls):
     return names
 
 
+def vertex_field_names():
+    """The VertexContextRecord field order the v2 row form relies on."""
+    return _field_names(VertexContextRecord)
+
+
+def master_field_names():
+    """The MasterContextRecord field order the v2 row form relies on."""
+    return _field_names(MasterContextRecord)
+
+
+def _kind_of(record):
+    if isinstance(record, VertexContextRecord):
+        return KIND_VERTEX
+    if isinstance(record, MasterContextRecord):
+        return KIND_MASTER
+    raise TypeError(f"not a capture record: {record!r}")
+
+
+def _is_edge_map(value):
+    return value.__class__ is dict and bool(value)
+
+
+class RecordEncoder:
+    """Writes capture records as JSON text for one batch of records.
+
+    Within one batch — one barrier drain into one trace file — many records
+    hold the *same object*: the superstep's aggregator snapshot, a
+    broadcast's message, an unchanged vertex value. Such an object is
+    written once and its text reused, keyed on ``id()``. That is sound only
+    while every object of the batch stays alive and unmodified, so an
+    encoder must not outlive the batch: the caller keeps the records
+    referenced, runs no user code, and drops the encoder afterwards.
+    """
+
+    def __init__(self, codec):
+        self._codec = codec
+        self._dumps = codec.dumps
+        self._pair_text = codec.dumps_tuple(("%s", "%s")).__mod__
+        self._texts = {}            # id(object) -> its text
+        self._edges = {}            # the edges_before written last ...
+        self._edges_text = "{}"     # ... and its text
+
+    def row(self, record):
+        """The v2 row: ``[kind_code, field_0, field_1, ...]``."""
+        kind = _kind_of(record)
+        return f"[{kind}," + ",".join(self._field_texts(record, kind)) + "]"
+
+    def line(self, record):
+        """The canonical line: an object keyed by field name, plus ``kind``."""
+        kind = _kind_of(record)
+        kind_text, keys = _LINE_PLANS[kind]
+        texts = self._field_texts(record, kind) + (kind_text,)
+        return "{" + ",".join([key + texts[index] for key, index in keys]) + "}"
+
+    def _field_texts(self, record, kind):
+        """The record's field texts, in field order."""
+        plain, special, in_field_order = _FIELD_PLANS[kind]
+        texts = self._codec.dumps_each(plain(record))
+        for name, write in special:
+            texts.append(write(self, getattr(record, name)))
+        return in_field_order(texts)
+
+    def _shared(self, value):
+        if value.__class__ in _SCALAR_CLASSES:
+            return self._dumps(value)
+        key = id(value)
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = self._dumps(value)
+        return text
+
+    def _edges_before(self, value):
+        if not _is_edge_map(value):
+            return self._dumps(value)
+        self._edges = value
+        self._edges_text = self._codec.dumps_items(value)
+        return self._edges_text
+
+    def _edges_after(self, value):
+        # Nearly always a second snapshot of the map edges_before just
+        # wrote: the very same key and value objects, in the same order,
+        # are the same text.
+        before = self._edges
+        if (
+            value.__class__ is dict
+            and len(before) == len(value)
+            and all(map(is_, before, value))
+            and all(map(is_, before.values(), value.values()))
+        ):
+            return self._edges_text
+        return self._edges_before(value)
+
+    def _pairs(self, pairs):
+        """``[(vertex_id, message), ...]``, a broadcast's message written once."""
+        if pairs.__class__ is not list:
+            return self._dumps(pairs)
+        dumps = self._dumps
+        pair_text = self._pair_text
+        texts = []
+        last = texts                # no message is this list
+        for pair in pairs:
+            if pair.__class__ is not tuple or len(pair) != 2:
+                texts.append(dumps(pair))
+                continue
+            if pair[1] is not last:
+                last = pair[1]
+                message = self._shared(last)
+            texts.append(pair_text((dumps(pair[0]), message)))
+        return "[" + ",".join(texts) + "]"
+
+
+# The vertex-record fields RecordEncoder writes itself; the codec writes
+# every other field as it stands.
+_VERTEX_WRITERS = {
+    "value_before": RecordEncoder._shared,
+    "value_after": RecordEncoder._shared,
+    "aggregators": RecordEncoder._shared,
+    "edges_before": RecordEncoder._edges_before,
+    "edges_after": RecordEncoder._edges_after,
+    "incoming": RecordEncoder._pairs,
+    "sent": RecordEncoder._pairs,
+}
+
+
+def _field_plan(field_names, writers):
+    """How :meth:`RecordEncoder._field_texts` writes one record kind.
+
+    The fields the codec writes as they stand go through one
+    ``dumps_each``; the others follow, each through its own writer; the
+    last element puts the texts back into field order.
+    """
+    plain = [name for name in field_names if name not in writers]
+    special = [name for name in field_names if name in writers]
+    written = plain + special
+    return (
+        attrgetter(*plain),     # a tuple of values: both kinds have several
+        tuple((name, writers[name]) for name in special),
+        itemgetter(*[written.index(name) for name in field_names]),
+    )
+
+
+_FIELD_PLANS = {
+    KIND_VERTEX: _field_plan(vertex_field_names(), _VERTEX_WRITERS),
+    KIND_MASTER: _field_plan(master_field_names(), {}),
+}
+
+
+def _line_plan(field_names, kind_name):
+    """``(text of the kind, (('"name":', index of its text), ...))`` with
+    the keys — the field names and ``kind``, whose text goes last — sorted."""
+    names = field_names + ("kind",)
+    keys = tuple((f'"{name}":', names.index(name)) for name in sorted(names))
+    return f'"{kind_name}"', keys
+
+
+_LINE_PLANS = {
+    KIND_VERTEX: _line_plan(vertex_field_names(), _VERTEX_KIND),
+    KIND_MASTER: _line_plan(master_field_names(), _MASTER_KIND),
+}
+
+
 def record_to_line(record, codec):
     """Serialize a capture record to one JSON line."""
-    if isinstance(record, VertexContextRecord):
-        kind = _VERTEX_KIND
-    elif isinstance(record, MasterContextRecord):
-        kind = _MASTER_KIND
-    else:
-        raise TypeError(f"not a capture record: {record!r}")
-    payload = {"kind": kind}
-    for name in _field_names(record.__class__):
-        payload[name] = getattr(record, name)
-    return codec.dumps(payload)
+    return RecordEncoder(codec).line(record)
 
 
 def record_from_line(line, codec):
@@ -168,39 +339,25 @@ def record_from_line(line, codec):
 
 # -- compact row form (the v2 trace format) -----------------------------------
 #
-# The v1 line above repeats every field name in every record. The v2 trace
-# format instead interns the field names once, in the file header, and
-# stores each record as a positional JSON array ``[kind_code, field_0,
-# field_1, ...]`` — same codec-encoded values, no keys. Both forms decode
-# to identical record objects, which is what keeps
-# ``canonical_trace_digest`` byte-stable across the two encodings.
-
-KIND_VERTEX = 0
-KIND_MASTER = 1
-
-
-def vertex_field_names():
-    """The VertexContextRecord field order the v2 row form relies on."""
-    return _field_names(VertexContextRecord)
-
-
-def master_field_names():
-    """The MasterContextRecord field order the v2 row form relies on."""
-    return _field_names(MasterContextRecord)
+# The line repeats every field name in every record. The v2 trace format
+# instead interns the field names once, in the file header, and stores each
+# record as a positional JSON array ``[kind_code, field_0, field_1, ...]``
+# — same codec-encoded values, no keys. Both forms decode to identical
+# record objects, which is what keeps ``canonical_trace_digest``
+# byte-stable across the two encodings.
 
 
 def record_to_row(record, codec):
-    """Serialize a capture record to its compact positional row."""
-    if isinstance(record, VertexContextRecord):
-        kind = KIND_VERTEX
-    elif isinstance(record, MasterContextRecord):
-        kind = KIND_MASTER
-    else:
-        raise TypeError(f"not a capture record: {record!r}")
+    """A capture record's compact positional row, as a codec tree."""
+    kind = _kind_of(record)
     row = [kind]
     encode = codec.encode
     for name in _field_names(record.__class__):
-        row.append(encode(getattr(record, name)))
+        value = getattr(record, name)
+        if kind == KIND_VERTEX and name in _EDGE_FIELDS and _is_edge_map(value):
+            row.append(codec.encode_items(value))
+        else:
+            row.append(encode(value))
     return row
 
 

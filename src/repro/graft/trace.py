@@ -57,11 +57,11 @@ from repro.graft.capture import (
     KIND_MASTER,
     KIND_VERTEX,
     MasterContextRecord,
+    RecordEncoder,
     VertexContextRecord,
     record_from_line,
     record_from_row,
     record_to_line,
-    record_to_row,
 )
 from repro.graft.traceformat import (
     TRACE_MAGIC,
@@ -196,11 +196,8 @@ class _V2FileWriter:
         self._buffered_bytes = 0
         self.records_written = 0
 
-    def _encode(self, record):
-        row = record_to_row(record, self._codec)
-        rec_bytes = json.dumps(
-            row, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
+    def _encode(self, record, row_text):
+        rec_bytes = row_text(record).encode("utf-8")
         if isinstance(record, MasterContextRecord):
             meta = (KIND_MASTER, record.superstep, None, 0)
         else:
@@ -213,17 +210,19 @@ class _V2FileWriter:
         return rec_bytes, meta
 
     def write_record(self, record):
-        rec_bytes, meta = self._encode(record)
-        self._encoded.append(rec_bytes)
-        self._metas.append(meta)
-        self._buffered_bytes += len(rec_bytes)
-        self.records_written += 1
-        self._maybe_flush()
+        self.write_records((record,))
 
     def write_records(self, records):
-        """Bulk append with a single threshold check at the end."""
+        """Bulk append with a single threshold check at the end.
+
+        One :class:`RecordEncoder` serves the whole batch and dies with
+        this call: ``records`` is held for its duration and no user code
+        runs inside it, which is what the encoder's sharing relies on.
+        """
+        records = tuple(records)
+        row_text = RecordEncoder(self._codec).row
         for record in records:
-            rec_bytes, meta = self._encode(record)
+            rec_bytes, meta = self._encode(record, row_text)
             self._encoded.append(rec_bytes)
             self._metas.append(meta)
             self._buffered_bytes += len(rec_bytes)

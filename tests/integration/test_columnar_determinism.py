@@ -93,12 +93,15 @@ JOBS = {
 #: What the retired envelope plane (``columnar=False`` at commit b2123e5)
 #: produced for each job — identical on serial/processes and 1/2/4 workers
 #: there: (supersteps, captures, sha256 of the repr-sorted values, canonical
-#: trace digest).
+#: trace digest). The mutation job's digest was re-pinned when edge maps
+#: became order-preserving for every key type: its 36 records whose only
+#: edge is a ``"spawn:<id>"`` string were plain JSON objects and are now
+#: item lists; every record still decodes to the same object.
 ENVELOPE_PLANE = {
     "mutation": (
         4, 720,
         "474b7100beecd03e83b11343e6c5eb85b958798acd86fd181781a8e051a35314",
-        "4dd05a0f35e0dc744900bcef3c3e1d38d95e5b84769d0a2a377b3ffc05464ce5",
+        "a4d128a544f739d2007a3983ac64cee8bc1ad2b790e42fc5a8a3a4f27c6dee7a",
     ),
     "pagerank": (
         5, 450,

@@ -259,11 +259,13 @@ def test_mutations_under_schedule(executor):
     assert _values_sha(run.result.vertex_values) == (
         "474b7100beecd03e83b11343e6c5eb85b958798acd86fd181781a8e051a35314"
     )
+    # Both re-pinned when string-keyed edge maps (this job's "spawn:<id>"
+    # edges) moved to the order-preserving item form; decoded records equal.
     assert canonical_trace_digest(fs, "churn") == (
-        "1bcaea17d22fbf1f09447da6ca99159a14e6304c65818578d16ee71f019a03c2"
+        "2cc2324ff3482110a0cd0f869e75dbad1872cd283c7dae301e34d63c0dbcbc1b"
     )
     assert order_insensitive_digest(fs, "churn") == (
-        "4158d642fc46b19624f93de4b97e009ef4f77ba4172a6c5d1788622d8ccc8173"
+        "361dd1af9a15684d2e221f14332208c396eb3b3f8e1810ac3410116ebd972c3a"
     )
 
 

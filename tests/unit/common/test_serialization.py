@@ -161,6 +161,37 @@ class TestWireFormat:
         value = {"b": 1, "a": 2}
         assert default_codec.dumps(value) == default_codec.dumps(value)
 
+    def test_dumps_literal_text(self):
+        value = {"b": (1, 2.5), "a": [None, True, "é"], 3: {"k": Point(1, 2)}}
+        assert default_codec.dumps(value) == (
+            '{"__t__":"dict","items":['
+            '["b",{"__t__":"tuple","items":[1,2.5]}],'
+            '["a",[null,true,"\\u00e9"]],'
+            '[3,{"k":{"__t__":"obj","fields":{"x":1,"y":2},"type":"Point"}}]]}'
+        )
+
+    def test_dumps_unregistered_type_raises(self):
+        with pytest.raises(SerializationError, match="unregistered type"):
+            default_codec.dumps([1, {"k": object()}])
+
+    def test_encode_items_keeps_order_for_string_keys(self):
+        mapping = {"z": 1, "b": 2}
+        encoded = default_codec.encode_items(mapping)
+        assert encoded == {"__t__": "dict", "items": [["z", 1], ["b", 2]]}
+        assert default_codec.dumps_items(mapping) == (
+            '{"__t__":"dict","items":[["z",1],["b",2]]}'
+        )
+        assert list(default_codec.decode(encoded)) == ["z", "b"]
+
+    def test_field_names_are_read_once_at_registration(self, monkeypatch):
+        codec = ValueCodec()
+        codec.register(Point)
+        monkeypatch.setattr(
+            dataclasses, "fields", lambda _: pytest.fail("fields() per value")
+        )
+        assert codec.encode(Point(1, 2))["fields"] == {"x": 1, "y": 2}
+        assert codec.loads(codec.dumps([Point(3, 4)])) == [Point(3, 4)]
+
     def test_malformed_line_raises(self):
         with pytest.raises(SerializationError, match="malformed"):
             default_codec.loads("{not json")
