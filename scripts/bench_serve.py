@@ -36,6 +36,7 @@ Also runnable as an opt-in pytest (see tests/integration/test_bench_serve.py).
 
 import argparse
 import json
+import os
 import random
 import threading
 import time
@@ -56,12 +57,16 @@ from repro.simfs import SimFileSystem
 
 #: Aggregate requests/s the concurrent phase must clear. Conservative on
 #: purpose: client threads, server threads, and the trace decoding all
-#: share one interpreter (and its GIL) on the CI box.
+#: share one interpreter (and its GIL) on the CI box. The full-size run is
+#: bound by cold-superstep materialisation and, with more than one core
+#: available, by GIL hand-offs between cores: the same box does 27–33
+#: requests/s pinned to one core (``taskset -c 0``, how BENCH_serve.json
+#: is recorded — see its ``cpus_available``) and 14–15 unpinned on two.
 THROUGHPUT_FLOOR = 25.0
 
 #: p99 ceiling for the interactive point-query class (vertex lookups and
 #: history walks) *under full concurrent load*. The storage work is one
-#: index lookup + one ranged read + one decode, but in this benchmark
+#: index lookup + one ranged read + one row split, but in this benchmark
 #: the 8 clients, the server threads, and the scan decoding all share
 #: one interpreter — so this bound is dominated by GIL queuing behind
 #: CPU-bound scans, not by the trace store.
@@ -69,9 +74,12 @@ POINT_P99_CEILING_SECONDS = 2.5
 
 #: p99 ceiling for point queries measured *without* concurrent load
 #: (the solo phase). No GIL contention: this is the actual lazy-read
-#: path — index lookup, ranged read, block decode — and must stay
-#: firmly interactive.
-SOLO_POINT_P99_CEILING_SECONDS = 0.5
+#: path — index lookup, ranged read, block decompress, row split — and
+#: must stay firmly interactive. Records are served from their stored row
+#: text: 1.2–4.6 ms at the median and 23–59 ms at p99 (a block-cache miss
+#: re-reads and decompresses a 1.3 MB block) over five full-size runs on a
+#: VM whose speed drifts; the ceiling is 2.5× the slowest p99 measured.
+SOLO_POINT_P99_CEILING_SECONDS = 0.15
 
 #: p99 ceiling for the scan class (views, profiles, job summaries). Its
 #: tail is the first request to touch a cold superstep, which pays the
@@ -415,6 +423,10 @@ def run_bench(num_jobs=3, num_vertices=4000, num_supersteps=16,
             "num_clients": NUM_CLIENTS,
             "requests_per_client": requests_per_client,
             "seed": SEED,
+            "cpus_available": (
+                len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            ),
         },
         "concurrent": {
             "requests": num_requests,

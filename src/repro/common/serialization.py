@@ -33,6 +33,7 @@ _TYPE_KEY = "__t__"
 _JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 _CONSTANT_TEXT = {None: "null", True: "true", False: "false"}.__getitem__
 _EXACT_STR = {str}
+_SCALAR_CLASSES = frozenset((type(None), bool, int, float, str))
 
 # Literals of the ``{"__t__": ...}`` envelopes, keys already in sorted order.
 _TUPLE_OPEN = '{"__t__":"tuple","items":['
@@ -216,21 +217,28 @@ class ValueCodec:
 
     def decode(self, data):
         """Decode a structure produced by :meth:`encode`."""
+        if data.__class__ in _SCALAR_CLASSES:
+            return data
         if isinstance(data, list):
-            return [self.decode(item) for item in data]
+            return _decode_each(self.decode, data)
         if not isinstance(data, dict):
             return data
         tag = data.get(_TYPE_KEY)
         if tag is None:
-            return {k: self.decode(v) for k, v in data.items()}
+            return dict(zip(data, _decode_each(self.decode, data.values())))
         if tag == "tuple":
-            return tuple(self.decode(i) for i in data["items"])
+            return tuple(_decode_each(self.decode, data["items"]))
         if tag == "set":
-            return {self.decode(i) for i in data["items"]}
+            return set(_decode_each(self.decode, data["items"]))
         if tag == "frozenset":
-            return frozenset(self.decode(i) for i in data["items"])
+            return frozenset(_decode_each(self.decode, data["items"]))
         if tag == "dict":
-            return {self.decode(k): self.decode(v) for k, v in data["items"]}
+            decode = self.decode
+            return {
+                (k if k.__class__ in _SCALAR_CLASSES else decode(k)):
+                (v if v.__class__ in _SCALAR_CLASSES else decode(v))
+                for k, v in data["items"]
+            }
         if tag == "bytes":
             return bytes.fromhex(data["hex"])
         if tag == "float":
@@ -247,7 +255,8 @@ class ValueCodec:
                 f"trace references unregistered value type {name!r}; "
                 f"import the module defining it before reading this trace"
             )
-        fields = {k: self.decode(v) for k, v in data["fields"].items()}
+        fields = data["fields"]
+        fields = dict(zip(fields, _decode_each(self.decode, fields.values())))
         if dataclasses.is_dataclass(cls):
             return cls(**fields)
         return cls.from_payload(fields)
@@ -330,6 +339,15 @@ class ValueCodec:
         except json.JSONDecodeError as exc:
             raise SerializationError(f"malformed trace line: {exc}") from exc
         return self.decode(data)
+
+
+def _decode_each(decode, items):
+    """``decode`` of every item, one frame per container: an item of a
+    scalar class — most of any trace — is its own decoding."""
+    return [
+        item if item.__class__ in _SCALAR_CLASSES else decode(item)
+        for item in items
+    ]
 
 
 def _obj_text_plan(type_name, field_names):

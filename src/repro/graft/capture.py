@@ -15,6 +15,7 @@ Records serialize to single JSON lines through the value codec, keeping
 trace files small, textual, and diffable.
 """
 
+import json
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, is_, itemgetter
 
@@ -129,9 +130,10 @@ class MasterContextRecord:
 # A record has two encodings with identical field values: the canonical
 # JSON line (field names as keys; what digests and v1 files hold) and the
 # compact v2 row. Both are written as text in one pass by
-# :class:`RecordEncoder`; :func:`record_to_row` is the same row as a codec
-# tree, for callers that want structure (the debug server) and as the
-# reference the text is tested against.
+# :class:`RecordEncoder`, from the same field texts — so a stored row can
+# be re-laid-out as the line, or served under its field names, without
+# decoding it: :func:`split_row` cuts a row back into those texts and
+# :func:`join_line` lays them out as the line.
 #
 # Edge maps are written in the codec's order-preserving item form whatever
 # their key type (``send_message_to_all_neighbors`` follows edge order, so
@@ -144,8 +146,6 @@ KIND_VERTEX = 0
 KIND_MASTER = 1
 
 _SCALAR_CLASSES = frozenset((int, float, str, bool, type(None)))
-
-_EDGE_FIELDS = ("edges_before", "edges_after")
 
 # fields() walks the dataclass machinery on every call; records are encoded
 # in bulk on the capture hot path, so cache the names per record class.
@@ -178,10 +178,6 @@ def _kind_of(record):
     raise TypeError(f"not a capture record: {record!r}")
 
 
-def _is_edge_map(value):
-    return value.__class__ is dict and bool(value)
-
-
 class RecordEncoder:
     """Writes capture records as JSON text for one batch of records.
 
@@ -210,9 +206,7 @@ class RecordEncoder:
     def line(self, record):
         """The canonical line: an object keyed by field name, plus ``kind``."""
         kind = _kind_of(record)
-        kind_text, keys = _LINE_PLANS[kind]
-        texts = self._field_texts(record, kind) + (kind_text,)
-        return "{" + ",".join([key + texts[index] for key, index in keys]) + "}"
+        return join_line(kind, self._field_texts(record, kind))
 
     def _field_texts(self, record, kind):
         """The record's field texts, in field order."""
@@ -232,7 +226,7 @@ class RecordEncoder:
         return text
 
     def _edges_before(self, value):
-        if not _is_edge_map(value):
+        if value.__class__ is not dict or not value:
             return self._dumps(value)
         self._edges = value
         self._edges_text = self._codec.dumps_items(value)
@@ -321,6 +315,18 @@ _LINE_PLANS = {
 }
 
 
+def join_line(kind, field_texts):
+    """The canonical line of a record whose field texts are ``field_texts``.
+
+    ``field_texts`` is what :func:`split_row` cuts out of a row, in field
+    order; a caller may overwrite slots first (the canonical trace merge
+    normalizes ``worker_id``).
+    """
+    kind_text, keys = _LINE_PLANS[kind]
+    texts = (*field_texts, kind_text)
+    return "{" + ",".join([key + texts[index] for key, index in keys]) + "}"
+
+
 def record_to_line(record, codec):
     """Serialize a capture record to one JSON line."""
     return RecordEncoder(codec).line(record)
@@ -347,18 +353,39 @@ def record_from_line(line, codec):
 # byte-stable across the two encodings.
 
 
-def record_to_row(record, codec):
-    """A capture record's compact positional row, as a codec tree."""
-    kind = _kind_of(record)
-    row = [kind]
-    encode = codec.encode
-    for name in _field_names(record.__class__):
-        value = getattr(record, name)
-        if kind == KIND_VERTEX and name in _EDGE_FIELDS and _is_edge_map(value):
-            row.append(codec.encode_items(value))
-        else:
-            row.append(encode(value))
-    return row
+_scan_json = json.JSONDecoder().scan_once
+_ROW_WIDTHS = {
+    KIND_VERTEX: len(vertex_field_names()),
+    KIND_MASTER: len(master_field_names()),
+}
+
+
+def split_row(text):
+    """Cut a v2 row into ``(kind_code, [field text, ...])`` without decoding.
+
+    The row is the record's field texts joined in field order, so slicing
+    it at the field boundaries gives back exactly what
+    :class:`RecordEncoder` wrote. The boundaries are the offsets the JSON
+    scanner stops at: every field is still parsed, and a torn or malformed
+    row — or one of an unknown kind or field count — raises ``ValueError``
+    instead of yielding a garbled field.
+    """
+    texts = []
+    kind = None
+    end = 0
+    try:
+        if text.startswith("["):
+            kind, end = _scan_json(text, 1)
+            while text.startswith(",", end):
+                start = end + 1
+                _value, end = _scan_json(text, start)
+                texts.append(text[start:end])
+    except StopIteration:       # the text ended inside a value
+        kind = None
+    width = _ROW_WIDTHS.get(kind) if kind.__class__ is int else None
+    if width != len(texts) or text[end:] != "]":
+        raise ValueError(f"malformed trace row {text[:60]!r}")
+    return kind, texts
 
 
 def record_from_row(row, codec, vertex_fields=None, master_fields=None):
@@ -378,4 +405,7 @@ def record_from_row(row, codec, vertex_fields=None, master_fields=None):
     else:
         raise ValueError(f"unknown trace record kind code {kind!r}")
     decode = codec.decode
-    return cls(**{name: decode(value) for name, value in zip(names, row[1:])})
+    return cls(**{
+        name: value if value.__class__ in _SCALAR_CLASSES else decode(value)
+        for name, value in zip(names, row[1:])
+    })

@@ -59,9 +59,12 @@ from repro.graft.capture import (
     MasterContextRecord,
     RecordEncoder,
     VertexContextRecord,
+    join_line,
+    master_field_names,
     record_from_line,
     record_from_row,
-    record_to_line,
+    split_row,
+    vertex_field_names,
 )
 from repro.graft.traceformat import (
     TRACE_MAGIC,
@@ -388,9 +391,11 @@ class TraceStore:
 #
 # A *source* wraps one trace file and yields uniform index entries
 # ``(kind, superstep, vid_repr, ref, vflags)``; ``fetch(ref)`` decodes one
-# record. _IndexedSource is the lazy v2 path (sidecar-backed, ranged
-# reads); _FallbackSource is the compatibility path for v1 files (decoded
-# up front, which is all a keyless format allows).
+# record and ``row_text(ref)`` returns its v2 row — the record's field
+# texts in the current classes' field order — without building it.
+# _IndexedSource is the lazy v2 path (sidecar-backed, ranged reads);
+# _FallbackSource is the compatibility path for v1 files (decoded up
+# front, which is all a keyless format allows).
 
 
 class _LRUCache:
@@ -443,6 +448,7 @@ class _FallbackSource:
 
     def __init__(self, filesystem, path, codec):
         self.path = path
+        self._codec = codec
         self._records = []
         self._entries = []
         for record in iter_file_records(filesystem, path, codec):
@@ -491,6 +497,9 @@ class _FallbackSource:
     def fetch(self, ref):
         return self._records[ref]
 
+    def row_text(self, ref):
+        return RecordEncoder(self._codec).row(self._records[ref])
+
 
 class _IndexedSource:
     """v2 file behind its sidecar: block directory now, records on demand.
@@ -515,6 +524,12 @@ class _IndexedSource:
         fields = header.get("fields", {})
         self._vertex_fields = fields.get("vertex")
         self._master_fields = fields.get("master")
+        # A stored row is the current row only while the file's field
+        # tables are the current classes'.
+        self._rows_current = (
+            self._vertex_fields in (None, list(vertex_field_names()))
+            and self._master_fields in (None, list(master_field_names()))
+        )
 
     # Entries come out of sidecar lines as raw lists
     # [kind, ss, vid_repr, inner_off, inner_len, vflags]; refs address
@@ -592,19 +607,27 @@ class _IndexedSource:
             self._block_cache.put(key, payload)
         return payload
 
-    def fetch(self, ref):
+    def _stored_row(self, ref):
         block_index, inner_off, inner_len = ref
-        key = (self.path, block_index, inner_off)
+        payload = self._payload(block_index)
+        return payload[inner_off:inner_off + inner_len].decode("utf-8")
+
+    def fetch(self, ref):
+        key = (self.path, ref[0], ref[1])
         record = self._record_cache.get(key)
         if record is None:
-            payload = self._payload(block_index)
-            rec_bytes = payload[inner_off:inner_off + inner_len]
-            row = json.loads(rec_bytes.decode("utf-8"))
             record = record_from_row(
-                row, self._codec, self._vertex_fields, self._master_fields
+                json.loads(self._stored_row(ref)),
+                self._codec, self._vertex_fields, self._master_fields,
             )
             self._record_cache.put(key, record)
         return record
+
+    def row_text(self, ref):
+        """Straight from the block cache: nothing is decoded or cached."""
+        if self._rows_current:
+            return self._stored_row(ref)
+        return RecordEncoder(self._codec).row(self.fetch(ref))
 
 
 def _trace_sources(filesystem, job_id, codec, root,
@@ -795,6 +818,18 @@ class TraceReader:
         # The index keys on repr(); confirm the decoded id really matches.
         return record if record.vertex_id == vertex_id else None
 
+    def _confirmed_fields(self, hit, vertex_id):
+        """Field texts of the row behind a ``(source, entry)`` index hit."""
+        source, entry = hit
+        _kind, texts = split_row(source.row_text(entry[3]))
+        # The index keys on repr(); confirm the stored id really matches.
+        if self._codec.loads(texts[_VERTEX_ID_SLOT]) != vertex_id:
+            return None
+        return texts
+
+    def _encoded_fields(self, record):
+        return split_row(RecordEncoder(self._codec).row(record))[1]
+
     def _flagged(self, vflag, superstep=None):
         """Decoded records carrying ``vflag``, in (superstep, id) order."""
         if self.mode == "eager":
@@ -831,10 +866,25 @@ class TraceReader:
         else:
             record = self._lazy_lookup(vertex_id, superstep)
         if record is None:
-            raise TraceError(
-                f"vertex {vertex_id!r} was not captured in superstep {superstep}"
-            )
+            raise _not_captured(vertex_id, superstep)
         return record
+
+    def get_fields(self, vertex_id, superstep):
+        """:meth:`get`, as the record's field texts instead of the record.
+
+        The JSON texts of the record's fields in
+        :func:`~repro.graft.capture.vertex_field_names` order, cut out of
+        the stored row: no record is built and nothing enters the record
+        cache, which is what a caller that only re-serializes the record
+        (the debug server) wants.
+        """
+        if self.mode == "eager":
+            return self._encoded_fields(self.get(vertex_id, superstep))
+        hit = self._superstep_map(superstep).get(repr(vertex_id))
+        texts = None if hit is None else self._confirmed_fields(hit, vertex_id)
+        if texts is None:
+            raise _not_captured(vertex_id, superstep)
+        return texts
 
     def has(self, vertex_id, superstep):
         if self.mode == "eager":
@@ -879,6 +929,18 @@ class TraceReader:
             if record.vertex_id == vertex_id:
                 records.append(record)
         return records
+
+    def history_fields(self, vertex_id):
+        """:meth:`history`, as field texts (see :meth:`get_fields`)."""
+        if self.mode == "eager":
+            return [self._encoded_fields(r) for r in self.history(vertex_id)]
+        chain = self._vertex_postings().get(repr(vertex_id), {})
+        found = []
+        for superstep in sorted(chain):
+            texts = self._confirmed_fields(chain[superstep], vertex_id)
+            if texts is not None:
+                found.append(texts)
+        return found
 
     def supersteps(self):
         """Sorted superstep numbers that have at least one vertex capture."""
@@ -949,19 +1011,32 @@ class TraceReader:
         return sum(len(c) for c in self._vertex_postings().values())
 
 
+def _not_captured(vertex_id, superstep):
+    return TraceError(
+        f"vertex {vertex_id!r} was not captured in superstep {superstep}"
+    )
+
+
+_VERTEX_ID_SLOT = vertex_field_names().index("vertex_id")
+_WORKER_ID_SLOT = vertex_field_names().index("worker_id")
+
+
 # -- deterministic trace merge ------------------------------------------------
 
-_NORMALIZED_WORKER_ID = 0
+_NORMALIZED_WORKER_ID = "0"
 
 
 def iter_canonical_trace_lines(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     """Stream one job's captures as canonical, partition-independent lines.
 
-    Every record from every trace file is decoded, its ``worker_id``
+    Every record from every trace file is laid out as its canonical line
+    (v1 line form: sorted keys, compact separators) with ``worker_id``
     normalized (vertex placement is an artifact of partitioning, not of
-    the computation), re-encoded with the canonical codec (v1 line form:
-    sorted keys, compact separators), and totally ordered by ``(kind,
-    superstep, repr(vertex_id), line_text)``. Byte-identical lines within
+    the computation), and the lines are totally ordered by ``(kind,
+    superstep, repr(vertex_id), line_text)``. A v2 row already holds the
+    line's field texts, so the line is spliced from the stored row:
+    nothing is decoded or re-encoded unless the file is v1 or was written
+    with other field tables. Byte-identical lines within
     one key collapse to a single line: a superstep re-executed after a
     checkpoint rollback re-captures exactly the records the first attempt
     already persisted, and deduplication makes the canonical stream — and
@@ -972,8 +1047,8 @@ def iter_canonical_trace_lines(filesystem, job_id, codec=None, root=DEFAULT_ROOT
     history produced them.
 
     Only the sort keys (plus, for v1 files, their decoded records) are
-    held in memory; the re-encoded lines themselves stream out one
-    equal-key group at a time.
+    held in memory; the lines themselves stream out one equal-key group
+    at a time.
     """
     codec = codec or default_codec
     sources = _trace_sources(filesystem, job_id, codec, root)
@@ -995,10 +1070,10 @@ def iter_canonical_trace_lines(filesystem, job_id, codec=None, root=DEFAULT_ROOT
             stop += 1
         lines = []
         for _key, source_index, ref in keyed[start:stop]:
-            record = sources[source_index].fetch(ref)
-            if isinstance(record, VertexContextRecord):
-                record.worker_id = _NORMALIZED_WORKER_ID
-            lines.append(record_to_line(record, codec))
+            kind, texts = split_row(sources[source_index].row_text(ref))
+            if kind == KIND_VERTEX:
+                texts[_WORKER_ID_SLOT] = _NORMALIZED_WORKER_ID
+            lines.append(join_line(kind, texts))
         if len(lines) > 1:
             # Content tiebreak inside one (kind, ss, id) key; identical
             # lines (rollback re-captures) collapse to one.

@@ -12,7 +12,7 @@ Trace file (``worker-<i>.trace`` / ``master.trace``)::
 
 The header interns the field-name tables (``{"fields": {"vertex": [...],
 "master": [...]}}``) so records can be positional rows (see
-:func:`repro.graft.capture.record_to_row`). Each data block's payload is a
+:meth:`repro.graft.capture.RecordEncoder.row`). Each data block's payload is a
 concatenation of ``u32be rec_len | rec_bytes`` entries; with flag bit
 :data:`BLOCK_FLAG_ZLIB` set the stored payload is zlib-compressed.
 

@@ -28,14 +28,18 @@ Endpoint map (see docs/serve.md for the full API table)::
 
 Violation values and vertex ids travel through the trace codec's
 ``encode`` — the same JSON-safe value domain the trace files use — so
-anything capturable is servable.
+anything capturable is servable. A capture record is served as the field
+texts of its stored trace row, spliced under their field names: the row
+already is that JSON, so nothing is decoded or re-encoded on the way out.
+Bodies are compact, sorted-key JSON.
 """
 
 import json
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.common.errors import GraftError, ReproError, TraceError
 from repro.common.serialization import default_codec
+from repro.graft.capture import vertex_field_names
 from repro.graft.views import NodeLinkView, TabularView, ViolationsView
 from repro.serve.pagination import PaginationError, paginate
 from repro.serve.profile import message_heatmap, worker_skew
@@ -44,6 +48,18 @@ JSON_TYPE = "application/json"
 TEXT_TYPE = "text/plain; charset=utf-8"
 HTML_TYPE = "text/html; charset=utf-8"
 PYTHON_TYPE = "text/x-python; charset=utf-8"
+
+
+_JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True, default=repr)
+
+
+def _object_text(payload, spliced):
+    """A JSON object of ``payload``'s members plus the ``spliced`` texts."""
+    members = {name: _JSON.encode(value) for name, value in payload.items()}
+    members.update(spliced)
+    return "{" + ",".join(
+        [f"{_JSON.encode(name)}:{members[name]}" for name in sorted(members)]
+    ) + "}"
 
 
 class HttpError(ReproError):
@@ -64,11 +80,17 @@ class Response:
         self.etag = etag
 
     @classmethod
-    def json(cls, payload, status=200, etag=None):
-        body = json.dumps(
-            payload, indent=2, sort_keys=True, default=repr
-        ).encode("utf-8")
-        return cls(status, JSON_TYPE, body, etag=etag)
+    def json(cls, payload, status=200, etag=None, spliced=None):
+        """``payload`` as compact sorted-key JSON.
+
+        ``spliced`` maps further top-level member names to text that is
+        already JSON (stored trace-row fields), inserted as it stands.
+        """
+        if spliced is None:
+            text = _JSON.encode(payload)
+        else:
+            text = _object_text(payload, spliced)
+        return cls(status, JSON_TYPE, text.encode("utf-8"), etag=etag)
 
     @classmethod
     def text(cls, text, content_type=TEXT_TYPE, status=200, etag=None):
@@ -91,7 +113,7 @@ class Router:
                 {"error": f"method {method} not allowed"}, status=405
             )
         split = urlsplit(target)
-        parts = [p for p in split.path.split("/") if p]
+        parts = _segments(split.path)
         query = {
             key: values[-1]
             for key, values in parse_qs(split.query, keep_blank_values=True).items()
@@ -107,7 +129,7 @@ class Router:
 
     def job_id_of(self, target):
         """The job id a request target addresses, or None (the ETag scope)."""
-        parts = [p for p in urlsplit(target).path.split("/") if p]
+        parts = _segments(urlsplit(target).path)
         if len(parts) >= 2 and parts[0] == "jobs":
             return parts[1]
         return None
@@ -175,12 +197,12 @@ class Router:
             )
             if render:
                 return Response.text(view.render(), etag=etag)
-            return self._nodelink_json(view, query, etag)
+            return self._nodelink_json(session.reader, view, query, etag)
         if name == "tabular":
             view = TabularView(session.reader, superstep=_superstep(query))
             if render:
                 return Response.text(view.render(), etag=etag)
-            return self._tabular_json(view, query, etag)
+            return self._tabular_json(session.reader, view, query, etag)
         if name == "violations":
             view = ViolationsView(session.reader)
             if render:
@@ -190,7 +212,7 @@ class Router:
             return self._violations_json(view, query, etag)
         raise HttpError(404, f"no such view: {name!r}")
 
-    def _nodelink_json(self, view, query, etag):
+    def _nodelink_json(self, reader, view, query, etag):
         captured, small = view.nodes()
         page, next_cursor = paginate(
             captured,
@@ -200,7 +222,6 @@ class Router:
         )
         aggregators, globals_data = view.aggregator_panel()
         encode = self.codec.encode
-        nodes = [self._record_json(record) for record in page]
         edges = [
             [encode(record.vertex_id), encode(target), encode(value)]
             for record in page
@@ -218,16 +239,16 @@ class Router:
                     for name, value in sorted(aggregators.items())
                 },
                 "globals": globals_data,
-                "nodes": nodes,
                 "edges": edges,
                 "small_nodes": [encode(v) for v in small],
                 "total_nodes": len(captured),
                 "next_cursor": next_cursor,
             },
             etag=etag,
+            spliced={"nodes": self._page_text(reader, page)},
         )
 
-    def _tabular_json(self, view, query, etag):
+    def _tabular_json(self, reader, view, query, etag):
         rows = view.search(query["q"]) if "q" in query else list(view.rows())
         page, next_cursor = paginate(
             rows,
@@ -240,12 +261,12 @@ class Router:
                 "superstep": view.superstep,
                 "supersteps": view._steps,
                 "query": query.get("q"),
-                "rows": [self._record_json(record) for record in page],
                 "summaries": [view.row_summary(record) for record in page],
                 "total_rows": len(rows),
                 "next_cursor": next_cursor,
             },
             etag=etag,
+            spliced={"rows": self._page_text(reader, page)},
         )
 
     def _violations_json(self, view, query, etag):
@@ -290,64 +311,77 @@ class Router:
     def _vertex(self, session, parts, query, etag):
         if not parts or len(parts) > 2:
             raise HttpError(404, "expected /vertex/<vid>[/history]")
-        vertex_id = _vertex_id(parts[0])
+        reader = session.reader
         if len(parts) == 2:
             if parts[1] != "history":
                 raise HttpError(
                     404, f"no such vertex endpoint: {parts[1]!r}"
                 )
-            records = session.reader.history(vertex_id)
-            if not records:
-                raise HttpError(
-                    404, f"vertex {vertex_id!r} was never captured"
-                )
+
+            def captured_history(vertex_id):
+                rows = reader.history_fields(vertex_id)
+                if not rows:
+                    raise TraceError(f"vertex {vertex_id!r} was never captured")
+                return rows
+
+            vertex_id, rows = _captured(parts[0], captured_history)
             page, next_cursor = paginate(
-                records, cursor=query.get("cursor"), limit=query.get("limit")
+                rows, cursor=query.get("cursor"), limit=query.get("limit")
             )
             return Response.json(
                 {
                     "vertex_id": self.codec.encode(vertex_id),
-                    "records": [self._record_json(r) for r in page],
-                    "total_records": len(records),
+                    "total_records": len(rows),
                     "next_cursor": next_cursor,
                 },
                 etag=etag,
+                spliced={"records": _array_text(map(self._record_text, page))},
             )
         superstep = _superstep(query)
         if superstep is None:
             raise HttpError(400, "point queries need ?superstep=K")
-        record = session.reader.get(vertex_id, superstep)
-        return Response.json(self._record_json(record), etag=etag)
+        _vertex_id, texts = _captured(
+            parts[0], lambda vertex_id: reader.get_fields(vertex_id, superstep)
+        )
+        return Response.text(
+            self._record_text(texts), content_type=JSON_TYPE, etag=etag
+        )
 
     # -- reproduce-context downloads --------------------------------------
 
     def _reproduce(self, session, parts, query, etag):
         if len(parts) != 2:
             raise HttpError(404, "expected /reproduce/<vid>/<superstep>")
-        vertex_id = _vertex_id(parts[0])
         try:
             superstep = int(parts[1])
         except ValueError:
             raise HttpError(
                 400, f"superstep must be an integer, got {parts[1]!r}"
             ) from None
-        record = session.reader.get(vertex_id, superstep)
+        reader = session.reader
         name = query.get("computation")
         if not name:
+            _vertex_id, texts = _captured(
+                parts[0],
+                lambda vertex_id: reader.get_fields(vertex_id, superstep),
+            )
             return Response.json(
                 {
                     "job_id": session.job_id,
-                    "record": self._record_json(record),
                     "note": (
                         "pass ?computation=<repro.algorithms class> for a "
                         "generated pytest file"
                     ),
                 },
                 etag=etag,
+                spliced={"record": self._record_text(texts)},
             )
         factory = _resolve_computation(name)
         from repro.graft.reproducer import generate_test_code
 
+        _vertex_id, record = _captured(
+            parts[0], lambda vertex_id: reader.get(vertex_id, superstep)
+        )
         code = generate_test_code(record, factory, job_id=session.job_id)
         return Response.text(code, content_type=PYTHON_TYPE, etag=etag)
 
@@ -372,25 +406,57 @@ class Router:
 
     # -- record serialization ---------------------------------------------
 
-    def _record_json(self, record):
-        """One capture record as JSON: codec-encoded fields plus flags."""
-        from repro.graft.capture import record_to_row, vertex_field_names
+    def _record_text(self, texts):
+        """One capture record as a JSON object, from its row's field texts.
 
-        row = record_to_row(record, self.codec)
-        payload = dict(zip(vertex_field_names(), row[1:]))
-        payload["violations"] = [
-            {
-                "vertex_id": self.codec.encode(v.vertex_id),
-                "superstep": v.superstep,
-                "kind": v.kind,
-                "details": self.codec.encode(v.details),
-            }
-            for v in record.violations
-        ]
-        payload["exception"] = (
-            None if record.exception is None else record.exception.summary()
+        The stored texts are served as they stand. Only what the API shows
+        differently is rendered anew (in place, in ``texts``) — violations
+        as flat rows, the exception as its summary — and only for a record
+        that has any.
+        """
+        if texts[_VIOLATIONS_SLOT] != "[]":
+            encode = self.codec.encode
+            texts[_VIOLATIONS_SLOT] = _JSON.encode([
+                {
+                    "vertex_id": encode(v.vertex_id),
+                    "superstep": v.superstep,
+                    "kind": v.kind,
+                    "details": encode(v.details),
+                }
+                for v in self.codec.loads(texts[_VIOLATIONS_SLOT])
+            ])
+        if texts[_EXCEPTION_SLOT] != "null":
+            texts[_EXCEPTION_SLOT] = _JSON.encode(
+                self.codec.loads(texts[_EXCEPTION_SLOT]).summary()
+            )
+        return "{" + ",".join(
+            [key + texts[slot] for key, slot in _RECORD_MEMBERS]
+        ) + "}"
+
+    def _page_text(self, reader, records):
+        """The JSON array of a page of decoded records, from their rows."""
+        return _array_text(
+            self._record_text(reader.get_fields(r.vertex_id, r.superstep))
+            for r in records
         )
-        return payload
+
+
+# A record object's members in key order: ('"name":', slot of its text).
+_RECORD_MEMBERS = tuple(
+    (f'"{name}":', vertex_field_names().index(name))
+    for name in sorted(vertex_field_names())
+)
+_VIOLATIONS_SLOT = vertex_field_names().index("violations")
+_EXCEPTION_SLOT = vertex_field_names().index("exception")
+
+
+def _array_text(texts):
+    return "[" + ",".join(texts) + "]"
+
+
+def _segments(path):
+    """A URL path's non-empty segments, percent-decoded after splitting."""
+    return [unquote(part) for part in path.split("/") if part]
 
 
 def _superstep(query):
@@ -406,12 +472,24 @@ def _superstep(query):
         ) from None
 
 
-def _vertex_id(raw):
-    """A path segment as a vertex id: int when it parses, else the string."""
+def _captured(raw, find):
+    """``(vertex id, find(vertex id))`` for the id a path segment names.
+
+    The segment's int form is looked up first; a *string* id that merely
+    looks numeric is found on the second try. When neither was captured
+    the first form's error stands.
+    """
     try:
-        return int(raw)
+        candidates = (int(raw), raw)
     except ValueError:
-        return raw
+        candidates = (raw,)
+    errors = []
+    for vertex_id in candidates:
+        try:
+            return vertex_id, find(vertex_id)
+        except TraceError as exc:
+            errors.append(exc)
+    raise errors[0]
 
 
 def _resolve_computation(name):

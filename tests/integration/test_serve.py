@@ -11,6 +11,7 @@ Covers the serve acceptance criteria:
   ``/jobs/<id>`` endpoint.
 """
 
+import hashlib
 import json
 import threading
 import urllib.error
@@ -135,6 +136,52 @@ def test_concurrent_clients_get_identical_correct_payloads(served):
     for target in targets:
         _status, _headers, body = _get(server, target)
         assert body in by_target[target]
+
+
+# (ETag, SHA-256 of the parsed body re-serialized compact with sorted keys),
+# recorded at the commit that still rendered records by decoding them: the
+# served documents and validators must not notice the spliced path.
+PARENT_DOCUMENTS = {
+    "/jobs/job-flagged/views/tabular?limit=10": (
+        "4886a4f143315d2665eeaf950f90ca51ab98e4eead7f62382c1f136275c52b6b",
+        "1aff340985505bd08b706a39da7133d13e71ab20ac72f2e6d1747078139fa0eb",
+    ),
+    "/jobs/job-flagged/views/violations": (
+        "4886a4f143315d2665eeaf950f90ca51ab98e4eead7f62382c1f136275c52b6b",
+        "e9dd01c463ec369bac0f442441c0a535474c852aae6673cbeab9783000171328",
+    ),
+    "/jobs/job-flagged/views/nodelink?limit=4&superstep=2": (
+        "4886a4f143315d2665eeaf950f90ca51ab98e4eead7f62382c1f136275c52b6b",
+        "c6ad23dff55ef9bd4ae99e119b23fffc2535771c42a4034c4af7565663426a7f",
+    ),
+    "/jobs/job-flagged/reproduce/3/1": (
+        "4886a4f143315d2665eeaf950f90ca51ab98e4eead7f62382c1f136275c52b6b",
+        "be7664f3665085032f74d084ea22918fd8625d799fbdcda515ca0dc8f5dbe801",
+    ),
+    "/jobs/job-clean/vertex/3?superstep=1": (
+        "ad220f84a98ebc87c2929caebe484e76ef4571cfa7b856d5282dd233a54ad421",
+        "002350a1f836b14e5080b8ef48d3cedc3849b2d323b834e8649029b99220bbf6",
+    ),
+    "/jobs/job-clean/vertex/3/history": (
+        "ad220f84a98ebc87c2929caebe484e76ef4571cfa7b856d5282dd233a54ad421",
+        "f3497fabbc8886f6cfe3590304315277d3a56f0678b9d2540550e62ff91e3a28",
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(PARENT_DOCUMENTS))
+def test_served_documents_and_etags_are_unchanged(served, target):
+    _fs, server = served
+    status, headers, body = _get(server, target)
+    assert status == 200
+    canonical = json.dumps(
+        json.loads(body), separators=(",", ":"), sort_keys=True
+    )
+    found = (
+        headers["ETag"].strip('"'),
+        hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+    )
+    assert found == PARENT_DOCUMENTS[target]
 
 
 def test_etag_revalidation_serves_304_with_zero_reads(served):

@@ -2,7 +2,8 @@
 
 The v2 writer assembles each row as text, reusing the text of objects that
 several records of one barrier drain share. Three things hold that to the
-format: every row equals ``json.dumps`` of :func:`record_to_row`'s tree
+format: every row equals ``json.dumps`` of :func:`record_to_row`'s tree,
+the row as the tree-building writer laid it out, kept here as the oracle
 (on serial *and* processes — records that crossed a pickle share different
 objects, and the bytes must not notice); the files of three fixed jobs hash
 to what the commit before the one-pass writer produced; and the sharing
@@ -30,13 +31,35 @@ from repro.algorithms import (
 from repro.common.serialization import default_codec
 from repro.datasets import load_dataset, random_symmetric_weights
 from repro.graft import CaptureAllActiveConfig, debug_run
-from repro.graft.capture import VertexContextRecord, record_from_row, record_to_row
+from repro.graft.capture import (
+    VertexContextRecord,
+    master_field_names,
+    record_from_row,
+    vertex_field_names,
+)
 from repro.graft.config import standard_configs
 from repro.graft.reproducer import replay_record
 from repro.graft.trace import TraceReader, TraceStore, _V2FileWriter, job_directory
 from repro.graph import GraphBuilder, to_undirected
 from repro.pregel import Computation, MinCombiner
 from tests.conftest import rewrite_trace_as_v1
+
+
+def record_to_row(record, codec):
+    """A capture record's compact positional row, as a codec tree."""
+    if isinstance(record, VertexContextRecord):
+        kind, names = 0, vertex_field_names()
+    else:
+        kind, names = 1, master_field_names()
+    row = [kind]
+    for name in names:
+        value = getattr(record, name)
+        is_edge_field = kind == 0 and name in ("edges_before", "edges_after")
+        if is_edge_field and value.__class__ is dict and value:
+            row.append(codec.encode_items(value))
+        else:
+            row.append(codec.encode(value))
+    return row
 
 
 def reference_row(record):

@@ -5,10 +5,16 @@ import json
 import pytest
 
 from repro.common.errors import TraceError
+from repro.common.serialization import default_codec
+from repro.graft import trace as trace_module
 from repro.graft.capture import (
     ExceptionRecord,
     MasterContextRecord,
+    RecordEncoder,
     Violation,
+    record_to_line,
+    split_row,
+    vertex_field_names,
 )
 from repro.graft.trace import (
     TraceReader,
@@ -108,6 +114,7 @@ def assert_all_queries_agree(lazy, eager):
             assert a.key == b.key
             assert a.value_before == b.value_before
             assert a.violations == b.violations
+            assert lazy.get_fields(vid, step) == eager.get_fields(vid, step)
     assert not lazy.has(99, 0) and not eager.has(99, 0)
     for step in range(4):
         assert [r.key for r in lazy.at_superstep(step)] == \
@@ -115,6 +122,7 @@ def assert_all_queries_agree(lazy, eager):
     for vid in (0, 5, 11):
         assert [r.superstep for r in lazy.history(vid)] == \
             [r.superstep for r in eager.history(vid)]
+        assert lazy.history_fields(vid) == eager.history_fields(vid)
     assert lazy.captured_vertex_ids() == eager.captured_vertex_ids()
     assert [(v.vertex_id, v.superstep) for v in lazy.violations()] == \
         [(v.vertex_id, v.superstep) for v in eager.violations()]
@@ -303,6 +311,117 @@ class TestCanonicalStreaming:
     def test_missing_job_raises(self, fs):
         with pytest.raises(TraceError, match="no trace directory"):
             canonical_trace_lines(fs, "ghost")
+
+
+def decoded_canonical_lines(fs):
+    """The canonical stream computed the slow way: decode every record,
+    normalize ``worker_id``, re-encode, order, collapse equal lines."""
+    keyed = set()
+    for path in fs.glob_files(f"/graft/{JOB}", suffix=".trace"):
+        for record in iter_file_records(fs, path):
+            if isinstance(record, MasterContextRecord):
+                key = (1, record.superstep, "")
+            else:
+                record.worker_id = 0
+                key = (0, record.superstep, repr(record.vertex_id))
+            keyed.add(key + (record_to_line(record, default_codec),))
+    return [item[3] for item in sorted(keyed)]
+
+
+class _LooksLikeOne:
+    def __repr__(self):
+        return "1"
+
+
+class TestRowLevelReads:
+    """Stored rows served and digested as text, never as records."""
+
+    #: ``canonical_trace_digest`` of ``build_store``'s trace at the commit
+    #: that still decoded and re-encoded every record.
+    DECODED_DIGEST = (
+        "0e5c81570fa9133ceb020d6e882b143352253fe5cc360a87e739cb52ec60bbad"
+    )
+
+    def test_get_fields_cuts_the_stored_row_and_builds_no_record(self, fs):
+        build_store(fs)
+        lazy = TraceReader(fs, JOB, mode="lazy")
+        cached = len(lazy._record_cache)    # the pinned master records
+        keys = ((0, 0), (2, 1), (5, 2))
+        found = [lazy.get_fields(*key) for key in keys]
+        assert len(lazy.history_fields(7)) == 4
+        assert lazy.history_fields(99) == []
+        assert len(lazy._record_cache) == cached
+        for key, texts in zip(keys, found):
+            row = RecordEncoder(default_codec).row(lazy.get(*key))
+            assert texts == split_row(row)[1]
+
+    def test_get_fields_confirms_the_repr_keyed_id(self, fs):
+        build_store(fs)
+        lazy = TraceReader(fs, JOB, mode="lazy")
+        with pytest.raises(TraceError, match="vertex 99 was not captured"):
+            lazy.get_fields(99, 0)
+        with pytest.raises(TraceError, match="vertex 1 was not captured"):
+            lazy.get_fields(_LooksLikeOne(), 0)
+        assert lazy.history_fields(_LooksLikeOne()) == []
+
+    @pytest.mark.parametrize("fmt", ["v2", "v1"])
+    def test_spliced_stream_is_the_decoded_stream(self, fs, fmt):
+        build_store(fs, fmt=fmt)
+        assert canonical_trace_lines(fs, JOB) == decoded_canonical_lines(fs)
+        assert canonical_trace_digest(fs, JOB) == self.DECODED_DIGEST
+
+    def test_rollback_recaptures_still_collapse(self, fs):
+        store = TraceStore(fs, JOB, 2)
+        for worker_id in (0, 1, 0):     # same record, re-captured, moved
+            store.write_vertex_record(sample_record(
+                vertex_id=1, superstep=0, worker_id=worker_id))
+        store.write_vertex_record(sample_record(
+            vertex_id=1, superstep=0, worker_id=0, value_after="other"))
+        store.close()
+        lines = canonical_trace_lines(fs, JOB)
+        assert len(lines) == 2
+        assert lines == decoded_canonical_lines(fs)
+
+    def test_recovered_tail_blocks_digest_the_same(self, fs):
+        build_store(fs)
+        fs.delete(worker_trace_path(JOB, 1) + ".idx")
+        assert canonical_trace_digest(fs, JOB) == self.DECODED_DIGEST
+
+    def test_files_with_other_field_tables_take_the_decode_path(
+        self, fs, monkeypatch
+    ):
+        """A v2 file laid out by another version's field order."""
+        names = list(vertex_field_names())
+        row = RecordEncoder.row
+
+        def reversed_row(self, record):
+            kind, texts = split_row(row(self, record))
+            if kind == 0:
+                texts.reverse()
+            return f"[{kind}," + ",".join(texts) + "]"
+
+        header = trace_module.build_header()
+        header["fields"]["vertex"] = names[::-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(trace_module, "build_header", lambda: header)
+            patch.setattr(RecordEncoder, "row", reversed_row)
+            build_store(fs)
+        twin = type(fs)()
+        build_store(twin)
+        lazy, expected = TraceReader(fs, JOB), TraceReader(twin, JOB)
+        assert lazy.get(2, 1) == expected.get(2, 1)
+        assert lazy.get_fields(2, 1) == expected.get_fields(2, 1)
+        assert canonical_trace_digest(fs, JOB) == self.DECODED_DIGEST
+
+    def test_a_torn_row_is_refused(self):
+        with pytest.raises(ValueError, match="Unterminated string"):
+            split_row('[0,1,2,"unterminated')
+        with pytest.raises(ValueError, match="malformed trace row"):
+            split_row("[0,1,2")
+        with pytest.raises(ValueError, match="malformed trace row"):
+            split_row("[7,1,2]")        # unknown kind
+        with pytest.raises(ValueError, match="malformed trace row"):
+            split_row("[1,0,{}]")       # a master row two fields short
 
 
 class TestTraceStats:

@@ -1,15 +1,32 @@
 """Router endpoints by direct call — no sockets anywhere."""
 
 import json
+import os
+from urllib.parse import quote
 
 import pytest
 
+from repro.algorithms import PageRank
+from repro.common.serialization import ValueCodec
+from repro.graft import CaptureAllActiveConfig, debug_run
+from repro.graft.capture import VertexContextRecord
+from repro.graft.trace import TraceStore
 from repro.graft.views import NodeLinkView, TabularView, ViolationsView
+from repro.graph import GraphBuilder
 from repro.serve.pagination import encode_cursor
 from repro.serve.router import Router
 from repro.serve.sessions import ReaderPool
+from repro.simfs import SimFileSystem
 
 from tests.unit.serve.conftest import NUM_SUPERSTEPS, NUM_VERTICES
+
+# Responses of the commit before records were served from their row text
+# (indented JSON rendered from decoded records), as parsed documents.
+with open(
+    os.path.join(os.path.dirname(__file__), "parent_bodies.json"),
+    encoding="utf-8",
+) as handle:
+    PARENT_RESPONSES = json.load(handle)
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +258,134 @@ def test_index_page_lists_jobs(router):
 def test_stats_endpoint(router):
     payload = _json(router.handle("GET", "/stats"))
     assert set(payload) == {"record_cache", "block_cache"}
+
+
+# -- records served from their stored row text ---------------------------------
+
+
+@pytest.mark.parametrize("target", sorted(PARENT_RESPONSES))
+def test_json_bodies_equal_the_decoded_record_renderings(router, target):
+    expected = PARENT_RESPONSES[target]
+    response = router.handle("GET", target)
+    assert response.status == expected["status"]
+    assert response.etag == expected["etag"]
+    assert _json(response) == expected["body"]
+
+
+def test_json_bodies_are_compact_with_sorted_keys(router):
+    for target in ("/jobs/job-a", "/jobs/job-a/vertex/7?superstep=2",
+                   "/jobs/job-a/views/tabular?limit=2", "/nope"):
+        body = router.handle("GET", target).body.decode("utf-8")
+        assert body == json.dumps(
+            json.loads(body), separators=(",", ":"), sort_keys=True
+        )
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Arguments of every ``decode`` / ``encode`` call on any codec."""
+    calls = {"decode": [], "encode": []}
+    for name in calls:
+        original = getattr(ValueCodec, name)
+
+        def counted(self, value, _original=original, _seen=calls[name]):
+            _seen.append(value)
+            return _original(self, value)
+
+        monkeypatch.setattr(ValueCodec, name, counted)
+    return calls
+
+
+def test_unflagged_records_are_served_without_decoding(served_fs, codec_calls):
+    router = Router(ReaderPool(served_fs), codec=ValueCodec())
+    # Summaries and search read decoded records: scan the superstep once.
+    router.handle("GET", "/jobs/job-b/views/tabular?superstep=1")
+    for calls in codec_calls.values():
+        calls.clear()
+    targets = (
+        "/jobs/job-b/vertex/3?superstep=1",
+        "/jobs/job-b/vertex/3/history?limit=2",
+        "/jobs/job-b/views/tabular?superstep=1&limit=5",
+    )
+    for target in targets:
+        assert router.handle("GET", target).status == 200
+    # Nothing but a vertex id (the index is repr-keyed, so the stored id is
+    # confirmed) ever went through a codec: no record body did.
+    touched = codec_calls["decode"] + codec_calls["encode"]
+    assert touched and all(type(value) is int for value in touched)
+
+
+# -- vertex ids in the path ----------------------------------------------------
+
+AWKWARD_IDS = ["a b", "c/d", "caf\u00e9"]
+
+
+@pytest.fixture(scope="module")
+def awkward_router():
+    builder = GraphBuilder()
+    for source, target in zip(AWKWARD_IDS, AWKWARD_IDS[1:] + AWKWARD_IDS[:1]):
+        builder.edge(source, target)
+    run = debug_run(
+        lambda: PageRank(iterations=2), builder.build(),
+        CaptureAllActiveConfig(), lint=False, job_id="ids", num_workers=2,
+    )
+    return Router(ReaderPool(run.session.filesystem))
+
+
+@pytest.mark.parametrize("vertex_id", ["a b", "c/d", "caf\u00e9"])
+def test_percent_encoded_ids_reach_their_vertex(awkward_router, vertex_id):
+    segment = quote(vertex_id, safe="")
+    point = awkward_router.handle("GET", f"/jobs/ids/vertex/{segment}?superstep=1")
+    assert _json(point)["vertex_id"] == vertex_id
+    history = awkward_router.handle("GET", f"/jobs/ids/vertex/{segment}/history")
+    assert [r["vertex_id"] for r in _json(history)["records"]] == [vertex_id] * 3
+    context = awkward_router.handle("GET", f"/jobs/ids/reproduce/{segment}/1")
+    assert _json(context)["record"]["vertex_id"] == vertex_id
+    code = awkward_router.handle(
+        "GET", f"/jobs/ids/reproduce/{segment}/1?computation=PageRank"
+    )
+    assert code.status == 200 and repr(vertex_id) in code.body.decode("utf-8")
+
+
+def test_numeric_looking_segment_is_the_int_id_then_the_string_id():
+    # One job holding both 12 (supersteps 0-1) and "12" (supersteps 1-2).
+    fs = SimFileSystem()
+    store = TraceStore(fs, "both", 1)
+    for vertex_id, supersteps in ((12, (0, 1)), ("12", (1, 2)), ("34", (0,))):
+        for superstep in supersteps:
+            store.write_vertex_record(VertexContextRecord(
+                vertex_id=vertex_id, superstep=superstep, worker_id=0,
+                value_before=0.5, edges_before={}, incoming=[], aggregators={},
+                num_vertices=3, num_edges=0, run_seed=0, value_after=0.5,
+            ))
+    store.close()
+    router = Router(ReaderPool(fs))
+
+    def point(segment, superstep):
+        return _json(router.handle(
+            "GET", f"/jobs/both/vertex/{segment}?superstep={superstep}"
+        ))
+
+    assert point("12", 0)["vertex_id"] == 12
+    assert point("12", 1)["vertex_id"] == 12          # both captured: the int
+    assert point("12", 2)["vertex_id"] == "12"        # only the string is
+    assert point("34", 0)["vertex_id"] == "34"
+    # Neither form captured: the int form's message, as before.
+    assert point("12", 3) == {"error": "vertex 12 was not captured in superstep 3"}
+
+    history = _json(router.handle("GET", "/jobs/both/vertex/12/history"))
+    assert history["vertex_id"] == 12
+    assert [r["superstep"] for r in history["records"]] == [0, 1]
+    history = _json(router.handle("GET", "/jobs/both/vertex/34/history"))
+    assert history["vertex_id"] == "34" and history["total_records"] == 1
+    missing = router.handle("GET", "/jobs/both/vertex/56/history")
+    assert _json(missing) == {"error": "vertex 56 was never captured"}
+
+    context = _json(router.handle("GET", "/jobs/both/reproduce/12/2"))
+    assert context["record"]["vertex_id"] == "12"
+    for segment, vertex_id in (("12/1", 12), ("12/2", "12"), ("34/0", "34")):
+        code = router.handle(
+            "GET", f"/jobs/both/reproduce/{segment}?computation=PageRank"
+        )
+        assert code.status == 200
+        assert f"vertex_id={vertex_id!r}" in code.body.decode("utf-8")
