@@ -7,8 +7,17 @@ in-memory plane — a PageRank run on a graph at the paper's Table 1 scale
 slots) on one machine, while Python-heap usage stays under a fixed memory
 ceiling far below the graph's in-memory footprint. This script runs that
 workload end-to-end (streaming dataset -> partitioned spill store ->
-partition-at-a-time supersteps -> merge-join message delivery) and writes
+partition-at-a-time supersteps -> column-run message delivery) and writes
 ``BENCH_scale.json`` with the numbers CI gates on.
+
+Time and memory are measured in **separate passes** of the same run,
+because ``tracemalloc`` slows this workload ~6x: an untraced *timing
+pass* gives ``wall_seconds`` and ``calls_per_second``; a *memory pass*
+under ``tracemalloc`` gives ``peak_memory_bytes`` (and its own
+``traced_wall_seconds``, which says nothing about speed). A third,
+small *ratio pass* runs the ``--quick`` input untraced on both planes in
+this process: spill / memory throughput is a ratio of two runs on the
+same machine minutes apart, so it can be gated where seconds cannot.
 
 Gates (exit status 1 when violated):
 
@@ -24,8 +33,10 @@ Gates (exit status 1 when violated):
 - a demo-scale fidelity check must produce byte-identical canonical
   trace digests for ``store="spill"`` and ``store="memory"`` — scale
   must not buy any observable difference;
-- wall clock under ``WALL_CEILING_SECONDS`` (generous; this is a
-  does-it-finish gate, not a speed gate).
+- untraced ``calls_per_second`` on the spill plane at least
+  ``THROUGHPUT_RATIO_FLOOR`` of the memory plane's on the same
+  ``--quick`` input: out-of-core must stay a residency policy, not a
+  different speed class.
 
 Usage::
 
@@ -36,6 +47,7 @@ Also runnable as an opt-in pytest (see tests/integration/test_bench_scale.py).
 """
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -70,7 +82,9 @@ MEMORY_CEILING_BYTES = 512 * 1024 * 1024
 #: over a tenth of the vertices, so the ceiling shrinks less than 10x.
 QUICK_MEMORY_CEILING_BYTES = 256 * 1024 * 1024
 
-WALL_CEILING_SECONDS = 3600.0
+#: Gate: untraced spill / memory ``calls_per_second`` on the quick input
+#: (0.52 before the spill plane moved onto packed column runs, >= 1 after).
+THROUGHPUT_RATIO_FLOOR = 0.65
 
 #: Vertices whose contexts the debugger must capture (left side, right
 #: side, and a mid-range id — all present at every scale).
@@ -115,6 +129,63 @@ def _fidelity_check():
     return digests, None
 
 
+def _debugged_run(stream, memory_limit, store="auto"):
+    """One debugged run of the workload; returns ``(run, wall seconds)``."""
+    gc.collect()
+    started = time.perf_counter()
+    run = debug_run(
+        lambda: PageRank(iterations=ITERATIONS),
+        stream,
+        _CaptureSome(),
+        job_id="scale",
+        lint=False,
+        seed=SEED,
+        num_workers=NUM_WORKERS,
+        store=store,
+        memory_limit=memory_limit,
+        num_partitions=NUM_PARTITIONS if store != "memory" else None,
+    )
+    return run, time.perf_counter() - started
+
+
+def _calls_per_second(run, wall_seconds):
+    if not run.ok:
+        return 0.0
+    return run.result.metrics.total_compute_calls / wall_seconds
+
+
+def _memory_pass(stream, memory_limit):
+    """The same run under tracemalloc: its heap peak, not its speed."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        return _debugged_run(stream, memory_limit)
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def _throughput_ratio(timed=None):
+    """Untraced spill vs memory throughput on the quick input.
+
+    ``timed`` is the timing pass's ``(run, wall)`` when that pass already
+    ran the quick input on the spill plane.
+    """
+    stream = make(DATASET, scale="full", num_vertices=QUICK_VERTICES, seed=SEED)
+    spill = _calls_per_second(
+        *(timed or _debugged_run(stream, QUICK_MEMORY_LIMIT_BYTES))
+    )
+    memory = _calls_per_second(*_debugged_run(stream, None, store="memory"))
+    return {
+        "num_vertices": stream.num_vertices,
+        "spill_calls_per_second": round(spill),
+        "memory_calls_per_second": round(memory),
+        "spill_over_memory": round(spill / memory, 3) if memory else 0.0,
+    }
+
+
 def run_bench(num_vertices=FULL_VERTICES,
               memory_ceiling=MEMORY_CEILING_BYTES,
               memory_limit=MEMORY_LIMIT_BYTES):
@@ -128,38 +199,24 @@ def run_bench(num_vertices=FULL_VERTICES,
     stream = make(DATASET, scale="full", num_vertices=num_vertices, seed=SEED)
     estimated = estimated_graph_bytes(stream)
 
-    was_tracing = tracemalloc.is_tracing()
-    if not was_tracing:
-        tracemalloc.start()
-    tracemalloc.reset_peak()
-    started = time.perf_counter()
-    try:
-        run = debug_run(
-            lambda: PageRank(iterations=ITERATIONS),
-            stream,
-            _CaptureSome(),
-            job_id="scale",
-            lint=False,
-            seed=SEED,
-            num_workers=NUM_WORKERS,
-            store="auto",
-            memory_limit=memory_limit,
-            num_partitions=NUM_PARTITIONS,
-        )
-        wall_seconds = time.perf_counter() - started
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    run, wall_seconds = _debugged_run(stream, memory_limit)
+    ratio = _throughput_ratio(
+        (run, wall_seconds) if num_vertices == QUICK_VERTICES else None
+    )
+    traced_run, traced_wall_seconds = _memory_pass(stream, memory_limit)
 
-    if not run.ok:
-        failures.append(f"scale run failed: {run.failure}")
+    if not (run.ok and traced_run.ok):
+        failures.append(
+            f"scale run failed: {run.failure or traced_run.failure}"
+        )
         report = {"benchmark": "out_of_core_scale", "gates": {
             "passed": False, "failures": failures}}
         return report, failures
 
     metrics = run.result.metrics
     stats = run.superstep_stats()
-    peak_memory = metrics.peak_memory_bytes
+    traced_stats = traced_run.superstep_stats()
+    peak_memory = traced_run.result.metrics.peak_memory_bytes
 
     if stream.num_vertices < num_vertices:
         failures.append(
@@ -186,10 +243,11 @@ def run_bench(num_vertices=FULL_VERTICES,
             f"peak Python-heap memory {peak_memory} bytes exceeds the "
             f"{memory_ceiling}-byte ceiling"
         )
-    if wall_seconds > WALL_CEILING_SECONDS:
+    if ratio["spill_over_memory"] < THROUGHPUT_RATIO_FLOOR:
         failures.append(
-            f"wall clock {wall_seconds:.1f}s exceeds "
-            f"{WALL_CEILING_SECONDS:.0f}s"
+            f"spill plane runs at {ratio['spill_over_memory']}x the memory "
+            f"plane's calls/s on {ratio['num_vertices']} vertices; the "
+            f"floor is {THROUGHPUT_RATIO_FLOOR}x"
         )
 
     report = {
@@ -207,6 +265,8 @@ def run_bench(num_vertices=FULL_VERTICES,
         },
         "measured": {
             "wall_seconds": round(wall_seconds, 2),
+            "calls_per_second": round(_calls_per_second(run, wall_seconds)),
+            "traced_wall_seconds": round(traced_wall_seconds, 2),
             "supersteps": run.result.num_supersteps,
             "compute_calls": metrics.total_compute_calls,
             "messages": metrics.total_messages,
@@ -224,28 +284,35 @@ def run_bench(num_vertices=FULL_VERTICES,
                     "superstep": s.superstep,
                     "compute_calls": s.compute_calls,
                     "messages": s.messages_sent,
-                    "peak_memory_bytes": s.peak_memory_bytes,
+                    "peak_memory_bytes": traced.peak_memory_bytes,
                     "store_bytes_spilled": s.store_bytes_spilled,
                     "store_bytes_loaded": s.store_bytes_loaded,
                     "partitions_resident": s.partitions_resident,
                 }
-                for s in stats
+                for s, traced in zip(stats, traced_stats)
             ],
         },
+        "throughput_ratio": ratio,
         "fidelity": {
             "digests": fidelity_digests,
             "matched": fidelity_failure is None,
         },
         "gates": {
             "memory_ceiling_bytes": memory_ceiling,
-            "wall_ceiling_seconds": WALL_CEILING_SECONDS,
+            "throughput_ratio_floor": THROUGHPUT_RATIO_FLOOR,
             "passed": not failures,
             "failures": failures,
         },
         "notes": (
+            "wall_seconds and calls_per_second (compute() calls over the "
+            "whole debugged run, load included) come from an untraced "
+            "timing pass; peak_memory_bytes and traced_wall_seconds from a "
+            "second pass of the same run under tracemalloc. "
             "peak_memory_bytes is the largest per-superstep tracemalloc "
             "peak (Python-heap allocations; the streaming load is included "
-            "in superstep 0's sample). estimated_in_memory_bytes is what "
+            "in superstep 0's sample). throughput_ratio is measured "
+            "untraced on the --quick input, both planes in this process. "
+            "estimated_in_memory_bytes is what "
             "the dict plane would need for vertex state alone. The "
             "fidelity digests prove the spilled run's traces are "
             "byte-identical to the in-memory plane at demo scale. "

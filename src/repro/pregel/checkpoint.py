@@ -10,11 +10,14 @@ the tests assert.
 A checkpoint stores, per worker: vertex values, adjacency, and halt flags;
 plus the aggregator visible-state and the messages in flight toward the
 next superstep. Everything goes through the trace codec, so checkpoints
-are text files on the simulated DFS like Graft's traces.
+are text files on the simulated DFS like Graft's traces. The payload is
+laid out in columns (flat parallel lists), which the codec writes and
+reads several times faster than thousands of two-element rows.
 """
 
 import hashlib
 from dataclasses import dataclass
+from itertools import islice
 
 from repro.common.errors import CheckpointError, PregelError
 from repro.common.serialization import default_codec
@@ -24,9 +27,9 @@ from repro.simfs.writers import append_retrying
 #: First line of every checkpoint file: magic + integrity header. Reads
 #: verify the digest before trusting the payload, so a corrupted (or torn)
 #: checkpoint is detected and recovery falls back to an older one instead
-#: of restoring garbage state. Header-less files (written before this
-#: format) still load, unverified.
-CHECKPOINT_MAGIC = "#CKPT1"
+#: of restoring garbage state.
+CHECKPOINT_MAGIC = "#CKPT2"
+
 
 
 @dataclass(frozen=True)
@@ -66,19 +69,21 @@ def _worker_payload(worker):
 
     Spilled workers stream their pages through the same view, so the
     checkpoint format is identical whichever plane holds the vertices.
+    Adjacency is flattened CSR-style: vertex ``i`` owns the next
+    ``degrees[i]`` entries of ``edge_targets`` / ``edge_values``.
     """
-    values = []
-    edges = []
-    halted = []
+    ids, values, halted, degrees, edge_targets, edge_values = [], [], [], [], [], []
     for vertex_id, value, edge_map, halt_flag in worker.iter_state():
-        values.append([vertex_id, value])
-        edges.append([vertex_id, list(edge_map.items())])
-        halted.append([vertex_id, halt_flag])
+        ids.append(vertex_id)
+        values.append(value)
+        halted.append(halt_flag)
+        degrees.append(len(edge_map))
+        edge_targets += edge_map
+        edge_values += edge_map.values()
     return {
-        "worker_id": worker.worker_id,
-        "values": values,
-        "edges": edges,
-        "halted": halted,
+        "worker_id": worker.worker_id, "ids": ids, "values": values,
+        "halted": halted, "degrees": degrees,
+        "edge_targets": edge_targets, "edge_values": edge_values,
     }
 
 
@@ -101,14 +106,16 @@ def _iter_messages(incoming):
 def write_checkpoint(config, superstep, workers, aggregators, incoming, codec=None):
     """Serialize the full engine state for resuming at ``superstep``."""
     codec = codec or default_codec
+    sources, targets, values = [], [], []
+    for source, target, value in _iter_messages(incoming):
+        sources.append(source)
+        targets.append(target)
+        values.append(value)
     payload = {
         "superstep": superstep,
         "aggregators": aggregators.visible_snapshot(),
         "workers": [_worker_payload(worker) for worker in workers],
-        "messages": [
-            [source, target, value]
-            for source, target, value in _iter_messages(incoming)
-        ],
+        "messages": {"sources": sources, "targets": targets, "values": values},
     }
     body = codec.dumps(payload)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -135,24 +142,19 @@ def read_checkpoint(config, path, codec=None):
         text = config.filesystem.read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"checkpoint {path!r} is not text: {exc}") from exc
-    if text.startswith(CHECKPOINT_MAGIC):
-        header, sep, body = text.partition("\n")
-        if not sep:
-            raise CheckpointError(f"checkpoint {path!r} truncated after header")
-        expected = None
-        for token in header.split()[1:]:
-            if token.startswith("sha256="):
-                expected = token[len("sha256="):]
-        if expected is None:
-            raise CheckpointError(f"checkpoint {path!r} header has no digest")
-        actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        if actual != expected:
-            raise CheckpointError(
-                f"checkpoint {path!r} fails its checksum "
-                f"(expected {expected[:12]}..., got {actual[:12]}...)"
-            )
-    else:
-        body = text  # pre-header checkpoint: load unverified
+    header, sep, body = text.partition("\n")
+    seal = f"{CHECKPOINT_MAGIC} sha256="
+    if not sep or not header.startswith(seal):
+        raise CheckpointError(
+            f"checkpoint {path!r} has no intact {CHECKPOINT_MAGIC} header"
+        )
+    expected = header[len(seal):]
+    actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    if actual != expected:
+        raise CheckpointError(
+            f"checkpoint {path!r} fails its checksum "
+            f"(expected {expected[:12]}..., got {actual[:12]}...)"
+        )
     try:
         payload = codec.loads(body)
     except Exception as exc:  # noqa: BLE001 - any decode failure is corruption
@@ -164,7 +166,10 @@ def read_checkpoint(config, path, codec=None):
     ):
         raise CheckpointError(f"checkpoint {path!r} is missing required keys")
     store = MessageStore()
-    for source, target, value in payload["messages"]:
+    messages = payload["messages"]
+    for source, target, value in zip(
+        messages["sources"], messages["targets"], messages["values"]
+    ):
         store.deliver(Envelope(source=source, target=target, value=value))
     return {
         "superstep": payload["superstep"],
@@ -204,21 +209,27 @@ def _superstep_of(path):
     return int(name.replace("superstep-", "").replace(".ckpt", ""))
 
 
-def restore_workers(workers, checkpoint):
-    """Overwrite live worker state from a checkpoint payload."""
+def restore_workers(workers, checkpoint, partitioner, locations):
+    """Overwrite live worker state and the engine's location map (vertex
+    id -> partition id, refilled in place: spilled workers hold it and
+    read their vertices' partitions from it) from a checkpoint payload."""
     by_id = {worker.worker_id: worker for worker in workers}
-    locations = {}
-    for worker_state in checkpoint["workers"]:
-        worker = by_id[worker_state["worker_id"]]
-        values = dict(worker_state["values"])
-        worker.restore_state(
-            values,
+    locations.clear()
+    for state in checkpoint["workers"]:
+        ids = state["ids"]
+        for vertex_id in ids:
+            locations[vertex_id] = partitioner.partition_for(vertex_id)
+        targets = iter(state["edge_targets"])
+        edge_values = iter(state["edge_values"])
+        by_id[state["worker_id"]].restore_state(
+            dict(zip(ids, state["values"])),
             {
-                vertex_id: dict(edge_map)
-                for vertex_id, edge_map in worker_state["edges"]
+                # zip stops at the first exhausted slice, so each vertex
+                # consumes exactly ``degree`` entries of both columns.
+                vertex_id: dict(
+                    zip(islice(targets, degree), islice(edge_values, degree))
+                )
+                for vertex_id, degree in zip(ids, state["degrees"])
             },
-            dict(worker_state["halted"]),
+            dict(zip(ids, state["halted"])),
         )
-        for vertex_id in values:
-            locations[vertex_id] = worker.worker_id
-    return locations

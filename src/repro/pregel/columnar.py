@@ -271,6 +271,24 @@ class ColumnBuilder:
         return list(self.data)
 
 
+def encode_values(values):
+    """Encode a value list as one :class:`ColumnBuilder` column, returning
+    ``(bytes, fell_back)``; an all-``float`` or all-``int`` list — the
+    common payloads — is packed in one C-level pass."""
+    classes = set(map(type, values))
+    try:
+        if classes == {float}:
+            return bytes((COL_F64,)) + array("d", values).tobytes(), False
+        if classes == {int}:
+            return bytes((COL_I64,)) + array("q", values).tobytes(), False
+    except OverflowError:
+        pass
+    column = ColumnBuilder()
+    for value in values:
+        column.append(value)
+    return column.encode(), column.kind == COL_OBJ
+
+
 def decode_column(blob):
     """Decode an encoded column to ``(list of values, was_fallback)``."""
     kind = blob[0]
@@ -366,6 +384,9 @@ class ColumnarOutbox:
 
     __slots__ = ("point", "bcast_sources", "bcast_seqs", "bcast_column",
                  "seq", "messages")
+
+    #: The engine-side reverse index expands ``add_broadcast`` records.
+    compact_broadcasts = True
 
     def __init__(self):
         self.point = {}
@@ -519,11 +540,9 @@ def _encode_point_section(batches, interner):
 def _add_state_sections(writer, worker, interner):
     index = interner.index
     ids = array(_ID_TYPECODE, [index[v] for v in worker.values])
-    column = ColumnBuilder()
-    for value in worker.values.values():
-        column.append(value)
     writer.add(SECTION_VALUES, b"".join((
-        _U32BE.pack(len(ids)), ids.tobytes(), column.encode()
+        _U32BE.pack(len(ids)), ids.tobytes(),
+        encode_values(list(worker.values.values()))[0],
     )))
     writer.add(SECTION_HALTED, b"".join((
         _U32BE.pack(len(worker.halted)),
@@ -773,9 +792,11 @@ class ColumnarRunState:
         interner = self.interner
         intern = interner.intern
         in_lists = {}
-        for worker in workers:
+        owner = {}
+        for worker_index, worker in enumerate(workers):
             for source_id, edge_map in worker.edges.items():
                 s_idx = intern(source_id)
+                owner[s_idx] = worker_index
                 for target in edge_map:
                     t_idx = intern(target)
                     lst = in_lists.get(t_idx)
@@ -787,12 +808,11 @@ class ColumnarRunState:
         # order). Computed once as a global rank so per-list sorts are
         # plain int sorts.
         reprs = interner.reprs
-        ids = interner.ids
         order = sorted(
-            range(len(ids)),
-            key=lambda i: (reprs[i], locations.get(ids[i], -1), i),
+            range(len(reprs)),
+            key=lambda i: (reprs[i], owner.get(i, -1), i),
         )
-        rank = [0] * len(ids)
+        rank = [0] * len(reprs)
         for position, idx in enumerate(order):
             rank[idx] = position
         for lst in in_lists.values():

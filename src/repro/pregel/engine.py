@@ -130,13 +130,14 @@ class SpilledResultValues(Mapping):
     pays the page churn — when a test wants the whole mapping.
     """
 
-    def __init__(self, workers, locations):
-        self._workers = workers
+    def __init__(self, store, locations):
+        self._store = store
         self._locations = locations
 
     def __getitem__(self, vertex_id):
-        worker_index = self._locations[vertex_id]
-        return self._workers[worker_index].get_vertex_value(vertex_id)
+        return self._store.get_vertex_value(
+            self._locations[vertex_id], vertex_id
+        )
 
     def __iter__(self):
         return iter(self._locations)
@@ -256,11 +257,6 @@ class PregelEngine:
             and memory_limit is not None
             and estimated_graph_bytes(graph) > memory_limit
         )
-        if spill and delivery_schedule is not None:
-            raise PregelError(
-                "a delivery_schedule cannot be combined with store='spill'; "
-                "graft-san permutations operate on the in-memory store"
-            )
         self._computation_factory = computation_factory
         self._graph = graph
         if partitioner is not None:
@@ -303,8 +299,9 @@ class PregelEngine:
         self._checkpoint_config = checkpoint_config
         self._fault_injector = fault_injector
         # graft-san: a PermutationSchedule (or compatible object) that
-        # reorders canonicalized inboxes at the barrier. Seeded from the
-        # run seed unless it carries its own.
+        # reorders canonicalized inboxes — at the barrier in memory, at
+        # partition load on the spill plane. Seeded from the run seed
+        # unless it carries its own.
         self._delivery_schedule = (
             delivery_schedule.bind(seed)
             if delivery_schedule is not None
@@ -322,6 +319,9 @@ class PregelEngine:
         # Populated by run():
         self.workers = []
         self.aggregators = AggregatorRegistry()
+        # vertex id -> partition id, on both planes: one lookup answers
+        # "does it exist?", "which worker?" and "which page / run section?",
+        # so ids are hashed once at load or creation, never per message.
         self._locations = {}
 
     @property
@@ -362,11 +362,7 @@ class PregelEngine:
         )
 
     def _load(self):
-        worker_class = Worker if self._store is None else SpilledWorker
-        self.workers = [
-            worker_class(worker_id, self._seed)
-            for worker_id in range(self._num_workers)
-        ]
+        partitioner = self._partitioner
         self._computations = [
             self._computation_factory() for _ in range(self._num_workers)
         ]
@@ -374,7 +370,6 @@ class PregelEngine:
             # Bulk-build pages partition-at-a-time: bounded buffers, no
             # full-graph dict — what lets ≥1M-vertex datasets load under
             # a memory ceiling.
-            partitioner = self._partitioner
             computations = self._computations
             builder = self._store.builder()
             for vertex_id, raw_value, edge_map in self._iter_graph_vertices():
@@ -384,44 +379,52 @@ class PregelEngine:
                     vertex_id, raw_value
                 )
                 builder.add(partition_id, vertex_id, initial, edge_map)
-                self._locations[vertex_id] = worker_index
+                self._locations[vertex_id] = partition_id
             builder.finish()
             self._store_counters = self._store.counters()
-            for worker in self.workers:
-                worker.attach_spill(
-                    self._store, partitioner, self._locations,
-                    deferred=self._backend.transfers_state,
+            self.workers = [
+                SpilledWorker(
+                    worker_id, self._seed, self._store, partitioner,
+                    self._locations, deferred=self._backend.transfers_state,
                 )
+                for worker_id in range(self._num_workers)
+            ]
         else:
+            self.workers = [
+                Worker(worker_id, self._seed)
+                for worker_id in range(self._num_workers)
+            ]
             for vertex_id, raw_value, edge_map in self._iter_graph_vertices():
-                worker_index = self._partitioner.worker_for(vertex_id)
+                partition_id = partitioner.partition_for(vertex_id)
+                worker_index = partitioner.worker_of_partition(partition_id)
                 computation = self._computations[worker_index]
                 initial = computation.initial_value(vertex_id, raw_value)
                 self.workers[worker_index].load_vertex(
                     vertex_id, initial, edge_map
                 )
-                self._locations[vertex_id] = worker_index
+                self._locations[vertex_id] = partition_id
         for name, aggregator in self._extra_aggregators.items():
             self.aggregators.register(name, aggregator)
         if self._master is not None:
             self._master.initialize(self.aggregators)
 
+    def _owner(self, vertex_id):
+        """The worker running the partition the location map names."""
+        partition_id = self._locations.get(vertex_id)
+        if partition_id is None:
+            raise PregelError(f"vertex {vertex_id!r} not in the computation")
+        return self.workers[self._partitioner.worker_of_partition(partition_id)]
+
     def vertex_value(self, vertex_id):
         """Current value of a vertex (live engine state; used by debuggers)."""
-        worker_index = self._locations.get(vertex_id)
-        if worker_index is None:
-            raise PregelError(f"vertex {vertex_id!r} not in the computation")
-        return self.workers[worker_index].get_vertex_value(vertex_id)
+        return self._owner(vertex_id).get_vertex_value(vertex_id)
 
     def has_vertex(self, vertex_id):
         return vertex_id in self._locations
 
     def vertex_edges(self, vertex_id):
         """Current outgoing-edge map of a vertex (live engine state)."""
-        worker_index = self._locations.get(vertex_id)
-        if worker_index is None:
-            raise PregelError(f"vertex {vertex_id!r} not in the computation")
-        return self.workers[worker_index].get_vertex_edges(vertex_id)
+        return self._owner(vertex_id).get_vertex_edges(vertex_id)
 
     @property
     def num_vertices(self):
@@ -479,18 +482,17 @@ class PregelEngine:
             state = None
             frame = None
             # Same-address-space backends hand the live packed outbox to
-            # the barrier; the spill plane has none (messages are already
-            # in run files, or in the worker's deferred router).
-            outbox = worker.outbox
+            # the barrier; the spill plane's messages are already in the
+            # worker's run file and the barrier wants only its summary.
+            outbox = None if spill or transfers_state else worker.outbox
+            if spill:
+                state = worker.collect_spill_state()
             if transfers_state:
-                outbox = None
                 payloads = [
                     collector(worker.worker_id)
                     for collector in payload_collectors
                 ]
-                if spill:
-                    state = worker.collect_spill_state()
-                else:
+                if not spill:
                     # Pack outbox + values + halt flags (+ adjacency only
                     # when mutated) into one flat frame and ship it as a
                     # shared-memory block; nothing per-message crosses the
@@ -760,7 +762,9 @@ class PregelEngine:
             except (CheckpointError, SimFsError) as exc:
                 skipped.append({"path": path, "error": str(exc)})
                 continue
-            self._locations = restore_workers(self.workers, checkpoint)
+            restore_workers(
+                self.workers, checkpoint, self._partitioner, self._locations
+            )
             self.aggregators.restore_snapshot(checkpoint["aggregators"])
             if self._run_state is not None:
                 # Restored adjacency may predate the current reverse
@@ -885,124 +889,81 @@ class PregelEngine:
         """The out-of-core plane: absorb pages, hand off runs.
 
         Same reductions in the same worker-id order as the in-memory
-        barrier. Messages were already routed into sorted per-partition
-        run files during the steps (canonicalization is the merge order
-        of the runs, see :mod:`repro.pregel.store.runs`); combining
-        happens lazily when the next superstep loads each partition, so
-        the eliminations reported here were accounted by *this*
-        superstep's loads.
+        barrier. Messages were already cut into per-partition run
+        sections during the steps (canonical order is restored when a
+        partition is loaded, see :mod:`repro.pregel.store.runs`);
+        permuting and combining happen there too, lazily, so the
+        permutations and eliminations reported here were accounted by
+        *this* superstep's loads.
         """
         store = self._store
-        transfers = self._backend.transfers_state
         superstep = superstep_metrics.superstep
         superstep_metrics.transport = "spill"
         routed = 0
-        combined = 0
-        suspects = set()
         suspect_counts = {}
         for outcome in outcomes:
-            if transfers:
-                shipped = outcome.state
-                for partition_id in sorted(shipped["pages"]):
-                    values, edges, halted = shipped["pages"][partition_id]
-                    store.replace_partition(partition_id, values, edges, halted)
-                for path, data in shipped["runs"]:
-                    store.install_run_file(path, data)
-                routed += shipped["routed"]
-                for target, count in shipped["suspect_counts"].items():
-                    suspect_counts[target] = (
-                        suspect_counts.get(target, 0) + count
-                    )
-                suspects |= shipped["suspects"]
-                combined += shipped["messages_combined"]
-            else:
-                worker = self.workers[outcome.worker_id]
-                router = worker.router
-                if router is not None:
-                    routed += router.count
-                    for target, count in router.suspect_counts.items():
-                        suspect_counts[target] = (
-                            suspect_counts.get(target, 0) + count
-                        )
-                    suspects |= router.suspects
-                combined += worker.messages_combined
-        superstep_metrics.messages_combined = combined
+            shipped = outcome.state
+            # Process backend only: the child's dirty pages and run file.
+            for partition_id in sorted(shipped["pages"]):
+                store.replace_partition(
+                    partition_id, *shipped["pages"][partition_id]
+                )
+            if shipped["run"] is not None:
+                store.install_run_file(*shipped["run"])
+            routed += outcome.messages_sent
+            for target, count in shipped["suspect_counts"].items():
+                suspect_counts[target] = suspect_counts.get(target, 0) + count
+            superstep_metrics.pickle_fallbacks += shipped["pickle_fallbacks"]
+            superstep_metrics.messages_combined += shipped["messages_combined"]
+            superstep_metrics.inboxes_permuted += shipped["inboxes_permuted"]
         outgoing = store.message_store(
-            superstep + 1, total_messages=routed, combiner=self._combiner
+            superstep + 1, total_messages=routed, suspect_counts=suspect_counts,
+            combiner=self._combiner, schedule=self._delivery_schedule,
         )
-        self._apply_spill_mutations(
-            outcomes, outgoing, suspects, suspect_counts
-        )
+        self._apply_mutations(outcomes, outgoing)
         # This superstep's inbox runs are fully consumed; the next
         # rollback restores messages from a checkpoint, never from here.
         store.clear_runs(superstep)
         counters = store.counters()
         before = self._store_counters or counters
-        superstep_metrics.store_bytes_spilled = (
-            counters["bytes_spilled"] - before["bytes_spilled"]
-        )
-        superstep_metrics.store_bytes_loaded = (
-            counters["bytes_loaded"] - before["bytes_loaded"]
-        )
-        superstep_metrics.page_cache_hits = (
-            counters["page_hits"] - before["page_hits"]
-        )
-        superstep_metrics.page_cache_misses = (
-            counters["page_misses"] - before["page_misses"]
-        )
+        delta = {name: counters[name] - before[name] for name in counters}
+        superstep_metrics.store_bytes_spilled = delta["bytes_spilled"]
+        superstep_metrics.store_bytes_loaded = delta["bytes_loaded"]
+        superstep_metrics.page_cache_hits = delta["page_hits"]
+        superstep_metrics.page_cache_misses = delta["page_misses"]
         self._store_counters = counters
         superstep_metrics.partitions_resident = store.resident_partitions()
         return outgoing
 
-    def _apply_spill_mutations(self, outcomes, outgoing, suspects,
-                               suspect_counts):
-        """Removals, then additions, then message-driven vertex creation.
-
-        The resolver's work list is built incrementally: routers record
-        emit-time suspects (targets not in ``_locations`` when the message
-        was sent); vertices *removed at this barrier* passed that check,
-        so their in-flight messages are counted with a run scan of just
-        their partitions. The re-check against ``_locations`` below then
-        sees the post-mutation graph, exactly like the in-memory
-        ``missing_targets`` scan.
-        """
-        removed = self._apply_vertex_requests(outcomes)
-        removed_missing = [
-            vertex_id for vertex_id in removed
-            if vertex_id not in self._locations
-        ]
-        if removed_missing:
-            for target, count in outgoing.count_targets(
-                self._partitioner, removed_missing
-            ).items():
-                suspects.add(target)
-                suspect_counts[target] = suspect_counts.get(target, 0) + count
-        self._resolve_missing(
-            (target for target in suspects if target not in self._locations),
-            lambda target: outgoing.drop_target(
-                target, suspect_counts.get(target, 0)
-            ),
-        )
-
     def _apply_mutations(self, outcomes, outgoing):
         """Removals, then additions, then message-driven vertex creation."""
-        self._apply_vertex_requests(outcomes)
+        removed = self._apply_vertex_requests(outcomes)
+        if self._store is not None:
+            # The run outboxes counted emit-time suspects; a vertex removed
+            # at this barrier passed that check, so the run store counts
+            # the messages still in flight to it.
+            outgoing.suspect_removed(
+                located for located in removed
+                if located[0] not in self._locations
+            )
+        # ``missing_targets`` sees the post-mutation graph on either plane.
         # A store still packed never has inboxes to drop (the barrier
-        # materializes first), so only envelope stores need ``drop_inbox``.
+        # materializes first): only envelope and run stores ``drop_inbox``.
         self._resolve_missing(
             outgoing.missing_targets(self._locations),
             lambda target: outgoing.drop_inbox(target),
         )
 
     def _apply_vertex_requests(self, outcomes):
-        """Explicit removals, then additions; returns the ids removed."""
+        """Explicit removals, then additions; returns the removed
+        ``(vertex id, partition id)`` pairs."""
         removed = []
         for outcome in outcomes:
             for vertex_id in outcome.remove_vertex_requests:
-                location = self._locations.pop(vertex_id, None)
-                if location is not None:
-                    self.workers[location].remove_vertex(vertex_id)
-                    removed.append(vertex_id)
+                if vertex_id in self._locations:
+                    # The owner looks the partition up, so it goes first.
+                    self._owner(vertex_id).remove_vertex(vertex_id)
+                    removed.append((vertex_id, self._locations.pop(vertex_id)))
         for outcome in outcomes:
             for vertex_id, value in outcome.add_vertex_requests:
                 if vertex_id not in self._locations:
@@ -1020,25 +981,28 @@ class PregelEngine:
         missing = sorted(missing, key=repr)
         if self._on_message_to_missing == "create":
             for target in missing:
-                worker_index = self._partitioner.worker_for(target)
-                default = self._computations[worker_index].default_vertex_value(
-                    target
-                )
-                self._create_vertex(target, default)
+                self._create_vertex(target, resolver_default=True)
         else:
             for target in missing:
                 drop(target)
 
-    def _create_vertex(self, vertex_id, value):
-        worker_index = self._partitioner.worker_for(vertex_id)
+    def _create_vertex(self, vertex_id, value=None, resolver_default=False):
+        """Place a new vertex; ``resolver_default`` asks its worker's
+        computation for the value (Giraph's default vertex resolver)."""
+        partition_id = self._partitioner.partition_for(vertex_id)
+        worker_index = self._partitioner.worker_of_partition(partition_id)
+        if resolver_default:
+            value = self._computations[worker_index].default_vertex_value(
+                vertex_id
+            )
+        self._locations[vertex_id] = partition_id
         self.workers[worker_index].load_vertex(vertex_id, value, {})
-        self._locations[vertex_id] = worker_index
         if self._run_state is not None:
             self._run_state.note_vertex_added(vertex_id)
 
     def _collect_values(self):
         if self._store is not None:
-            return SpilledResultValues(self.workers, dict(self._locations))
+            return SpilledResultValues(self._store, dict(self._locations))
         values = {}
         for worker in self.workers:
             values.update(worker.vertex_values())

@@ -155,12 +155,11 @@ class MessageStore:
         """
         return self
 
-    @property
-    def eliminated(self):
-        """Combiner eliminations attributable to a loaded view (spill
-        plane); the in-memory store combines at the producing barrier and
-        reports eliminations there, so views report zero."""
-        return 0
+    #: Combiner eliminations and inbox permutations attributable to a
+    #: loaded view (spill plane); the in-memory store combines and permutes
+    #: at the producing barrier and reports them there, so views report zero.
+    eliminated = 0
+    permuted = 0
 
     def iter_checkpoint_messages(self):
         """``(source, target, value)`` for every in-flight message, in

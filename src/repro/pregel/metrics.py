@@ -63,7 +63,7 @@ class SuperstepMetrics:
     #: superstep's barrier (0 unless a graft-san run is active).
     inboxes_permuted: int = 0
     #: Data plane that carried this superstep's messages:
-    #: ``"columnar"`` (packed batches) or ``"spill"`` (sorted run files).
+    #: ``"columnar"`` (packed batches) or ``"spill"`` (partition-cut run files).
     transport: str = "columnar"
     #: Frame bytes shipped across process boundaries at the barrier
     #: (0 under same-address-space backends — nothing is copied).

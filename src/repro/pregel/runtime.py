@@ -41,8 +41,10 @@ class StepOutcome:
     pickle it across a pipe. ``outbox`` is the worker's live packed
     outbox under same-address-space backends. Under backends with
     ``transfers_state`` it is ``None`` and the worker's products travel
-    instead as ``frame`` (in-memory plane) or ``state`` (the spill
-    plane's dirty pages and sealed runs). ``error`` holds the
+    instead as ``frame`` (in-memory plane). The spill plane always
+    reports through ``state`` — its run summary, plus the dirty pages
+    and the sealed run file when they must cross a process boundary.
+    ``error`` holds the
     :class:`~repro.common.errors.ComputeError` that aborted the step under
     the ``raise`` policy, if any. ``payloads`` carries opaque per-listener
     data collected in the child (e.g. Graft's buffered capture records).

@@ -1,12 +1,12 @@
 """Out-of-core partitioned vertex/message store.
 
 The engine's spill plane (``store="spill"``): vertex state lives in
-per-partition *pages* and in-flight messages in sorted per-partition
-*runs*, both written through :class:`~repro.simfs.BlockWriter` framing
-onto a spill filesystem (a disk-backed
-:class:`~repro.simfs.SpoolFileSystem` by default). The BSP loop then
-schedules partition-at-a-time: load a page, merge-join its inbox runs,
-compute, spill, advance — under a byte-budgeted LRU of hot pages.
+per-partition *pages* and in-flight messages in per-worker *run files*
+of packed column sections cut by destination partition, both on a spill
+filesystem (a disk-backed :class:`~repro.simfs.SpoolFileSystem` by
+default). The BSP loop then schedules partition-at-a-time: load a page,
+group its inbox from the runs, compute, spill, advance — under a
+byte-budgeted LRU of hot pages.
 
 See ``docs/scale.md`` for the formats and the memory-ceiling policy.
 """
@@ -17,13 +17,13 @@ from repro.pregel.store.pages import (
     encode_segment,
     iter_frames,
 )
-from repro.pregel.store.runs import RunRouter, SpilledMessageStore
+from repro.pregel.store.runs import RunOutbox, SpilledMessageStore
 from repro.pregel.store.spill import PartitionPage, SpillStore
 
 __all__ = [
     "PAGE_SEGMENT_ENTRIES",
     "PartitionPage",
-    "RunRouter",
+    "RunOutbox",
     "SpillStore",
     "SpilledMessageStore",
     "decode_segment",

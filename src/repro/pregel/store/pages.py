@@ -34,7 +34,7 @@ import struct
 import zlib
 
 from repro.common.errors import PregelError
-from repro.pregel.columnar import ColumnBuilder, decode_column
+from repro.pregel.columnar import decode_column, encode_values
 from repro.simfs.writers import BLOCK_FLAG_ZLIB
 
 SEGMENT_MAGIC = b"VPG1"
@@ -48,17 +48,17 @@ PAGE_SEGMENT_ENTRIES = 8192
 def encode_segment(entries):
     """Encode ``[(vertex_id, value, edge_map, halted), ...]`` to bytes."""
     ids = []
-    column = ColumnBuilder()
+    values = []
     edges = []
     bits = bytearray((len(entries) + 7) // 8)
     for position, (vertex_id, value, edge_map, halted) in enumerate(entries):
         ids.append(vertex_id)
-        column.append(value)
+        values.append(value)
         edges.append(edge_map)
         if halted:
             bits[position >> 3] |= 1 << (position & 7)
     ids_blob = pickle.dumps(ids, protocol=4)
-    values_blob = column.encode()
+    values_blob, _fell_back = encode_values(values)
     edges_blob = pickle.dumps(edges, protocol=4)
     header = SEGMENT_MAGIC + struct.pack(
         ">IIII", len(entries), len(ids_blob), len(values_blob), len(edges_blob)

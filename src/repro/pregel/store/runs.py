@@ -1,340 +1,386 @@
-"""Sorted message spill runs and their merge-join reader.
+"""Message spill runs as packed columns, delivered values-first.
 
-Messages emitted under ``store="spill"`` are routed straight into
-per-partition *run files* instead of in-memory grouped outboxes. Worker
-``w``'s messages for partition ``p``, to be delivered at superstep
-``s``, land in ``<base>/runs/s<s>/p<p>-w<w>.run``: a sequence of
-BlockWriter frames, each framing one *run* — a chunk of ``(source,
-target, value)`` triples sorted by ``(repr(target), repr(source))``.
-Chunks are cut whenever the router's in-memory buffer reaches its entry
-budget, so emission memory stays bounded no matter how many messages a
-superstep produces.
+Under ``store="spill"`` a worker's sends go into a :class:`RunOutbox`
+that cuts them by *destination partition* as they are emitted — the
+partition comes from the engine's location map, the same lookup that
+answers "does the target exist?", so nothing is hashed per message.
+Whenever the outbox holds :data:`RUN_CHUNK_ENTRIES` messages it appends
+one **section** per touched partition to the worker's run file and
+forgets them, so emission memory stays bounded however many messages a
+superstep produces. There is one run file per worker per delivery
+superstep, ``<base>/runs/s<s>/w<w>.run``::
 
-Delivery is a k-way **merge-join**: all of a partition's runs are merged
-(``heapq.merge``) into one stream ordered by target, then source — and
-joined against the partition's vertex page. The merge reproduces the
-in-memory plane's canonical inbox order *exactly*: the in-memory store
-concatenates worker outboxes in worker-id order and stably sorts each
-inbox by ``repr(source)``; here the sort key is the same and
-``heapq.merge`` breaks ties by input order, where inputs are enumerated
-(worker id, chunk sequence) — i.e. worker-id order, then emission
-order. Byte-identical trace digests across the two planes follow.
+    run file   := b"MRN2" section* directory u64be(offset of directory)
+    section    := u32be payload_len | u8 kind | payload      (GCF1 framing)
+    run        := u32be partition | u32be ids_len
+                  | pickle((targets, sources)) | value column
+    directory  := (u32be partition | u64be offset | u32be length)*
+
+A run section holds the messages one chunk addressed to one partition,
+in emission order, as three parallel columns; the value column is a
+:func:`~repro.pregel.columnar.encode_values` column (typed arrays for
+float/int payloads, the counted pickle fallback for everything else).
+Nothing is sorted on the write side.
+
+Delivery (:meth:`SpilledMessageStore.load_partition`) reads a
+partition's sections in (worker id, chunk) order — ranged reads located
+by the in-file directories — and stably sorts the concatenated columns
+by ``repr(source)`` while grouping them by target. That is exactly the
+in-memory plane's canonical inbox order: worker outboxes concatenated in
+worker-id order, each inbox stably sorted by ``repr(source)``, ties
+falling back to ``(worker id, emission order)``. ``compute()`` is served
+the value lists directly; :class:`~repro.pregel.messages.Envelope`
+objects exist only if a debugger iterates an inbox.
 """
 
-import heapq
 import pickle
+import struct
 import threading
 
 from repro.common.errors import PregelError
+from repro.pregel.columnar import IncomingView, decode_column, encode_values
 from repro.pregel.messages import Envelope
-from repro.pregel.store.pages import iter_frames
-from repro.simfs.writers import BlockWriter
 
-RUN_MAGIC = b"MRN1"
+RUN_MAGIC = b"MRN2"
+SECTION_RUN = 1
+SECTION_DIRECTORY = 2
 
-#: Buffered ``(source, target, value)`` triples per router before a
-#: chunk is sorted and spilled.
+#: Buffered messages per outbox before a chunk is cut into sections.
 RUN_CHUNK_ENTRIES = 16384
+
+_SECTION_HEAD = struct.Struct(">IB")   # payload length, kind
+_RUN_HEAD = struct.Struct(">II")       # partition id, length of the ids pickle
+_DIRECTORY_ENTRY = struct.Struct(">IQI")  # partition id, section offset, length
+_TRAILER = struct.Struct(">Q")         # offset of the directory section
 
 
 def run_directory(base, superstep):
     return f"{base}/runs/s{superstep:05d}"
 
 
-def run_path(base, superstep, partition_id, worker_id):
-    return (
-        f"{run_directory(base, superstep)}/"
-        f"p{partition_id:05d}-w{worker_id:03d}.run"
-    )
+def run_path(base, superstep, worker_id):
+    return f"{run_directory(base, superstep)}/w{worker_id:03d}.run"
 
 
-def _run_sort_key(triple):
-    return (repr(triple[1]), repr(triple[0]))
+class RunOutbox:
+    """One worker's partition-cut outbox for one delivery superstep.
 
+    The spill plane's counterpart of
+    :class:`~repro.pregel.columnar.ColumnarOutbox` behind the same
+    ``_WorkerServices``; there is no reverse index to expand a compact
+    broadcast against, so every fan-out is filed per target.
 
-def encode_run(triples):
-    """One sorted chunk of ``(source, target, value)`` triples to bytes."""
-    return RUN_MAGIC + pickle.dumps(triples, protocol=4)
+    ``deferred=True`` (the process backend) buffers the run file in a
+    private in-memory filesystem; :meth:`shipped_file` hands the bytes
+    to the parent, which installs them verbatim (offsets are
+    file-relative).
 
-
-def decode_run(payload):
-    if payload[:4] != RUN_MAGIC:
-        raise PregelError(
-            f"bad message run magic {payload[:4]!r} (expected MRN1)"
-        )
-    return pickle.loads(payload[4:])
-
-
-class RunRouter:
-    """Routes one worker's emitted messages into sorted spill runs.
-
-    ``deferred=True`` (the process backend) buffers the run files in a
-    private in-memory filesystem; :meth:`shipped_files` hands the bytes
-    to the parent, which installs them verbatim — offsets and framing
-    are file-relative, so the bytes are position-independent.
-
-    The router also fills the resolver's work list as it goes: a target
-    absent from ``locations`` *at emit time* is recorded as a suspect
-    with its message count. The barrier re-checks suspects after graph
-    mutations, so a vertex created at the same barrier still receives
-    its messages, exactly as the in-memory plane's
-    ``missing_targets`` scan behaves.
+    A target absent from ``locations`` *at emit time* is counted in
+    ``suspect_counts`` — the resolver's work list. The barrier re-checks
+    suspects after graph mutations, so a vertex created at the same
+    barrier still receives its messages, exactly as the in-memory
+    plane's ``missing_targets`` scan behaves.
     """
 
-    def __init__(self, filesystem, base, worker_id, superstep, partitioner,
-                 locations, chunk_entries=RUN_CHUNK_ENTRIES, lock=None,
-                 deferred=False):
+    compact_broadcasts = False
+
+    def __init__(self, filesystem, path, partitioner, locations,
+                 chunk_entries=RUN_CHUNK_ENTRIES, lock=None, deferred=False):
         if deferred:
             from repro.simfs.filesystem import SimFileSystem
 
             filesystem = SimFileSystem()
             lock = None
         self._fs = filesystem
-        self._base = base
-        self._worker_id = worker_id
-        self._superstep = superstep
+        self.path = path
         self._partitioner = partitioner
         self._locations = locations
         self._chunk_entries = chunk_entries
         self._lock = lock or threading.RLock()
         self._deferred = deferred
+        # partition id -> flat [target, source, value, target, ...]
         self._buffers = {}
         self._buffered = 0
-        self._writers = {}
-        self.count = 0
-        self.suspects = set()
+        self._directory = []
+        self._offset = 0
+        self.pickle_fallbacks = 0
         self.suspect_counts = {}
-        self._sealed = False
 
-    def add(self, source, target, value):
-        partition_id = self._partitioner.partition_for(target)
-        batch = self._buffers.get(partition_id)
-        if batch is None:
-            self._buffers[partition_id] = [(source, target, value)]
-        else:
-            batch.append((source, target, value))
-        if target not in self._locations:
-            self.suspects.add(target)
-            self.suspect_counts[target] = (
-                self.suspect_counts.get(target, 0) + 1
-            )
-        self.count += 1
-        self._buffered += 1
+    def _missing_partition(self, target):
+        counts = self.suspect_counts
+        counts[target] = counts.get(target, 0) + 1
+        return self._partitioner.partition_for(target)
+
+    def add_point(self, source, target, value):
+        self.add_broadcast_explicit(source, (target,), value)
+
+    def add_broadcast_explicit(self, source, targets, value):
+        buffers = self._buffers
+        partition_of = self._locations.get
+        for target in targets:
+            partition_id = partition_of(target)
+            if partition_id is None:
+                partition_id = self._missing_partition(target)
+            buffer = buffers.get(partition_id)
+            if buffer is None:
+                buffer = buffers[partition_id] = []
+            buffer += (target, source, value)
+        self._buffered += len(targets)
         if self._buffered >= self._chunk_entries:
             self._flush()
 
-    def add_broadcast(self, source, targets, value):
-        for target in targets:
-            self.add(source, target, value)
-
     def _flush(self):
-        for partition_id in sorted(self._buffers):
-            batch = self._buffers[partition_id]
-            if not batch:
-                continue
-            # Stable sort: one source's messages to one target keep their
-            # emission order, matching MessageStore.canonicalize().
-            batch.sort(key=_run_sort_key)
-            writer = self._writers.get(partition_id)
-            if writer is None:
-                writer = BlockWriter(
-                    self._fs,
-                    run_path(
-                        self._base, self._superstep, partition_id,
-                        self._worker_id,
-                    ),
-                )
-                self._writers[partition_id] = writer
-            with self._lock:
-                writer.write_block(encode_run(batch))
-            self._buffers[partition_id] = []
+        """Cut the buffered chunk into one section per touched partition."""
+        parts = [RUN_MAGIC] if not self._offset else []
+        offset = self._offset or len(RUN_MAGIC)
+        for partition_id, flat in self._buffers.items():
+            values, fell_back = encode_values(flat[2::3])
+            self.pickle_fallbacks += fell_back
+            ids = pickle.dumps((flat[0::3], flat[1::3]), protocol=4)
+            length = _RUN_HEAD.size + len(ids) + len(values)
+            parts += (
+                _SECTION_HEAD.pack(length, SECTION_RUN),
+                _RUN_HEAD.pack(partition_id, len(ids)), ids, values,
+            )
+            length += _SECTION_HEAD.size
+            self._directory.append((partition_id, offset, length))
+            offset += length
+        self._buffers = {}
         self._buffered = 0
+        self._append(b"".join(parts))
+
+    def _append(self, data):
+        with self._lock:
+            if not self._offset:
+                self._fs.create(self.path, overwrite=True)
+            self._fs.append_bytes(self.path, data)
+        self._offset += len(data)
 
     def seal(self):
-        """Flush remaining buffers and close the chunk writers."""
-        if self._sealed:
+        """Flush the last chunk and close the file with its directory.
+
+        A worker that sent nothing writes no file at all.
+        """
+        if self._buffered:
+            self._flush()
+        if not self._directory:
             return
-        self._flush()
-        for writer in self._writers.values():
-            writer.close()
-        self._sealed = True
-
-    def shipped_files(self):
-        """Deferred mode: the sealed run files as ``[(path, bytes)]``."""
-        if not self._deferred:
-            return []
-        return [
-            (writer.path, self._fs.read_bytes(writer.path))
-            for _, writer in sorted(self._writers.items())
-        ]
-
-
-def partition_run_paths(filesystem, base, superstep, partition_id):
-    """The run files feeding one partition, in (worker, file) name order."""
-    prefix = f"p{partition_id:05d}-"
-    return sorted(
-        path
-        for path in filesystem.glob_files(
-            run_directory(base, superstep), suffix=".run"
+        directory = b"".join(
+            _DIRECTORY_ENTRY.pack(*entry) for entry in self._directory
         )
-        if path.rsplit("/", 1)[-1].startswith(prefix)
-    )
+        self._append(b"".join((
+            _SECTION_HEAD.pack(len(directory), SECTION_DIRECTORY),
+            directory, _TRAILER.pack(self._offset),
+        )))
+        self._directory = []
+
+    def shipped_file(self):
+        """Deferred mode: the sealed run file as ``(path, bytes)``."""
+        if not self._deferred or not self._fs.exists(self.path):
+            return None
+        return self.path, self._fs.read_bytes(self.path)
 
 
-def iter_partition_triples(filesystem, base, superstep, partition_id):
-    """Merged ``(source, target, value)`` stream for one partition.
-
-    Each BlockWriter frame is one independently sorted run; the streams
-    are k-way merged with the same key the runs were sorted by.
-    ``heapq.merge`` is stable across its inputs, and the inputs are
-    enumerated in (worker id, chunk sequence) order — reproducing the
-    in-memory canonical inbox order tie for tie.
-    """
-    runs = []
-    for path in partition_run_paths(filesystem, base, superstep, partition_id):
-        data = filesystem.read_bytes(path)
-        for payload in iter_frames(data):
-            runs.append(decode_run(payload))
-    if not runs:
-        return iter(())
-    if len(runs) == 1:
-        return iter(runs[0])
-    return heapq.merge(*runs, key=_run_sort_key)
+def read_directory(filesystem, path):
+    """``[(partition id, offset, length)]`` of one sealed run file."""
+    size = filesystem.stat(path).size
+    tail = filesystem.read_range(path, size - _TRAILER.size, _TRAILER.size)
+    (offset,) = _TRAILER.unpack(tail)
+    blob = filesystem.read_range(path, offset, size - _TRAILER.size - offset)
+    length, kind = _SECTION_HEAD.unpack_from(blob)
+    if kind != SECTION_DIRECTORY or length != len(blob) - _SECTION_HEAD.size:
+        raise PregelError(f"message run {path!r} has no sealed directory")
+    return list(_DIRECTORY_ENTRY.iter_unpack(blob[_SECTION_HEAD.size:]))
 
 
-def count_run_targets(filesystem, base, superstep, partitioner, vertex_ids):
-    """How many spilled messages address each of ``vertex_ids``.
-
-    The resolver's removed-vertex path: after a barrier removes a
-    vertex, any in-flight message to it must recreate it (policy
-    ``create``) or be dropped — either way the barrier needs the count.
-    Scans only the partitions the ids map to.
-    """
-    by_partition = {}
-    for vertex_id in vertex_ids:
-        by_partition.setdefault(
-            partitioner.partition_for(vertex_id), set()
-        ).add(vertex_id)
-    counts = {}
-    for partition_id, wanted in sorted(by_partition.items()):
-        for source, target, value in iter_partition_triples(
-            filesystem, base, superstep, partition_id
-        ):
-            if target in wanted:
-                counts[target] = counts.get(target, 0) + 1
-    return counts
+def decode_run_section(blob):
+    """One run section to ``(targets, sources, values)`` column lists."""
+    length, kind = _SECTION_HEAD.unpack_from(blob)
+    if kind != SECTION_RUN or length != len(blob) - _SECTION_HEAD.size:
+        raise PregelError("torn or mislabelled message run section")
+    start = _SECTION_HEAD.size + _RUN_HEAD.size
+    _partition_id, ids_len = _RUN_HEAD.unpack_from(blob, _SECTION_HEAD.size)
+    targets, sources = pickle.loads(blob[start:start + ids_len])
+    values, _fell_back = decode_column(blob[start + ids_len:])
+    return targets, sources, values
 
 
 class _PartitionInbox:
-    """One partition's merged, canonically ordered inboxes.
+    """One partition's grouped, canonically ordered inboxes.
 
     Implements the message-store read protocol
     (``inbox_values`` / ``incoming_view`` / ``has_inbox`` / ``inbox``)
-    over a partition-local dict, so the worker's inner compute loop is
-    identical under both planes. Each worker gets its own view — there
-    is no shared mutable cursor, which keeps the threads backend safe.
+    over ``{target: (sources, values)}``, so the worker's inner compute
+    loop is identical under both planes. Each worker gets its own view —
+    there is no shared mutable cursor, which keeps the threads backend
+    safe.
     """
 
-    __slots__ = ("partition_id", "_by_target", "eliminated")
+    __slots__ = ("_by_target", "eliminated", "permuted")
 
-    def __init__(self, partition_id, by_target, eliminated):
-        self.partition_id = partition_id
+    def __init__(self, by_target, eliminated, permuted):
         self._by_target = by_target
         self.eliminated = eliminated
-
-    def inbox(self, vertex_id):
-        return self._by_target.get(vertex_id, [])
+        self.permuted = permuted
 
     def inbox_values(self, vertex_id):
-        batch = self._by_target.get(vertex_id)
-        if batch is None:
+        inbox = self._by_target.get(vertex_id)
+        return inbox[1] if inbox is not None else []
+
+    def inbox(self, vertex_id):
+        """Envelopes, built on demand: only debugger-facing readers ask."""
+        inbox = self._by_target.get(vertex_id)
+        if inbox is None:
             return []
-        return [envelope.value for envelope in batch]
+        return [
+            Envelope(source, vertex_id, value)
+            for source, value in zip(*inbox)
+        ]
 
     def incoming_view(self, vertex_id):
-        return self._by_target.get(vertex_id, [])
+        return IncomingView(self, vertex_id)
 
     def has_inbox(self, vertex_id):
         return vertex_id in self._by_target
 
-    def targets(self):
-        return self._by_target.keys()
+    def items(self):
+        """``(target, (sources, values))`` for every non-empty inbox."""
+        return self._by_target.items()
 
 
 class SpilledMessageStore:
     """The spill plane's superstep message store.
 
-    Holds no message bytes itself — only the identity of the run
-    directory, the routed-message total, and the resolver's dropped set.
-    :meth:`load_partition` performs the merge for one partition and
-    returns a :class:`_PartitionInbox`; the combiner (when configured)
-    folds each multi-message inbox at load time, in canonical order,
-    with the combined envelope losing its source — the exact semantics
-    of :meth:`MessageStore.combine`.
+    Holds no message bytes itself — only where each partition's run
+    sections lie (read once from the run files' directories), the
+    routed-message total, and the resolver's dropped set.
+    :meth:`load_partition` groups one partition's messages into a
+    :class:`_PartitionInbox`. Everything the in-memory barrier does to
+    a canonical inbox happens there, in the same order: a bound
+    ``delivery_schedule`` permutes it, then the combiner (when
+    configured) folds each multi-message inbox, the combined message
+    losing its source — the exact semantics of
+    :meth:`MessageStore.combine`.
     """
 
     def __init__(self, filesystem, base, superstep, num_partitions,
-                 total_messages=0, combiner=None):
+                 total_messages=0, suspect_counts=None, combiner=None,
+                 schedule=None):
         self.filesystem = filesystem
-        self.base = base
         self.superstep = superstep
         self.num_partitions = num_partitions
         self.total_messages = total_messages
+        # target -> in-flight messages, for every target some outbox did
+        # not find in the location map (the resolver's candidates).
+        self._suspect_counts = suspect_counts if suspect_counts is not None else {}
         self._combiner = combiner
+        self._schedule = schedule
         self._dropped = set()
+        # partition id -> [(path, offset, length)] in (worker, chunk) order
+        self._sections = {}
+        for path in filesystem.glob_files(
+            run_directory(base, superstep), suffix=".run"
+        ):
+            for partition_id, offset, length in read_directory(
+                filesystem, path
+            ):
+                self._sections.setdefault(partition_id, []).append(
+                    (path, offset, length)
+                )
+
+    def _columns(self, partition_id):
+        """A partition's undropped messages as three concatenated columns."""
+        targets, sources, values = [], [], []
+        for path, offset, length in self._sections.get(partition_id, ()):
+            section = decode_run_section(
+                self.filesystem.read_range(path, offset, length)
+            )
+            targets += section[0]
+            sources += section[1]
+            values += section[2]
+        dropped = self._dropped
+        if dropped and not dropped.isdisjoint(targets):
+            keep = [i for i, t in enumerate(targets) if t not in dropped]
+            targets = [targets[i] for i in keep]
+            sources = [sources[i] for i in keep]
+            values = [values[i] for i in keep]
+        return targets, sources, values
 
     def load_partition(self, partition_id):
+        targets, sources, values = self._columns(partition_id)
+        # One stable sort by repr(source) over the whole partition, then
+        # grouping in that order, leaves every inbox canonically ordered.
+        keys = list(map(repr, sources))
         by_target = {}
-        dropped = self._dropped
-        for source, target, value in iter_partition_triples(
-            self.filesystem, self.base, self.superstep, partition_id
-        ):
-            if target in dropped:
-                continue
-            envelope = Envelope(source=source, target=target, value=value)
-            batch = by_target.get(target)
-            if batch is None:
-                by_target[target] = [envelope]
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            target = targets[i]
+            inbox = by_target.get(target)
+            if inbox is None:
+                by_target[target] = ([sources[i]], [values[i]])
             else:
-                batch.append(envelope)
-        eliminated = 0
+                inbox[0].append(sources[i])
+                inbox[1].append(values[i])
+        eliminated = permuted = 0
+        schedule = self._schedule
         combiner = self._combiner
-        if combiner is not None:
-            for target, envelopes in by_target.items():
-                if len(envelopes) <= 1:
+        if schedule is not None or combiner is not None:
+            for target, (inbox_sources, inbox_values) in by_target.items():
+                count = len(inbox_values)
+                if count < 2:
                     continue
-                folded = envelopes[0].value
-                for envelope in envelopes[1:]:
-                    folded = combiner.combine(folded, envelope.value)
-                eliminated += len(envelopes) - 1
-                by_target[target] = [
-                    Envelope(source=None, target=target, value=folded)
-                ]
-        return _PartitionInbox(partition_id, by_target, eliminated)
+                if schedule is not None:
+                    # The shuffle is index-driven, so permuting positions
+                    # gives the order the in-memory barrier gives envelopes.
+                    order = list(range(count))
+                    if schedule.permute_inbox(target, self.superstep, order):
+                        inbox_sources[:] = [inbox_sources[i] for i in order]
+                        inbox_values[:] = [inbox_values[i] for i in order]
+                        permuted += 1
+                if combiner is not None:
+                    by_target[target] = (
+                        [None], [combiner.fold_column(inbox_values)]
+                    )
+                    eliminated += count - 1
+        return _PartitionInbox(by_target, eliminated, permuted)
 
     def has_messages(self):
         return self.total_messages > 0
 
-    def drop_target(self, target, count):
+    def missing_targets(self, locations):
+        """Suspects that (still) do not exist: the resolver's work list."""
+        return [t for t in self._suspect_counts if t not in locations]
+
+    def drop_inbox(self, target):
         """Resolver policy ``drop``: discard a missing target's messages."""
         self._dropped.add(target)
-        self.total_messages -= count
+        self.total_messages -= self._suspect_counts[target]
 
-    def count_targets(self, partitioner, vertex_ids):
-        return count_run_targets(
-            self.filesystem, self.base, self.superstep, partitioner,
-            vertex_ids,
-        )
+    def suspect_removed(self, located_ids):
+        """Count the in-flight messages to vertices a barrier just removed.
+
+        ``located_ids`` are ``(vertex id, partition id)`` pairs. No outbox
+        suspected them — they existed when the messages were sent — yet
+        a message still addressed to one must now recreate it or be
+        dropped. Reads only the partitions the ids lived in.
+        """
+        wanted = {}
+        for vertex_id, partition_id in located_ids:
+            wanted.setdefault(partition_id, set()).add(vertex_id)
+        counts = self._suspect_counts
+        for partition_id, ids in sorted(wanted.items()):
+            for target in self._columns(partition_id)[0]:
+                if target in ids:
+                    counts[target] = counts.get(target, 0) + 1
 
     def iter_checkpoint_messages(self):
         """``(source, target, value)`` for every undropped in-flight message.
 
-        Per-target order is the canonical merged order, which is what a
-        checkpoint must preserve: restore re-delivers in file order and
-        the re-executed superstep consumes inboxes as delivered.
+        Per-target order is the delivered order (canonical, permuted and
+        combined as configured), which is what a checkpoint must
+        preserve: restore re-delivers in file order and the re-executed
+        superstep consumes inboxes as delivered.
         """
         for partition_id in range(self.num_partitions):
-            view = self.load_partition(partition_id)
-            for target in view.targets():
-                for envelope in view.inbox(target):
-                    yield envelope.source, target, envelope.value
+            for target, inbox in self.load_partition(partition_id).items():
+                for source, value in zip(*inbox):
+                    yield source, target, value

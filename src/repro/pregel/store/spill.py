@@ -4,14 +4,15 @@
 
     <base>/pages/p<pid>.page       vertex page (BlockWriter segments)
     <base>/pages/p<pid>.page.idx   segment sidecar (offset length flags count)
-    <base>/runs/s<ss>/p<pid>-w<wid>.run   sorted message runs
+    <base>/runs/s<ss>/w<wid>.run   one worker's message runs (packed columns)
 
 and a byte-budgeted LRU of decoded :class:`PartitionPage` objects.
 Workers ``acquire`` a partition's page (pinning it for the duration of
-the partition's compute slice) and ``release`` it dirty; unpinned pages
-stay hot in the LRU until the budget forces a spill — so small graphs
-effectively keep today's all-in-memory behaviour while big ones cycle
-pages through disk.
+the partition's compute slice) and ``release`` it, dirty when the slice
+changed it; unpinned pages stay hot in the LRU until the budget forces
+a spill — so small graphs effectively keep today's all-in-memory
+behaviour while big ones cycle pages through disk, and a page nobody
+touched since it was last written is evicted without being rewritten.
 
 Under the process backend the store is *frozen* inside worker children:
 dirty pages are never written back (the children's spill directory is a
@@ -31,9 +32,10 @@ from repro.pregel.store.pages import (
     iter_frames,
 )
 from repro.pregel.store.runs import (
-    RunRouter,
+    RunOutbox,
     SpilledMessageStore,
     run_directory,
+    run_path,
 )
 from repro.simfs.writers import BlockWriter
 
@@ -95,6 +97,9 @@ class SpillStore:
         self.lock = threading.RLock()
         self.frozen = False
         self._cache = OrderedDict()
+        # Running total of the cached (unpinned) pages' ``nbytes``.
+        self._cached_bytes = 0
+        # partition id -> [page, pin count, dirtied by one of its pins]
         self._pins = {}
         self._summaries = {}
         self.pages_spilled = 0
@@ -130,12 +135,6 @@ class SpillStore:
         with self.lock:
             return len(self._cache) + len(self._pins)
 
-    def resident_bytes(self):
-        with self.lock:
-            return sum(page.nbytes for page in self._cache.values()) + sum(
-                page.nbytes for page, _count in self._pins.values()
-            )
-
     # -- page lifecycle ----------------------------------------------------
 
     def acquire(self, partition_id):
@@ -145,34 +144,46 @@ class SpillStore:
             if pinned is not None:
                 pinned[1] += 1
                 return pinned[0]
-            page = self._cache.pop(partition_id, None)
+            page = self._uncache(partition_id)
             if page is not None:
                 self.page_hits += 1
             else:
                 self.page_misses += 1
                 page = self._load_page(partition_id)
-            self._pins[partition_id] = [page, 1]
+            self._pins[partition_id] = [page, 1, False]
             return page
 
     def release(self, partition_id, dirty=False):
-        """Unpin; dirty pages refresh their summary and may spill later."""
+        """Unpin; a page released dirty refreshes its summary and will be
+        written when evicted, a page only read stays as clean as it was."""
         with self.lock:
             pinned = self._pins.get(partition_id)
             if pinned is None:
                 raise PregelError(
                     f"release of unpinned partition {partition_id}"
                 )
-            page, _count = pinned
             if dirty:
-                page.dirty = True
+                pinned[2] = True
             pinned[1] -= 1
             if pinned[1] > 0:
                 return
             del self._pins[partition_id]
-            if page.dirty:
+            page = pinned[0]
+            if pinned[2]:
+                page.dirty = True
                 self._refresh_summary(page)
-            self._cache[partition_id] = page
-            self._evict()
+            self._encache(page)
+
+    def _encache(self, page):
+        self._cache[page.partition_id] = page
+        self._cached_bytes += page.nbytes
+        self._evict()
+
+    def _uncache(self, partition_id):
+        page = self._cache.pop(partition_id, None)
+        if page is not None:
+            self._cached_bytes -= page.nbytes
+        return page
 
     def _refresh_summary(self, page):
         summary = self._summaries.setdefault(
@@ -184,23 +195,19 @@ class SpillStore:
         page.nbytes = _estimate_page_bytes(page.values, page.edges)
 
     def _evict(self):
-        if self.cache_bytes is None:
-            return
-        resident = sum(page.nbytes for page in self._cache.values())
-        if resident <= self.cache_bytes:
+        if self.cache_bytes is None or self._cached_bytes <= self.cache_bytes:
             return
         for partition_id in list(self._cache):
-            if resident <= self.cache_bytes:
+            if self._cached_bytes <= self.cache_bytes:
                 break
             page = self._cache[partition_id]
             if page.dirty and self.frozen:
                 # Children must not write the fork-shared spill area;
                 # dirty pages stay resident until collect_dirty().
                 continue
-            del self._cache[partition_id]
+            self._uncache(partition_id)
             if page.dirty:
                 self._write_page(page)
-            resident -= page.nbytes
 
     def _load_page(self, partition_id):
         path = self.page_path(partition_id)
@@ -273,7 +280,7 @@ class SpillStore:
                     shipped[partition_id] = (
                         page.values, page.edges, page.halted
                     )
-                    del self._cache[partition_id]
+                    self._uncache(partition_id)
             return shipped
 
     def replace_partition(self, partition_id, values, edges, halted):
@@ -288,10 +295,9 @@ class SpillStore:
                 raise PregelError(
                     f"replace_partition({partition_id}) while pinned"
                 )
-            self._cache.pop(partition_id, None)
+            self._uncache(partition_id)
             self._refresh_summary(page)
-            self._cache[partition_id] = page
-            self._evict()
+            self._encache(page)
 
     def install_run_file(self, path, data):
         """Install a child-shipped run file verbatim (parent, barrier)."""
@@ -317,13 +323,6 @@ class SpillStore:
             page.halted.pop(vertex_id, None)
         finally:
             self.release(partition_id, dirty=True)
-
-    def has_vertex(self, partition_id, vertex_id):
-        page = self.acquire(partition_id)
-        try:
-            return vertex_id in page.values
-        finally:
-            self.release(partition_id)
 
     def get_vertex_value(self, partition_id, vertex_id):
         page = self.acquire(partition_id)
@@ -371,17 +370,19 @@ class SpillStore:
 
     # -- runs --------------------------------------------------------------
 
-    def run_router(self, worker_id, superstep, partitioner, locations,
+    def run_outbox(self, worker_id, superstep, partitioner, locations,
                    deferred=False):
-        return RunRouter(
-            self.filesystem, self.base, worker_id, superstep, partitioner,
-            locations, lock=self.lock, deferred=deferred,
+        """The outbox whose run file ``superstep`` will deliver."""
+        return RunOutbox(
+            self.filesystem, run_path(self.base, superstep, worker_id),
+            partitioner, locations, lock=self.lock, deferred=deferred,
         )
 
-    def message_store(self, superstep, total_messages=0, combiner=None):
+    def message_store(self, superstep, **delivery):
+        """The store delivering ``superstep``'s sealed run files."""
         return SpilledMessageStore(
             self.filesystem, self.base, superstep, self.num_partitions,
-            total_messages=total_messages, combiner=combiner,
+            **delivery,
         )
 
     def clear_runs(self, superstep):

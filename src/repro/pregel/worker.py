@@ -39,13 +39,14 @@ class _WorkerServices(ComputeServices):
         # worker's edges back).
         self._worker.edges_dirty = True
 
-    # Emission goes into packed columns: point sends append to the
-    # target's typed column batch; a broadcast appends one compact
-    # ``(source, seq, value)`` record for the whole fan-out — unless this
-    # worker already mutated adjacency this superstep (``edges_dirty``),
-    # in which case the engine-side reverse index no longer matches the
-    # emit-time neighbor set and the fan-out is filed as explicit
-    # per-target entries instead.
+    # Emission goes into the worker's packed outbox (per-target column
+    # batches in memory, per-partition run columns on the spill plane). A
+    # broadcast appends one compact ``(source, seq, value)`` record for the
+    # whole fan-out — unless the outbox has no reverse index to expand it
+    # against (the spill plane), or this worker already mutated adjacency
+    # this superstep (``edges_dirty``) so the engine-side index no longer
+    # matches the emit-time neighbor set; then the fan-out is filed as
+    # explicit per-target entries instead.
 
     def emit(self, envelope):
         worker = self._worker
@@ -58,10 +59,11 @@ class _WorkerServices(ComputeServices):
         if not fan_out:
             return
         worker = self._worker
-        if worker.edges_dirty:
-            worker.outbox.add_broadcast_explicit(source, targets, value)
+        outbox = worker.outbox
+        if worker.edges_dirty or not outbox.compact_broadcasts:
+            outbox.add_broadcast_explicit(source, targets, value)
         else:
-            worker.outbox.add_broadcast(source, value, fan_out)
+            outbox.add_broadcast(source, value, fan_out)
         worker.messages_sent += fan_out
         worker.bytes_sent += fan_out * _estimate_bytes(value)
 
@@ -309,81 +311,34 @@ class Worker:
         return iter(self.values.items())
 
 
-class _SpillServices(_WorkerServices):
-    """Emission straight into the worker's run router.
-
-    No outbox exists under the spill plane: every send is routed
-    to its target partition's sorted run file immediately, so emission
-    memory stays bounded by the router's chunk buffer. Counters and byte
-    estimates match the in-memory services exactly.
-    """
-
-    def emit(self, envelope):
-        worker = self._worker
-        worker.router.add(envelope.source, envelope.target, envelope.value)
-        worker.messages_sent += 1
-        worker.bytes_sent += _estimate_bytes(envelope.value)
-
-    def emit_broadcast(self, source, targets, value):
-        worker = self._worker
-        router = worker.router
-        for target in targets:
-            router.add(source, target, value)
-        worker.messages_sent += len(targets)
-        worker.bytes_sent += len(targets) * _estimate_bytes(value)
-
-
 class SpilledWorker(Worker):
     """A worker whose vertex state lives in a partitioned spill store.
 
     Owns ``partitions_of_worker(worker_id)`` partitions and runs each
     superstep partition-at-a-time: pin the partition's page, load its
-    merged message inbox, point ``values``/``edges``/``halted`` at the
-    page's dicts, run the shared inner compute loop, release dirty. With
-    one partition per worker and a page cache large enough to hold it,
-    this degenerates to exactly the in-memory worker's behaviour —
-    identical compute order, identical aggregator fold order.
+    grouped message inbox, point ``values``/``edges``/``halted`` at the
+    page's dicts, run the shared inner compute loop, release — dirty
+    only if the slice ran a ``compute()``. With one partition per worker
+    and a page cache large enough to hold it, this degenerates to
+    exactly the in-memory worker's behaviour — identical compute order,
+    identical aggregator fold order. Every per-vertex accessor takes the
+    vertex's partition from the engine's location map.
     """
 
-    def __init__(self, worker_id, run_seed):
+    def __init__(self, worker_id, run_seed, store, partitioner, locations,
+                 deferred=False):
+        # The base dicts are never the source of truth here: they point
+        # at whichever page the worker is computing over.
         super().__init__(worker_id, run_seed)
-        self._services = _SpillServices(self)
-        self.outbox = None
-        self.store = None
-        self.spill_partitioner = None
-        self.locations = None
-        self.deferred_runs = False
-        self.router = None
-        self.messages_combined = 0
-        self._partitions = ()
-
-    def attach_spill(self, store, partitioner, locations, deferred=False):
-        """Bind this worker to the shared store (engine load time)."""
         self.store = store
         self.spill_partitioner = partitioner
         self.locations = locations
         self.deferred_runs = deferred
-        self._partitions = list(
-            partitioner.partitions_of_worker(self.worker_id)
-        )
-        # The base dicts are never the source of truth here.
-        self.values = {}
-        self.edges = {}
-        self.halted = {}
-
-    @property
-    def partitions(self):
-        return self._partitions
+        self.messages_combined = 0
+        self.inboxes_permuted = 0
+        self._partitions = list(partitioner.partitions_of_worker(worker_id))
 
     # -- superstep execution ----------------------------------------------
-
-    def prepare_superstep(self, aggregators):
-        # The spill plane has no outbox; emission always routes through
-        # the run router.
-        super().prepare_superstep(aggregators)
-        self.outbox = None
-        self.messages_combined = 0
-        self.router = None
 
     def run_superstep(
         self,
@@ -398,13 +353,17 @@ class SpilledWorker(Worker):
         from repro.pregel.computation import WorkerInfo
 
         store = self.store
-        self.router = store.run_router(
+        # The outbox is a run file named after the delivery superstep, so
+        # it is opened here rather than in prepare_superstep().
+        self.outbox = store.run_outbox(
             self.worker_id,
             superstep + 1,
             self.spill_partitioner,
             self.locations,
             deferred=self.deferred_runs,
         )
+        self.messages_combined = 0
+        self.inboxes_permuted = 0
         worker_info = WorkerInfo(
             self.worker_id, superstep, num_vertices, num_edges
         )
@@ -415,6 +374,7 @@ class SpilledWorker(Worker):
             self.values = page.values
             self.edges = page.edges
             self.halted = page.halted
+            calls_before = self.compute_calls
             try:
                 self._run_vertices(
                     computation, superstep, view, num_vertices, num_edges,
@@ -422,56 +382,52 @@ class SpilledWorker(Worker):
                 )
             finally:
                 self.messages_combined += view.eliminated
-                store.release(partition_id, dirty=True)
+                self.inboxes_permuted += view.permuted
+                # Vertex state changes only inside compute(): a slice
+                # with no active vertex leaves its page clean.
+                store.release(
+                    partition_id, dirty=self.compute_calls > calls_before
+                )
         computation.post_superstep(worker_info)
-        self.router.seal()
-
-    def outbox_envelopes(self):
-        # Sent messages live in run files, not an outbox; the debugger's
-        # emission views come from capture listeners, which observe sends
-        # through the compute context before they reach the router.
-        return []
+        self.outbox.seal()
 
     def collect_spill_state(self):
-        """Everything the process backend must ship back to the parent."""
-        router = self.router
+        """What the barrier needs from this step beyond the counters of
+        :class:`~repro.pregel.runtime.StepOutcome`; under the process
+        backend that includes the dirty pages and the sealed run file."""
         return {
-            "pages": self.store.collect_dirty(self._partitions),
-            "runs": router.shipped_files() if router is not None else [],
-            "routed": router.count if router is not None else 0,
-            "suspects": router.suspects if router is not None else set(),
-            "suspect_counts": (
-                router.suspect_counts if router is not None else {}
+            "pages": (
+                self.store.collect_dirty(self._partitions)
+                if self.deferred_runs else {}
             ),
+            "run": self.outbox.shipped_file(),
+            "suspect_counts": self.outbox.suspect_counts,
+            "pickle_fallbacks": self.outbox.pickle_fallbacks,
             "messages_combined": self.messages_combined,
+            "inboxes_permuted": self.inboxes_permuted,
         }
 
     # -- state access through the store ------------------------------------
 
     def load_vertex(self, vertex_id, value, edge_map):
         self.store.add_vertex(
-            self.spill_partitioner.partition_for(vertex_id),
-            vertex_id, value, edge_map,
+            self.locations[vertex_id], vertex_id, value, edge_map
         )
 
     def remove_vertex(self, vertex_id):
-        self.store.remove_vertex(
-            self.spill_partitioner.partition_for(vertex_id), vertex_id
-        )
+        self.store.remove_vertex(self.locations[vertex_id], vertex_id)
 
     def has_vertex(self, vertex_id):
-        return self.store.has_vertex(
-            self.spill_partitioner.partition_for(vertex_id), vertex_id
-        )
+        return self.locations.get(vertex_id) in self._partitions
 
     def get_vertex_value(self, vertex_id):
         return self.store.get_vertex_value(
-            self.spill_partitioner.partition_for(vertex_id), vertex_id
+            self.locations[vertex_id], vertex_id
         )
 
     def get_vertex_edges(self, vertex_id):
         return self.store.get_vertex_edges(
-            self.spill_partitioner.partition_for(vertex_id), vertex_id
+            self.locations[vertex_id], vertex_id
         )
 
     @property
@@ -497,8 +453,9 @@ class SpilledWorker(Worker):
         """Rewrite every owned partition from checkpoint dicts."""
         by_partition = {}
         for vertex_id in values:
-            partition_id = self.spill_partitioner.partition_for(vertex_id)
-            by_partition.setdefault(partition_id, []).append(vertex_id)
+            by_partition.setdefault(
+                self.locations[vertex_id], []
+            ).append(vertex_id)
         for partition_id in self._partitions:
             ids = by_partition.get(partition_id, ())
             self.store.replace_partition(

@@ -44,3 +44,8 @@ def test_bench_scale_gates(tmp_path):
     assert measured["compute_calls"] >= bench_scale.QUICK_VERTICES * 2
     assert measured["store_bytes_loaded"] > 0
     assert measured["peak_memory_bytes"] < measured["estimated_in_memory_bytes"]
+    # Timed untraced, so faster than the pass that measured the heap.
+    assert 0 < measured["wall_seconds"] < measured["traced_wall_seconds"]
+    ratio = report["throughput_ratio"]
+    assert ratio["spill_over_memory"] >= bench_scale.THROUGHPUT_RATIO_FLOOR
+    assert ratio["spill_calls_per_second"] == measured["calls_per_second"]

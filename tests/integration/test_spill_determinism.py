@@ -1,24 +1,30 @@
 """Out-of-core determinism: the spill plane changes nothing observable.
 
 The contract of the partitioned vertex/message store (ISSUE 8): for the
-same job, runs with ``store="spill"`` (paged vertex state, sorted
-per-partition message runs, merge-join delivery) and ``store="memory"``
-(plain dicts) must produce the same :class:`~repro.pregel.PregelResult`
-and byte-identical canonical trace digests — across backends, worker
-counts, and partition counts, with checkpoint/rollback recovery on the
-spilled layout included. If paging, run sorting, combiner-at-load, or
-barrier mutation resolution ever reorders or rewrites anything
-observable, a digest here splits.
+same job, runs with ``store="spill"`` (paged vertex state, per-worker
+message runs cut by partition, grouped and canonically ordered at
+partition load) and ``store="memory"`` (plain dicts) must produce the
+same :class:`~repro.pregel.PregelResult` and byte-identical canonical
+trace digests — across backends, worker counts, partition counts and
+graft-san delivery schedules, with checkpoint/rollback recovery on the
+spilled layout included. If paging, inbox ordering, permute- or
+combine-at-load, or barrier mutation resolution ever reorders or
+rewrites anything observable, a digest here splits.
 """
 
 import pytest
 
-from repro.algorithms import PageRank, ShortestPaths
-from repro.common.errors import PregelError
+from repro.algorithms import (
+    BuggyLabelPropagation,
+    LabelPropagation,
+    PageRank,
+    ShortestPaths,
+)
 from repro.datasets import load_dataset, make
 from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.trace import canonical_trace_digest
-from repro.pregel import MinCombiner, PregelEngine
+from repro.graph import to_undirected
+from repro.pregel import MessageCombiner, MinCombiner, PregelEngine
 from repro.pregel.permutation import PermutationSchedule
 
 from tests.integration.test_columnar_determinism import (
@@ -160,14 +166,48 @@ def test_auto_spills_only_above_the_ceiling():
     assert under._store is None
 
 
-def test_spill_rejects_delivery_schedule():
-    graph = load_dataset("web-BS", num_vertices=30, seed=11)
-    with pytest.raises(PregelError, match="delivery_schedule"):
-        PregelEngine(
-            lambda: PageRank(iterations=2), graph,
-            store="spill",
-            delivery_schedule=PermutationSchedule(seed=1),
+class KeepFirst(MessageCombiner):
+    """Deliberately order-sensitive: the fold keeps whichever message the
+    (permuted) inbox order put first."""
+
+    def combine(self, first, second):
+        return first
+
+
+#: name -> (factory, engine kwargs): an order-insensitive program, an
+#: order-sensitive one, and an order-sensitive combiner fold.
+SCHEDULE_JOBS = {
+    "label_prop": (lambda: LabelPropagation(iterations=4), {}),
+    "label_prop_buggy": (lambda: BuggyLabelPropagation(iterations=4), {}),
+    "sssp_keep_first": (lambda: ShortestPaths(0), {"combiner": KeepFirst()}),
+}
+
+
+@pytest.mark.parametrize("schedule", (0, 1, 2))
+@pytest.mark.parametrize("job", sorted(SCHEDULE_JOBS))
+def test_spill_matches_memory_under_delivery_schedule(job, schedule):
+    """graft-san's permutation reaches the spill plane: same shuffle of the
+    same canonical inbox, before the combiner fold, as the memory barrier."""
+    factory, kwargs = SCHEDULE_JOBS[job]
+    graph = to_undirected(load_dataset("web-BS", num_vertices=40, seed=3))
+    outcome = {}
+    for store, partitions in (("memory", None), ("spill", 8)):
+        run = debug_run(
+            factory, graph, CaptureAllActiveConfig(), job_id="san",
+            lint=False, seed=7, num_workers=2, max_supersteps=8, store=store,
+            num_partitions=partitions,
+            delivery_schedule=PermutationSchedule(schedule), **kwargs,
         )
+        assert run.ok, f"{store}: {run.failure}"
+        metrics = run.result.metrics
+        outcome[store] = (
+            canonical_trace_digest(run.session.filesystem, "san"),
+            dict(run.result.vertex_values),
+            metrics.total_inboxes_permuted,
+            metrics.total_messages_combined,
+        )
+    assert outcome["spill"] == outcome["memory"]
+    assert (outcome["spill"][2] > 0) == (schedule != 0)
 
 
 def test_spill_telemetry_is_reported():
@@ -191,3 +231,88 @@ def test_spill_telemetry_is_reported():
     metrics = run.result.metrics
     assert metrics.total_store_bytes_loaded > 0
     assert "spilled" in metrics.summary()
+
+
+class _RunFileProbe:
+    """Listener: the run files on disk after each barrier."""
+
+    def __init__(self):
+        self.files = []
+
+    def on_start(self, engine):
+        self._store = engine._store
+
+    def on_superstep_end(self, superstep, metrics):
+        self.files.append(
+            self._store.filesystem.glob_files("/spill/runs", suffix=".run")
+        )
+
+
+def test_plain_spill_run_builds_no_envelopes(monkeypatch):
+    """Values-first delivery: compute() reads value lists, checkpoints read
+    columns; an Envelope exists only once a debugger iterates an inbox.
+    And the runs of a superstep are one file per sending worker."""
+    from repro.pregel import CheckpointConfig
+    from repro.pregel.messages import Envelope
+    from repro.simfs import SimFileSystem
+
+    built = []
+    original = Envelope.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Envelope, "__new__", counting_new)
+    probe = _RunFileProbe()
+    kwargs = dict(
+        seed=7, num_workers=2, store="spill", num_partitions=8,
+        combiner=MinCombiner(),
+        checkpoint_config=CheckpointConfig(SimFileSystem(), every_n_supersteps=2),
+    )
+    result = PregelEngine(
+        lambda: PageRank(iterations=3), _graph(), listeners=[probe], **kwargs
+    ).run()
+    assert result.metrics.total_messages > 0
+    assert built == []
+    assert probe.files[:3] == [
+        [f"/spill/runs/s{s:05d}/w000.run", f"/spill/runs/s{s:05d}/w001.run"]
+        for s in (1, 2, 3)
+    ]
+    assert probe.files[3] == []     # the last superstep sent nothing
+
+    run = debug_run(
+        lambda: PageRank(iterations=3), _graph(), CaptureAllActiveConfig(),
+        job_id="envelopes", lint=False, **kwargs,
+    )
+    assert run.ok and built
+
+
+def test_clean_pages_stay_clean_under_a_one_page_cache():
+    """A converged tail: SSSP down a chain wakes one vertex per superstep,
+    so one partition computes and the others must not be rewritten when
+    the one-page cache evicts them."""
+    from repro.graph import GraphBuilder
+
+    chain = GraphBuilder().path(*range(12)).build()
+    kwargs = dict(job_id="tail", lint=False, seed=7, num_workers=1)
+    memory = debug_run(
+        lambda: ShortestPaths(0), chain, CaptureAllActiveConfig(),
+        store="memory", **kwargs,
+    )
+    spill = debug_run(
+        lambda: ShortestPaths(0), chain, CaptureAllActiveConfig(),
+        store="spill", num_partitions=4, page_cache_bytes=1, **kwargs,
+    )
+    assert canonical_trace_digest(
+        spill.session.filesystem, "tail"
+    ) == canonical_trace_digest(memory.session.filesystem, "tail")
+    stats = spill.superstep_stats()
+    assert len(stats) == 12 and stats[0].compute_calls == 12
+    all_four_pages = stats[0].store_bytes_spilled   # superstep 0 computes everywhere
+    for step in stats[1:]:
+        assert step.compute_calls == 1
+        # Every page is still loaded to look for active vertices...
+        assert step.page_cache_misses == 4
+        # ...but only the one that computed is written back.
+        assert 0 < step.store_bytes_spilled < all_four_pages / 2

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.algorithms import GCMaster, GraphColoring, PageRank, RandomWalk
-from repro.common.errors import PregelError
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
+from repro.common.errors import CheckpointError, PregelError
 from repro.datasets import premade_graph
 from repro.graph import GraphBuilder
 from repro.pregel import CheckpointConfig, PregelEngine, WorkerFailure, run_computation
-from repro.pregel.checkpoint import latest_checkpoint_path
+from repro.pregel.checkpoint import latest_checkpoint_path, read_checkpoint
 from repro.simfs import SimFileSystem
 from tests.conftest import worker_crashes
 
@@ -152,6 +153,89 @@ class TestFailureRecovery:
         run_computation(lambda: PageRank(iterations=4), chain(), checkpoint_config=config)
         assert fs.is_dir("/ckpt-here")
         assert fs.total_bytes("/ckpt-here") > 0
+
+
+def _truncate(fs, path):
+    fs.truncate(path, fs.stat(path).size // 2)
+
+
+def _rewrite(fs, path, edit):
+    data = edit(fs.read_bytes(path))
+    fs.create(path, overwrite=True)
+    fs.append_bytes(path, data)
+
+
+def _flip_a_bit(fs, path):
+    def edit(data):
+        middle = len(data) // 2
+        return data[:middle] + bytes([data[middle] ^ 0x01]) + data[middle + 1:]
+
+    _rewrite(fs, path, edit)
+
+
+def _as_ckpt1(fs, path):
+    # A digest that verifies, under the retired magic.
+    _rewrite(fs, path, lambda data: data.replace(b"#CKPT2", b"#CKPT1", 1))
+
+
+def _strip_header(fs, path):
+    _rewrite(fs, path, lambda data: data.partition(b"\n")[2])
+
+
+DAMAGE = {
+    "truncated": _truncate,
+    "bit-flipped": _flip_a_bit,
+    "ckpt1-magic": _as_ckpt1,
+    "header-less": _strip_header,
+}
+
+
+class _DamageCheckpoint(FaultInjector):
+    """Worker 0 dies entering superstep 5, after the checkpoint that
+    resumes at superstep 4 was damaged on disk."""
+
+    def __init__(self, damage):
+        super().__init__(FaultPlan("damage", [
+            FaultSpec("worker_crash", superstep=5, worker_id=0),
+        ]))
+        self._damage = damage
+
+    def after_checkpoint(self, filesystem, path, superstep):
+        if superstep == 4:
+            self._damage(filesystem, path)
+
+
+class TestCheckpointIntegrity:
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_file_raises_checkpoint_error(self, fs, damage):
+        config = CheckpointConfig(fs, every_n_supersteps=2)
+        run_computation(
+            lambda: PageRank(iterations=3), chain(), checkpoint_config=config
+        )
+        path = latest_checkpoint_path(config)
+        assert fs.read_bytes(path).startswith(b"#CKPT2 sha256=")
+        assert read_checkpoint(config, path)["superstep"] == 4
+        DAMAGE[damage](fs, path)
+        with pytest.raises(CheckpointError):
+            read_checkpoint(config, path)
+
+    @pytest.mark.parametrize("store", ["memory", "spill"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_recovery_falls_back_to_the_older_checkpoint(self, fs, damage, store):
+        baseline = run_computation(lambda: PageRank(iterations=8), chain(8), seed=2)
+        recovered = run_computation(
+            lambda: PageRank(iterations=8), chain(8), seed=2,
+            num_workers=2, store=store,
+            checkpoint_config=CheckpointConfig(fs, every_n_supersteps=2),
+            fault_injector=_DamageCheckpoint(DAMAGE[damage]),
+        )
+        (event,) = recovered.metrics.recovery_events
+        assert event["restored_superstep"] == 2
+        assert [s["path"] for s in event["skipped_checkpoints"]] == [
+            "/checkpoints/superstep-000004.ckpt"
+        ]
+        assert recovered.metrics.checkpoints_skipped == 1
+        assert dict(recovered.vertex_values) == baseline.vertex_values
 
 
 class TestGraftUnderRecovery:

@@ -9,16 +9,17 @@ import pytest
 
 from repro.pregel.partition import HashPartitioner
 from repro.pregel.store import (
-    RunRouter,
+    RunOutbox,
     SpillStore,
+    SpilledMessageStore,
     decode_segment,
     encode_segment,
     iter_frames,
 )
 from repro.pregel.store.runs import (
-    decode_run,
-    encode_run,
-    iter_partition_triples,
+    decode_run_section,
+    read_directory,
+    run_path,
 )
 from repro.simfs.filesystem import SimFileSystem
 
@@ -76,45 +77,68 @@ class TestPageSegments:
 # -- run files ------------------------------------------------------------
 
 
-class TestRunFiles:
-    def test_run_round_trip_preserves_canonical_order(self):
-        triples = [(3, "b", 1.5), (1, "a", 0.5), (2, "a", -1.0)]
-        decoded = decode_run(encode_run(sorted(
-            triples, key=lambda t: (repr(t[1]), repr(t[0]))
-        )))
-        # Sorted by (repr(target), repr(source)).
-        assert decoded == [(1, "a", 0.5), (2, "a", -1.0), (3, "b", 1.5)]
+def _outbox(fs, worker_id, locations, partitions=1, **kwargs):
+    return RunOutbox(
+        fs, run_path("/spill", 1, worker_id),
+        HashPartitioner(1, num_partitions=partitions), locations, **kwargs,
+    )
 
-    def test_router_sorts_and_merge_join_is_global(self):
+
+class TestRunFiles:
+    def test_sections_round_trip_in_emission_order(self):
         fs = SimFileSystem()
-        partitioner = HashPartitioner(1, num_partitions=1)
+        outbox = _outbox(fs, 0, {"a": 0, "b": 1}, partitions=2)
+        for source, target, value in [(3, "b", 1.5), (1, "a", 0.5), (2, "a", -1.0)]:
+            outbox.add_point(source, target, value)
+        outbox.seal()
+        path = run_path("/spill", 1, 0)
+        sections = {
+            partition_id: decode_run_section(fs.read_range(path, offset, length))
+            for partition_id, offset, length in read_directory(fs, path)
+        }
+        # Cut by destination partition, unsorted: emission order survives.
+        assert sections == {
+            1: (["b"], [3], [1.5]),
+            0: (["a", "a"], [1, 2], [0.5, -1.0]),
+        }
+
+    def test_chunks_and_workers_deliver_in_canonical_order(self):
+        fs = SimFileSystem()
         locations = {i: 0 for i in range(10)}
-        # Two workers emit interleaved messages for the same partition.
+        # Two workers emit interleaved messages for the same partition,
+        # one message per chunk, so every section holds a single entry.
         for worker_id, pairs in ((0, [(5, 2), (1, 7)]), (1, [(3, 2), (0, 7)])):
-            router = RunRouter(
-                fs, "/spill", worker_id, superstep=1,
-                partitioner=partitioner, locations=locations,
-            )
+            outbox = _outbox(fs, worker_id, locations, chunk_entries=1)
             for source, target in pairs:
-                router.add(source, target, float(source))
-            router.seal()
-        merged = list(iter_partition_triples(fs, "/spill", 1, 0))
-        assert merged == [
-            (3, 2, 3.0), (5, 2, 5.0), (0, 7, 0.0), (1, 7, 1.0)
-        ]
+                outbox.add_point(source, target, float(source))
+            outbox.seal()
+            assert len(read_directory(fs, outbox.path)) == 2
+        view = SpilledMessageStore(fs, "/spill", 1, 1).load_partition(0)
+        assert view.inbox_values(2) == [3.0, 5.0]
+        assert view.inbox_values(7) == [0.0, 1.0]
+        assert view.inbox(7) == [(0, 7, 0.0), (1, 7, 1.0)]
+        assert len(view.incoming_view(2)) == 2
+
+    def test_a_silent_worker_writes_no_file(self):
+        fs = SimFileSystem()
+        outbox = _outbox(fs, 0, {})
+        outbox.seal()
+        assert not fs.exists(outbox.path)
+        assert outbox.shipped_file() is None
 
     def test_router_records_suspects_for_unknown_targets(self):
         fs = SimFileSystem()
-        partitioner = HashPartitioner(1, num_partitions=1)
-        router = RunRouter(
-            fs, "/spill", 0, superstep=1,
-            partitioner=partitioner, locations={1: 0},
-        )
-        router.add(1, "ghost", 1.0)
-        router.add(1, "ghost", 2.0)
-        router.seal()
-        assert "ghost" in router.suspects
-        assert router.suspect_counts["ghost"] == 2
+        outbox = _outbox(fs, 0, {1: 0})
+        outbox.add_point(1, "ghost", 1.0)
+        outbox.add_broadcast_explicit(1, ("ghost", 1), 2.0)
+        outbox.seal()
+        assert outbox.suspect_counts == {"ghost": 2}
+
+    def test_tuple_values_count_a_pickle_fallback(self):
+        outbox = _outbox(SimFileSystem(), 0, {1: 0})
+        outbox.add_point(1, 1, ("ping", 3))
+        outbox.seal()
+        assert outbox.pickle_fallbacks == 1
 
 
 # -- the LRU store --------------------------------------------------------
@@ -192,13 +216,13 @@ class TestSpillStore:
 
     def test_vertex_accessors(self):
         store = _loaded_store(num_partitions=2, entries_per=2)
-        assert store.has_vertex(1, 100)
         assert store.get_vertex_value(1, 100) == 100.0
         assert store.get_vertex_edges(1, 100) == {101: None}
         store.add_vertex(1, 999, 9.0, {})
         assert store.get_vertex_value(1, 999) == 9.0
         store.remove_vertex(1, 100)
-        assert not store.has_vertex(1, 100)
+        with pytest.raises(KeyError):
+            store.get_vertex_value(1, 100)
         assert store.num_vertices([1]) == 2  # -100, +999
 
     def test_iter_partition_preserves_arrival_order(self):
@@ -267,15 +291,15 @@ class TestSpilledMessageStore:
         builder = store.builder()
         builder.finish()
         partitioner = HashPartitioner(1, num_partitions=2)
-        locations = {i: 0 for i in range(6)}
-        router = store.run_router(0, 1, partitioner, locations)
+        locations = {i: partitioner.partition_for(i) for i in range(6)}
+        outbox = store.run_outbox(0, 1, partitioner, locations)
         for source, target, value in [
             (0, 1, 1.0), (2, 1, 2.0), (4, 3, 3.0), (0, 3, 4.0)
         ]:
-            router.add(source, target, value)
-        router.seal()
+            outbox.add_point(source, target, value)
+        outbox.seal()
         return store, store.message_store(
-            1, total_messages=router.count, combiner=combiner
+            1, total_messages=4, suspect_counts={1: 2}, combiner=combiner
         ), partitioner
 
     def test_load_partition_groups_by_target(self):
@@ -299,7 +323,9 @@ class TestSpilledMessageStore:
 
     def test_drop_target_suppresses_delivery(self):
         store, messages, partitioner = self._store_with_messages()
-        messages.drop_target(1, 2)
+        assert messages.missing_targets({3: 0}) == [1]
+        messages.drop_inbox(1)
+        assert messages.total_messages == 2
         view = messages.load_partition(partitioner.partition_for(1))
         assert view.inbox_values(1) == []
 
