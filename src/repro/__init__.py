@@ -35,10 +35,19 @@ Quickstart::
     print(run.generate_test_code(*run.reader.vertex_records[0].key))
 """
 
-from repro.analysis import AnalysisReport, analyze_computation
-from repro.graft import DebugConfig, DebugRun, debug_run
-from repro.graph import Graph, GraphBuilder
-from repro.pregel import Computation, MasterComputation, PregelEngine, run_computation
+from repro.common.lazy import lazy_exports
+
+TYPE_CHECKING = False
+
+if TYPE_CHECKING:
+    from repro.analysis import AnalysisReport, analyze_computation
+    from repro.graft.config import DebugConfig
+    from repro.graft.debug_run import DebugRun, debug_run
+    from repro.graph.builder import GraphBuilder
+    from repro.graph.graph import Graph
+    from repro.pregel.computation import Computation
+    from repro.pregel.engine import PregelEngine, run_computation
+    from repro.pregel.master import MasterComputation
 
 __version__ = "1.0.0"
 
@@ -56,3 +65,14 @@ __all__ = [
     "run_computation",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.analysis": ("AnalysisReport", "analyze_computation"),
+    "repro.graft.config": ("DebugConfig",),
+    "repro.graft.debug_run": ("DebugRun", "debug_run"),
+    "repro.graph.builder": ("GraphBuilder",),
+    "repro.graph.graph": ("Graph",),
+    "repro.pregel.computation": ("Computation",),
+    "repro.pregel.engine": ("PregelEngine", "run_computation"),
+    "repro.pregel.master": ("MasterComputation",),
+})

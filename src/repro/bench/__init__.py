@@ -8,14 +8,19 @@ no-debug), and :mod:`repro.bench.render` prints the tables and bar charts.
 The runnable entry points live in ``benchmarks/``.
 """
 
-from repro.bench.overhead import (
-    ExperimentSpec,
-    OverheadCell,
-    max_overhead_by_config,
-    run_overhead_grid,
-)
-from repro.bench.render import render_headlines, render_overhead_bars, render_table
-from repro.bench.sweep import SweepStats, repeat_timed
+from repro.common.lazy import lazy_exports
+
+TYPE_CHECKING = False
+
+if TYPE_CHECKING:
+    from repro.bench.overhead import (
+        ExperimentSpec,
+        OverheadCell,
+        max_overhead_by_config,
+        run_overhead_grid,
+    )
+    from repro.bench.render import render_headlines, render_overhead_bars, render_table
+    from repro.bench.sweep import SweepStats, repeat_timed
 
 __all__ = [
     "ExperimentSpec",
@@ -28,3 +33,14 @@ __all__ = [
     "SweepStats",
     "repeat_timed",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.bench.overhead": (
+        "ExperimentSpec", "OverheadCell", "max_overhead_by_config",
+        "run_overhead_grid",
+    ),
+    "repro.bench.render": (
+        "render_headlines", "render_overhead_bars", "render_table",
+    ),
+    "repro.bench.sweep": ("SweepStats", "repeat_timed"),
+})

@@ -1,7 +1,5 @@
 """Text rendering of benchmark outputs: tables and the Figure 7/8 bars."""
 
-from repro.bench.overhead import NO_DEBUG
-
 
 def render_table(headers, rows, title=None):
     """Fixed-width text table.
@@ -33,6 +31,9 @@ def render_overhead_bars(cells, bar_width=32, title=None):
     DebugConfig, scaled relative to the no-debug baseline (1.0), annotated
     with its normalized runtime and total capture count.
     """
+    # The CLI's tables must not load the experiment grid, and with it the engine.
+    from repro.bench.overhead import NO_DEBUG
+
     lines = []
     if title:
         lines.append(title)

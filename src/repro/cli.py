@@ -36,119 +36,99 @@ Exit status (documented for CI gating):
 import argparse
 import sys
 
-from repro.algorithms import (
-    BuggyGraphColoring,
-    BuggyLabelPropagation,
-    BuggyRandomWalk,
-    ConnectedComponents,
-    GCMaster,
-    GraphColoring,
-    KCore,
-    LabelPropagation,
-    MaximumWeightMatching,
-    PageRank,
-    RandomWalk,
-    ShortestPaths,
-    TriangleCount,
-)
-from repro.bench import render_table
-from repro.datasets import (
-    DEMO_DATASETS,
-    PERF_DATASETS,
-    load_dataset,
-    make,
-    premade_graph,
-    premade_menu,
-    random_symmetric_weights,
-)
-from repro.graft import DebugConfig, debug_run
-from repro.graph import compute_stats, to_undirected, validate_graph
-from repro.pregel import EXECUTOR_NAMES, run_computation
+#: name -> (description, computation factory builder[, engine kwargs builder]).
+#: The builders take the ``repro.algorithms`` module, which only
+#: :func:`_algorithm` imports: building the parser needs the names alone.
+_ALGORITHMS = {
+    "pagerank": (
+        "fixed-iteration PageRank",
+        lambda alg, args: (lambda: alg.PageRank(iterations=args.iterations)),
+    ),
+    "components": (
+        "connected components (HashMin)",
+        lambda alg, args: alg.ConnectedComponents,
+    ),
+    "sssp": (
+        "single-source shortest paths (source = first vertex)",
+        lambda alg, args: (lambda: alg.ShortestPaths(args.source)),
+    ),
+    "gc": (
+        "graph coloring by iterated MIS (paper GC, correct)",
+        lambda alg, args: alg.GraphColoring,
+        lambda alg: {"master": alg.GCMaster()},
+    ),
+    "gc-buggy": (
+        "graph coloring with the Scenario 4.1 MIS tie bug",
+        lambda alg, args: alg.BuggyGraphColoring,
+        lambda alg: {"master": alg.GCMaster()},
+    ),
+    "rw": (
+        "random walk simulation (paper RW, correct)",
+        lambda alg, args: (
+            lambda: alg.RandomWalk(steps=args.steps, initial_walkers=args.walkers)
+        ),
+    ),
+    "rw-buggy": (
+        "random walk with the Scenario 4.2 short-overflow bug",
+        lambda alg, args: (
+            lambda: alg.BuggyRandomWalk(
+                steps=args.steps, initial_walkers=args.walkers
+            )
+        ),
+    ),
+    "mwm": (
+        "approximate maximum-weight matching (paper MWM)",
+        lambda alg, args: alg.MaximumWeightMatching,
+    ),
+    "triangles": (
+        "triangle counting",
+        lambda alg, args: alg.TriangleCount,
+    ),
+    "kcore": (
+        "k-core decomposition (--k)",
+        lambda alg, args: (lambda: alg.KCore(args.k)),
+    ),
+    "label-prop": (
+        "label propagation communities (--iterations)",
+        lambda alg, args: (
+            lambda: alg.LabelPropagation(iterations=args.iterations)
+        ),
+    ),
+    "label-prop-buggy": (
+        "label propagation with a last-wins tie-break (order-sensitive)",
+        lambda alg, args: (
+            lambda: alg.BuggyLabelPropagation(iterations=args.iterations)
+        ),
+    ),
+}
 
 
-def _algorithm_registry():
-    """name -> (description, factory builder, engine kwargs builder)."""
-    return {
-        "pagerank": (
-            "fixed-iteration PageRank",
-            lambda args: (lambda: PageRank(iterations=args.iterations)),
-            lambda args: {},
-        ),
-        "components": (
-            "connected components (HashMin)",
-            lambda args: ConnectedComponents,
-            lambda args: {},
-        ),
-        "sssp": (
-            "single-source shortest paths (source = first vertex)",
-            lambda args: (lambda: ShortestPaths(args.source)),
-            lambda args: {},
-        ),
-        "gc": (
-            "graph coloring by iterated MIS (paper GC, correct)",
-            lambda args: GraphColoring,
-            lambda args: {"master": GCMaster()},
-        ),
-        "gc-buggy": (
-            "graph coloring with the Scenario 4.1 MIS tie bug",
-            lambda args: BuggyGraphColoring,
-            lambda args: {"master": GCMaster()},
-        ),
-        "rw": (
-            "random walk simulation (paper RW, correct)",
-            lambda args: (
-                lambda: RandomWalk(steps=args.steps, initial_walkers=args.walkers)
-            ),
-            lambda args: {},
-        ),
-        "rw-buggy": (
-            "random walk with the Scenario 4.2 short-overflow bug",
-            lambda args: (
-                lambda: BuggyRandomWalk(steps=args.steps, initial_walkers=args.walkers)
-            ),
-            lambda args: {},
-        ),
-        "mwm": (
-            "approximate maximum-weight matching (paper MWM)",
-            lambda args: MaximumWeightMatching,
-            lambda args: {},
-        ),
-        "triangles": (
-            "triangle counting",
-            lambda args: TriangleCount,
-            lambda args: {},
-        ),
-        "kcore": (
-            "k-core decomposition (--k)",
-            lambda args: (lambda: KCore(args.k)),
-            lambda args: {},
-        ),
-        "label-prop": (
-            "label propagation communities (--iterations)",
-            lambda args: (lambda: LabelPropagation(iterations=args.iterations)),
-            lambda args: {},
-        ),
-        "label-prop-buggy": (
-            "label propagation with a last-wins tie-break (order-sensitive)",
-            lambda args: (
-                lambda: BuggyLabelPropagation(iterations=args.iterations)
-            ),
-            lambda args: {},
-        ),
-    }
+def _algorithm(args):
+    """``(description, computation factory, engine kwargs)`` of ``--algorithm``."""
+    import repro.algorithms as alg
+
+    description, factory_builder, *kwargs_builder = _ALGORITHMS[args.algorithm]
+    kwargs = kwargs_builder[0](alg) if kwargs_builder else {}
+    return description, factory_builder(alg, args), _engine_kwargs(args, kwargs)
 
 
 def _build_graph(args):
+    from repro.graph.transforms import to_undirected
+
     if getattr(args, "input", None):
         from repro.graph.io import read_adjacency_file
 
         graph = read_adjacency_file(args.input, directed=not args.undirected)
     else:
+        from repro.datasets.registry import make
+
         graph = make(
             args.dataset, scale=getattr(args, "scale", "demo"),
             seed=args.seed, num_vertices=args.vertices,
         )
     if args.algorithm == "mwm":
+        from repro.datasets.generators import random_symmetric_weights
+
         graph = to_undirected(
             random_symmetric_weights(_materialized(graph), seed=args.seed)
         )
@@ -191,6 +171,10 @@ def _engine_kwargs(args, registry_kwargs):
 
 
 def cmd_datasets(args, out):
+    from repro.bench.render import render_table
+    from repro.datasets.registry import DEMO_DATASETS, PERF_DATASETS
+    from repro.graph.stats import compute_stats
+
     rows = []
     for spec in DEMO_DATASETS + PERF_DATASETS:
         graph = spec.generate(seed=args.seed)
@@ -217,6 +201,9 @@ def cmd_datasets(args, out):
 
 
 def cmd_premade(args, out):
+    from repro.bench.render import render_table
+    from repro.datasets.premade import premade_graph, premade_menu
+
     rows = []
     for name in premade_menu():
         graph = premade_graph(name)
@@ -227,15 +214,14 @@ def cmd_premade(args, out):
 
 
 def cmd_run(args, out):
-    registry = _algorithm_registry()
-    description, factory_builder, kwargs_builder = registry[args.algorithm]
+    from repro.pregel.engine import run_computation
+
+    description, factory, engine_kwargs = _algorithm(args)
     graph = _build_graph(args)
     out(f"running {args.algorithm} ({description}) on {args.dataset} "
         f"[{graph.num_vertices} vertices, {graph.num_edges} directed edges] "
         f"executor={args.executor} workers={args.workers}")
-    result = run_computation(
-        factory_builder(args), graph, **_engine_kwargs(args, kwargs_builder(args))
-    )
+    result = run_computation(factory, graph, **engine_kwargs)
     out(result.summary())
     if args.show_values:
         for vertex_id in list(result.vertex_values)[: args.show_values]:
@@ -243,64 +229,47 @@ def cmd_run(args, out):
     return 0
 
 
-class _CliDebugConfig(DebugConfig):
-    """DebugConfig assembled from command-line flags."""
-
-    def __init__(self, args):
-        self._args = args
-        self._ids = tuple(args.capture_ids or ())
-
-    def vertices_to_capture(self):
-        return self._ids
-
-    def num_random_vertices_to_capture(self):
-        return self._args.capture_random
-
-    def capture_neighbors_of_vertices(self):
-        return self._args.neighbors
-
-    def capture_all_active(self):
-        return self._args.capture_all_active
-
-    def should_capture_superstep(self, superstep):
-        return superstep >= self._args.from_superstep
-
-    def max_captures(self):
-        return self._args.max_captures
-
-
-class _CliDebugConfigWithMessages(_CliDebugConfig):
-    def message_value_constraint(self, message, source_id, target_id, superstep):
-        try:
-            return not (message < 0)
-        except TypeError:
-            return True
-
-
-class _CliDebugConfigWithValues(_CliDebugConfig):
-    def vertex_value_constraint(self, value, vertex_id, superstep):
-        try:
-            return not (value < 0)
-        except TypeError:
-            return True
-
-
-class _CliDebugConfigFull(_CliDebugConfigWithMessages):
-    def vertex_value_constraint(self, value, vertex_id, superstep):
-        try:
-            return not (value < 0)
-        except TypeError:
-            return True
+def _nonnegative(value):
+    try:
+        return not (value < 0)
+    except TypeError:
+        return True
 
 
 def _config_for(args):
-    if args.nonneg_messages and args.nonneg_values:
-        return _CliDebugConfigFull(args)
+    """The DebugConfig the command-line flags describe."""
+    from repro.graft.config import DebugConfig
+
+    class CliDebugConfig(DebugConfig):
+        def vertices_to_capture(self):
+            return tuple(args.capture_ids or ())
+
+        def num_random_vertices_to_capture(self):
+            return args.capture_random
+
+        def capture_neighbors_of_vertices(self):
+            return args.neighbors
+
+        def capture_all_active(self):
+            return args.capture_all_active
+
+        def should_capture_superstep(self, superstep):
+            return superstep >= args.from_superstep
+
+        def max_captures(self):
+            return args.max_captures
+
+    # DebugConfig checks exactly the constraints its subclass overrides.
     if args.nonneg_messages:
-        return _CliDebugConfigWithMessages(args)
+        CliDebugConfig.message_value_constraint = (
+            lambda self, message, source_id, target_id, superstep:
+            _nonnegative(message)
+        )
     if args.nonneg_values:
-        return _CliDebugConfigWithValues(args)
-    return _CliDebugConfig(args)
+        CliDebugConfig.vertex_value_constraint = (
+            lambda self, value, vertex_id, superstep: _nonnegative(value)
+        )
+    return CliDebugConfig()
 
 
 def _debug_status(run):
@@ -315,7 +284,7 @@ def _chaos_debug_kwargs(args, out):
     if not getattr(args, "chaos", None):
         return {}, None
     from repro.chaos import ChaosFileSystem, FaultInjector, load_fault_plan
-    from repro.pregel import CheckpointConfig
+    from repro.pregel.checkpoint import CheckpointConfig
 
     plan = load_fault_plan(args.chaos)
     injector = FaultInjector(plan)
@@ -336,9 +305,9 @@ def _chaos_debug_kwargs(args, out):
 
 def cmd_debug(args, out):
     from repro.chaos.faults import FaultPlanError
+    from repro.graft.debug_run import debug_run
 
-    registry = _algorithm_registry()
-    _description, factory_builder, kwargs_builder = registry[args.algorithm]
+    _description, factory, engine_kwargs = _algorithm(args)
     graph = _build_graph(args)
     try:
         chaos_kwargs, injector = _chaos_debug_kwargs(args, out)
@@ -346,12 +315,12 @@ def cmd_debug(args, out):
         out(f"debug: {exc}")
         return 1
     run = debug_run(
-        factory_builder(args),
+        factory,
         graph,
         _config_for(args),
         strict=args.strict,
         **chaos_kwargs,
-        **_engine_kwargs(args, kwargs_builder(args)),
+        **engine_kwargs,
     )
     out(run.summary())
     superstep_stats = run.superstep_stats()
@@ -560,6 +529,8 @@ def cmd_chaos(args, out):
     from repro.chaos.faults import FaultPlanError
 
     if args.chaos_command == "presets":
+        from repro.bench.render import render_table
+
         rows = [
             [plan.name, len(plan.faults), plan.description]
             for _name, plan in sorted(PRESET_PLANS.items())
@@ -570,20 +541,18 @@ def cmd_chaos(args, out):
         ))
         return 0
 
-    registry = _algorithm_registry()
-    description, factory_builder, kwargs_builder = registry[args.algorithm]
+    description, factory, kwargs = _algorithm(args)
     graph = _build_graph(args)
     try:
         plan = load_fault_plan(args.plan)
     except FaultPlanError as exc:
         out(f"chaos: {exc}")
         return 1
-    kwargs = _engine_kwargs(args, kwargs_builder(args))
     out(f"chaos-running {args.algorithm} ({description}) on {args.dataset} "
         f"[{graph.num_vertices} vertices] under plan {plan.name!r} "
         f"executor={args.executor} workers={args.workers}")
     report = run_chaos(
-        factory_builder(args),
+        factory,
         graph,
         plan,
         seed=kwargs.pop("seed"),
@@ -604,15 +573,13 @@ def cmd_san(args, out):
 
     from repro.graft.sanitizer import run_sanitizer
 
-    registry = _algorithm_registry()
-    description, factory_builder, kwargs_builder = registry[args.algorithm]
+    description, factory, kwargs = _algorithm(args)
     graph = _build_graph(args)
-    kwargs = _engine_kwargs(args, kwargs_builder(args))
     out(f"graft-san {args.algorithm} ({description}) on {args.dataset} "
         f"[{graph.num_vertices} vertices] schedules={args.schedules} "
         f"executor={args.executor} workers={args.workers}")
     report = run_sanitizer(
-        factory_builder(args),
+        factory,
         graph,
         schedules=args.schedules,
         seed=kwargs.pop("seed"),
@@ -632,9 +599,10 @@ def cmd_san(args, out):
 def cmd_trace(args, out):
     import json
 
+    from repro.bench.render import render_table
     from repro.common.errors import TraceError
     from repro.graft.trace import trace_stats
-    from repro.simfs import SimFileSystem
+    from repro.simfs.filesystem import SimFileSystem
 
     fs = SimFileSystem()
     try:
@@ -691,8 +659,8 @@ def cmd_trace(args, out):
 
 
 def cmd_serve(args, out):
-    from repro.serve import create_server
-    from repro.simfs import SimFileSystem
+    from repro.serve.app import create_server
+    from repro.simfs.filesystem import SimFileSystem
 
     fs = SimFileSystem()
     try:
@@ -723,8 +691,14 @@ def cmd_serve(args, out):
 
 
 def cmd_validate(args, out):
+    from repro.datasets.registry import load_dataset
+    from repro.graph.validation import validate_graph
+
     graph = load_dataset(args.dataset, seed=args.seed, num_vertices=args.vertices)
     if args.weighted:
+        from repro.datasets.generators import random_symmetric_weights
+        from repro.graph.transforms import to_undirected
+
         graph = to_undirected(random_symmetric_weights(graph, seed=args.seed))
     report = validate_graph(graph, expect_undirected=not graph.directed)
     out(f"{args.dataset}: {report.summary()}")
@@ -735,6 +709,8 @@ def cmd_validate(args, out):
 
 
 def build_parser():
+    from repro.pregel.runtime import EXECUTOR_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Graft (SIGMOD 2015) reproduction: Pregel engine + debugger",
@@ -749,7 +725,7 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--algorithm", required=True,
-                       choices=sorted(_algorithm_registry()))
+                       choices=sorted(_ALGORITHMS))
         p.add_argument("--input", default=None,
                        help="adjacency-list file to load instead of --dataset")
         p.add_argument("--undirected", action="store_true",

@@ -25,60 +25,70 @@ Master contexts are captured automatically every superstep, and the offline
 small-graph builder plus end-to-end test generation round out Section 3.4.
 """
 
-from repro.common.errors import StaticAnalysisError
-from repro.graft.combiner_check import CombinerCheckReport, check_combiner_safety
-from repro.graft.capture import (
-    ExceptionRecord,
-    MasterContextRecord,
-    VertexContextRecord,
-    Violation,
-)
-from repro.graft.config import (
-    CaptureAllActiveConfig,
-    DebugConfig,
-    standard_configs,
-)
-from repro.graft.constraint_library import (
-    BoundedValues,
-    DistinctNeighborValues,
-    MonotoneValues,
-    NonNegativeMessages,
-    NonNegativeValues,
-    NoSelfMessages,
-)
-from repro.graft.debug_run import DebugRun, GraftSession, debug_job, debug_run
-from repro.graft.diffing import DiffReport, Divergence, diff_runs
-from repro.graft.fidelity import FidelityReport, verify_run_fidelity
-from repro.graft.instrumenter import instrument
-from repro.graft.offline import OfflineGraphBuilder
-from repro.graft.sanitizer import (
-    FirstDivergence,
-    SanitizerReport,
-    order_insensitive_digest,
-    order_insensitive_lines,
-    run_sanitizer,
-)
-from repro.graft.reproducer import (
-    ReplayHarness,
-    ReplayOutcome,
-    ReplayReport,
-    generate_end_to_end_test,
-    generate_master_test_code,
-    generate_test_code,
-    replay_from_trace,
-    replay_record,
-)
-from repro.graft.trace import (
-    TRACE_FORMAT_V1,
-    TRACE_FORMAT_V2,
-    TraceReader,
-    TraceStore,
-    canonical_trace_digest,
-    canonical_trace_lines,
-    iter_canonical_trace_lines,
-    iter_file_records,
-    trace_stats,
-)
+from repro.common.lazy import lazy_exports
+
+TYPE_CHECKING = False
+
+# Eager on purpose: ``debug_run`` names both this function and its own
+# submodule, and importing the submodule would bind the *module* to the
+# attribute without ever asking ``__getattr__`` (see repro.common.lazy).
+from repro.graft.debug_run import debug_run
+
+if TYPE_CHECKING:
+    from repro.common.errors import StaticAnalysisError
+    from repro.graft.combiner_check import CombinerCheckReport, check_combiner_safety
+    from repro.graft.capture import (
+        ExceptionRecord,
+        MasterContextRecord,
+        VertexContextRecord,
+        Violation,
+    )
+    from repro.graft.config import (
+        CaptureAllActiveConfig,
+        DebugConfig,
+        standard_configs,
+    )
+    from repro.graft.constraint_library import (
+        BoundedValues,
+        DistinctNeighborValues,
+        MonotoneValues,
+        NonNegativeMessages,
+        NonNegativeValues,
+        NoSelfMessages,
+    )
+    from repro.graft.debug_run import DebugRun, GraftSession, debug_job
+    from repro.graft.diffing import DiffReport, Divergence, diff_runs
+    from repro.graft.fidelity import FidelityReport, verify_run_fidelity
+    from repro.graft.instrumenter import instrument
+    from repro.graft.offline import OfflineGraphBuilder
+    from repro.graft.sanitizer import (
+        FirstDivergence,
+        SanitizerReport,
+        order_insensitive_digest,
+        order_insensitive_lines,
+        run_sanitizer,
+    )
+    from repro.graft.reproducer import (
+        ReplayHarness,
+        ReplayOutcome,
+        ReplayReport,
+        generate_end_to_end_test,
+        generate_master_test_code,
+        generate_test_code,
+        replay_from_trace,
+        replay_record,
+    )
+    from repro.graft.trace import (
+        TRACE_FORMAT_V1,
+        TRACE_FORMAT_V2,
+        TraceReader,
+        TraceStore,
+        canonical_trace_digest,
+        canonical_trace_lines,
+        iter_canonical_trace_lines,
+        iter_file_records,
+        trace_stats,
+    )
 
 __all__ = [
     "StaticAnalysisError",
@@ -131,3 +141,40 @@ __all__ = [
     "iter_file_records",
     "trace_stats",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.common.errors": ("StaticAnalysisError",),
+    "repro.graft.capture": (
+        "ExceptionRecord", "MasterContextRecord", "VertexContextRecord",
+        "Violation",
+    ),
+    "repro.graft.combiner_check": (
+        "CombinerCheckReport", "check_combiner_safety",
+    ),
+    "repro.graft.config": (
+        "CaptureAllActiveConfig", "DebugConfig", "standard_configs",
+    ),
+    "repro.graft.constraint_library": (
+        "BoundedValues", "DistinctNeighborValues", "MonotoneValues",
+        "NonNegativeMessages", "NonNegativeValues", "NoSelfMessages",
+    ),
+    "repro.graft.debug_run": ("DebugRun", "GraftSession", "debug_job"),
+    "repro.graft.diffing": ("DiffReport", "Divergence", "diff_runs"),
+    "repro.graft.fidelity": ("FidelityReport", "verify_run_fidelity"),
+    "repro.graft.instrumenter": ("instrument",),
+    "repro.graft.offline": ("OfflineGraphBuilder",),
+    "repro.graft.reproducer": (
+        "ReplayHarness", "ReplayOutcome", "ReplayReport",
+        "generate_end_to_end_test", "generate_master_test_code",
+        "generate_test_code", "replay_from_trace", "replay_record",
+    ),
+    "repro.graft.sanitizer": (
+        "FirstDivergence", "SanitizerReport", "order_insensitive_digest",
+        "order_insensitive_lines", "run_sanitizer",
+    ),
+    "repro.graft.trace": (
+        "TRACE_FORMAT_V1", "TRACE_FORMAT_V2", "TraceReader", "TraceStore",
+        "canonical_trace_digest", "canonical_trace_lines",
+        "iter_canonical_trace_lines", "iter_file_records", "trace_stats",
+    ),
+})

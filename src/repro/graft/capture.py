@@ -19,6 +19,10 @@ import json
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, is_, itemgetter
 
+# Decoding a record needs every value type the library registers with the
+# codec: ``Violation`` and ``ExceptionRecord`` below, and the fixed-width
+# integers a trace written by another process may hold.
+import repro.pregel.value_types  # noqa: F401
 from repro.common.serialization import register_value_type
 
 # Capture reasons (the paper's five DebugConfig categories + all-active).

@@ -36,7 +36,6 @@ from repro.graft.capture import (
     Violation,
 )
 from repro.graft.trace import TraceReader, TraceStore
-from repro.pregel.engine import PregelEngine
 
 _JOB_COUNTER = itertools.count()
 
@@ -642,6 +641,7 @@ def debug_run(
     violations and fidelity checks.
     """
     from repro.graft.instrumenter import instrument
+    from repro.pregel.engine import PregelEngine
     from repro.simfs.filesystem import SimFileSystem
 
     lint_report = _preflight_lint(

@@ -18,8 +18,19 @@ terminal); the node-link view additionally renders Graphviz DOT and a
 self-contained HTML page.
 """
 
-from repro.graft.views.nodelink import NodeLinkView
-from repro.graft.views.tabular import TabularView
-from repro.graft.views.violations import ViolationsView
+from repro.common.lazy import lazy_exports
+
+TYPE_CHECKING = False
+
+if TYPE_CHECKING:
+    from repro.graft.views.nodelink import NodeLinkView
+    from repro.graft.views.tabular import TabularView
+    from repro.graft.views.violations import ViolationsView
 
 __all__ = ["NodeLinkView", "TabularView", "ViolationsView"]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.graft.views.nodelink": ("NodeLinkView",),
+    "repro.graft.views.tabular": ("TabularView",),
+    "repro.graft.views.violations": ("ViolationsView",),
+})

@@ -19,6 +19,9 @@ import hashlib
 from dataclasses import dataclass
 from itertools import islice
 
+# A checkpoint's vertex values go back through the codec, so the value
+# types the library registers with it are imported by this decoder.
+import repro.pregel.value_types  # noqa: F401
 from repro.common.errors import CheckpointError, PregelError
 from repro.common.serialization import default_codec
 from repro.pregel.messages import Envelope, MessageStore

@@ -19,10 +19,8 @@ packed ``array('d')``, ``int`` as ``array('q')``, fixed-width integers
 (:class:`~repro.pregel.value_types.Short16` and friends) as their wrapped
 ``int`` payloads plus a class tag, ``str`` as a compact list. A column
 that sees a second type, an overflowing int, or an arbitrary object
-degrades to a pickled fallback list — counted, never fatal. The numpy-free
-core uses only :mod:`array`/``memoryview``; when numpy is importable the
-decode path uses ``numpy.frombuffer`` as an accelerator, with identical
-results.
+degrades to a pickled fallback list — counted, never fatal. Columns are
+packed and unpacked with :mod:`array` alone.
 
 **Frames** (:func:`FrameBuilder` / :func:`parse_frame`): a frame is a
 sequence of length-prefixed sections — ``u32be payload_len | u8 kind |
@@ -62,11 +60,7 @@ from array import array
 
 from repro.common.errors import PregelError
 from repro.pregel.messages import BROADCAST_TARGET, Envelope, MessageStore
-
-try:  # pragma: no cover - exercised only where numpy is installed
-    import numpy as _np
-except Exception:  # noqa: BLE001 - numpy is strictly optional
-    _np = None
+from repro.pregel.value_types import Int32, Long64, Short16
 
 _U32BE = struct.Struct(">I")
 
@@ -95,11 +89,12 @@ META_EDGES_DIRTY = 1
 #: ``array`` typecodes for the id/seq columns (u32) and numeric payloads.
 _ID_TYPECODE = "I"
 
-# -- fixed-width payload codecs (registered by value_types at import) -----
+# -- fixed-width payload codecs -------------------------------------------
 
-#: Exact class -> (bits tag, to_int, from_int). Populated via
-#: :func:`register_fixed_width`; ``value_types`` registers Short16/Int32/
-#: Long64 so their wrapped payloads ride the integer column codec-free.
+#: Exact class <-> bits tag. Populated via :func:`register_fixed_width`;
+#: Short16/Int32/Long64 are registered below, by the module that decodes
+#: the tag, so a frame, page, run or checkpoint column written by another
+#: process always finds them.
 _FIXED_BY_CLASS = {}
 _FIXED_BY_BITS = {}
 
@@ -115,6 +110,13 @@ def register_fixed_width(cls, bits):
     _FIXED_BY_CLASS[cls] = bits
     _FIXED_BY_BITS[bits] = cls
     return cls
+
+
+# Batches of these ride an int64 column (the wrapped payload plus a width
+# tag) instead of per-object codec dispatch — the random-walk scenario's
+# Short16 counters ship packed like plain ints.
+for _cls in (Short16, Int32, Long64):
+    register_fixed_width(_cls, _cls.BITS)
 
 
 # =====================================================================
@@ -320,9 +322,6 @@ def decode_column(blob):
 
 
 def _decode_numeric(typecode, blob, offset):
-    if _np is not None:
-        dtype = "<f8" if typecode == "d" else "<i8"
-        return _np.frombuffer(blob, dtype=dtype, offset=offset).tolist()
     col = array(typecode)
     col.frombytes(blob[offset:])
     return col.tolist()
@@ -706,8 +705,11 @@ class ShmTransport:
         # forks: children then inherit the parent's tracker instead of
         # each spawning their own, so create (child) and unlink (parent)
         # land in the same tracker and nothing is reported leaked.
+        # ``shared_memory`` is imported here for the same reason: ``ship``
+        # runs in the children, and a module first imported after the fork
+        # is imported again by every worker of every superstep.
         try:  # pragma: no cover - absent on exotic platforms
-            from multiprocessing import resource_tracker
+            from multiprocessing import resource_tracker, shared_memory  # noqa: F401
 
             resource_tracker.ensure_running()
         except Exception:  # noqa: BLE001 - tracker is an optimization

@@ -13,10 +13,16 @@ efficiency: 1.0 means perfectly serial execution, ``num_workers`` means
 ideal speedup.
 """
 
+import sys
 import tracemalloc
 from dataclasses import dataclass, field, fields
 
 from repro.common.timing import format_duration
+
+try:
+    import resource
+except ImportError:  # non-POSIX platform
+    resource = None
 
 
 def sample_peak_memory():
@@ -33,13 +39,9 @@ def sample_peak_memory():
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         return peak
-    try:
-        import resource
-    except ImportError:  # non-POSIX platform
+    if resource is None:
         return 0
     # ru_maxrss is kilobytes on Linux, bytes on macOS.
-    import sys
-
     scale = 1 if sys.platform == "darwin" else 1024
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * scale
 

@@ -25,7 +25,6 @@ come from the batched message path rather than thread parallelism. See
 """
 
 import pickle
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.common.errors import PregelError
@@ -118,6 +117,11 @@ class ThreadBackend(ExecutionBackend):
     name = "threads"
 
     def __init__(self, max_workers):
+        # Loaded when a thread backend is built (it brings ``logging``
+        # with it): not by every engine import, nor on the first
+        # superstep's clock, where the pool itself is made.
+        import concurrent.futures  # noqa: F401
+
         if max_workers < 1:
             raise PregelError("threads backend needs max_workers >= 1")
         self._max_workers = max_workers
@@ -127,6 +131,8 @@ class ThreadBackend(ExecutionBackend):
         if len(steps) == 1:
             return [steps[0]()]
         if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
             self._pool = ThreadPoolExecutor(
                 max_workers=self._max_workers,
                 thread_name_prefix="pregel-worker",
@@ -169,7 +175,15 @@ class ProcessBackend(ExecutionBackend):
     transfers_state = True
 
     def __init__(self):
+        # What the superstep loop and its children use is imported when
+        # the backend is built: not on the first superstep's clock, and
+        # never first inside a forked worker, where every worker of every
+        # superstep would import it again.
         import multiprocessing
+        import multiprocessing.connection  # noqa: F401 - Pipe, Connection.send
+        import multiprocessing.popen_fork  # noqa: F401 - Process.start
+
+        import repro.pregel.columnar  # noqa: F401 - _child_main's release_frame
 
         try:
             self._ctx = multiprocessing.get_context("fork")

@@ -14,7 +14,6 @@ round-tripping through the trace codec.
 """
 
 from repro.common.serialization import register_value_type
-from repro.pregel.columnar import register_fixed_width
 
 
 def _wrap(value, bits):
@@ -162,11 +161,3 @@ class Long64(_FixedWidthInt):
 
     __slots__ = ()
     BITS = 64
-
-
-# Columnar fast path: batches of these ride an int64 column (the wrapped
-# payload plus a width tag) instead of per-object codec dispatch — the
-# random-walk scenario's Short16 counters ship packed like plain ints.
-register_fixed_width(Short16, Short16.BITS)
-register_fixed_width(Int32, Int32.BITS)
-register_fixed_width(Long64, Long64.BITS)

@@ -25,9 +25,14 @@ trace files at all.
 See docs/serve.md for the API table and caching semantics.
 """
 
-from repro.serve.app import DebugServer, create_server
-from repro.serve.pagination import decode_cursor, encode_cursor, paginate
-from repro.serve.sessions import ReaderPool, job_summary
+from repro.common.lazy import lazy_exports
+
+TYPE_CHECKING = False
+
+if TYPE_CHECKING:
+    from repro.serve.app import DebugServer, create_server
+    from repro.serve.pagination import decode_cursor, encode_cursor, paginate
+    from repro.serve.sessions import ReaderPool, job_summary
 
 __all__ = [
     "DebugServer",
@@ -38,3 +43,9 @@ __all__ = [
     "job_summary",
     "paginate",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    "repro.serve.app": ("DebugServer", "create_server"),
+    "repro.serve.pagination": ("decode_cursor", "encode_cursor", "paginate"),
+    "repro.serve.sessions": ("ReaderPool", "job_summary"),
+})

@@ -40,7 +40,9 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro.common.errors import GraftError, ReproError, TraceError
 from repro.common.serialization import default_codec
 from repro.graft.capture import vertex_field_names
-from repro.graft.views import NodeLinkView, TabularView, ViolationsView
+from repro.graft.views.nodelink import NodeLinkView
+from repro.graft.views.tabular import TabularView
+from repro.graft.views.violations import ViolationsView
 from repro.serve.pagination import PaginationError, paginate
 from repro.serve.profile import message_heatmap, worker_skew
 

@@ -12,7 +12,7 @@ must give, inbox for inbox, what the slow obvious path gives:
 
 from dataclasses import dataclass
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pregel import MessageCombiner
@@ -67,6 +67,18 @@ SENDS = st.lists(
 )
 
 
+def _total_key(message):
+    """A sort key no two distinct ``(source, target, value)`` share.
+
+    ``repr`` alone ties on distinct ids that print alike, and a stable
+    sort leaves ties in each store's own iteration order.
+    """
+    return [
+        (repr(part), type(part).__name__, getattr(part, "tag", None))
+        for part in message
+    ]
+
+
 @given(
     sends=SENDS,
     located=st.dictionaries(IDS, st.integers(0, PARTITIONS - 1), max_size=12),
@@ -74,6 +86,19 @@ SENDS = st.lists(
     chunk_entries=st.integers(1, 6),
     combine=st.booleans(),
     values_only=st.booleans(),
+)
+# Two targets that print alike, the second located so that the two stores
+# walk them in opposite orders: a ``repr``-keyed comparison of the
+# checkpoint messages failed here with every inbox delivered right.
+@example(
+    sends=[(0, 0, Tagged("x", 0), 0.0), (0, 0, Tagged("x", 1), 0.0)],
+    located={Tagged("x", 1): 0},
+    dropped=set(), chunk_entries=1, combine=False, values_only=False,
+)
+@example(
+    sends=[(0, 0, Tagged("1", 0), 0.0), (0, 0, 1, 0.0)],
+    located={1: 0},
+    dropped=set(), chunk_entries=1, combine=False, values_only=False,
 )
 @settings(max_examples=150, deadline=None)
 def test_column_runs_deliver_the_oracle_inboxes(
@@ -136,6 +161,8 @@ def test_column_runs_deliver_the_oracle_inboxes(
     assert {t: repr(inbox) for t, inbox in delivered.items()} == {
         t: repr(inbox) for t, inbox in expected.items()
     }
-    assert sorted(spilled.iter_checkpoint_messages(), key=repr) == sorted(
-        oracle.iter_checkpoint_messages(), key=repr
+    # Per-target order was compared inbox for inbox above; what is left to
+    # check is that the checkpoint holds the same multiset of messages.
+    assert sorted(spilled.iter_checkpoint_messages(), key=_total_key) == sorted(
+        oracle.iter_checkpoint_messages(), key=_total_key
     )
