@@ -168,9 +168,6 @@ class InstrumentedComputation(Computation):
                 )
 
     def _build_record(self, ctx, value_before, edges_before, reasons, violations):
-        # The inbox is immutable during compute(), so the incoming list can
-        # be materialized lazily here — only captured vertices pay for it.
-        incoming = [(e.source, e.value) for e in ctx.message_envelopes()]
         return VertexContextRecord(
             vertex_id=ctx.vertex_id,
             superstep=ctx.superstep,
@@ -179,7 +176,9 @@ class InstrumentedComputation(Computation):
             edges_before=(
                 edges_before if edges_before is not None else ctx.edges_snapshot()
             ),
-            incoming=incoming,
+            # The inbox is immutable during compute(), so its pairs are
+            # read lazily here — only captured vertices pay for them.
+            incoming=ctx.incoming_messages(),
             aggregators=self._session.aggregator_snapshot(),
             num_vertices=ctx.num_vertices,
             num_edges=ctx.num_edges,

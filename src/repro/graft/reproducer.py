@@ -32,7 +32,6 @@ from repro.common.errors import AggregatorError, GraftError
 from repro.graft import codegen_templates
 from repro.graft.capture import MasterContextRecord, VertexContextRecord
 from repro.pregel.context import ComputeContext, ComputeServices
-from repro.pregel.messages import Envelope
 
 
 # -- replay services & harness ------------------------------------------------
@@ -59,8 +58,8 @@ class _ReplayServices(ComputeServices):
     def aggregate(self, name, contribution):
         self.aggregated.append((name, contribution))
 
-    def emit(self, envelope):
-        self.sent.append(envelope)
+    def emit(self, source, target, value):
+        self.sent.append((target, value))
 
     def request_add_vertex(self, vertex_id, value):
         self.added_vertices.append((vertex_id, value))
@@ -156,15 +155,11 @@ class ReplayHarness:
     def build_context(self):
         """The reconstructed :class:`~repro.pregel.ComputeContext`."""
         services = _ReplayServices(self.aggregators)
-        envelopes = [
-            Envelope(source=source, target=self.vertex_id, value=value)
-            for source, value in self.incoming
-        ]
         ctx = ComputeContext(
             vertex_id=self.vertex_id,
             value=self.value,
             edges=dict(self.edges),
-            incoming=envelopes,
+            incoming=self.incoming,
             superstep=self.superstep,
             num_vertices=self.num_vertices,
             num_edges=self.num_edges,

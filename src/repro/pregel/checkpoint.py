@@ -24,7 +24,7 @@ from itertools import islice
 import repro.pregel.value_types  # noqa: F401
 from repro.common.errors import CheckpointError, PregelError
 from repro.common.serialization import default_codec
-from repro.pregel.messages import Envelope, MessageStore
+from repro.pregel.messages import MessageStore
 from repro.simfs.writers import append_retrying
 
 #: First line of every checkpoint file: magic + integrity header. Reads
@@ -90,27 +90,11 @@ def _worker_payload(worker):
     }
 
 
-def _iter_messages(incoming):
-    """In-flight ``(source, target, value)`` triples in delivery order."""
-    iterator = getattr(incoming, "iter_checkpoint_messages", None)
-    if iterator is not None:
-        return iterator()
-    # Stores without the hook (e.g. the columnar store) expose the
-    # classic targets()/inbox() protocol; the inbox key is the
-    # authoritative target (shared broadcast envelopes carry a
-    # placeholder in their target field).
-    return (
-        (envelope.source, target, envelope.value)
-        for target in incoming.targets()
-        for envelope in incoming.inbox(target)
-    )
-
-
 def write_checkpoint(config, superstep, workers, aggregators, incoming, codec=None):
     """Serialize the full engine state for resuming at ``superstep``."""
     codec = codec or default_codec
     sources, targets, values = [], [], []
-    for source, target, value in _iter_messages(incoming):
+    for source, target, value in incoming.iter_checkpoint_messages():
         sources.append(source)
         targets.append(target)
         values.append(value)
@@ -170,10 +154,9 @@ def read_checkpoint(config, path, codec=None):
         raise CheckpointError(f"checkpoint {path!r} is missing required keys")
     store = MessageStore()
     messages = payload["messages"]
-    for source, target, value in zip(
+    store.deliver_columns(
         messages["sources"], messages["targets"], messages["values"]
-    ):
-        store.deliver(Envelope(source=source, target=target, value=value))
+    )
     return {
         "superstep": payload["superstep"],
         "aggregators": payload["aggregators"],

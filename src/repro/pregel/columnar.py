@@ -1,8 +1,8 @@
 """Columnar message batches and shared-memory transport (the in-memory data plane).
 
 ``BENCH_engine.json`` showed the processes backend losing to serial:
-every superstep pickled ~50k :class:`~repro.pregel.messages.Envelope`
-objects per worker across a pipe, plus the worker's entire state dicts.
+every superstep pickled ~50k message objects per worker across a pipe,
+plus the worker's entire state dicts.
 Following Pregelix's columnar discipline (Ammar & Özsu's cross-system
 analysis), this module moves the inter-worker data plane off the object
 heap: messages and vertex values cross process boundaries as *flat packed
@@ -33,7 +33,7 @@ into the run-global :class:`VertexInterner` (the interned dictionary
 column), which children inherit from the parent via fork, so id strings
 never travel at all.
 
-**Transport** (:class:`ShmTransport` / :class:`InlineTransport`): a frame
+**Transport** (:class:`ShmTransport`): a frame
 crosses the process boundary as one shared-memory block handoff; the
 parent attaches, copies, and unlinks at the barrier, so no segment
 outlives its superstep (the chaos harness asserts ``/dev/shm`` stays
@@ -42,11 +42,11 @@ barrier their live :class:`ColumnarOutbox`.
 
 Determinism
 -----------
-Canonical inbox order (:meth:`MessageStore.canonicalize
-<repro.pregel.messages.MessageStore.canonicalize>` over a worker-id-order
-merge) is a stable sort on ``repr(source)``; ties (equal reprs) fall back
-to merge position, i.e. ``(worker id, emission order)``. The columnar
-store reproduces exactly that order when it materializes an inbox —
+Canonical inbox order (worker outboxes merged in worker-id order, then
+each inbox sorted) is a stable sort on ``repr(source)``; ties (equal
+reprs) fall back to merge position, i.e. ``(worker id, emission order)``.
+``tests/reference_delivery.py`` states it the slow, obvious way. The
+columnar store reproduces exactly that order when it reads an inbox —
 broadcast expansion walks in-neighbor lists pre-sorted by ``(repr, worker,
 load order)`` and the general path sorts decorated entries by
 ``(repr(source), worker id, emission seq)`` — so canonical trace digests
@@ -59,7 +59,7 @@ import struct
 from array import array
 
 from repro.common.errors import PregelError
-from repro.pregel.messages import BROADCAST_TARGET, Envelope, MessageStore
+from repro.pregel.messages import IncomingView, MessageStore
 from repro.pregel.value_types import Int32, Long64, Short16
 
 _U32BE = struct.Struct(">I")
@@ -259,8 +259,8 @@ class ColumnBuilder:
     def values(self):
         """Decode the live column to a plain value list (no byte round-trip).
 
-        Used by same-address-space consumers (serial/threads barriers,
-        ``outbox_envelopes``) where encoding to bytes would be pure waste.
+        Used by same-address-space consumers (serial/threads barriers)
+        where encoding to bytes would be pure waste.
         """
         kind = self.kind
         if kind == COL_EMPTY:
@@ -428,25 +428,6 @@ class ColumnarOutbox:
         """Packed batches held: per-target point batches + the bcast column."""
         return len(self.point) + (1 if self.bcast_sources else 0)
 
-    def envelopes(self, resolve_targets):
-        """Materialize every outgoing message as fully-addressed envelopes.
-
-        Debug/introspection only (``Worker.outbox_envelopes``): broadcast
-        records expand through ``resolve_targets(source)``. Emission order
-        is restored via the seq column.
-        """
-        items = []
-        for target, batch in self.point.items():
-            values = batch.column.values()
-            for source, seq, value in zip(batch.sources, batch.seqs, values):
-                items.append((seq, 0, Envelope(source, target, value)))
-        values = self.bcast_column.values()
-        for source, seq, value in zip(self.bcast_sources, self.bcast_seqs, values):
-            for order, target in enumerate(resolve_targets(source)):
-                items.append((seq, order, Envelope(source, target, value)))
-        items.sort(key=lambda item: (item[0], item[1]))
-        return [item[2] for item in items]
-
 
 # =====================================================================
 # Frames
@@ -553,7 +534,7 @@ def _add_state_sections(writer, worker, interner):
 
 
 class ParsedFrame:
-    """One worker's frame, decoded to plain columns (no envelopes).
+    """One worker's frame, decoded to plain columns.
 
     ``bcast`` is ``[(source_idx, seq, value)]``; ``point`` maps
     ``target_idx -> (source_idx list, seq list, value list)``; ``fallback``
@@ -672,21 +653,6 @@ def _parse_keyed_column(payload, interner, frame):
 # =====================================================================
 
 
-class InlineTransport:
-    """Frames travel as plain bytes (same address space, or pipe pickle)."""
-
-    name = "inline"
-
-    def ship(self, frame_bytes):
-        return ("bytes", frame_bytes)
-
-    def retrieve(self, handle):
-        return handle[1]
-
-    def release(self, handle):
-        """Nothing to free for inline frames."""
-
-
 class ShmTransport:
     """Frames cross the process boundary as shared-memory blocks.
 
@@ -695,7 +661,8 @@ class ShmTransport:
     attaches, copies the bytes out, closes, and **unlinks immediately** —
     a block never outlives the barrier that consumes it, so a run leaves
     ``/dev/shm`` exactly as it found it (the chaos harness checks).
-    Falls back to inline bytes when the platform refuses a segment.
+    Falls back to ``("bytes", frame)`` over the pipe when the platform
+    refuses a segment.
     """
 
     name = "shm"
@@ -794,11 +761,11 @@ class ColumnarRunState:
         interner = self.interner
         intern = interner.intern
         in_lists = {}
-        owner = {}
-        for worker_index, worker in enumerate(workers):
+        load_order = {}
+        for worker in workers:
             for source_id, edge_map in worker.edges.items():
                 s_idx = intern(source_id)
-                owner[s_idx] = worker_index
+                load_order[s_idx] = len(load_order)
                 for target in edge_map:
                     t_idx = intern(target)
                     lst = in_lists.get(t_idx)
@@ -807,12 +774,12 @@ class ColumnarRunState:
                     else:
                         lst.append(s_idx)
         # Canonical source order per inbox: (repr, owning worker, load
-        # order). Computed once as a global rank so per-list sorts are
-        # plain int sorts.
+        # order) — compute order, so equal reprs tie by emission. Computed
+        # once as a global rank so per-list sorts are plain int sorts.
         reprs = interner.reprs
         order = sorted(
             range(len(reprs)),
-            key=lambda i: (reprs[i], owner.get(i, -1), i),
+            key=lambda i: (reprs[i], load_order.get(i, -1)),
         )
         rank = [0] * len(reprs)
         for position, idx in enumerate(order):
@@ -835,9 +802,9 @@ class ColumnarRunState:
         """Adjacency changed: rebuild the reverse index before next use.
 
         The engine calls this whenever a barrier applied explicit vertex
-        mutations or a worker reported ``edges_dirty``. A barrier with
-        vertex mutations also *materializes* its outgoing store to
-        envelopes first, so no compact broadcast record ever expands
+        mutations or a worker reported ``edges_dirty``. A rebuild makes
+        fresh dicts, and a :class:`ColumnarMessageStore` pins the ones it
+        was built under, so no compact broadcast record ever expands
         against an index newer than its emit-time adjacency.
         """
         self._stale = True
@@ -853,30 +820,6 @@ class ColumnarRunState:
 # =====================================================================
 
 
-class IncomingView:
-    """Lazy per-vertex inbox view handed to :class:`ComputeContext`.
-
-    Compute itself receives raw values (``inbox_values``); envelopes are
-    materialized only if a debugger actually iterates this view
-    (``ctx.message_envelopes()``), so the fast path never allocates them.
-    """
-
-    __slots__ = ("_store", "_target")
-
-    def __init__(self, store, target):
-        self._store = store
-        self._target = target
-
-    def __iter__(self):
-        return iter(self._store.inbox(self._target))
-
-    def __len__(self):
-        return len(self._store.inbox_values(self._target))
-
-    def __bool__(self):
-        return bool(self._store.inbox_values(self._target))
-
-
 class ColumnarMessageStore:
     """One superstep's messages, kept packed until a vertex reads them.
 
@@ -885,12 +828,12 @@ class ColumnarMessageStore:
     worker-id order**. Messages live as:
 
     - ``_bcast``: source idx -> ``[(worker_id, seq, value)]`` compact
-      broadcast records, expanded per receiver against the run state's
-      reverse-adjacency index;
+      broadcast records, expanded per receiver against the reverse-
+      adjacency index they were emitted under;
     - ``_point``: target id -> ``[(worker_id, seq, source_id, value)]``.
 
-    Inboxes materialize lazily and memoize. Under the process backend the
-    consumers are next superstep's forked children, so the per-message
+    Value lists materialize lazily and memoize. Under the process backend
+    the consumers are next superstep's forked children, so the per-message
     expansion work lands on the worker side of the fence — parallel where
     the hardware allows — instead of in the parent's serial barrier.
 
@@ -901,12 +844,20 @@ class ColumnarMessageStore:
     decorates and sorts by the triple explicitly.
     """
 
+    #: A packed store is unpermuted and uncombined (see :meth:`settled`).
+    eliminated = 0
+    permuted = 0
+
     def __init__(self, run_state):
-        self._rs = run_state
+        self._interner = run_state.interner
+        # Pinned, not read through ``run_state``: inboxes are read one
+        # superstep after emission, by which time a sender that rewired
+        # its edges has had the index rebuilt from post-mutation adjacency.
+        self._in_lists = run_state.in_lists
+        self._missing_out = run_state.missing_out
         self._bcast = {}
         self._point = {}
         self._values_cache = {}
-        self._envelope_cache = {}
         self.total_messages = 0
 
     # -- absorption (parent, worker-id order) -------------------------
@@ -921,7 +872,7 @@ class ColumnarMessageStore:
                 bcast[s_idx] = [(wid, seq, value)]
             else:
                 lst.append((wid, seq, value))
-        ids = self._rs.interner.ids
+        ids = self._interner.ids
         point = self._point
         for t_idx, (sources, seqs, values) in frame.point.items():
             target = ids[t_idx]
@@ -940,7 +891,7 @@ class ColumnarMessageStore:
 
     def absorb_outbox(self, worker_id, outbox):
         """Merge one worker's live outbox (same-address-space backends)."""
-        index = self._rs.interner.index
+        index = self._interner.index
         bcast = self._bcast
         for source, seq, value in zip(
             outbox.bcast_sources, outbox.bcast_seqs,
@@ -966,10 +917,10 @@ class ColumnarMessageStore:
     # -- inbox materialization ----------------------------------------
 
     def _in_list(self, target):
-        t_idx = self._rs.interner.index.get(target)
+        t_idx = self._interner.index.get(target)
         if t_idx is None:
             return ()
-        return self._rs.in_lists.get(t_idx, ())
+        return self._in_lists.get(t_idx, ())
 
     def inbox_values(self, target):
         """Message values for ``target`` in canonical order (memoized)."""
@@ -979,14 +930,12 @@ class ColumnarMessageStore:
         point = self._point.get(target)
         bcast = self._bcast
         if point is None:
-            if not bcast:
-                values = []
-            else:
-                # Pure broadcast fan-in: in-neighbors are pre-sorted by
-                # (repr, worker, load order) and each source's records
-                # are already in (worker, seq) order, so concatenation
-                # IS canonical order — no sort, no Envelope objects.
-                values = []
+            # Pure broadcast fan-in: in-neighbors are pre-sorted by
+            # (repr, worker, load order) and each source's records are
+            # already in (worker, seq) order, so concatenation IS
+            # canonical order — no sort, no sources.
+            values = []
+            if bcast:
                 append = values.append
                 get = bcast.get
                 for s_idx in self._in_list(target):
@@ -999,56 +948,46 @@ class ColumnarMessageStore:
         self._values_cache[target] = values
         return values
 
-    def inbox(self, target):
-        """Envelopes for ``target`` in canonical order (memoized).
-
-        Only debug-facing readers (Graft capture, checkpoints) pay for the
-        envelope objects; broadcast-derived envelopes carry the
-        :data:`~repro.pregel.messages.BROADCAST_TARGET` placeholder in
-        their target field.
-        """
-        cached = self._envelope_cache.get(target)
-        if cached is not None:
-            return cached
+    def _columns(self, target):
+        """``(sources, values)`` for ``target`` in canonical order."""
         point = self._point.get(target)
         if point is None:
-            interner = self._rs.interner
-            ids = interner.ids
-            envelopes = []
-            append = envelopes.append
+            ids = self._interner.ids
+            sources, values = [], []
             get = self._bcast.get
             for s_idx in self._in_list(target):
                 lst = get(s_idx)
                 if lst is not None:
-                    source = ids[s_idx]
-                    for record in lst:
-                        append(Envelope(source, BROADCAST_TARGET, record[2]))
+                    sources += [ids[s_idx]] * len(lst)
+                    values += [record[2] for record in lst]
         else:
-            envelopes = [
-                Envelope(
-                    entry[3],
-                    BROADCAST_TARGET if entry[5] else target,
-                    entry[4],
-                )
-                for entry in self._decorated(target, point)
-            ]
-        self._envelope_cache[target] = envelopes
-        return envelopes
+            entries = self._decorated(target, point)
+            sources = [entry[3] for entry in entries]
+            values = [entry[4] for entry in entries]
+        return sources, values
+
+    def inbox(self, target):
+        """``(source, value)`` pairs for ``target`` in canonical order.
+
+        Only debugger-facing readers (Graft capture, through the
+        :class:`~repro.pregel.messages.IncomingView`) ask for them.
+        """
+        return list(zip(*self._columns(target)))
 
     def _decorated(self, target, point):
         """Mixed point+broadcast entries decorated and sorted canonically.
 
-        Each entry is ``(repr(source), worker_id, seq, source, value,
-        from_broadcast)``; sorting by the first three fields reproduces the
-        reference stable repr-sort over worker-merge order exactly.
+        Each entry is ``(repr(source), worker_id, seq, source, value)``;
+        sorting by the first three fields reproduces the reference stable
+        repr-sort over worker-merge order exactly.
         """
         entries = [
-            (repr(source), wid, seq, source, value, False)
+            (repr(source), wid, seq, source, value)
             for wid, seq, source, value in point
         ]
         bcast = self._bcast
         if bcast:
-            interner = self._rs.interner
+            interner = self._interner
             ids = interner.ids
             reprs = interner.reprs
             for s_idx in self._in_list(target):
@@ -1057,9 +996,7 @@ class ColumnarMessageStore:
                     source_repr = reprs[s_idx]
                     source = ids[s_idx]
                     for wid, seq, value in lst:
-                        entries.append(
-                            (source_repr, wid, seq, source, value, True)
-                        )
+                        entries.append((source_repr, wid, seq, source, value))
         entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
         return entries
 
@@ -1088,15 +1025,15 @@ class ColumnarMessageStore:
     def targets(self):
         """All vertex ids with at least one message, sorted by repr.
 
-        Full-materialization consumers only (checkpoint writes). The
-        broadcast side is recovered by scanning the reverse index for
-        in-neighbors that broadcast this superstep.
+        Full-materialization consumers only (:meth:`settled`, checkpoint
+        writes). The broadcast side is recovered by scanning the reverse
+        index for in-neighbors that broadcast this superstep.
         """
         targets = set(self._point)
         if self._bcast:
-            ids = self._rs.interner.ids
+            ids = self._interner.ids
             bcast = self._bcast
-            for t_idx, sources in self._rs.in_lists.items():
+            for t_idx, sources in self._in_lists.items():
                 for s_idx in sources:
                     if s_idx in bcast:
                         targets.add(ids[t_idx])
@@ -1116,55 +1053,32 @@ class ColumnarMessageStore:
             if target not in locations:
                 missing.add(target)
         if self._bcast:
-            missing_out = self._rs.missing_out
+            missing_out = self._missing_out
             for s_idx in self._bcast:
                 for target in missing_out.get(s_idx, ()):
                     if target not in locations:
                         missing.add(target)
         return missing
 
-    def to_message_store(self):
-        """Materialize everything into a plain envelope MessageStore.
+    def iter_checkpoint_messages(self):
+        """``(source, target, value)`` for every in-flight message, targets
+        repr-sorted, each inbox in canonical order."""
+        for target in self.targets():
+            for source, value in zip(*self._columns(target)):
+                yield source, target, value
 
-        The slow-path escape hatch for barriers that permute inboxes,
-        mutate the graph, or drop messages: the resulting store holds
-        every inbox in canonical order, targets repr-sorted, so
-        permutation/mutation/drop logic needs no columnar cases.
+    def settled(self, superstep, schedule, combiner):
+        """Every inbox as columns in a :class:`MessageStore`, settled.
+
+        What a barrier that permutes, combines, mutates the graph or
+        drops inboxes works on: the result holds each inbox in canonical
+        order, targets repr-sorted, then permuted by ``schedule`` and
+        folded by ``combiner`` for delivery at ``superstep`` — the same
+        :meth:`MessageStore.settle` the spill plane runs on each
+        partition it loads.
         """
         store = MessageStore()
-        by_target = store._by_target
-        total = 0
         for target in self.targets():
-            envelopes = list(self.inbox(target))
-            if envelopes:
-                by_target[target] = envelopes
-                total += len(envelopes)
-        store.total_messages = total
-        return store
-
-    def combine_into(self, combiner):
-        """Fold every inbox on its packed value column.
-
-        Returns ``(envelope MessageStore, messages_eliminated)``. Folds
-        run over raw value lists in canonical order — no per-message
-        envelope is ever built — and single-message inboxes keep their
-        original source envelope, matching
-        :meth:`~repro.pregel.messages.MessageStore.combine`.
-        """
-        store = MessageStore()
-        by_target = store._by_target
-        eliminated = 0
-        total = 0
-        for target in self.targets():
-            values = self.inbox_values(target)
-            if not values:
-                continue
-            if len(values) == 1:
-                by_target[target] = list(self.inbox(target))
-            else:
-                folded = combiner.fold_column(values)
-                by_target[target] = [Envelope(None, target, folded)]
-                eliminated += len(values) - 1
-            total += 1
-        store.total_messages = total
-        return store, eliminated
+            sources, values = self._columns(target)
+            store.deliver_columns(sources, [target] * len(values), values)
+        return store.settle(superstep, schedule, combiner)

@@ -21,14 +21,13 @@ class MessageCombiner:
         raise NotImplementedError
 
     def fold_column(self, values):
-        """Fold a whole inbox's value column (non-empty, canonical order).
+        """Fold a whole inbox's value column (non-empty, delivery order).
 
-        The barrier hands the packed value list straight here, so an inbox
-        combines without ever materializing envelopes. The default left
-        fold is byte-identical to :meth:`MessageStore.combine
-        <repro.pregel.messages.MessageStore.combine>`'s pairwise
-        :meth:`combine`; subclasses may override with a C-speed reduction
-        as long as the result is exactly equal.
+        :meth:`MessageStore.settle
+        <repro.pregel.messages.MessageStore.settle>` hands the value list
+        straight here on both planes. The default is the left fold of
+        pairwise :meth:`combine`; subclasses may override with a C-speed
+        reduction as long as the result is exactly equal.
         """
         folded = values[0]
         for value in values[1:]:

@@ -17,7 +17,8 @@ class Computation:
 
         ``ctx`` is a :class:`~repro.pregel.ComputeContext`; ``messages`` is
         the list of message *values* received from the previous superstep
-        (Giraph's view). Use ``ctx.message_envelopes()`` to see sources.
+        (Giraph's view). ``ctx.incoming_messages()`` returns them as
+        ``(source, value)`` pairs — the debugger-facing view.
         """
         raise NotImplementedError
 

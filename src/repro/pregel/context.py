@@ -25,14 +25,13 @@ from typing import NamedTuple
 
 from repro.common.errors import PregelError
 from repro.common.rng import derive_rng
-from repro.pregel.messages import Envelope
 
 
 class _BroadcastSend(NamedTuple):
     """Compact sent-message record for one broadcast fan-out.
 
-    The fast broadcast path must not allocate one envelope per neighbor
-    just for bookkeeping; it notes the value and a snapshot of the targets
+    The fast broadcast path must not allocate one pair per neighbor just
+    for bookkeeping; it notes the value and a snapshot of the targets
     instead, and :meth:`ComputeContext.sent_messages` expands it only when
     somebody (Graft's capture, the reproducer) actually reads the sends.
     """
@@ -52,20 +51,20 @@ class ComputeServices:
         """Fold a contribution into an aggregator."""
         raise NotImplementedError
 
-    def emit(self, envelope):
-        """Accept an outgoing message envelope."""
+    def emit(self, source, target, value):
+        """Accept one outgoing message."""
         raise NotImplementedError
 
     def emit_broadcast(self, source, targets, value):
         """Accept one value sent from ``source`` to every id in ``targets``.
 
-        Hosts may override this to route the whole fan-out with a single
-        shared envelope (the worker's broadcast fast path); the default
+        Hosts may override this to route the whole fan-out as a single
+        compact record (the worker's broadcast fast path); the default
         keeps simple hosts — like the Context Reproducer's replay services
         — working with only ``emit`` implemented.
         """
         for target in targets:
-            self.emit(Envelope(source=source, target=target, value=value))
+            self.emit(source, target, value)
 
     def request_add_vertex(self, vertex_id, value):
         """Request vertex creation at the coming barrier."""
@@ -88,7 +87,9 @@ class ComputeContext:
 
     Attributes populated by the call are inspected afterwards by the worker
     (and by Graft's instrumentation): ``sent_messages()``, ``halted``, and
-    the possibly-updated ``value``.
+    the possibly-updated ``value``. ``incoming`` is any iterable of
+    ``(source, value)`` pairs — a trace record's own ``incoming`` list, or
+    a store's lazy :class:`~repro.pregel.messages.IncomingView`.
     """
 
     def __init__(
@@ -172,8 +173,9 @@ class ComputeContext:
 
     # -- messages -----------------------------------------------------------
 
-    def message_envelopes(self):
-        """Incoming messages with their source ids (debugger-facing view)."""
+    def incoming_messages(self):
+        """Incoming messages as ``(source, value)`` pairs, in delivery
+        order (debugger-facing view; ``compute()`` gets the values)."""
         return list(self._incoming)
 
     def sent_messages(self):
@@ -190,21 +192,20 @@ class ComputeContext:
                 value = entry.value
                 sent.extend([(target, value) for target in entry.targets])
             else:
-                sent.append((entry.target, entry.value))
+                sent.append(entry)
         return sent
 
     def send_message(self, target, value):
         """Send a message for delivery in the next superstep."""
-        envelope = Envelope(source=self.vertex_id, target=target, value=value)
-        self._sends.append(envelope)
-        self._services.emit(envelope)
+        self._sends.append((target, value))
+        self._services.emit(self.vertex_id, target, value)
 
     def send_message_to_all_neighbors(self, value):
         """Send the same message along every outgoing edge.
 
         The fan-out is handed to the services as ``(source, targets,
-        value)`` so the host can route one shared envelope instead of
-        building one per neighbor.
+        value)`` so the host can route one compact record instead of
+        one message per neighbor.
         """
         targets = tuple(self._edges)
         self._sends.append(_BroadcastSend(value, targets))

@@ -54,7 +54,6 @@ from repro.pregel.aggregators import AggregatorRegistry
 from repro.pregel.columnar import (
     ColumnarMessageStore,
     ColumnarRunState,
-    InlineTransport,
     ShmTransport,
     build_frame,
     parse_frame,
@@ -299,21 +298,22 @@ class PregelEngine:
         self._checkpoint_config = checkpoint_config
         self._fault_injector = fault_injector
         # graft-san: a PermutationSchedule (or compatible object) that
-        # reorders canonicalized inboxes — at the barrier in memory, at
-        # partition load on the spill plane. Seeded from the run seed
-        # unless it carries its own.
+        # reorders canonical inboxes when they are settled — at the barrier
+        # in memory, at partition load on the spill plane. Seeded from the
+        # run seed unless it carries its own.
         self._delivery_schedule = (
             delivery_schedule.bind(seed)
             if delivery_schedule is not None
             else None
         )
-        # The in-memory plane's topology index and frame transport; the
-        # spill plane routes through run files and needs neither.
+        # The in-memory plane's topology index and, when steps run in
+        # other address spaces, its frame transport; the spill plane routes
+        # through run files and needs neither.
         self._run_state = None if spill else ColumnarRunState()
         self._transport = (
             ShmTransport()
             if not spill and self._backend.transfers_state
-            else InlineTransport()
+            else None
         )
         self._ran = False
         # Populated by run():
@@ -811,9 +811,9 @@ class PregelEngine:
         """The in-memory plane: absorb frames, keep messages packed.
 
         Messages stay as packed columns in a :class:`ColumnarMessageStore`
-        unless this barrier must permute inboxes (graft-san), mutate the
-        graph, or drop inboxes, in which case the store is materialized to
-        envelopes first (see ``docs/columnar.md`` for the fallback rules).
+        unless this barrier must permute, combine or drop inboxes or mutate
+        the graph, in which case the store is settled into ``(sources,
+        values)`` columns first (see "Settling" in ``docs/columnar.md``).
         """
         run_state = self._run_state
         transfers = self._backend.transfers_state
@@ -845,43 +845,27 @@ class PregelEngine:
             for outcome in outcomes
         )
         if any_dirty or mutating:
-            # The reverse index is stale for the *next* superstep. This
-            # superstep's compact broadcasts came only from clean workers,
-            # and a mutating barrier materializes below before it touches
-            # the graph, so expanding them against the old index is safe.
+            # The reverse index is stale for the *next* superstep; this
+            # superstep's store pinned the one its compact broadcasts
+            # (from clean workers only) were emitted under.
             run_state.invalidate()
-        if self._delivery_schedule is not None:
-            # graft-san: re-open the Pregel model's delivery-order freedom.
-            # Runs in the parent over the canonical materialized store, so
-            # the permutation is a pure function of (seed, schedule,
-            # superstep, target) — identical across backends and worker
-            # counts. The messages delivered here are consumed one
-            # superstep later.
-            outgoing = store.to_message_store()
-            superstep_metrics.inboxes_permuted = (
-                self._delivery_schedule.permute_store(
-                    outgoing, superstep_metrics.superstep + 1
-                )
+        schedule = self._delivery_schedule
+        combiner = self._combiner
+        # Settle in the parent, so a permutation is a pure function of
+        # (seed, schedule, superstep, target) whatever backend ran the
+        # workers; the messages are consumed one superstep later. With
+        # nothing left but Giraph's default resolver creating targets —
+        # new vertices have no edges — messages stay packed.
+        outgoing = (
+            store.settled(superstep_metrics.superstep + 1, schedule, combiner)
+            if schedule is not None or combiner is not None or mutating or (
+                self._on_message_to_missing == "drop"
+                and store.missing_targets(self._locations)
             )
-            if self._combiner is not None:
-                superstep_metrics.messages_combined = outgoing.combine(
-                    self._combiner
-                )
-        elif self._combiner is not None:
-            # Folds run on the packed value columns; the result is one
-            # envelope per inbox, i.e. an envelope store.
-            outgoing, eliminated = store.combine_into(self._combiner)
-            superstep_metrics.messages_combined = eliminated
-        elif mutating or (
-            self._on_message_to_missing == "drop"
-            and store.missing_targets(self._locations)
-        ):
-            outgoing = store.to_message_store()
-        else:
-            # Nothing left but Giraph's default resolver creating targets:
-            # new vertices have no edges, so the index stays valid and
-            # messages stay packed.
-            outgoing = store
+            else store
+        )
+        superstep_metrics.inboxes_permuted = outgoing.permuted
+        superstep_metrics.messages_combined = outgoing.eliminated
         self._apply_mutations(outcomes, outgoing)
         return outgoing
 
@@ -948,7 +932,7 @@ class PregelEngine:
             )
         # ``missing_targets`` sees the post-mutation graph on either plane.
         # A store still packed never has inboxes to drop (the barrier
-        # materializes first): only envelope and run stores ``drop_inbox``.
+        # settles first): only settled and run stores ``drop_inbox``.
         self._resolve_missing(
             outgoing.missing_targets(self._locations),
             lambda target: outgoing.drop_inbox(target),

@@ -1,176 +1,160 @@
-"""Message envelopes and per-superstep message stores.
+"""The settled per-superstep message store, values first.
 
-Messages internally carry their source vertex id: Graft's message-value
-constraints are defined over ``(message, source_id, destination_id,
-superstep)`` and the GUI displays the incoming/outgoing messages of a
-captured vertex with their endpoints. The plain Giraph ``compute()`` API
-still sees only message *values*; envelopes surface through
-``ctx.message_envelopes()`` and the debugger.
+A message is a ``(source, value)`` pair filed under its target — the
+shape Graft's message-value constraints are defined over (``(message,
+source_id, destination_id, superstep)``), the shape a captured context's
+``incoming`` list has on disk, and the shape the Context Reproducer
+rebuilds a context from. The plain Giraph ``compute()`` API sees only
+the values; the pairs surface through ``ctx.incoming_messages()`` and
+the debugger.
 
-Where envelopes still exist
----------------------------
-Workers emit into packed outboxes and the barrier keeps messages packed
-(:mod:`repro.pregel.columnar`); a :class:`MessageStore` is the
-*materialized* form — what a combine produces, what a checkpoint
-restores, and what a barrier that permutes, mutates or drops inboxes
-works on. Its inboxes are in canonical order: stably sorted by the repr of
-the source id, which makes inbox order — and therefore combiner folds,
-``sum(messages)`` float reductions, and Graft's captured ``incoming``
-lists — independent of how vertices were partitioned across workers.
-:meth:`~MessageStore.merge_grouped` + :meth:`~MessageStore.canonicalize`
-build that order from per-worker ``{target: [envelopes]}`` batches the
-slow, obvious way; the packed store's tests use them as the reference.
+Workers emit into packed outboxes and the in-memory barrier keeps
+messages packed (:mod:`repro.pregel.columnar`); the spill plane keeps
+them in run files (:mod:`repro.pregel.store.runs`). A
+:class:`MessageStore` is the *settled* form both planes share: what a
+barrier that permutes, combines, mutates or drops inboxes works on, what
+one loaded spill partition is served from, and what a checkpoint
+restores. Its inboxes are ``{target: (sources, values)}`` column pairs
+in delivery order, and :meth:`MessageStore.settle` is the one place that
+says what a delivery schedule and a combiner do to them.
 """
 
-from typing import NamedTuple
 
+class IncomingView:
+    """Lazy per-vertex inbox view handed to :class:`ComputeContext`.
 
-class _BroadcastTargetType:
-    """Placeholder target of a broadcast-derived envelope.
-
-    A broadcast (``send_message_to_all_neighbors``) is one compact record
-    expanded on the receiving side; the envelopes materialized from it
-    carry this placeholder, and the real target is the inbox key. A
-    dedicated singleton (rather than None) keeps the placeholder
-    distinguishable from a user vertex id, and ``__reduce__`` preserves
-    identity across pickling.
+    Compute itself receives raw values (``inbox_values``); the
+    ``(source, value)`` pairs are built only if a debugger actually
+    iterates this view (``ctx.incoming_messages()``), so a plain run
+    never pays for them.
     """
 
-    __slots__ = ()
+    __slots__ = ("_store", "_target")
 
-    def __repr__(self):
-        return "<broadcast>"
+    def __init__(self, store, target):
+        self._store = store
+        self._target = target
 
-    def __reduce__(self):
-        return (_broadcast_target, ())
+    def __iter__(self):
+        return iter(self._store.inbox(self._target))
 
+    def __len__(self):
+        return len(self._store.inbox_values(self._target))
 
-BROADCAST_TARGET = _BroadcastTargetType()
-
-
-def _broadcast_target():
-    return BROADCAST_TARGET
-
-
-class Envelope(NamedTuple):
-    """One message in flight: value plus endpoints.
-
-    ``source`` is None for combined messages (per-source identity is folded
-    away) and for engine-synthesized messages. ``target`` is
-    :data:`BROADCAST_TARGET` for envelopes materialized from a broadcast
-    fan-out — there the authoritative target is the inbox key the envelope
-    is filed under, never the field.
-
-    A ``NamedTuple`` rather than a dataclass: envelope construction is the
-    single hottest allocation in the engine, and tuple ``__new__`` avoids
-    the per-field ``object.__setattr__`` cost of a frozen dataclass.
-    """
-
-    source: object
-    target: object
-    value: object
-
-
-def _canonical_source_key(envelope):
-    """Partition-independent sort key for inbox ordering."""
-    return repr(envelope.source)
+    def __bool__(self):
+        return bool(self._store.inbox_values(self._target))
 
 
 class MessageStore:
-    """Messages grouped by destination vertex for one superstep."""
+    """Messages grouped by destination vertex for one superstep.
+
+    Implements the message-store read protocol (``inbox_values`` /
+    ``incoming_view`` / ``has_inbox`` / ``inbox`` / ``load_partition``)
+    the worker's compute loop runs against on either plane.
+    """
 
     def __init__(self):
+        # target -> (sources, values): parallel lists in delivery order.
         self._by_target = {}
         self.total_messages = 0
+        #: What :meth:`settle` did: messages folded away by the combiner
+        #: and inboxes whose order the delivery schedule changed.
+        self.eliminated = 0
+        self.permuted = 0
 
-    def deliver(self, envelope):
-        """Add one envelope to its destination's inbox."""
-        self._by_target.setdefault(envelope.target, []).append(envelope)
-        self.total_messages += 1
+    def deliver(self, source, target, value):
+        """Append one message to its destination's inbox."""
+        self.deliver_columns((source,), (target,), (value,))
 
-    def deliver_all(self, envelopes):
-        for envelope in envelopes:
-            self.deliver(envelope)
+    def deliver_columns(self, sources, targets, values, order=None):
+        """Append parallel message columns, grouping them by target.
 
-    def merge_grouped(self, grouped):
-        """Merge one worker's ``{target: [envelopes]}`` batches in one pass.
-
-        The batch list is adopted directly when the target has no inbox
-        yet; callers hand over ownership of the batch lists. Returns the
-        number of envelopes merged.
+        Each inbox receives its messages in ``order`` (positions into the
+        columns; column order when omitted), so an order that is canonical
+        leaves every inbox canonical.
         """
         by_target = self._by_target
-        merged = 0
-        for target, batch in grouped.items():
-            existing = by_target.get(target)
-            if existing is None:
-                by_target[target] = batch
+        if order is None:
+            order = range(len(values))
+        for i in order:
+            target = targets[i]
+            inbox = by_target.get(target)
+            if inbox is None:
+                by_target[target] = ([sources[i]], [values[i]])
             else:
-                existing.extend(batch)
-            merged += len(batch)
-        self.total_messages += merged
-        return merged
+                inbox[0].append(sources[i])
+                inbox[1].append(values[i])
+        self.total_messages += len(order)
 
-    def canonicalize(self):
-        """Stably sort each inbox into partition-independent order.
+    def settle(self, superstep, schedule, combiner):
+        """Apply the delivery schedule, then the combiner, to every inbox.
 
-        After the per-worker merge, inbox order reflects which worker sent
-        first — an artifact of the partitioning. Sorting by the source id's
-        repr (stable, so one source's messages keep their emission order)
-        makes delivery order a pure function of the computation, identical
-        across execution backends and worker counts.
+        The one statement of what both planes do to a canonical inbox
+        before ``compute()`` reads it at ``superstep``: a bound
+        ``schedule`` (graft-san) permutes each multi-message inbox —
+        over an index vector, so sources and values move together — and
+        then ``combiner`` folds it to a single message whose source is
+        None, as on a real cluster where combining happens before the
+        network. Single-message inboxes keep their source. Counts what it
+        did in ``permuted`` / ``eliminated`` and returns the store.
         """
-        for envelopes in self._by_target.values():
-            if len(envelopes) > 1:
-                envelopes.sort(key=_canonical_source_key)
+        if schedule is None and combiner is None:
+            return self
+        by_target = self._by_target
+        for target, (sources, values) in by_target.items():
+            count = len(values)
+            if count < 2:
+                continue
+            if schedule is not None:
+                order = list(range(count))
+                if schedule.permute_inbox(target, superstep, order):
+                    sources[:] = [sources[i] for i in order]
+                    values[:] = [values[i] for i in order]
+                    self.permuted += 1
+            if combiner is not None:
+                by_target[target] = ([None], [combiner.fold_column(values)])
+                self.eliminated += count - 1
+                self.total_messages -= count - 1
+        return self
 
-    def inbox(self, vertex_id):
-        """The envelopes destined for ``vertex_id`` (possibly empty)."""
-        return self._by_target.get(vertex_id, [])
+    # -- read protocol ---------------------------------------------------
 
     def inbox_values(self, vertex_id):
-        """Message values for ``vertex_id`` in delivery order.
+        """Message values for ``vertex_id`` in delivery order."""
+        inbox = self._by_target.get(vertex_id)
+        return inbox[1] if inbox is not None else []
 
-        Part of the store protocol shared with
-        :class:`~repro.pregel.columnar.ColumnarMessageStore`, where the
-        values come straight off the packed column.
-        """
-        batch = self._by_target.get(vertex_id)
-        if batch is None:
-            return []
-        return [envelope.value for envelope in batch]
+    def inbox(self, vertex_id):
+        """``(source, value)`` pairs for ``vertex_id``, built on demand:
+        only debugger-facing readers ask."""
+        inbox = self._by_target.get(vertex_id)
+        return list(zip(*inbox)) if inbox is not None else []
 
     def incoming_view(self, vertex_id):
-        """What ``ComputeContext`` receives as ``incoming`` (here: the list)."""
-        return self._by_target.get(vertex_id, [])
+        """What ``ComputeContext`` receives as ``incoming``."""
+        return IncomingView(self, vertex_id)
 
     def has_inbox(self, vertex_id):
         """True when at least one message is destined for ``vertex_id``."""
         return vertex_id in self._by_target
 
     def load_partition(self, partition_id):
-        """Partition-at-a-time read protocol: the in-memory store holds
-        every partition's inbox at once, so the "loaded view" is the store
-        itself. The spill plane's store returns a per-partition view here.
-        """
+        """Partition-at-a-time read protocol: a settled store holds every
+        partition's inboxes at once, so the "loaded view" is the store
+        itself. The spill plane's run store returns one store per
+        partition here."""
         return self
 
-    #: Combiner eliminations and inbox permutations attributable to a
-    #: loaded view (spill plane); the in-memory store combines and permutes
-    #: at the producing barrier and reports them there, so views report zero.
-    eliminated = 0
-    permuted = 0
+    def items(self):
+        """``(target, (sources, values))`` for every non-empty inbox."""
+        return self._by_target.items()
 
     def iter_checkpoint_messages(self):
         """``(source, target, value)`` for every in-flight message, in
         per-target delivery order — the order a checkpoint must preserve."""
-        for target, envelopes in self._by_target.items():
-            for envelope in envelopes:
-                yield envelope.source, target, envelope.value
-
-    def targets(self):
-        """Vertex ids that have at least one incoming message."""
-        return self._by_target.keys()
+        for target, inbox in self.items():
+            for source, value in zip(*inbox):
+                yield source, target, value
 
     def missing_targets(self, locations):
         """Targets with messages but no vertex (the resolver's work list)."""
@@ -183,27 +167,6 @@ class MessageStore:
 
     def drop_inbox(self, vertex_id):
         """Discard all messages destined for one vertex (resolver 'drop')."""
-        dropped = self._by_target.pop(vertex_id, [])
-        self.total_messages -= len(dropped)
-        return len(dropped)
-
-    def combine(self, combiner):
-        """Fold each inbox with ``combiner``, in delivery order.
-
-        Returns the number of messages eliminated. Combined envelopes lose
-        their source id (set to None), as on a real cluster where combining
-        happens before the network.
-        """
-        eliminated = 0
-        for target, envelopes in self._by_target.items():
-            if len(envelopes) <= 1:
-                continue
-            folded = envelopes[0].value
-            for envelope in envelopes[1:]:
-                folded = combiner.combine(folded, envelope.value)
-            eliminated += len(envelopes) - 1
-            self._by_target[target] = [
-                Envelope(source=None, target=target, value=folded)
-            ]
-        self.total_messages -= eliminated
-        return eliminated
+        dropped = self._by_target.pop(vertex_id, None)
+        if dropped is not None:
+            self.total_messages -= len(dropped[1])

@@ -15,10 +15,10 @@ order-insensitive. The sanitizer (:mod:`repro.graft.sanitizer`) turns
 that contrast into verdicts.
 
 Schedule 0 is the identity (canonical order); schedules 1, 2, ... are
-distinct deterministic shuffles. The engine applies the schedule at the
-barrier, *after* canonicalization and *before* combining — so combiner
-folds experience the permuted order too, exercising GL015's hazard class
-along with GL016–GL018's.
+distinct deterministic shuffles. Inboxes are settled — at the barrier in
+memory, at partition load on the spill plane — *after* canonicalization
+and *before* combining, so combiner folds experience the permuted order
+too, exercising GL015's hazard class along with GL016–GL018's.
 """
 
 from repro.common.rng import derive_rng
@@ -45,33 +45,22 @@ class PermutationSchedule:
             self.seed = run_seed
         return self
 
-    def is_identity(self):
-        return self.schedule == 0
+    def permute_inbox(self, target, superstep, order):
+        """Shuffle one inbox's index vector in place; returns True if the
+        order changed.
 
-    def permute_inbox(self, target, superstep, envelopes):
-        """Shuffle one inbox in place; returns True if order changed."""
-        if self.schedule == 0 or len(envelopes) < 2:
+        The shuffle is driven by positions alone, so gathering an inbox's
+        source and value columns through the shuffled ``range(len(inbox))``
+        moves whole messages (:meth:`MessageStore.settle
+        <repro.pregel.messages.MessageStore.settle>`, the only caller).
+        """
+        if self.schedule == 0 or len(order) < 2:
             return False
         rng = derive_rng(
             self.seed, "san", self.schedule, superstep, repr(target)
         )
-        rng.shuffle(envelopes)
+        rng.shuffle(order)
         return True
-
-    def permute_store(self, store, superstep):
-        """Permute every inbox of a message store for one delivery superstep.
-
-        Called at the barrier on the canonicalized store, in the parent
-        process — so the permutation is identical whichever backend ran
-        the workers. Returns the number of inboxes whose order changed.
-        """
-        if self.schedule == 0:
-            return 0
-        permuted = 0
-        for target, envelopes in store._by_target.items():
-            if self.permute_inbox(target, superstep, envelopes):
-                permuted += 1
-        return permuted
 
     def __repr__(self):
         return (

@@ -28,9 +28,11 @@ by the in-file directories — and stably sorts the concatenated columns
 by ``repr(source)`` while grouping them by target. That is exactly the
 in-memory plane's canonical inbox order: worker outboxes concatenated in
 worker-id order, each inbox stably sorted by ``repr(source)``, ties
-falling back to ``(worker id, emission order)``. ``compute()`` is served
-the value lists directly; :class:`~repro.pregel.messages.Envelope`
-objects exist only if a debugger iterates an inbox.
+falling back to ``(worker id, emission order)``. The grouped partition
+is a :class:`~repro.pregel.messages.MessageStore`, settled by the same
+routine as the in-memory barrier's; ``compute()`` is served its value
+lists directly, and ``(source, value)`` pairs exist only if a debugger
+iterates an inbox.
 """
 
 import pickle
@@ -38,8 +40,8 @@ import struct
 import threading
 
 from repro.common.errors import PregelError
-from repro.pregel.columnar import IncomingView, decode_column, encode_values
-from repro.pregel.messages import Envelope
+from repro.pregel.columnar import decode_column, encode_values
+from repro.pregel.messages import MessageStore
 
 RUN_MAGIC = b"MRN2"
 SECTION_RUN = 1
@@ -205,49 +207,6 @@ def decode_run_section(blob):
     return targets, sources, values
 
 
-class _PartitionInbox:
-    """One partition's grouped, canonically ordered inboxes.
-
-    Implements the message-store read protocol
-    (``inbox_values`` / ``incoming_view`` / ``has_inbox`` / ``inbox``)
-    over ``{target: (sources, values)}``, so the worker's inner compute
-    loop is identical under both planes. Each worker gets its own view —
-    there is no shared mutable cursor, which keeps the threads backend
-    safe.
-    """
-
-    __slots__ = ("_by_target", "eliminated", "permuted")
-
-    def __init__(self, by_target, eliminated, permuted):
-        self._by_target = by_target
-        self.eliminated = eliminated
-        self.permuted = permuted
-
-    def inbox_values(self, vertex_id):
-        inbox = self._by_target.get(vertex_id)
-        return inbox[1] if inbox is not None else []
-
-    def inbox(self, vertex_id):
-        """Envelopes, built on demand: only debugger-facing readers ask."""
-        inbox = self._by_target.get(vertex_id)
-        if inbox is None:
-            return []
-        return [
-            Envelope(source, vertex_id, value)
-            for source, value in zip(*inbox)
-        ]
-
-    def incoming_view(self, vertex_id):
-        return IncomingView(self, vertex_id)
-
-    def has_inbox(self, vertex_id):
-        return vertex_id in self._by_target
-
-    def items(self):
-        """``(target, (sources, values))`` for every non-empty inbox."""
-        return self._by_target.items()
-
-
 class SpilledMessageStore:
     """The spill plane's superstep message store.
 
@@ -255,12 +214,11 @@ class SpilledMessageStore:
     sections lie (read once from the run files' directories), the
     routed-message total, and the resolver's dropped set.
     :meth:`load_partition` groups one partition's messages into a
-    :class:`_PartitionInbox`. Everything the in-memory barrier does to
-    a canonical inbox happens there, in the same order: a bound
-    ``delivery_schedule`` permutes it, then the combiner (when
-    configured) folds each multi-message inbox, the combined message
-    losing its source — the exact semantics of
-    :meth:`MessageStore.combine`.
+    :class:`~repro.pregel.messages.MessageStore` — each worker gets its
+    own, so there is no shared mutable cursor and the threads backend
+    stays safe — and settles it with the routine the in-memory barrier
+    uses (:meth:`MessageStore.settle
+    <repro.pregel.messages.MessageStore.settle>`).
     """
 
     def __init__(self, filesystem, base, superstep, num_partitions,
@@ -311,37 +269,10 @@ class SpilledMessageStore:
         # One stable sort by repr(source) over the whole partition, then
         # grouping in that order, leaves every inbox canonically ordered.
         keys = list(map(repr, sources))
-        by_target = {}
-        for i in sorted(range(len(keys)), key=keys.__getitem__):
-            target = targets[i]
-            inbox = by_target.get(target)
-            if inbox is None:
-                by_target[target] = ([sources[i]], [values[i]])
-            else:
-                inbox[0].append(sources[i])
-                inbox[1].append(values[i])
-        eliminated = permuted = 0
-        schedule = self._schedule
-        combiner = self._combiner
-        if schedule is not None or combiner is not None:
-            for target, (inbox_sources, inbox_values) in by_target.items():
-                count = len(inbox_values)
-                if count < 2:
-                    continue
-                if schedule is not None:
-                    # The shuffle is index-driven, so permuting positions
-                    # gives the order the in-memory barrier gives envelopes.
-                    order = list(range(count))
-                    if schedule.permute_inbox(target, self.superstep, order):
-                        inbox_sources[:] = [inbox_sources[i] for i in order]
-                        inbox_values[:] = [inbox_values[i] for i in order]
-                        permuted += 1
-                if combiner is not None:
-                    by_target[target] = (
-                        [None], [combiner.fold_column(inbox_values)]
-                    )
-                    eliminated += count - 1
-        return _PartitionInbox(by_target, eliminated, permuted)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        view = MessageStore()
+        view.deliver_columns(sources, targets, values, order)
+        return view.settle(self.superstep, self._schedule, self._combiner)
 
     def has_messages(self):
         return self.total_messages > 0
@@ -381,6 +312,5 @@ class SpilledMessageStore:
         superstep consumes inboxes as delivered.
         """
         for partition_id in range(self.num_partitions):
-            for target, inbox in self.load_partition(partition_id).items():
-                for source, value in zip(*inbox):
-                    yield source, target, value
+            view = self.load_partition(partition_id)
+            yield from view.iter_checkpoint_messages()

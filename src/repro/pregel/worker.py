@@ -48,11 +48,11 @@ class _WorkerServices(ComputeServices):
     # matches the emit-time neighbor set; then the fan-out is filed as
     # explicit per-target entries instead.
 
-    def emit(self, envelope):
+    def emit(self, source, target, value):
         worker = self._worker
-        worker.outbox.add_point(envelope.source, envelope.target, envelope.value)
+        worker.outbox.add_point(source, target, value)
         worker.messages_sent += 1
-        worker.bytes_sent += _estimate_bytes(envelope.value)
+        worker.bytes_sent += _estimate_bytes(value)
 
     def emit_broadcast(self, source, targets, value):
         fan_out = len(targets)
@@ -201,17 +201,6 @@ class Worker:
         self.compute_calls = 0
         self.compute_errors = []
 
-    def outbox_envelopes(self):
-        """All envelopes emitted this superstep, fully addressed.
-
-        Expands compact broadcast records against the worker's adjacency
-        and restores global emission order via the seq column.
-        Debug/introspection only — never on the hot path.
-        """
-        return self.outbox.envelopes(
-            lambda source: self.edges.get(source, ())
-        )
-
     def active_vertices(self, superstep, message_store):
         """Ids this worker must run compute() on this superstep, in order."""
         if superstep == 0:
@@ -274,10 +263,9 @@ class Worker:
                 raise InjectedWorkerCrash(
                     self.worker_id, superstep, crash_after_calls
                 )
-            # Store-agnostic inbox access: compute() gets raw values (no
-            # envelope objects on the columnar fast path); the context's
-            # incoming view materializes envelopes only if a debugger reads
-            # them.
+            # Store-agnostic inbox access: compute() gets raw values; the
+            # context's incoming view builds (source, value) pairs only if
+            # a debugger reads them.
             inbox_values = message_store.inbox_values(vertex_id)
             ctx = ComputeContext(
                 vertex_id=vertex_id,

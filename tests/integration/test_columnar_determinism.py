@@ -33,7 +33,7 @@ class TopologyChurn(Computation):
     Exercises every materialization edge at once: dirty-adjacency
     workers file explicit broadcasts, messages to missing targets force
     vertex creation at the barrier, and explicit add/remove requests make
-    the barrier materialize envelopes before mutating.
+    the barrier settle the packed store before mutating.
     """
 
     def initial_value(self, vertex_id, input_value):
@@ -82,7 +82,28 @@ class TuplePing(Computation):
             ctx.vote_to_halt()
 
 
+class BroadcastThenRewire(Computation):
+    """Broadcasts, then rewires its out-edges in the same ``compute()``.
+
+    The first sender on each worker is still clean, so its fan-out is one
+    compact record — which must expand against the adjacency it was
+    emitted under, not the one the sender left behind.
+    """
+
+    def compute(self, ctx, messages):
+        if ctx.superstep == 0:
+            neighbors = sorted(ctx.neighbor_ids(), key=repr)
+            if neighbors:
+                ctx.send_message_to_all_neighbors(ctx.vertex_id)
+                ctx.remove_edge(neighbors[0])
+                ctx.add_edge(1 if ctx.vertex_id == 0 else 0)
+        else:
+            ctx.set_value(sorted(messages))
+            ctx.vote_to_halt()
+
+
 JOBS = {
+    "broadcast_then_rewire": (BroadcastThenRewire, {}),
     "pagerank": (lambda: PageRank(iterations=4), {}),
     "sssp_combined": (lambda: ShortestPaths(0), {"combiner": MinCombiner()}),
     "mutation": (TopologyChurn, {}),
@@ -97,7 +118,16 @@ JOBS = {
 #: became order-preserving for every key type: its 36 records whose only
 #: edge is a ``"spawn:<id>"`` string were plain JSON objects and are now
 #: item lists; every record still decodes to the same object.
+#: ``broadcast_then_rewire`` is younger than that plane: its row was taken
+#: from the spill plane (all backends and worker counts agreeing) at the
+#: commit where the memory plane still expanded a compact broadcast against
+#: the sender's *post*-mutation adjacency and so disagreed with it.
 ENVELOPE_PLANE = {
+    "broadcast_then_rewire": (
+        2, 180,
+        "05917abf2d03c4de37e165e986c7008c3e2a250d7f0438773ce5b7d1d12b5856",
+        "21fd74fbc8c99ecd1104d34b830fdbe0ed6bfe39f13388e41a6e91735d12a2b6",
+    ),
     "mutation": (
         4, 720,
         "474b7100beecd03e83b11343e6c5eb85b958798acd86fd181781a8e051a35314",

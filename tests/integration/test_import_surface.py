@@ -96,8 +96,12 @@ assert run.ok and run.capture_count and run.tabular_view().render()
 
 def test_generated_test_imports_load_neither_engine_nor_analyser():
     loaded = modules_after(GENERATED_TEST_IMPORTS)
-    assert not loaded & {"repro.pregel.engine", "repro.analysis", "numpy"}
-    assert len(loaded) <= 150
+    # Replay rebuilds a context from the record's own (source, value)
+    # pairs, so not even the message store module is needed.
+    assert not loaded & {
+        "repro.pregel.engine", "repro.pregel.messages", "repro.analysis", "numpy",
+    }
+    assert len(loaded) <= 145
 
 
 def test_generated_test_passes_under_pytest_without_the_engine(tmp_path):
@@ -109,13 +113,18 @@ def test_generated_test_passes_under_pytest_without_the_engine(tmp_path):
         lambda: PageRank(iterations=3), load_dataset("web-BS", num_vertices=40),
         CaptureAllActiveConfig(), lint=False,
     )
-    vertex_id, superstep = run.reader.vertex_records[5].key
+    # A context with messages from several sources to rebuild.
+    vertex_id, superstep = next(
+        record.key for record in run.reader.vertex_records
+        if len({source for source, _value in record.incoming}) >= 2
+    )
     test_file = tmp_path / "test_generated.py"
     test_file.write_text(
         run.generate_test_code(vertex_id, superstep)
         + "\n\ndef test_no_engine_was_needed():\n"
         "    import sys\n"
         "    assert 'repro.pregel.engine' not in sys.modules\n"
+        "    assert 'repro.pregel.messages' not in sys.modules\n"
         "    assert 'repro.analysis' not in sys.modules\n"
     )
     done = fresh(

@@ -28,6 +28,7 @@ from repro.pregel import MessageCombiner, MinCombiner, PregelEngine
 from repro.pregel.permutation import PermutationSchedule
 
 from tests.integration.test_columnar_determinism import (
+    BroadcastThenRewire,
     TopologyChurn,
     TuplePing,
 )
@@ -36,6 +37,7 @@ WORKER_COUNTS = (1, 2, 4)
 EXECUTORS = ("serial", "processes")
 
 JOBS = {
+    "broadcast_then_rewire": (BroadcastThenRewire, {}),
     "pagerank": (lambda: PageRank(iterations=4), {}),
     "sssp_combined": (lambda: ShortestPaths(0), {"combiner": MinCombiner()}),
     "mutation": (TopologyChurn, {}),
@@ -249,43 +251,51 @@ class _RunFileProbe:
 
 
 def test_plain_spill_run_builds_no_envelopes(monkeypatch):
-    """Values-first delivery: compute() reads value lists, checkpoints read
-    columns; an Envelope exists only once a debugger iterates an inbox.
-    And the runs of a superstep are one file per sending worker."""
+    """Values-first delivery: compute() reads value lists, combiners fold
+    them, checkpoints read columns; a ``(source, value)`` pair exists only
+    once a debugger iterates an inbox — on either plane. And the spill
+    plane's runs of a superstep are one file per sending worker."""
     from repro.pregel import CheckpointConfig
-    from repro.pregel.messages import Envelope
+    from repro.pregel.messages import IncomingView
     from repro.simfs import SimFileSystem
 
-    built = []
-    original = Envelope.__new__
+    iterated = []
+    original = IncomingView.__iter__
 
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return original(cls, *args, **kwargs)
+    def counting_iter(view):
+        iterated.append(view)
+        return original(view)
 
-    monkeypatch.setattr(Envelope, "__new__", counting_new)
+    monkeypatch.setattr(IncomingView, "__iter__", counting_iter)
     probe = _RunFileProbe()
-    kwargs = dict(
-        seed=7, num_workers=2, store="spill", num_partitions=8,
-        combiner=MinCombiner(),
-        checkpoint_config=CheckpointConfig(SimFileSystem(), every_n_supersteps=2),
-    )
-    result = PregelEngine(
-        lambda: PageRank(iterations=3), _graph(), listeners=[probe], **kwargs
-    ).run()
-    assert result.metrics.total_messages > 0
-    assert built == []
+    kwargs = dict(seed=7, num_workers=2, combiner=MinCombiner())
+    for plane in (
+        dict(store="spill", num_partitions=8, listeners=[probe]),
+        dict(store="memory"),
+    ):
+        result = PregelEngine(
+            lambda: PageRank(iterations=3), _graph(),
+            checkpoint_config=CheckpointConfig(
+                SimFileSystem(), every_n_supersteps=2
+            ),
+            **kwargs, **plane,
+        ).run()
+        assert result.metrics.total_messages > 0
+        assert result.metrics.total_messages_combined > 0
+        assert iterated == []
     assert probe.files[:3] == [
         [f"/spill/runs/s{s:05d}/w000.run", f"/spill/runs/s{s:05d}/w001.run"]
         for s in (1, 2, 3)
     ]
     assert probe.files[3] == []     # the last superstep sent nothing
 
-    run = debug_run(
-        lambda: PageRank(iterations=3), _graph(), CaptureAllActiveConfig(),
-        job_id="envelopes", lint=False, **kwargs,
-    )
-    assert run.ok and built
+    for store in ("spill", "memory"):
+        del iterated[:]
+        run = debug_run(
+            lambda: PageRank(iterations=3), _graph(), CaptureAllActiveConfig(),
+            job_id="pairs", lint=False, store=store, **kwargs,
+        )
+        assert run.ok and iterated
 
 
 def test_clean_pages_stay_clean_under_a_one_page_cache():

@@ -21,7 +21,7 @@ from repro.pregel.checkpoint import (
     restore_workers,
     write_checkpoint,
 )
-from repro.pregel.messages import Envelope, MessageStore
+from repro.pregel.messages import MessageStore
 from repro.pregel.store import SpillStore
 from repro.pregel.worker import SpilledWorker, Worker
 from repro.simfs import SimFileSystem
@@ -146,7 +146,8 @@ class TestCheckpointRoundTrip:
                     {v: flag or v == vertex_id for v, _, _, flag in kept},
                 )
         incoming = MessageStore()
-        incoming.deliver_all(Envelope(*message) for message in messages)
+        for message in messages:
+            incoming.deliver(*message)
 
         config = CheckpointConfig(SimFileSystem())
         path = write_checkpoint(config, 3, workers, AggregatorRegistry(), incoming)

@@ -75,6 +75,24 @@ class TestVertexCodegen:
         assert f"assert outcome.value == {record.value_after}" in code
         assert "assert outcome.halted is True" in code
 
+    def test_replay_and_codegen_round_trip_on_pairs(self):
+        """Capture, replay and the generated file all speak the record's own
+        ``(source, value)`` pairs — no message object in between."""
+        from repro.graft.reproducer import ReplayHarness
+
+        fan_in = GraphBuilder().edge(0, 2).edge(1, 2).build()
+        fan_in_run = debug_run(
+            Accumulate, fan_in, CaptureAllActiveConfig(), seed=2, num_workers=2
+        )
+        record = fan_in_run.captured(2, 1)
+        assert record.incoming == [(0, 10), (1, 10)]
+        ctx, _services = ReplayHarness.from_record(record).build_context()
+        assert ctx.incoming_messages() == record.incoming
+        code = fan_in_run.generate_test_code(2, 1)
+        assert "incoming=[(0, 10), (1, 10)]" in code
+        assert "repro.pregel.messages" not in code
+        execute_generated(code)
+
     def test_custom_test_name(self, run):
         code = run.generate_test_code(0, 1, test_name="test_my_bug")
         assert "def test_my_bug():" in code

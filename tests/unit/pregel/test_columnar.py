@@ -3,9 +3,9 @@
 Covers the three layers separately — typed value columns, length-prefixed
 frames, shared-memory transport — plus the property the whole plane exists
 to preserve: any sequence of built-in payloads survives
-pack -> shared memory -> unpack with the envelope path's canonical inbox
-order intact, and anything unpackable degrades to the pickled fallback
-without changing delivery order.
+pack -> shared memory -> unpack with the reference's canonical inbox
+order intact (``tests/reference_delivery.py``), and anything unpackable
+degrades to the pickled fallback without changing delivery order.
 """
 
 import os
@@ -26,7 +26,6 @@ from repro.pregel.columnar import (
     ColumnarOutbox,
     ColumnarRunState,
     ColumnBuilder,
-    InlineTransport,
     ShmTransport,
     VertexInterner,
     build_frame,
@@ -34,9 +33,9 @@ from repro.pregel.columnar import (
     parse_frame,
     release_frame,
 )
-from repro.pregel.messages import BROADCAST_TARGET, Envelope, MessageStore
 from repro.pregel.value_types import Int32, Short16
 from repro.pregel.worker import _estimate_bytes
+from tests.reference_delivery import ReferenceDelivery
 
 
 class Opaque:
@@ -209,9 +208,17 @@ class TestFrames:
 
 
 class TestTransport:
-    def test_inline_roundtrip(self):
-        transport = InlineTransport()
+    def test_inline_roundtrip(self, monkeypatch):
+        """A platform that refuses a segment gets the frame as pipe bytes."""
+        from multiprocessing import shared_memory
+
+        def refuse(*args, **kwargs):
+            raise OSError("no shared memory here")
+
+        transport = ShmTransport()
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
         handle = transport.ship(b"payload")
+        assert handle == ("bytes", b"payload")
         assert transport.retrieve(handle) == b"payload"
         transport.release(handle)  # no-op, must not raise
 
@@ -286,9 +293,9 @@ def _random_plane(seed, payload_kind):
     """Emit one random superstep through both planes; return both stores.
 
     Two simulated workers each emit a random interleaving of point sends
-    and broadcasts over a fixed adjacency. The reference store is the
-    envelope path exactly as the engine drives it: grouped outboxes merged
-    in worker order, then canonicalized.
+    and broadcasts over a fixed adjacency. The reference is delivery the
+    slow, obvious way: each worker's sends merged in worker order, then
+    every inbox canonicalized.
     """
     rng = random.Random(seed)
     make = PAYLOAD_MAKERS[payload_kind]
@@ -307,12 +314,12 @@ def _random_plane(seed, payload_kind):
     run_state = ColumnarRunState()
     run_state.ensure_index(workers, locations)
 
-    reference = MessageStore()
+    reference = ReferenceDelivery()
     columnar = ColumnarMessageStore(run_state)
     transport = ShmTransport()
 
     for worker_id in (0, 1):
-        grouped = {}
+        sends = []
         outbox = ColumnarOutbox()
         my_vertices = [v for v in vertices if owner[v] == worker_id]
         for _ in range(rng.randrange(5, 25)):
@@ -320,17 +327,13 @@ def _random_plane(seed, payload_kind):
             value = make(rng)
             if rng.random() < 0.4:
                 targets = tuple(edges[source])
-                shared = Envelope(source, BROADCAST_TARGET, value)
-                for target in targets:
-                    grouped.setdefault(target, []).append(shared)
+                sends += [(source, target, value) for target in targets]
                 outbox.add_broadcast(source, value, len(targets))
             else:
                 target = rng.choice(vertices)
-                grouped.setdefault(target, []).append(
-                    Envelope(source, target, value)
-                )
+                sends.append((source, target, value))
                 outbox.add_point(source, target, value)
-        reference.merge_grouped(grouped)
+        reference.merge_grouped(sends)
         worker = _outbox_worker(outbox, worker_id=worker_id)
         handle = transport.ship(
             build_frame(worker, run_state.interner, 0)
@@ -349,32 +352,31 @@ class TestCanonicalOrderProperty:
         self, seed, payload_kind
     ):
         vertices, reference, columnar = _random_plane(seed, payload_kind)
-        assert columnar.total_messages == reference.total_messages
+        assert columnar.total_messages == len(reference.messages())
         for vertex in vertices:
-            expected = [e.value for e in reference.inbox(vertex)]
+            expected = reference.inbox_values(vertex)
             assert columnar.inbox_values(vertex) == expected, vertex
             assert columnar.has_inbox(vertex) == bool(expected)
-            # Envelope materialization agrees on sources and values.
-            expected_pairs = [
-                (e.source, e.value) for e in reference.inbox(vertex)
-            ]
-            got_pairs = [
-                (e.source, e.value) for e in columnar.inbox(vertex)
-            ]
-            assert got_pairs == expected_pairs
+            # The debugger-facing pairs agree on sources and values.
+            assert columnar.inbox(vertex) == reference.inbox(vertex)
+            assert list(columnar.incoming_view(vertex)) == reference.inbox(vertex)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mixed_unpackable_payloads_counted_as_fallback(self, seed):
         _, reference, columnar = _random_plane(seed, "mixed")
-        assert columnar.total_messages == reference.total_messages
+        assert columnar.total_messages == len(reference.messages())
 
     def test_to_message_store_matches_reference(self):
         vertices, reference, columnar = _random_plane(99, "float")
-        materialized = columnar.to_message_store()
+        settled = columnar.settled(1, None, None)
+        assert settled.total_messages == columnar.total_messages
+        assert (settled.permuted, settled.eliminated) == (0, 0)
         for vertex in vertices:
-            assert [e.value for e in materialized.inbox(vertex)] == [
-                e.value for e in reference.inbox(vertex)
-            ]
+            assert settled.inbox(vertex) == reference.inbox(vertex)
+            assert settled.has_inbox(vertex) == columnar.has_inbox(vertex)
+        assert list(settled.iter_checkpoint_messages()) == list(
+            columnar.iter_checkpoint_messages()
+        )
 
     def test_shm_left_clean_after_property_runs(self):
         if not os.path.isdir("/dev/shm"):

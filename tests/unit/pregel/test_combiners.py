@@ -1,7 +1,7 @@
 """Unit tests for message combiners."""
 
 from repro.pregel import MaxCombiner, MinCombiner, SumCombiner
-from repro.pregel.messages import Envelope, MessageStore
+from repro.pregel.messages import MessageStore
 
 
 class TestCombinerFolds:
@@ -17,40 +17,40 @@ class TestCombinerFolds:
 
 
 class TestStoreCombining:
+    """The combiner half of :meth:`MessageStore.settle`."""
+
     def _store_with(self, values, target="t"):
         store = MessageStore()
         for index, value in enumerate(values):
-            store.deliver(Envelope(source=index, target=target, value=value))
+            store.deliver(index, target, value)
         return store
 
     def test_combine_folds_inbox_to_one(self):
-        store = self._store_with([1, 2, 3])
-        eliminated = store.combine(SumCombiner())
-        assert eliminated == 2
-        inbox = store.inbox("t")
-        assert len(inbox) == 1
-        assert inbox[0].value == 6
+        store = self._store_with([1, 2, 3]).settle(1, None, SumCombiner())
+        assert store.eliminated == 2
+        assert store.inbox_values("t") == [6]
 
     def test_combined_envelope_loses_source(self):
-        store = self._store_with([1, 2])
-        store.combine(SumCombiner())
-        assert store.inbox("t")[0].source is None
+        store = self._store_with([1, 2]).settle(1, None, SumCombiner())
+        assert store.inbox("t") == [(None, 3)]
 
     def test_single_message_untouched(self):
-        store = self._store_with([7])
-        assert store.combine(SumCombiner()) == 0
-        assert store.inbox("t")[0].source == 0
+        store = self._store_with([7]).settle(1, None, SumCombiner())
+        assert store.eliminated == 0
+        assert store.inbox("t") == [(0, 7)]
 
     def test_total_message_count_updated(self):
-        store = self._store_with([1, 2, 3])
-        store.combine(MinCombiner())
+        store = self._store_with([1, 2, 3]).settle(1, None, MinCombiner())
         assert store.total_messages == 1
 
     def test_multiple_targets_combined_independently(self):
         store = MessageStore()
-        for value in (1, 2):
-            store.deliver(Envelope(source=0, target="a", value=value))
-        store.deliver(Envelope(source=0, target="b", value=9))
-        store.combine(SumCombiner())
-        assert store.inbox("a")[0].value == 3
-        assert store.inbox("b")[0].value == 9
+        store.deliver_columns([0, 0, 0], ["a", "a", "b"], [1, 2, 9])
+        store.settle(1, None, SumCombiner())
+        assert store.inbox_values("a") == [3]
+        assert store.inbox_values("b") == [9]
+
+    def test_no_combiner_no_schedule_changes_nothing(self):
+        store = self._store_with([1, 2, 3]).settle(1, None, None)
+        assert (store.eliminated, store.permuted) == (0, 0)
+        assert store.inbox("t") == [(0, 1), (1, 2), (2, 3)]

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import PregelError
 from repro.pregel.context import ComputeContext, ComputeServices
-from repro.pregel.messages import Envelope
 
 
 class RecordingServices(ComputeServices):
@@ -21,8 +20,8 @@ class RecordingServices(ComputeServices):
     def aggregate(self, name, contribution):
         self.contributions.append((name, contribution))
 
-    def emit(self, envelope):
-        self.emitted.append(envelope)
+    def emit(self, source, target, value):
+        self.emitted.append((source, target, value))
 
     def request_add_vertex(self, vertex_id, value):
         self.added.append((vertex_id, value))
@@ -37,7 +36,7 @@ def make_ctx(**overrides):
         vertex_id="v",
         value=10,
         edges={"a": 1.0, "b": None},
-        incoming=[Envelope(source="s", target="v", value="msg")],
+        incoming=[("s", "msg")],
         superstep=3,
         num_vertices=100,
         num_edges=300,
@@ -53,7 +52,7 @@ class TestValueAndGlobals:
         ctx, _services = make_ctx()
         assert ctx.vertex_id == "v"
         assert dict(ctx.out_edges()) == {"a": 1.0, "b": None}
-        assert [e.value for e in ctx.message_envelopes()] == ["msg"]
+        assert ctx.incoming_messages() == [("s", "msg")]
         assert ctx.superstep == 3
         assert (ctx.num_vertices, ctx.num_edges) == (100, 300)
 
@@ -102,15 +101,15 @@ class TestMessaging:
     def test_send_message_emits_and_records(self):
         ctx, services = make_ctx()
         ctx.send_message("a", 5)
-        assert len(services.emitted) == 1
-        envelope = services.emitted[0]
-        assert (envelope.source, envelope.target, envelope.value) == ("v", "a", 5)
+        assert services.emitted == [("v", "a", 5)]
         assert ctx.sent_messages() == [("a", 5)]
 
     def test_send_to_all_neighbors(self):
         ctx, services = make_ctx()
         ctx.send_message_to_all_neighbors("hello")
-        assert sorted(e.target for e in services.emitted) == ["a", "b"]
+        assert sorted(services.emitted) == [
+            ("v", "a", "hello"), ("v", "b", "hello"),
+        ]
 
     def test_send_log_keeps_send_order_across_point_and_broadcast(self):
         ctx, _services = make_ctx()

@@ -3,75 +3,73 @@
 The contract under test: a schedule permutes inbox *order* only — never
 the message multiset — deterministically for a given (seed, schedule,
 superstep, target), differently across schedules, and identically
-however the engine that applies it is backed.
+however the engine that applies it is backed. It shuffles an index
+vector; :meth:`MessageStore.settle` gathers an inbox's source and value
+columns through it.
 """
 
-from repro.pregel.messages import Envelope, MessageStore
+from repro.pregel import SumCombiner
+from repro.pregel.messages import MessageStore
 from repro.pregel.permutation import PermutationSchedule
+from tests.reference_delivery import ReferenceDelivery
+
+TARGETS = 3
+FANIN = 6
 
 
-def make_store(num_targets=3, fanin=6):
+def make_store(num_targets=TARGETS, fanin=FANIN):
+    """Canonical inboxes: sources ascending, ``value = source * 10 + target``."""
     store = MessageStore()
     for target in range(num_targets):
         for source in range(fanin):
-            store.deliver(Envelope(source, target, value=source * 10 + target))
-    store.canonicalize()
+            store.deliver(source, target, source * 10 + target)
     return store
 
 
 def inbox_orders(store):
-    return {
-        target: list(store.inbox(target)) for target in store.targets()
-    }
+    return {target: store.inbox(target) for target, _ in store.items()}
 
 
 class TestPermuteInbox:
     def test_schedule_zero_is_identity(self):
         schedule = PermutationSchedule(0, seed=7)
-        envelopes = [Envelope(s, 0, s) for s in range(5)]
-        before = list(envelopes)
-        assert schedule.permute_inbox(0, 1, envelopes) is False
-        assert envelopes == before
-        assert schedule.is_identity()
+        order = list(range(5))
+        assert schedule.permute_inbox(0, 1, order) is False
+        assert order == list(range(5))
 
     def test_short_inboxes_untouched(self):
         schedule = PermutationSchedule(1, seed=7)
-        single = [Envelope(0, 0, 0)]
+        single = [0]
         assert schedule.permute_inbox(0, 1, single) is False
-        assert single == [Envelope(0, 0, 0)]
+        assert single == [0]
 
     def test_permutation_preserves_the_multiset(self):
         schedule = PermutationSchedule(1, seed=7)
-        envelopes = [Envelope(s, 0, s) for s in range(8)]
-        before = sorted(envelopes)
-        schedule.permute_inbox(0, 1, envelopes)
-        assert sorted(envelopes) == before
+        order = list(range(8))
+        assert schedule.permute_inbox(0, 1, order) is True
+        assert sorted(order) == list(range(8))
 
     def test_same_coordinates_same_shuffle(self):
-        a = [Envelope(s, 0, s) for s in range(8)]
-        b = [Envelope(s, 0, s) for s in range(8)]
+        a, b = list(range(8)), list(range(8))
         PermutationSchedule(1, seed=7).permute_inbox(0, 3, a)
         PermutationSchedule(1, seed=7).permute_inbox(0, 3, b)
         assert a == b
 
     def test_schedules_differ(self):
-        a = [Envelope(s, 0, s) for s in range(8)]
-        b = [Envelope(s, 0, s) for s in range(8)]
+        a, b = list(range(8)), list(range(8))
         PermutationSchedule(1, seed=7).permute_inbox(0, 1, a)
         PermutationSchedule(2, seed=7).permute_inbox(0, 1, b)
         assert a != b
 
     def test_supersteps_differ(self):
-        a = [Envelope(s, 0, s) for s in range(8)]
-        b = [Envelope(s, 0, s) for s in range(8)]
+        a, b = list(range(8)), list(range(8))
         schedule = PermutationSchedule(1, seed=7)
         schedule.permute_inbox(0, 1, a)
         schedule.permute_inbox(0, 2, b)
         assert a != b
 
     def test_targets_differ(self):
-        a = [Envelope(s, 0, s) for s in range(8)]
-        b = [Envelope(s, 0, s) for s in range(8)]
+        a, b = list(range(8)), list(range(8))
         schedule = PermutationSchedule(1, seed=7)
         schedule.permute_inbox("u", 1, a)
         schedule.permute_inbox("v", 1, b)
@@ -91,29 +89,50 @@ class TestBind:
 
 
 class TestPermuteStore:
+    """The schedule half of :meth:`MessageStore.settle`."""
+
     def test_counts_changed_inboxes_and_keeps_multisets(self):
-        store = make_store()
-        before = {
-            t: sorted(envs) for t, envs in inbox_orders(store).items()
-        }
-        permuted = PermutationSchedule(1, seed=7).permute_store(store, 1)
+        before = {t: sorted(inbox) for t, inbox in inbox_orders(make_store()).items()}
+        store = make_store().settle(1, PermutationSchedule(1, seed=7), None)
         after = inbox_orders(store)
-        assert permuted == len(before)
-        assert {t: sorted(envs) for t, envs in after.items()} == before
-        assert any(
-            after[t] != sorted(after[t], key=lambda e: repr(e.source))
-            for t in after
+        assert store.permuted == len(before)
+        assert {t: sorted(inbox) for t, inbox in after.items()} == before
+        assert any(after[t] != sorted(after[t]) for t in after)
+        # Sources and values moved together: each message is still whole.
+        assert all(
+            value == source * 10 + target
+            for target, inbox in after.items() for source, value in inbox
         )
 
     def test_identity_schedule_counts_zero(self):
-        store = make_store()
-        before = inbox_orders(store)
-        assert PermutationSchedule(0, seed=7).permute_store(store, 1) == 0
-        assert inbox_orders(store) == before
+        store = make_store().settle(1, PermutationSchedule(0, seed=7), None)
+        assert store.permuted == 0
+        assert inbox_orders(store) == inbox_orders(make_store())
 
     def test_store_permutation_is_reproducible(self):
-        first = make_store()
-        second = make_store()
-        PermutationSchedule(2, seed=9).permute_store(first, 4)
-        PermutationSchedule(2, seed=9).permute_store(second, 4)
+        first = make_store().settle(4, PermutationSchedule(2, seed=9), None)
+        second = make_store().settle(4, PermutationSchedule(2, seed=9), None)
         assert inbox_orders(first) == inbox_orders(second)
+
+    def test_index_vector_gives_the_shuffle_of_the_messages_themselves(self):
+        """The reference shuffles ``(source, value)`` lists directly."""
+        schedule = PermutationSchedule(2, seed=9)
+        reference = ReferenceDelivery()
+        reference.merge_grouped(list(make_store().iter_checkpoint_messages()))
+        assert reference.permute(schedule, 4) == TARGETS
+        assert inbox_orders(make_store().settle(4, schedule, None)) == reference.inboxes
+
+    def test_combiner_folds_the_permuted_order(self):
+        class KeepFirst(SumCombiner):
+            def combine(self, first, second):
+                return first
+
+        schedule = PermutationSchedule(1, seed=7)
+        permuted = make_store().settle(1, schedule, None)
+        combined = make_store().settle(1, schedule, KeepFirst())
+        assert combined.permuted == TARGETS
+        assert combined.eliminated == TARGETS * (FANIN - 1)
+        for target in range(TARGETS):
+            assert combined.inbox(target) == [
+                (None, permuted.inbox_values(target)[0])
+            ]

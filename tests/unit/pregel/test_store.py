@@ -116,7 +116,7 @@ class TestRunFiles:
         view = SpilledMessageStore(fs, "/spill", 1, 1).load_partition(0)
         assert view.inbox_values(2) == [3.0, 5.0]
         assert view.inbox_values(7) == [0.0, 1.0]
-        assert view.inbox(7) == [(0, 7, 0.0), (1, 7, 1.0)]
+        assert view.inbox(7) == [(0, 0.0), (1, 1.0)]
         assert len(view.incoming_view(2)) == 2
 
     def test_a_silent_worker_writes_no_file(self):

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ComputeError
 from repro.pregel import Computation
 from repro.pregel.aggregators import AggregatorRegistry, SumAggregator
-from repro.pregel.messages import Envelope, MessageStore
+from repro.pregel.messages import MessageStore
 from repro.pregel.worker import _LEARNED_SIZES, Worker, _estimate_bytes
 
 
@@ -125,7 +125,7 @@ class TestActivation:
         worker = loaded_worker()
         worker.halted["a"] = True
         store = MessageStore()
-        store.deliver(Envelope(source="b", target="a", value=1))
+        store.deliver("b", "a", 1)
         assert worker.active_vertices(1, store) == ["a", "b"]
 
 
@@ -134,13 +134,14 @@ class TestRunSuperstep:
         worker = loaded_worker()
         worker.prepare_superstep(AggregatorRegistry())
         store = MessageStore()
-        store.deliver(Envelope(source="b", target="a", value="payload"))
+        store.deliver("b", "a", "payload")
         worker.run_superstep(Echo(), 1, store, 2, 2)
-        # One broadcast = one compact record in the packed outbox, expanded
-        # against the worker's adjacency only for introspection.
-        assert worker.outbox.bcast_sources == ["a"]
-        assert worker.outbox.point == {}
-        assert worker.outbox_envelopes() == [Envelope("a", "b", "payload")]
+        # One broadcast = one compact record in the packed outbox.
+        outbox = worker.outbox
+        assert outbox.bcast_sources == ["a"]
+        assert outbox.bcast_column.values() == ["payload"]
+        assert outbox.point == {}
+        assert outbox.messages == 1
         assert worker.messages_sent == 1
         assert worker.bytes_sent > 0
 
@@ -200,11 +201,11 @@ class TestRunSuperstep:
         worker = loaded_worker()
         worker.prepare_superstep(AggregatorRegistry())
         store = MessageStore()
-        store.deliver(Envelope(source="b", target="a", value=1))
+        store.deliver("b", "a", 1)
         worker.run_superstep(Echo(), 1, store, 2, 2)
         worker.prepare_superstep(AggregatorRegistry())
         assert worker.outbox.messages == 0
         assert worker.outbox.batch_count() == 0
-        assert worker.outbox_envelopes() == []
+        assert worker.outbox.bcast_sources == []
         assert worker.messages_sent == 0
         assert worker.compute_calls == 0
