@@ -36,11 +36,13 @@ from repro.pregel import EXECUTOR_NAMES
 from repro.simfs.filesystem import SimFileSystem
 
 #: A K-schedule sweep executes the job K+1 times plus a digest
-#: normalization pass per run (decode every canonical record, re-sort its
-#: inbox, re-encode when the order moved). On small workloads the
-#: normalization rivals the run itself — engine supersteps are cheap, the
-#: per-record decode is not — so the honest per-run cost sits well above
-#: 1x; 4.5x bounds it while leaving room for timer noise.
+#: normalization pass per run: one canonical row walk (every stored row cut
+#: into its field texts, no record built) that decodes each non-empty
+#: ``incoming`` slot, re-sorts it and re-writes it when the order moved. On
+#: small workloads that walk still rivals the run itself — engine
+#: supersteps are cheap, parsing every capture-all row is not — so the
+#: honest per-run cost sits above 1x; 4.5x bounds it while leaving room
+#: for timer noise.
 OVERHEAD_CEILING = 4.5
 
 SEED = 11

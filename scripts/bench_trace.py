@@ -13,8 +13,10 @@ like a real run), then measures what the indexed v2 format buys:
   The "jump straight to the suspicious vertex" move from the paper's GUI:
   lazy does one index lookup, one ranged read, one record decode.
 - **warm queries** — repeated gets/history/at_superstep on a live reader.
-- **storage** — v2 bytes vs. v1 bytes (the canonical JSON-line stream,
-  which is the v1 encoding by definition), sidecar overhead, zlib ratio.
+- **storage** — stored bytes vs. the size of the same records' canonical
+  JSON-line stream (the ``v1_bytes`` / ``v2_vs_v1`` keys: the stream
+  exists whether or not any file ever held it, and the keys keep their
+  names), sidecar overhead, zlib ratio.
 
 Gates (exit status 1 when violated):
 

@@ -30,7 +30,11 @@ from repro.chaos.injection import ChaosFileSystem, FaultInjector
 from repro.common.errors import TraceError
 from repro.common.serialization import default_codec
 from repro.graft.capture import record_to_line
-from repro.graft.trace import TraceReader, canonical_trace_digest
+from repro.graft.trace import (
+    TraceReader,
+    canonical_trace_digest,
+    iter_canonical_rows,
+)
 from repro.pregel.checkpoint import CheckpointConfig
 from repro.simfs.filesystem import SimFileSystem
 
@@ -119,6 +123,25 @@ def _reader_lines(reader):
     for record in reader.master_records:
         lines.append(record_to_line(record, default_codec))
     return sorted(lines)
+
+
+def _trace_divergence(baseline_fs, chaos_fs, job_id):
+    """Where the recovered run's trace first left the fault-free run's.
+
+    Only a failing run pays for (and imports) the join that says where.
+    """
+    from repro.graft.diffing import first_divergence
+
+    (_kind, superstep, vertex_repr), name, left, right = first_divergence(
+        iter_canonical_rows(baseline_fs, job_id),
+        iter_canonical_rows(chaos_fs, job_id),
+    )
+    where = f"vertex {vertex_repr}" if vertex_repr else "master"
+    return (
+        "canonical trace digest diverged from the fault-free run: first "
+        f"divergence at superstep {superstep}, {where}, "
+        f"field `{name}`: {left!r} vs {right!r}"
+    )
 
 
 def _shm_segments():
@@ -251,10 +274,11 @@ def run_chaos(
 
     report.baseline_digest = canonical_trace_digest(baseline_fs, job_id)
     report.injected_digest = canonical_trace_digest(chaos_fs, job_id)
+    digests_match = report.injected_digest == report.baseline_digest
     check(
         "canonical trace digest bit-identical",
-        report.injected_digest == report.baseline_digest,
-        "canonical trace digest diverged from the fault-free run",
+        digests_match,
+        "" if digests_match else _trace_divergence(baseline_fs, chaos_fs, job_id),
     )
 
     lazy = _reader_lines(TraceReader(chaos_fs, job_id, mode="lazy"))

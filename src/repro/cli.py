@@ -640,8 +640,8 @@ def cmd_trace(args, out):
             info["index_bytes"],
             f"{info['index_coverage'] * 100:.1f}%",
             f"{info['compression_ratio']:.2f}x",
-            "-" if info["violations"] is None else info["violations"],
-            "-" if info["exceptions"] is None else info["exceptions"],
+            info["violations"],
+            info["exceptions"],
         ])
     totals = stats["totals"]
     rows.append([

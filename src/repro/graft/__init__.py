@@ -79,7 +79,6 @@ if TYPE_CHECKING:
         replay_record,
     )
     from repro.graft.trace import (
-        TRACE_FORMAT_V1,
         TRACE_FORMAT_V2,
         TraceReader,
         TraceStore,
@@ -133,7 +132,6 @@ __all__ = [
     "generate_end_to_end_test",
     "TraceReader",
     "TraceStore",
-    "TRACE_FORMAT_V1",
     "TRACE_FORMAT_V2",
     "canonical_trace_digest",
     "canonical_trace_lines",
@@ -173,7 +171,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "order_insensitive_lines", "run_sanitizer",
     ),
     "repro.graft.trace": (
-        "TRACE_FORMAT_V1", "TRACE_FORMAT_V2", "TraceReader", "TraceStore",
+        "TRACE_FORMAT_V2", "TraceReader", "TraceStore",
         "canonical_trace_digest", "canonical_trace_lines",
         "iter_canonical_trace_lines", "iter_file_records", "trace_stats",
     ),

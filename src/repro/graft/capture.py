@@ -132,8 +132,8 @@ class MasterContextRecord:
 # -- serialization -----------------------------------------------------------
 #
 # A record has two encodings with identical field values: the canonical
-# JSON line (field names as keys; what digests and v1 files hold) and the
-# compact v2 row. Both are written as text in one pass by
+# JSON line (field names as keys; what digests hold) and the compact v2
+# row. Both are written as text in one pass by
 # :class:`RecordEncoder`, from the same field texts — so a stored row can
 # be re-laid-out as the line, or served under its field names, without
 # decoding it: :func:`split_row` cuts a row back into those texts and

@@ -15,7 +15,9 @@ moved.
 An order-insensitive computation produces one digest across every
 schedule and backend. An order-sensitive one diverges, and the report
 pins the **first divergence** — schedule, superstep, vertex, and the
-exact record field that differs — reusing the canonical-merge machinery
+exact record field that differs — by joining the baseline's and the
+schedule's normalized row walks in step order
+(:func:`repro.graft.diffing.first_divergence`), the same canonical merge
 the cross-backend determinism contract is built on. Verdicts feed the
 same scoring pipeline as GL013/GL014 predictions: a divergence counts as
 ``order_divergence`` evidence for
@@ -23,17 +25,13 @@ same scoring pipeline as GL013/GL014 predictions: a divergence counts as
 violations view.
 """
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 
 from repro.common.serialization import default_codec
-from repro.graft.capture import (
-    MasterContextRecord,
-    record_from_line,
-    record_to_line,
-)
-from repro.graft.trace import iter_canonical_trace_lines
+from repro.graft.capture import KIND_VERTEX, join_line, vertex_field_names
+from repro.graft.diffing import PRESENCE, first_divergence
+from repro.graft.trace import distinct_rows, iter_canonical_rows, lines_digest
 from repro.pregel.permutation import PermutationSchedule
 from repro.simfs.filesystem import SimFileSystem
 
@@ -43,39 +41,53 @@ from repro.simfs.filesystem import SimFileSystem
 ORDER_SENSITIVE_RULES = ("GL015", "GL016", "GL017", "GL018")
 
 
+_INCOMING_SLOT = vertex_field_names().index("incoming")
+
+
+def _normalized_rows(filesystem, job_id, codec):
+    """The canonical row walk with every ``incoming`` slot re-sorted.
+
+    ``incoming`` is the one field whose order is an artifact of the
+    delivery schedule. Only that slot's text is looked at: a non-empty one
+    is decoded, sorted by ``(source, value)`` repr and — only when the
+    order moved — written back; every other field stays byte-exact.
+    """
+    def pair_key(pair):
+        return repr(pair[0]), repr(pair[1])
+
+    for key, rows in iter_canonical_rows(filesystem, job_id, codec):
+        if key[0] == KIND_VERTEX:
+            for texts in rows:
+                if texts[_INCOMING_SLOT] != "[]":
+                    incoming = codec.loads(texts[_INCOMING_SLOT])
+                    normalized = sorted(incoming, key=pair_key)
+                    if normalized != incoming:
+                        texts[_INCOMING_SLOT] = codec.dumps(normalized)
+            if len(rows) > 1:
+                rows = distinct_rows(KIND_VERTEX, rows)
+        yield key, rows
+
+
 def order_insensitive_lines(filesystem, job_id, codec=None):
     """Canonical trace lines with per-record ``incoming`` order normalized.
 
-    Starts from :func:`~repro.graft.trace.iter_canonical_trace_lines`
-    (worker placement already normalized, lines sorted and deduplicated),
-    re-sorts each vertex record's ``incoming`` list by ``(source, value)``
-    repr — the one field whose order is an artifact of the delivery
-    schedule — and returns the re-serialized lines, sorted. Every other
-    field stays byte-exact, so two schedules produce the same line list
-    iff the computation itself ignored the order.
+    :func:`~repro.graft.trace.iter_canonical_rows` (worker placement
+    already normalized, re-captures collapsed) with each vertex record's
+    ``incoming`` list re-sorted, laid out as lines, sorted. Two schedules
+    produce the same line list iff the computation itself ignored the
+    order.
     """
     codec = codec or default_codec
-    lines = set()
-    key = lambda pair: (repr(pair[0]), repr(pair[1]))  # noqa: E731
-    for line in iter_canonical_trace_lines(filesystem, job_id, codec=codec):
-        record = record_from_line(line, codec)
-        incoming = getattr(record, "incoming", None)
-        if incoming and len(incoming) > 1:
-            normalized = sorted(incoming, key=key)
-            if normalized != incoming:
-                record.incoming = normalized
-                line = record_to_line(record, codec)
-        lines.add(line)
-    return sorted(lines)
+    return sorted({
+        join_line(key[0], texts)
+        for key, rows in _normalized_rows(filesystem, job_id, codec)
+        for texts in rows
+    })
 
 
 def order_insensitive_digest(filesystem, job_id, codec=None):
     """SHA-256 over the order-insensitive canonical lines."""
-    digest = hashlib.sha256()
-    for line in order_insensitive_lines(filesystem, job_id, codec=codec):
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    return lines_digest(order_insensitive_lines(filesystem, job_id, codec=codec))
 
 
 @dataclass(frozen=True)
@@ -226,90 +238,6 @@ class SanitizerReport:
         }
 
 
-def _record_key(record):
-    if isinstance(record, MasterContextRecord):
-        return ("master", record.superstep, "")
-    return ("vertex", record.superstep, repr(record.vertex_id))
-
-
-def first_divergence(baseline_lines, permuted_lines, schedule, codec=None):
-    """Locate the earliest differing record between two line lists.
-
-    Both inputs are order-insensitive canonical line lists. Returns a
-    :class:`FirstDivergence` or None when the lists are identical.
-    """
-    codec = codec or default_codec
-    if baseline_lines == permuted_lines:
-        return None
-
-    def keyed(lines):
-        table = {}
-        for line in lines:
-            record = record_from_line(line, codec)
-            table.setdefault(_record_key(record), []).append((line, record))
-        return table
-
-    base, perm = keyed(baseline_lines), keyed(permuted_lines)
-    for key in sorted(set(base) | set(perm)):
-        kind, superstep, vertex_repr = key
-        base_entries = base.get(key, [])
-        perm_entries = perm.get(key, [])
-        if [line for line, _ in base_entries] == [
-            line for line, _ in perm_entries
-        ]:
-            continue
-        if not base_entries or not perm_entries:
-            return FirstDivergence(
-                schedule=schedule,
-                superstep=superstep,
-                vertex_id=vertex_repr,
-                kind="capture-set",
-                field="",
-                baseline=repr(len(base_entries)),
-                permuted=repr(len(perm_entries)),
-            )
-        base_record = base_entries[0][1]
-        perm_record = perm_entries[0][1]
-        for name in _diff_fields(base_record):
-            base_value = getattr(base_record, name, None)
-            perm_value = getattr(perm_record, name, None)
-            if base_value != perm_value:
-                return FirstDivergence(
-                    schedule=schedule,
-                    superstep=superstep,
-                    vertex_id=vertex_repr,
-                    kind=kind,
-                    field=name,
-                    baseline=repr(base_value),
-                    permuted=repr(perm_value),
-                )
-        # Same first record; a later duplicate-keyed record differs.
-        return FirstDivergence(
-            schedule=schedule,
-            superstep=superstep,
-            vertex_id=vertex_repr,
-            kind="capture-set",
-            field="",
-            baseline=repr(len(base_entries)),
-            permuted=repr(perm_entries and len(perm_entries)),
-        )
-    return None
-
-
-def _diff_fields(record):
-    from repro.graft.capture import master_field_names, vertex_field_names
-
-    if isinstance(record, MasterContextRecord):
-        return master_field_names()
-    # Report value/outcome fields before bookkeeping ones.
-    preferred = (
-        "value_after", "sent", "halted", "value_before", "incoming",
-        "aggregators", "violations", "exception",
-    )
-    rest = [n for n in vertex_field_names() if n not in preferred]
-    return tuple(preferred) + tuple(rest)
-
-
 def run_sanitizer(
     computation_factory,
     graph,
@@ -386,7 +314,6 @@ def run_sanitizer(
         return report
     report.baseline_seconds = baseline.result.metrics.total_seconds
     report.baseline_digest = order_insensitive_digest(baseline_fs, job_id)
-    baseline_lines = None   # materialized lazily, only on divergence
 
     for schedule in schedule_indices:
         permuted_fs = SimFileSystem()
@@ -410,13 +337,19 @@ def run_sanitizer(
         if digest != report.baseline_digest:
             report.divergent_schedules.append(schedule)
             if report.first_divergence is None:
-                if baseline_lines is None:
-                    baseline_lines = order_insensitive_lines(
-                        baseline_fs, job_id
-                    )
-                report.first_divergence = first_divergence(
-                    baseline_lines,
-                    order_insensitive_lines(permuted_fs, job_id),
-                    schedule,
+                (kind, superstep, vertex_repr), name, left, right = first_divergence(
+                    _normalized_rows(baseline_fs, job_id, default_codec),
+                    _normalized_rows(permuted_fs, job_id, default_codec),
+                )
+                capture_set = name == PRESENCE
+                kind_name = "vertex" if kind == KIND_VERTEX else "master"
+                report.first_divergence = FirstDivergence(
+                    schedule=schedule,
+                    superstep=superstep,
+                    vertex_id=vertex_repr,
+                    kind="capture-set" if capture_set else kind_name,
+                    field="" if capture_set else name,
+                    baseline=repr(left),
+                    permuted=repr(right),
                 )
     return report

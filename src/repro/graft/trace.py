@@ -14,35 +14,32 @@ file system and codec — a different process (the paper's "copy into your
 IDE" step) can do it, provided the modules defining the value types are
 imported.
 
-Two storage formats can be read (see docs/trace-format.md):
-
-- ``"v2"`` — what :class:`TraceStore` writes: framed records with interned
-  field keys, optional zlib block compression, and an index sidecar built
-  incrementally at flush boundaries. The sidecar maps ``(superstep,
-  repr(vertex_id))`` to a byte extent plus violation/exception posting
-  data, which is what makes the default ``mode="lazy"`` reader's open and
-  point queries O(result) instead of O(trace).
-- ``"v1"`` — read-only legacy: one JSON line per record (the canonical
-  line encoding of :func:`~repro.graft.capture.record_to_line`), no
-  sidecar; any read decodes the entire file.
+One storage format exists (see docs/trace-format.md): framed records with
+interned field keys, optional zlib block compression, and an index sidecar
+built incrementally at flush boundaries. The sidecar maps ``(superstep,
+repr(vertex_id))`` to a byte extent plus violation/exception posting data,
+which is what makes the default ``mode="lazy"`` reader's open and point
+queries O(result) instead of O(trace). A ``*.trace`` file is that format
+or it is not a trace: an empty file is an empty trace, bytes without the
+magic raise :class:`~repro.common.errors.TraceError`.
 
 :class:`TraceReader` accepts ``mode="lazy"`` (index-backed, decode on
 demand, LRU-bounded memory) or ``mode="eager"`` (decode everything up
-front — the v1 behaviour, kept as a fallback and as the oracle for the
-equivalence tests). Both modes answer every query identically, for both
-storage formats; index-less or corrupted v2 sidecars are recovered by
+front — kept as the oracle for the equivalence tests). Both modes answer
+every query identically; index-less or corrupted sidecars are recovered by
 rescanning the unindexed tail of the trace file.
 
-:func:`canonical_trace_lines` / :func:`canonical_trace_digest` provide the
-*deterministic trace merge*: a single canonical view of a job's captures
-that is byte-identical regardless of execution backend, worker count,
-**and storage format**. Raw per-worker files are already byte-identical
-across backends at the same worker count; the canonical merge additionally
-normalizes the two partition-dependent artifacts (which file a record
-landed in, and the ``worker_id`` field inside it) and imposes a
-content-based total order, so two runs of the same job can be compared
-with a single hash even when one used 1 worker and the other 8 — or one
-wrote v1 files and the other v2.
+:func:`iter_canonical_rows` is the *deterministic trace merge*: a single
+canonical walk of a job's captures that is identical regardless of
+execution backend, worker count and recovery history. Raw per-worker files
+are already byte-identical across backends at the same worker count; the
+canonical merge additionally normalizes the two partition-dependent
+artifacts (which file a record landed in, and the ``worker_id`` field
+inside it), collapses rollback re-captures and imposes a content-based
+total order. :func:`canonical_trace_lines` / :func:`canonical_trace_digest`
+lay that walk out as lines and hash them, so two runs of the same job can
+be compared with a single hash even when one used 1 worker and the other
+8; :mod:`repro.graft.diffing` joins two walks to say where they first part.
 """
 
 import hashlib
@@ -50,6 +47,8 @@ import json
 import posixpath
 import threading
 import zlib
+from itertools import groupby
+from operator import itemgetter
 
 from repro.common.errors import SerializationError, SimFsError, TraceError
 from repro.common.serialization import default_codec
@@ -61,7 +60,6 @@ from repro.graft.capture import (
     VertexContextRecord,
     join_line,
     master_field_names,
-    record_from_line,
     record_from_row,
     split_row,
     vertex_field_names,
@@ -74,7 +72,6 @@ from repro.graft.traceformat import (
     encode_header,
     format_idx_header,
     format_idx_line,
-    is_v2_file,
     iter_v2_records,
     load_index,
     pack_records,
@@ -91,7 +88,6 @@ from repro.simfs.writers import (
 
 DEFAULT_ROOT = "/graft"
 
-TRACE_FORMAT_V1 = "v1"
 TRACE_FORMAT_V2 = "v2"
 
 #: Default LRU sizes for the lazy reader: decoded records and decompressed
@@ -146,13 +142,8 @@ def load_job_metrics(filesystem, job_id, root=DEFAULT_ROOT):
 
 
 def iter_file_records(filesystem, path, codec=None):
-    """Decode every record of one trace file, v1 or v2, in file order."""
-    codec = codec or default_codec
-    if is_v2_file(filesystem, path):
-        return iter_v2_records(filesystem, path, codec)
-    return (
-        record_from_line(line, codec) for line in filesystem.read_lines(path)
-    )
+    """Decode every record of one trace file, in file order."""
+    return iter_v2_records(filesystem, path, codec or default_codec)
 
 
 # -- write side ---------------------------------------------------------------
@@ -389,13 +380,11 @@ class TraceStore:
 
 # -- read side: sources -------------------------------------------------------
 #
-# A *source* wraps one trace file and yields uniform index entries
-# ``(kind, superstep, vid_repr, ref, vflags)``; ``fetch(ref)`` decodes one
-# record and ``row_text(ref)`` returns its v2 row — the record's field
-# texts in the current classes' field order — without building it.
-# _IndexedSource is the lazy v2 path (sidecar-backed, ranged reads);
-# _FallbackSource is the compatibility path for v1 files (decoded up
-# front, which is all a keyless format allows).
+# A *source* wraps one trace file behind its sidecar (ranged reads) and
+# yields index entries ``(kind, superstep, vid_repr, ref, vflags)``;
+# ``fetch(ref)`` decodes one record and ``row_text(ref)`` returns its row —
+# the record's field texts in the current classes' field order — without
+# building it.
 
 
 class _LRUCache:
@@ -443,66 +432,8 @@ class _LRUCache:
             return len(self._data)
 
 
-class _FallbackSource:
-    """v1 (or otherwise index-less) file: decode once, serve from memory."""
-
-    def __init__(self, filesystem, path, codec):
-        self.path = path
-        self._codec = codec
-        self._records = []
-        self._entries = []
-        for record in iter_file_records(filesystem, path, codec):
-            ref = len(self._records)
-            self._records.append(record)
-            if isinstance(record, MasterContextRecord):
-                entry = (KIND_MASTER, record.superstep, None, ref, 0)
-            elif isinstance(record, VertexContextRecord):
-                vflags = 0
-                if record.violations:
-                    vflags |= VFLAG_VIOLATIONS
-                if record.exception is not None:
-                    vflags |= VFLAG_EXCEPTION
-                entry = (
-                    KIND_VERTEX, record.superstep, repr(record.vertex_id),
-                    ref, vflags,
-                )
-            else:
-                raise TraceError(
-                    f"unexpected record type {type(record).__name__}"
-                )
-            self._entries.append(entry)
-        self.index_stats = {"indexed_blocks": 0, "recovered_blocks": 0}
-
-    def iter_entries(self):
-        return iter(self._entries)
-
-    def entries_for_superstep(self, superstep):
-        for entry in self._entries:
-            if entry[0] == KIND_VERTEX and entry[1] == superstep:
-                yield entry
-
-    def supersteps(self):
-        return {e[1] for e in self._entries if e[0] == KIND_VERTEX}
-
-    def flagged_supersteps(self, vflag):
-        return {
-            e[1]
-            for e in self._entries
-            if e[0] == KIND_VERTEX and e[4] & vflag
-        }
-
-    def master_entries(self):
-        return [e for e in self._entries if e[0] == KIND_MASTER]
-
-    def fetch(self, ref):
-        return self._records[ref]
-
-    def row_text(self, ref):
-        return RecordEncoder(self._codec).row(self._records[ref])
-
-
 class _IndexedSource:
-    """v2 file behind its sidecar: block directory now, records on demand.
+    """A trace file behind its sidecar: block directory now, records on demand.
 
     Safe for concurrent readers: the sidecar's per-record entry lists parse
     lazily on first touch, and that parse-and-memoize is a multi-step
@@ -630,27 +561,19 @@ class _IndexedSource:
         return RecordEncoder(self._codec).row(self.fetch(ref))
 
 
-def _trace_sources(filesystem, job_id, codec, root,
-                   record_cache=None, block_cache=None):
-    """One source per trace file of a job, in sorted path order."""
+def _trace_sources(filesystem, job_id, codec, root, record_cache, block_cache):
+    """One source per trace file of a job, in sorted path order.
+
+    Raises :class:`TraceError` naming the file when a ``*.trace`` file
+    under the job directory is not a trace.
+    """
     directory = job_directory(job_id, root)
     if not filesystem.is_dir(directory):
         raise TraceError(f"no trace directory for job {job_id!r}")
-    # Explicit None checks: an injected-but-currently-empty cache is falsy
-    # (it has __len__), and must still be used, not replaced.
-    if record_cache is None:
-        record_cache = _LRUCache(0)
-    if block_cache is None:
-        block_cache = _LRUCache(DEFAULT_BLOCK_CACHE)
-    sources = []
-    for path in filesystem.glob_files(directory, suffix=".trace"):
-        if is_v2_file(filesystem, path):
-            sources.append(
-                _IndexedSource(filesystem, path, codec, record_cache, block_cache)
-            )
-        else:
-            sources.append(_FallbackSource(filesystem, path, codec))
-    return sources
+    return [
+        _IndexedSource(filesystem, path, codec, record_cache, block_cache)
+        for path in filesystem.glob_files(directory, suffix=".trace")
+    ]
 
 
 # -- read side: the reader ----------------------------------------------------
@@ -759,8 +682,7 @@ class TraceReader:
         self._record_cache = record_cache
         self._block_cache = block_cache
         self._sources = _trace_sources(
-            filesystem, self.job_id, self._codec, root,
-            record_cache=self._record_cache, block_cache=self._block_cache,
+            filesystem, self.job_id, self._codec, root, record_cache, block_cache
         )
         # Master contexts are one record per superstep — always cheap
         # enough to pin eagerly, and every view's aggregator panel wants
@@ -1026,61 +948,75 @@ _WORKER_ID_SLOT = vertex_field_names().index("worker_id")
 _NORMALIZED_WORKER_ID = "0"
 
 
-def iter_canonical_trace_lines(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
-    """Stream one job's captures as canonical, partition-independent lines.
+def step_order(key):
+    """Sort key of a walk key: by superstep, the master's row — computed
+    first — ahead of the vertices', then by ``repr(vertex_id)``."""
+    kind, superstep, vertex_repr = key
+    return superstep, kind != KIND_MASTER, vertex_repr
 
-    Every record from every trace file is laid out as its canonical line
-    (v1 line form: sorted keys, compact separators) with ``worker_id``
+
+def distinct_rows(kind, rows):
+    """One key's rows with equal ones collapsed, in canonical-line order."""
+    by_line = {join_line(kind, texts): texts for texts in rows}
+    return [by_line[line] for line in sorted(by_line)]
+
+
+def iter_canonical_rows(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
+    """Walk one job's captures as canonical, partition-independent rows.
+
+    Yields ``(key, rows)`` in *step order* (:func:`step_order`): ``key`` is
+    ``(kind, superstep, repr(vertex_id))`` (``""`` for a master record) and
+    ``rows`` the key's records — nearly always one — each as the field
+    texts :func:`split_row` cuts out of the stored row, ``worker_id``
     normalized (vertex placement is an artifact of partitioning, not of
-    the computation), and the lines are totally ordered by ``(kind,
-    superstep, repr(vertex_id), line_text)``. A v2 row already holds the
-    line's field texts, so the line is spliced from the stored row:
-    nothing is decoded or re-encoded unless the file is v1 or was written
-    with other field tables. Byte-identical lines within
-    one key collapse to a single line: a superstep re-executed after a
-    checkpoint rollback re-captures exactly the records the first attempt
-    already persisted, and deduplication makes the canonical stream — and
-    :func:`canonical_trace_digest` — invariant under such recoveries.
-    Genuinely different records sharing a key are all preserved. Two runs
-    of the same job produce equal streams — and equal digest hashes —
-    whatever backend, worker count, storage format, or fault/recovery
-    history produced them.
+    the computation). Nothing is decoded or re-encoded unless a file was
+    written with other field tables. Equal rows within one key collapse: a
+    superstep re-executed after a checkpoint rollback re-captures exactly
+    the records the first attempt already persisted. Genuinely different
+    records sharing a key are all kept, ordered by their canonical lines.
+    Two runs of the same job produce equal walks whatever backend, worker
+    count, or fault/recovery history produced them; the digest, graft-san
+    and ``diff_runs`` all fold this one stream.
 
-    Only the sort keys (plus, for v1 files, their decoded records) are
-    held in memory; the lines themselves stream out one equal-key group
-    at a time.
+    Only the sort keys are held in memory; rows stream out a key at a time.
     """
-    codec = codec or default_codec
-    sources = _trace_sources(filesystem, job_id, codec, root)
+    sources = _trace_sources(
+        filesystem, job_id, codec or default_codec, root,
+        _LRUCache(0), _LRUCache(DEFAULT_BLOCK_CACHE),    # rows are read once
+    )
     keyed = []
     for source_index, source in enumerate(sources):
         for entry in source.iter_entries():
-            if entry[0] == KIND_VERTEX:
-                key = (0, entry[1], entry[2])
-            else:
-                key = (1, entry[1], "")
+            key = (entry[0], entry[1], entry[2] or "")
             keyed.append((key, source_index, entry[3]))
-    keyed.sort(key=lambda item: item[0])
-    total = len(keyed)
-    start = 0
-    while start < total:
-        stop = start
-        key = keyed[start][0]
-        while stop < total and keyed[stop][0] == key:
-            stop += 1
-        lines = []
-        for _key, source_index, ref in keyed[start:stop]:
+    keyed.sort(key=lambda item: step_order(item[0]))
+    for key, group in groupby(keyed, key=itemgetter(0)):
+        rows = []
+        for _key, source_index, ref in group:
             kind, texts = split_row(sources[source_index].row_text(ref))
             if kind == KIND_VERTEX:
                 texts[_WORKER_ID_SLOT] = _NORMALIZED_WORKER_ID
-            lines.append(join_line(kind, texts))
-        if len(lines) > 1:
-            # Content tiebreak inside one (kind, ss, id) key; identical
-            # lines (rollback re-captures) collapse to one.
-            lines = sorted(set(lines))
-        for line in lines:
-            yield line
-        start = stop
+            rows.append(texts)
+        yield key, distinct_rows(key[0], rows) if len(rows) > 1 else rows
+
+
+def iter_canonical_trace_lines(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
+    """Stream :func:`iter_canonical_rows` as canonical JSON lines.
+
+    A line is the record's JSON object form (sorted keys, compact
+    separators), spliced from the stored texts. The stream's pinned order
+    is kind-major — every vertex line by ``(superstep, repr(vertex_id),
+    line)``, then the master lines by superstep — so the walk's few master
+    lines are held back to the end.
+    """
+    master_lines = []
+    for key, rows in iter_canonical_rows(filesystem, job_id, codec, root):
+        if key[0] == KIND_VERTEX:
+            for texts in rows:
+                yield join_line(KIND_VERTEX, texts)
+        else:
+            master_lines += [join_line(KIND_MASTER, texts) for texts in rows]
+    yield from master_lines
 
 
 def canonical_trace_lines(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
@@ -1088,19 +1024,22 @@ def canonical_trace_lines(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     return list(iter_canonical_trace_lines(filesystem, job_id, codec, root))
 
 
+def lines_digest(lines):
+    """SHA-256 (hex) over newline-terminated lines, consumed as a stream."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def canonical_trace_digest(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     """SHA-256 over the canonical merged trace (hex string).
 
     The one-number answer to "did these two runs capture the same thing?"
-    — byte-identical across execution backends, worker counts, and the
-    v1/v2 storage formats. Computed streamingly: no full line list is ever
-    materialized.
+    — byte-identical across execution backends and worker counts.
     """
-    digest = hashlib.sha256()
-    for line in iter_canonical_trace_lines(filesystem, job_id, codec, root):
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    return lines_digest(iter_canonical_trace_lines(filesystem, job_id, codec, root))
 
 
 # -- stats --------------------------------------------------------------------
@@ -1112,10 +1051,10 @@ def trace_stats(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     Returns a dict with one row per trace file (format, bytes, index
     bytes, record counts, index coverage, compression ratio) plus totals —
     what the ``repro trace stats`` subcommand renders. A ``*.trace`` file
-    that is not actually a readable trace (foreign bytes someone parked
-    under the job directory, undecodable garbage) is skipped rather than
-    failing the whole report: it lands in the returned ``skipped`` list as
-    ``{"path", "error"}`` so callers can warn about it.
+    that is not a readable trace (foreign bytes someone parked under the
+    job directory, a torn header) is skipped rather than failing the whole
+    report: it lands in the returned ``skipped`` list as ``{"path",
+    "error"}`` so callers can warn about it.
     """
     codec = codec or default_codec
     directory = job_directory(job_id, root)
@@ -1168,53 +1107,30 @@ def _file_stats(filesystem, path, codec):
     idx_bytes = (
         filesystem.stat(idx_path).size if filesystem.is_file(idx_path) else 0
     )
-    if is_v2_file(filesystem, path):
-        blocks, _header, index_stats = load_index(filesystem, path, codec)
-        indexed_blocks = index_stats["indexed_blocks"]
-        records = sum(meta.num_records for meta in blocks)
-        indexed_records = sum(
-            meta.num_records for meta in blocks[:indexed_blocks]
-        )
-        raw = stored = 0
-        for meta in blocks:
-            raw += len(read_block_payload(filesystem, path, meta))
-            stored += meta.length
-        return {
-            "path": path,
-            "format": TRACE_FORMAT_V2,
-            "bytes": size,
-            "index_bytes": idx_bytes,
-            "records": records,
-            "indexed_records": indexed_records,
-            "recovered_records": records - indexed_records,
-            "index_coverage": (
-                round(indexed_records / records, 4) if records else 1.0
-            ),
-            "violations": sum(meta.num_violations for meta in blocks),
-            "exceptions": sum(meta.num_exceptions for meta in blocks),
-            "raw_payload_bytes": raw,
-            "stored_payload_bytes": stored,
-            "compression_ratio": round(raw / stored, 3) if stored else 1.0,
-        }
-    # v1 has no magic line, so *any* text file reaches this branch: parse
-    # every line with the real record decoder so foreign files raise (and
-    # get skipped with a warning) instead of masquerading as empty traces.
-    records = 0
-    for line in filesystem.read_lines(path):
-        record_from_line(line, codec)
-        records += 1
+    blocks, _header, index_stats = load_index(filesystem, path, codec)
+    indexed_blocks = index_stats["indexed_blocks"]
+    records = sum(meta.num_records for meta in blocks)
+    indexed_records = sum(
+        meta.num_records for meta in blocks[:indexed_blocks]
+    )
+    raw = stored = 0
+    for meta in blocks:
+        raw += len(read_block_payload(filesystem, path, meta))
+        stored += meta.length
     return {
         "path": path,
-        "format": TRACE_FORMAT_V1,
+        "format": TRACE_FORMAT_V2,
         "bytes": size,
         "index_bytes": idx_bytes,
         "records": records,
-        "indexed_records": 0,
-        "recovered_records": 0,
-        "index_coverage": 0.0,
-        "violations": None,
-        "exceptions": None,
-        "raw_payload_bytes": size,
-        "stored_payload_bytes": size,
-        "compression_ratio": 1.0,
+        "indexed_records": indexed_records,
+        "recovered_records": records - indexed_records,
+        "index_coverage": (
+            round(indexed_records / records, 4) if records else 1.0
+        ),
+        "violations": sum(meta.num_violations for meta in blocks),
+        "exceptions": sum(meta.num_exceptions for meta in blocks),
+        "raw_payload_bytes": raw,
+        "stored_payload_bytes": stored,
+        "compression_ratio": round(raw / stored, 3) if stored else 1.0,
     }

@@ -1,8 +1,7 @@
 """The v2 trace file format: framed records plus an index sidecar.
 
-A v1 trace file is plain JSON lines — simple, but reading *anything* back
-means decoding *everything*. The v2 format keeps records just as textual
-and diffable once unframed, while making random access cheap:
+Records stay textual and diffable once unframed, while random access stays
+cheap:
 
 Trace file (``worker-<i>.trace`` / ``master.trace``)::
 
@@ -31,14 +30,15 @@ inner_offset, inner_length, vflags]`` entry per record (``vid_repr`` is
 ``vflags`` marks violations/exceptions) and is parsed lazily, per block,
 only when a query actually needs that block.
 
-Compatibility rules (see docs/trace-format.md):
+Recovery rules (see docs/trace-format.md):
 
-- readers must fall back to v1 line decoding when the magic is absent;
+- a trace file is v2 or it is not a trace: an empty file is an empty
+  trace, bytes without the magic raise (:func:`read_header`);
 - a missing, truncated, or stale index is never fatal — the unindexed
   tail of the trace file is re-scanned frame by frame and reindexed in
   memory (:func:`scan_blocks`);
 - trailing bytes that don't form a complete frame (a crashed writer's
-  torn block) are ignored, like a torn v1 line would be.
+  torn block) are ignored.
 """
 
 import json
@@ -238,17 +238,23 @@ def summarize_entries(offset, length, flags, entries):
 # -- reading the trace file itself --------------------------------------------
 
 
-def is_v2_file(filesystem, path):
-    """True when ``path`` starts with the v2 magic line."""
-    try:
-        return filesystem.read_range(path, 0, len(TRACE_MAGIC)) == TRACE_MAGIC
-    except Exception:  # noqa: BLE001 - missing/short file means "not v2"
-        return False
-
-
 def read_header(filesystem, path):
-    """Read the header frame; returns ``(header_dict, data_start_offset)``."""
+    """Read the magic line and the header frame.
+
+    Returns ``(header_dict, data_start_offset)``. An empty file — what a
+    crash between the writer's ``create`` and its first append leaves — is
+    an empty trace, ``({}, 0)``; a file that holds bytes but does not start
+    with the magic is not a trace at all and raises :class:`TraceError`.
+    """
     base = len(TRACE_MAGIC)
+    magic = filesystem.read_range(path, 0, base)
+    if not magic:
+        return {}, 0
+    if magic != TRACE_MAGIC:
+        raise TraceError(
+            f"{path!r} is not a trace file: it does not start with "
+            f"{TRACE_MAGIC.decode().rstrip()}"
+        )
     length_bytes = filesystem.read_range(path, base, _U32)
     if len(length_bytes) != _U32:
         raise TraceError(f"v2 trace {path!r} has no header frame")

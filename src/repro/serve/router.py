@@ -156,10 +156,14 @@ class Router:
 
     def _dispatch_jobs(self, parts, query):
         if not parts:
-            jobs = [
-                self.pool.session(job_id).summary()
-                for job_id in self.pool.job_ids()
-            ]
+            jobs = []
+            for job_id in self.pool.job_ids():
+                # One directory holding a foreign *.trace file must not
+                # hide every other job.
+                try:
+                    jobs.append(self.pool.session(job_id).summary())
+                except TraceError as exc:
+                    jobs.append({"job_id": job_id, "error": str(exc)})
             return Response.json({"jobs": jobs})
         session = self.pool.session(parts[0])
         etag = session.etag

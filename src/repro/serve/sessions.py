@@ -75,9 +75,9 @@ class JobSession:
         """The job's canonical trace digest, computed once and pinned.
 
         This is the strong validator every ``/jobs/...`` response carries:
-        byte-identical traces — whatever backend, worker count, or storage
-        format produced them — share it, and a cached client revalidates
-        with one in-memory string comparison.
+        byte-identical traces — whatever backend or worker count produced
+        them — share it, and a cached client revalidates with one in-memory
+        string comparison.
         """
         etag = self._etag
         if etag is None:
@@ -240,8 +240,8 @@ def job_summary(filesystem, job_id, root=DEFAULT_ROOT, stats=None,
         "files": stats["files"],
         "skipped": stats["skipped"],
         "totals": totals,
-        "violations": _count_or_none(stats["files"], "violations"),
-        "exceptions": _count_or_none(stats["files"], "exceptions"),
+        "violations": sum(info["violations"] for info in stats["files"]),
+        "exceptions": sum(info["exceptions"] for info in stats["files"]),
         "metrics": None if metrics is None else metrics.get("summary"),
         "metrics_summary_line": (
             None if metrics is None else metrics.get("summary_line")
@@ -250,14 +250,3 @@ def job_summary(filesystem, job_id, root=DEFAULT_ROOT, stats=None,
     if supersteps is not None:
         summary["supersteps"] = list(supersteps)
     return summary
-
-
-def _count_or_none(files, field):
-    """Sum a per-file counter; None when any file lacks it (v1 traces)."""
-    total = 0
-    for info in files:
-        value = info.get(field)
-        if value is None:
-            return None
-        total += value
-    return total

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
-from repro.common.serialization import default_codec
 from repro.datasets import load_dataset, premade_graph
-from repro.graft.capture import record_to_line
-from repro.graft.trace import iter_file_records, job_directory
 from repro.graph import GraphBuilder
 from repro.simfs import SimFileSystem
 
@@ -18,22 +15,6 @@ def worker_crashes(*crashes):
         FaultSpec("worker_crash", superstep=superstep, worker_id=worker_id)
         for superstep, worker_id in crashes
     ]))
-
-
-def rewrite_trace_as_v1(filesystem, job_id):
-    """Re-encode a job's trace files as legacy v1, in place.
-
-    v1 is one ``record_to_line`` JSON line per record and no index
-    sidecar. Nothing writes it any more; this is how tests get v1 files
-    to prove the read side still opens them.
-    """
-    for path in filesystem.glob_files(job_directory(job_id), suffix=".trace"):
-        lines = [
-            record_to_line(record, default_codec) + "\n"
-            for record in iter_file_records(filesystem, path)
-        ]
-        filesystem.delete(path + ".idx")
-        filesystem.write_text(path, "".join(lines))
 
 
 @pytest.fixture

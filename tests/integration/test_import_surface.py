@@ -44,7 +44,8 @@ GENERATED_TEST_IMPORTS = (
 NOT_FOR_A_RUN = {
     "numpy", "repro.analysis", "repro.bench", "repro.serve.app",
     "http.server", "ssl", "multiprocessing", "concurrent.futures", "ctypes",
-    "repro.graft.sanitizer", "repro.graft.fidelity", "repro.graft.report",
+    "repro.graft.sanitizer", "repro.graft.diffing", "repro.graft.fidelity",
+    "repro.graft.report",
 }
 
 PRINT_MODULES = "\nimport sys; print('\\n'.join(sorted(sys.modules)))"

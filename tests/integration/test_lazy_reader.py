@@ -13,15 +13,13 @@ from repro.datasets import premade_graph
 from repro.graft import CaptureAllActiveConfig, debug_run, replay_from_trace
 from repro.graft.trace import TraceReader, canonical_trace_digest
 from repro.pregel import EXECUTOR_NAMES
-from tests.conftest import rewrite_trace_as_v1
 
 WORKER_COUNTS = (1, 3)
 
 
-def _run(executor, workers, trace_format="v2"):
-    """A debugged job; ``"v1"`` re-encodes its files as legacy JSON lines."""
+def _run(executor, workers):
     graph = premade_graph("petersen")
-    run = debug_run(
+    return debug_run(
         lambda: PageRank(iterations=4),
         graph,
         CaptureAllActiveConfig(),
@@ -31,11 +29,6 @@ def _run(executor, workers, trace_format="v2"):
         num_workers=workers,
         executor=executor,
     )
-    if trace_format == "v1":
-        fs = run.session.filesystem
-        rewrite_trace_as_v1(fs, "lazyjob")
-        run.reader = TraceReader(fs, "lazyjob")
-    return run
 
 
 @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
@@ -67,9 +60,9 @@ def test_lazy_equals_eager(executor, workers):
         [m.superstep for m in eager.master_records]
 
 
-@pytest.mark.parametrize("trace_format", ("v1", "v2"))
+@pytest.mark.parametrize("trace_format", ("v2",))    # one format left; keeps the id
 def test_views_work_over_both_formats(trace_format):
-    run = _run("serial", 2, trace_format=trace_format)
+    run = _run("serial", 2)
     assert run.ok
     tabular = run.tabular_view().last().render()
     assert "superstep" in tabular
@@ -81,10 +74,9 @@ def test_views_work_over_both_formats(trace_format):
 
 def test_digest_stable_across_formats_and_backends():
     digests = {
-        (fmt, executor): canonical_trace_digest(
-            _run(executor, 2, trace_format=fmt).session.filesystem, "lazyjob"
+        executor: canonical_trace_digest(
+            _run(executor, 2).session.filesystem, "lazyjob"
         )
-        for fmt in ("v1", "v2")
         for executor in ("serial", "threads")
     }
     assert len(set(digests.values())) == 1, digests

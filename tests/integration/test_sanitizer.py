@@ -37,6 +37,7 @@ from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.sanitizer import order_insensitive_digest, run_sanitizer
 from repro.graft.trace import canonical_trace_digest
 from repro.graph import to_undirected
+from repro.pregel import MasterComputation, SumAggregator
 from repro.pregel.permutation import PermutationSchedule
 from repro.pregel.runtime import EXECUTOR_NAMES
 
@@ -190,6 +191,56 @@ class TestClosedLoop:
         assert payload["first_divergence"]["field"]
         assert any("GL016" in key for key in payload["verdicts"])
         assert "ORDER-SENSITIVE" in report.summary()
+
+
+class _SummedLabels(BuggyLabelPropagation):
+    """The seeded bug, its effect also summed into an aggregator — which
+    the master's record shows one barrier after the vertex that moved it."""
+
+    def compute(self, ctx, messages):
+        super().compute(ctx, messages)
+        ctx.aggregate("labels", ctx.value)
+
+
+class _LabelsMaster(MasterComputation):
+    def initialize(self, registry):
+        registry.register("labels", SumAggregator(0))
+
+    def master_compute(self, master_ctx):
+        pass
+
+
+@pytest.mark.san
+def test_first_divergence_is_first_in_step_order():
+    """A later superstep's master record never outranks the vertex that
+    caused it: the walk is by superstep, not by record kind."""
+    report = run_sanitizer(
+        lambda: _SummedLabels(iterations=4),
+        to_undirected(_directed()),
+        schedules=2, seed=7, num_workers=2, master=_LabelsMaster(),
+    )
+    divergence = report.first_divergence
+    assert (
+        divergence.schedule, divergence.superstep, divergence.vertex_id,
+        divergence.kind, divergence.field,
+    ) == (1, 1, "0", "vertex", "value_after")
+
+
+@pytest.mark.san
+def test_first_divergence_is_one_across_planes_executors_and_workers():
+    found = {
+        (store, executor, workers): run_sanitizer(
+            lambda: BuggyLabelPropagation(iterations=4),
+            to_undirected(_directed()),
+            schedules=1, seed=7, num_workers=workers, executor=executor,
+            lint=False, store=store,
+        ).first_divergence
+        for store in ("memory", "spill")
+        for executor in EXECUTOR_NAMES
+        for workers in (1, 2, 4)
+    }
+    assert None not in found.values()
+    assert len(set(found.values())) == 1, found
 
 
 # -- the clean half: every shipped algorithm, every backend --------------------

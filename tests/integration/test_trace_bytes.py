@@ -42,7 +42,6 @@ from repro.graft.reproducer import replay_record
 from repro.graft.trace import TraceReader, TraceStore, _V2FileWriter, job_directory
 from repro.graph import GraphBuilder, to_undirected
 from repro.pregel import Computation, MinCombiner
-from tests.conftest import rewrite_trace_as_v1
 
 
 def record_to_row(record, codec):
@@ -349,13 +348,10 @@ def _string_id_run():
     )
 
 
-@pytest.mark.parametrize("file_format", ["v2", "v1"])
+@pytest.mark.parametrize("file_format", ["v2"])      # one format left; keeps the id
 def test_string_keyed_edge_maps_replay_faithfully(file_format):
     run = _string_id_run()
-    fs, job_id = run.session.filesystem, run.session.job_id
-    if file_format == "v1":
-        rewrite_trace_as_v1(fs, job_id)
-    record = TraceReader(fs, job_id).get("a", 1)
+    record = run.reader.get("a", 1)
     assert list(record.edges_before) == ["z", "b", "m"]
     assert [target for target, _ in record.sent] == ["z", "b", "m"]
     result = replay_record(record, partial(PageRank, iterations=3))

@@ -2,9 +2,13 @@
 
 ``split_row`` must cut a v2 row exactly where the encoder joined its field
 texts, whatever the fields hold, and the canonical line spliced from those
-texts must be the line the decode → re-encode path produces.
+texts must be the line the decode → re-encode path produces. Then two
+whole traces: the join of their row walks must list the divergences the
+decode-everything comparison (``tests/reference_diff.py``) lists.
 """
 
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -25,12 +29,17 @@ from repro.graft.capture import (
     split_row,
     vertex_field_names,
 )
+from repro.graft.diffing import _difference, _merge, first_divergence
+from repro.graft.sanitizer import _normalized_rows, order_insensitive_lines
+from repro.graft.trace import TraceStore, iter_canonical_rows
+from repro.simfs import SimFileSystem
 from tests.property.test_serialization_props import (
     Empty,
     Pair,
     Payload,
     awkward_values,
 )
+from tests.reference_diff import canonical_records, reference_divergences
 
 codec = ValueCodec()
 for value_type in (Pair, Empty, Payload, Violation, ExceptionRecord):
@@ -124,3 +133,111 @@ class TestRowSplice:
         torn = row[:-cut] if cut < len(row) else ""
         with pytest.raises(ValueError):
             split_row(torn)
+
+
+# -- two walks, joined ----------------------------------------------------------
+
+_CHANGES = {
+    "value_after": payloads,
+    "value_before": payloads,
+    "sent": message_lists,
+    "halted": st.booleans(),
+    "num_edges": st.integers(0, 100),
+    "aggregators": aggregator_maps,
+}
+
+
+@st.composite
+def run_pairs(draw):
+    """Two record lists as two runs of one job might leave them: shared
+    keys (some changed in one field, some with the inbox in another order),
+    keys only one run captured, rollback re-captures, and re-captures that
+    differ."""
+    left, right = [], []
+    for record in draw(st.lists(vertex_records | master_records, max_size=6)):
+        left.append(record)
+        fate = draw(st.sampled_from(
+            ["same", "shuffled", "changed", "dropped", "recaptured", "forked"]
+        ))
+        if fate == "dropped":
+            continue
+        is_vertex = isinstance(record, VertexContextRecord)
+        twin = copy.copy(record)
+        if fate == "shuffled" and is_vertex:
+            twin.incoming = draw(st.permutations(record.incoming))
+        if fate == "changed" and is_vertex:
+            name = draw(st.sampled_from(sorted(_CHANGES)))
+            setattr(twin, name, draw(_CHANGES[name]))
+        right.append(twin)
+        if fate == "recaptured" and is_vertex:
+            right.append(dataclasses.replace(twin, worker_id=twin.worker_id + 1))
+        if fate == "forked":
+            left.append(dataclasses.replace(record, halted=not record.halted))
+    extra = st.lists(vertex_records | master_records, max_size=2)
+    return left + draw(extra), right + draw(extra)
+
+
+def write_job(records, workers):
+    fs = SimFileSystem()
+    store = TraceStore(fs, "job", workers, codec)
+    for record in records:
+        if isinstance(record, VertexContextRecord):
+            record.worker_id %= workers
+            store.write_vertex_record(record)
+        else:
+            store.write_master_record(record)
+    store.close()
+    return fs
+
+
+def joined(walks, fields=None):
+    """Every divergence of the join, as the reference lists them."""
+    found = []
+    for key, left_rows, right_rows in _merge(*walks):
+        difference = _difference(key[0], left_rows, right_rows, fields)
+        if difference is not None:
+            name, left, right = difference
+            found.append((*key, name, codec.loads(left), codec.loads(right)))
+    return found
+
+
+def shown(divergences):
+    """Comparable form: a generated value may lack ``__eq__`` (or be nan)."""
+    return [
+        (*where, codec.dumps(left), codec.dumps(right))
+        for *where, left, right in divergences
+    ]
+
+
+class TestRowJoin:
+    @given(run_pairs(), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_the_join_is_the_decoded_comparison(self, pair, left_workers, right_workers):
+        jobs = [
+            write_job(records, workers)
+            for records, workers in zip(pair, (left_workers, right_workers))
+        ]
+        for fields in (None, ("value_after", "sent", "halted")):
+            expected = reference_divergences(
+                *(canonical_records(fs, "job", codec) for fs in jobs), fields
+            )
+            got = joined([iter_canonical_rows(fs, "job", codec) for fs in jobs], fields)
+            assert shown(got) == shown(expected)
+
+        # graft-san's comparison: the same join over inbox-sorted walks.
+        sorted_inboxes = [
+            canonical_records(fs, "job", codec, sort_incoming=True) for fs in jobs
+        ]
+        got = joined([_normalized_rows(fs, "job", codec) for fs in jobs])
+        assert shown(got) == shown(reference_divergences(*sorted_inboxes))
+        first = first_divergence(
+            *(_normalized_rows(fs, "job", codec) for fs in jobs), codec
+        )
+        assert (first is None) == (not got)
+        if got:
+            key, *rest = first
+            assert shown([(*key, *rest)]) == shown(got[:1])
+        for fs, records in zip(jobs, sorted_inboxes):
+            assert order_insensitive_lines(fs, "job", codec) == sorted(
+                line for lines in records.values() for line, _record in lines
+            )

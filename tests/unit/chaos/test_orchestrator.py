@@ -3,6 +3,7 @@
 from repro.algorithms import PageRank
 from repro.chaos import FaultPlan, FaultSpec, run_chaos
 from repro.datasets import premade_graph
+from repro.pregel import Computation
 
 
 def petersen():
@@ -75,3 +76,31 @@ class TestRunChaos:
         summary = report.summary()
         assert "OK" in summary
         assert "== baseline" in summary
+
+    def test_a_diverged_trace_names_where_it_first_diverged(self):
+        class Forgetful(Computation):
+            """Vertex 0's superstep-2 value is how often that call has
+            run in this process: 1 in the clean run, then 2 and — the
+            crash re-executes it — 3 in the injected one."""
+
+            calls = {}
+
+            def compute(self, ctx, messages):
+                key = (ctx.vertex_id, ctx.superstep)
+                self.calls[key] = self.calls.get(key, 0) + 1
+                ctx.set_value(self.calls[key] if key == (0, 2) else 0)
+                if ctx.superstep == 3:
+                    ctx.vote_to_halt()
+
+        report = run_chaos(
+            Forgetful, petersen(),
+            FaultPlan(name="one-crash", faults=(
+                FaultSpec(kind="worker_crash", superstep=3, worker_id=1),
+            )),
+            seed=3, num_workers=2, checkpoint_every=2,
+        )
+        assert not report.ok
+        [failure] = [f for f in report.failures if "digest" in f]
+        assert failure.endswith(
+            "first divergence at superstep 2, vertex 0, field `value_after`: 1 vs 2"
+        ), failure

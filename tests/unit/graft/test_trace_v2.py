@@ -1,5 +1,6 @@
 """Unit tests for the v2 trace format: framing, index, lazy reader, recovery."""
 
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from repro.graft.trace import (
     TraceStore,
     canonical_trace_digest,
     canonical_trace_lines,
+    iter_canonical_rows,
     iter_canonical_trace_lines,
     iter_file_records,
     master_trace_path,
@@ -28,15 +30,14 @@ from repro.graft.trace import (
     worker_trace_path,
 )
 from repro.graft.traceformat import IDX_MAGIC, TRACE_MAGIC
-from tests.conftest import rewrite_trace_as_v1
 from tests.unit.graft.test_capture import sample_record
 
 JOB = "jobV2"
 
 
-def build_store(fs, fmt="v2", vertices=12, supersteps=4, workers=3):
+def build_store(fs, vertices=12, supersteps=4, workers=3, compression=True):
     """A small trace with violations, an exception, and per-step flushes."""
-    store = TraceStore(fs, JOB, workers)
+    store = TraceStore(fs, JOB, workers, compression=compression)
     for step in range(supersteps):
         for vid in range(vertices):
             violations = (
@@ -56,8 +57,6 @@ def build_store(fs, fmt="v2", vertices=12, supersteps=4, workers=3):
         )
         store.flush()
     store.close()
-    if fmt == "v1":
-        rewrite_trace_as_v1(fs, JOB)
     return store
 
 
@@ -89,13 +88,15 @@ class TestV2FileLayout:
         assert len(entries) == int(prefix[6])
 
     def test_iter_file_records_both_formats(self, fs):
-        build_store(fs, fmt="v2")
-        v2 = list(iter_file_records(fs, worker_trace_path(JOB, 1)))
-        fs1 = type(fs)()
-        build_store(fs1, fmt="v1")
-        v1 = list(iter_file_records(fs1, worker_trace_path(JOB, 1)))
-        assert [r.key for r in v2] == [r.key for r in v1]
-        assert v2[0].value_before == v1[0].value_before
+        """Both block formats — zlib-compressed and stored — decode alike."""
+        build_store(fs)
+        packed = list(iter_file_records(fs, worker_trace_path(JOB, 1)))
+        plain_fs = type(fs)()
+        build_store(plain_fs, compression=False)
+        plain = list(iter_file_records(plain_fs, worker_trace_path(JOB, 1)))
+        assert [r.key for r in packed] == [(vid, step) for step in range(4)
+                                           for vid in (1, 4, 7, 10)]
+        assert packed == plain
 
     def test_unknown_reader_mode_rejected(self, fs):
         build_store(fs)
@@ -266,26 +267,70 @@ class TestRecovery:
         assert canonical_trace_digest(fs, JOB) == want
 
 
-class TestV1Fallback:
-    def test_lazy_reader_reads_v1_files(self, fs):
-        """Both reader modes answer every query on v1 files like the v2 twin."""
-        build_store(fs, fmt="v2")
-        fs1 = type(fs)()
-        build_store(fs1, fmt="v1")
-        assert not fs1.glob_files("/graft", suffix=".idx")
-        v2_eager = TraceReader(fs, JOB, mode="eager")
-        for v1_reader in readers(fs1):
-            assert_all_queries_agree(v1_reader, v2_eager)
+#: What someone may park under a job directory as ``*.trace``: a JSON line
+#: (what a v1 record looked like), plain text, undecodable bytes.
+FOREIGN_PAYLOADS = [b'{"a": 1}\n', b"hello\n", b"\x00\xff\xfe"]
 
-    def test_digest_identical_across_formats(self, fs):
-        build_store(fs, fmt="v2")
-        fs1 = type(fs)()
-        build_store(fs1, fmt="v1")
-        assert canonical_trace_digest(fs, JOB) == \
-            canonical_trace_digest(fs1, JOB)
+
+class TestAFileIsATraceOrItIsNot:
+    @pytest.mark.parametrize("payload", FOREIGN_PAYLOADS)
+    def test_bytes_without_the_magic_raise_naming_the_path(self, fs, payload):
+        build_store(fs)
+        path = f"/graft/{JOB}/notes.trace"
+        fs.create(path)
+        fs.append_bytes(path, payload)
+        for opened in (
+            lambda: TraceReader(fs, JOB, mode="lazy"),
+            lambda: TraceReader(fs, JOB, mode="eager"),
+            lambda: canonical_trace_digest(fs, JOB),
+            lambda: list(iter_canonical_rows(fs, JOB)),
+        ):
+            with pytest.raises(TraceError, match="notes.trace.*not a trace file"):
+                opened()
+        stats = trace_stats(fs, JOB)
+        assert stats["totals"]["records"] == 52
+        [skipped] = stats["skipped"]
+        assert skipped["path"] == path
+        assert "not a trace file" in skipped["error"]
+
+    def test_an_empty_file_is_an_empty_trace(self, fs):
+        """What a crash between the writer's create and its first append
+        leaves behind."""
+        build_store(fs)
+        want = canonical_trace_digest(fs, JOB)
+        fs.create(f"/graft/{JOB}/worker-9.trace")
+        assert not list(iter_file_records(fs, f"/graft/{JOB}/worker-9.trace"))
+        assert_all_queries_agree(*readers(fs))
+        assert canonical_trace_digest(fs, JOB) == want
+        stats = trace_stats(fs, JOB)
+        assert stats["skipped"] == []
+        assert stats["totals"]["records"] == 52
+        assert stats["files"][-1]["records"] == 0
+
+    def test_a_torn_header_still_raises(self, fs):
+        build_store(fs)
+        path = f"/graft/{JOB}/worker-9.trace"
+        fs.create(path)
+        fs.append_bytes(path, TRACE_MAGIC + b"\x00\x00")
+        for mode in ("lazy", "eager"):
+            with pytest.raises(TraceError, match="no header frame"):
+                TraceReader(fs, JOB, mode=mode)
+        assert [s["path"] for s in trace_stats(fs, JOB)["skipped"]] == [path]
 
 
 class TestCanonicalStreaming:
+    def test_digest_identical_across_formats(self, fs):
+        """The stored row form digests as the line form: the digest is the
+        SHA-256 of ``record_to_line`` over every record the eager reader
+        decodes."""
+        build_store(fs)
+        eager = TraceReader(fs, JOB, mode="eager")
+        digest = hashlib.sha256()
+        for record in eager.vertex_records + eager.master_records:
+            record.worker_id = 0
+            digest.update(record_to_line(record, default_codec).encode() + b"\n")
+        assert canonical_trace_digest(fs, JOB) == digest.hexdigest()
+
     def test_iterator_matches_list_form(self, fs):
         build_store(fs)
         assert list(iter_canonical_trace_lines(fs, JOB)) == \
@@ -364,9 +409,9 @@ class TestRowLevelReads:
             lazy.get_fields(_LooksLikeOne(), 0)
         assert lazy.history_fields(_LooksLikeOne()) == []
 
-    @pytest.mark.parametrize("fmt", ["v2", "v1"])
+    @pytest.mark.parametrize("fmt", ["v2"])      # one format left; keeps the id
     def test_spliced_stream_is_the_decoded_stream(self, fs, fmt):
-        build_store(fs, fmt=fmt)
+        build_store(fs)
         assert canonical_trace_lines(fs, JOB) == decoded_canonical_lines(fs)
         assert canonical_trace_digest(fs, JOB) == self.DECODED_DIGEST
 
@@ -439,12 +484,6 @@ class TestTraceStats:
             f for f in stats["files"] if f["path"].endswith("worker-2.trace")
         )
         assert worker0["violations"] == 1
-
-    def test_v1_files_reported(self, fs):
-        build_store(fs, fmt="v1")
-        stats = trace_stats(fs, JOB)
-        assert all(f["format"] == "v1" for f in stats["files"])
-        assert stats["totals"]["records"] == 52
 
     def test_missing_job_raises(self, fs):
         with pytest.raises(TraceError, match="no trace directory"):

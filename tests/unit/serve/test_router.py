@@ -18,7 +18,7 @@ from repro.serve.router import Router
 from repro.serve.sessions import ReaderPool
 from repro.simfs import SimFileSystem
 
-from tests.unit.serve.conftest import NUM_SUPERSTEPS, NUM_VERTICES
+from tests.unit.serve.conftest import NUM_SUPERSTEPS, NUM_VERTICES, build_job
 
 # Responses of the commit before records were served from their row text
 # (indented JSON rendered from decoded records), as parsed documents.
@@ -60,6 +60,25 @@ def test_jobs_listing(router):
     jobs = _json(router.handle("GET", "/jobs"))["jobs"]
     assert [j["job_id"] for j in jobs] == ["job-a", "job-b"]
     assert all(j["digest"] for j in jobs)
+
+
+@pytest.mark.parametrize(
+    "payload", [b'{"a": 1}\n', b"hello\n", b"\x00\xff\xfe"]
+)
+def test_a_foreign_trace_file_hides_no_other_job(payload):
+    fs = SimFileSystem()
+    build_job(fs, "good", with_flags=False)
+    fs.create("/graft/j/worker-0.trace")
+    fs.append_bytes("/graft/j/worker-0.trace", payload)
+    router = Router(ReaderPool(fs))
+    good, bad = _json(router.handle("GET", "/jobs"))["jobs"]
+    assert good["job_id"] == "good" and good["digest"]
+    assert set(bad) == {"job_id", "error"} and bad["job_id"] == "j"
+    assert "worker-0.trace' is not a trace file" in bad["error"]
+    response = router.handle("GET", "/jobs/j")
+    assert response.status == 404
+    assert _json(response) == {"error": bad["error"]}
+    assert router.handle("GET", "/jobs/good").status == 200
 
 
 def test_job_summary_carries_etag(router):
