@@ -229,16 +229,9 @@ def cmd_run(args, out):
     return 0
 
 
-def _nonnegative(value):
-    try:
-        return not (value < 0)
-    except TypeError:
-        return True
-
-
 def _config_for(args):
     """The DebugConfig the command-line flags describe."""
-    from repro.graft.config import DebugConfig
+    from repro.graft.config import DebugConfig, nonnegative_message, nonnegative_value
 
     class CliDebugConfig(DebugConfig):
         def vertices_to_capture(self):
@@ -261,14 +254,9 @@ def _config_for(args):
 
     # DebugConfig checks exactly the constraints its subclass overrides.
     if args.nonneg_messages:
-        CliDebugConfig.message_value_constraint = (
-            lambda self, message, source_id, target_id, superstep:
-            _nonnegative(message)
-        )
+        CliDebugConfig.message_value_constraint = nonnegative_message
     if args.nonneg_values:
-        CliDebugConfig.vertex_value_constraint = (
-            lambda self, value, vertex_id, superstep: _nonnegative(value)
-        )
+        CliDebugConfig.vertex_value_constraint = nonnegative_value
     return CliDebugConfig()
 
 

@@ -33,12 +33,15 @@ _TYPE_KEY = "__t__"
 _JSON = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 _CONSTANT_TEXT = {None: "null", True: "true", False: "false"}.__getitem__
 _EXACT_STR = {str}
+_EXACT_INT = {int}
+_EXACT_FLOAT = {float}
 _SCALAR_CLASSES = frozenset((type(None), bool, int, float, str))
 
 # Literals of the ``{"__t__": ...}`` envelopes, keys already in sorted order.
 _TUPLE_OPEN = '{"__t__":"tuple","items":['
 _DICT_OPEN = '{"__t__":"dict","items":['
 _ITEMS_CLOSE = "]}"
+_TUPLE_SEP = _ITEMS_CLOSE + "," + _TUPLE_OPEN
 
 
 class ValueCodec:
@@ -277,6 +280,16 @@ class ValueCodec:
         tree_text = self._tree_text
         return [(writer_of(value.__class__) or tree_text)(value) for value in values]
 
+    def dumps_column(self, values):
+        """:meth:`dumps_each` of a collection that is mostly of one class:
+        exact ints and finite exact floats are written in one C-level pass."""
+        classes = set(map(type, values))
+        if classes == _EXACT_INT or (
+            classes == _EXACT_FLOAT and all(map(isfinite, values))
+        ):
+            return list(map(repr, values))
+        return self.dumps_each(values)
+
     def dumps_items(self, mapping):
         """Text of :meth:`encode_items`."""
         writer_of = self._writers.get
@@ -291,6 +304,13 @@ class ValueCodec:
     def dumps_tuple(item_texts):
         """Text of a tuple whose items are already text."""
         return _TUPLE_OPEN + ",".join(item_texts) + _ITEMS_CLOSE
+
+    @staticmethod
+    def dumps_tuples(item_text_rows):
+        """Text of a non-empty list of tuples whose items are already text:
+        the envelope between two tuples is constant, so it is the separator."""
+        body = _TUPLE_SEP.join(map(",".join, item_text_rows))
+        return "[" + _TUPLE_OPEN + body + _ITEMS_CLOSE + "]"
 
     def _tree_text(self, value):
         return _JSON.encode(self.encode(value))

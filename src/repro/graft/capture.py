@@ -150,6 +150,9 @@ KIND_VERTEX = 0
 KIND_MASTER = 1
 
 _SCALAR_CLASSES = frozenset((int, float, str, bool, type(None)))
+_EXACT_TUPLE = {tuple}
+_PAIR_LEN = {2}
+_COLUMN_MIN = 8
 
 # fields() walks the dataclass machinery on every call; records are encoded
 # in bulk on the capture hot path, so cache the names per record class.
@@ -254,6 +257,14 @@ class RecordEncoder:
         """``[(vertex_id, message), ...]``, a broadcast's message written once."""
         if pairs.__class__ is not list:
             return self._dumps(pairs)
+        if not pairs:           # most lists of a capture-all run
+            return "[]"
+        if (
+            len(pairs) >= _COLUMN_MIN
+            and set(map(type, pairs)) == _EXACT_TUPLE
+            and set(map(len, pairs)) == _PAIR_LEN
+        ):
+            return self._pair_columns(*zip(*pairs))
         dumps = self._dumps
         pair_text = self._pair_text
         texts = []
@@ -267,6 +278,19 @@ class RecordEncoder:
                 message = self._shared(last)
             texts.append(pair_text((dumps(pair[0]), message)))
         return "[" + ",".join(texts) + "]"
+
+    def _pair_columns(self, ids, messages):
+        """:meth:`_pairs` of ``zip(ids, messages)``, written by column. A
+        message object is written once per batch whatever its class (a hub's
+        broadcast reaches many captured receivers) — keyed on ``id()``, never
+        on its value: ``0.0`` / ``-0.0`` and ``1`` / ``True`` are equal."""
+        texts = self._texts
+        keys = list(map(id, messages))
+        if not all(map(texts.__contains__, keys)):
+            fresh = {k: m for k, m in zip(keys, messages) if k not in texts}
+            texts.update(zip(fresh, self._codec.dumps_column(fresh.values())))
+        columns = zip(self._codec.dumps_column(ids), map(texts.__getitem__, keys))
+        return self._codec.dumps_tuples(columns)
 
 
 # The vertex-record fields RecordEncoder writes itself; the codec writes

@@ -130,6 +130,37 @@ def _overridden(config, method_name):
     )
 
 
+def _is_negative(value):
+    """Negativity test tolerant of non-numeric values (never a violation).
+
+    Checked on every message/vertex value, so it must not rely on raising
+    ``TypeError`` for non-numeric values — raising is far too slow for a
+    hot path. Fixed-width integer values expose ``.value``.
+    """
+    if isinstance(value, (int, float)):
+        return value < 0
+    inner = getattr(value, "value", None)
+    if isinstance(inner, (int, float)):
+        return inner < 0
+    return False
+
+
+def nonnegative_message(config, message, source_id, target_id, superstep):
+    """Messages must be non-negative: the ``message_value_constraint`` of
+    Table 3's configs, ``constraint_library`` and the CLI's ``--nonneg-*``.
+
+    It reads only ``message``, and ``GraftSession`` relies on that: a config
+    whose class holds *this function* — not a user's copy, nor a subclass's
+    override — has it evaluated once per send call, not once per target.
+    """
+    return not _is_negative(message)
+
+
+def nonnegative_value(config, value, vertex_id, superstep):
+    """Vertex values must be non-negative (used as ``nonnegative_message`` is)."""
+    return not _is_negative(value)
+
+
 class CaptureAllActiveConfig(DebugConfig):
     """Capture every active vertex, optionally only from a superstep on.
 
@@ -173,15 +204,13 @@ class _SpecifiedConfig(DebugConfig):
 class _MessageConstraintConfig(DebugConfig):
     """DC-msg: message values must be non-negative."""
 
-    def message_value_constraint(self, message, source_id, target_id, superstep):
-        return not _is_negative(message)
+    message_value_constraint = nonnegative_message
 
 
 class _VertexValueConstraintConfig(DebugConfig):
     """DC-vv: vertex values must be non-negative."""
 
-    def vertex_value_constraint(self, value, vertex_id, superstep):
-        return not _is_negative(value)
+    vertex_value_constraint = nonnegative_value
 
 
 class _FullConfig(DebugConfig):
@@ -196,26 +225,8 @@ class _FullConfig(DebugConfig):
     def capture_neighbors_of_vertices(self):
         return True
 
-    def message_value_constraint(self, message, source_id, target_id, superstep):
-        return not _is_negative(message)
-
-    def vertex_value_constraint(self, value, vertex_id, superstep):
-        return not _is_negative(value)
-
-
-def _is_negative(value):
-    """Negativity test tolerant of non-numeric values (never a violation).
-
-    Checked on every message/vertex value, so it must not rely on raising
-    ``TypeError`` for non-numeric values — raising is far too slow for a
-    hot path. Fixed-width integer values expose ``.value``.
-    """
-    if isinstance(value, (int, float)):
-        return value < 0
-    inner = getattr(value, "value", None)
-    if isinstance(inner, (int, float)):
-        return inner < 0
-    return False
+    message_value_constraint = nonnegative_message
+    vertex_value_constraint = nonnegative_value
 
 
 def standard_configs(vertex_ids):

@@ -16,7 +16,7 @@ and over as composable DebugConfigs:
   neighborhood constraint over a key function.
 """
 
-from repro.graft.config import DebugConfig
+from repro.graft.config import DebugConfig, nonnegative_message, nonnegative_value
 
 
 def _numeric(value):
@@ -37,17 +37,13 @@ def _numeric(value):
 class NonNegativeMessages(DebugConfig):
     """Message values must be >= 0 (the paper's RW scenario constraint)."""
 
-    def message_value_constraint(self, message, source_id, target_id, superstep):
-        number = _numeric(message)
-        return number is None or number >= 0
+    message_value_constraint = nonnegative_message
 
 
 class NonNegativeValues(DebugConfig):
     """Vertex values must be >= 0."""
 
-    def vertex_value_constraint(self, value, vertex_id, superstep):
-        number = _numeric(value)
-        return number is None or number >= 0
+    vertex_value_constraint = nonnegative_value
 
 
 class BoundedValues(DebugConfig):

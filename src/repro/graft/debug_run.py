@@ -35,6 +35,7 @@ from repro.graft.capture import (
     MasterContextRecord,
     Violation,
 )
+from repro.graft.config import nonnegative_message
 from repro.graft.trace import TraceReader, TraceStore
 
 _JOB_COUNTER = itertools.count()
@@ -70,6 +71,10 @@ class GraftSession:
         # Cache the config-shape booleans once; they are consulted per vertex.
         self.captures_all_active = config.capture_all_active()
         self.checks_messages = config.checks_messages()
+        # The library's predicate never reads its target: one call per send.
+        self.checks_messages_per_send = (
+            type(config).message_value_constraint is nonnegative_message
+        )
         self.checks_vertex_values = config.checks_vertex_values()
         self.checks_messages_with_target = config.checks_messages_with_target()
         self.checks_neighborhoods = config.checks_neighborhoods()

@@ -12,11 +12,15 @@ Per ``compute()`` call the wrapper:
 1. notes the pre-call context (value, incoming messages, and — when the
    vertex is already known to be captured — an eager copy of its edges);
 2. invokes the user's ``compute()`` on the untouched context;
-3. when it returns *or raises*, walks the context's send log once and
-   checks the message-value constraint on every ``(target, value)`` in
-   send order — with the sender's id and before any combining, per the
-   paper's signature — so a debugged run emits exactly the outbox a plain
-   run does;
+3. when it returns *or raises*, walks ``ctx.send_log()`` once — one entry
+   per send call, a broadcast unexpanded — and checks the message-value
+   constraint in send order, with the sender's id and before any
+   combining, per the paper's signature: the library's non-negativity
+   predicate, which reads only the value, once per entry (a failing
+   broadcast is one violation per target), any other predicate once per
+   ``(target, value)``. The pairs (``ctx.sent_messages()``) are expanded
+   only for a vertex step 4 captures, and a debugged run emits exactly
+   the outbox a plain run does;
 4. afterwards checks the vertex-value constraint on the final value and
    decides whether to capture (any of the five categories, or
    all-active), honoring the superstep filter and the max-captures
@@ -149,11 +153,30 @@ class InstrumentedComputation(Computation):
 
     def _check_messages(self, ctx, violations):
         """Append a violation per sent message failing the constraint."""
-        constraint = self._session.config.message_value_constraint
+        session = self._session
+        constraint = session.config.message_value_constraint
+        per_send = session.checks_messages_per_send
         source = ctx.vertex_id
         superstep = ctx.superstep
-        for target, value in ctx.sent_messages():
-            if not constraint(value, source, target, superstep):
+        for entry in ctx.send_log():
+            if entry.__class__ is tuple:        # a point send
+                target, value = entry
+                if constraint(value, source, target, superstep):
+                    continue
+                failed = (target,)
+            elif per_send:
+                # Value-only: what it says of the first target holds for all.
+                value, targets = entry
+                if not targets or constraint(value, source, targets[0], superstep):
+                    continue
+                failed = targets
+            else:
+                value, targets = entry
+                failed = (
+                    target for target in targets
+                    if not constraint(value, source, target, superstep)
+                )
+            for target in failed:
                 violations.append(
                     Violation(
                         kind="message",

@@ -461,9 +461,16 @@ def render_literal(value):
     return repr(value)
 
 
+_BUILTIN_CLASSES = frozenset(
+    (type(None), bool, int, float, str, bytes, list, tuple, set, frozenset, dict)
+)
+
+
 def _collect_value_types(value, found):
     """Collect the user-defined classes appearing inside ``value``."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    # Nearly every id, message and edge key is of an exact builtin class.
+    plain = type(value) in _BUILTIN_CLASSES
+    if not plain and dataclasses.is_dataclass(value) and not isinstance(value, type):
         found.add(type(value))
         for f in dataclasses.fields(value):
             _collect_value_types(getattr(value, f.name), found)

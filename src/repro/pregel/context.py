@@ -33,7 +33,7 @@ class _BroadcastSend(NamedTuple):
     The fast broadcast path must not allocate one pair per neighbor just
     for bookkeeping; it notes the value and a snapshot of the targets
     instead, and :meth:`ComputeContext.sent_messages` expands it only when
-    somebody (Graft's capture, the reproducer) actually reads the sends.
+    somebody (Graft's capture, the reproducer) actually reads the pairs.
     """
 
     value: object
@@ -178,13 +178,19 @@ class ComputeContext:
         order (debugger-facing view; ``compute()`` gets the values)."""
         return list(self._incoming)
 
+    def send_log(self):
+        """The sends so far, one entry per send call, in send order: a plain
+        ``(target, value)`` tuple for a point send, a ``(value, targets)``
+        named tuple for a broadcast (``targets`` in edge order). Read-only."""
+        return self._sends
+
     def sent_messages(self):
         """``(target, value)`` for every message sent so far, in send order.
 
-        The send log read back: broadcasts are stored compactly (one entry
-        per fan-out) and expanded per target only here, so only its readers
-        — Graft's message constraints and capture, the reproducer's
-        fidelity check — pay for the pairs.
+        The expansion of :meth:`send_log` — one pair per broadcast target,
+        a new list on every call — so only the readers that need pairs pay
+        for them: Graft's capture, once per *captured* vertex, and the
+        reproducer's fidelity check.
         """
         sent = []
         for entry in self._sends:

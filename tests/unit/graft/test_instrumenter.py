@@ -1,11 +1,26 @@
 """Unit tests for instrumentation mechanics (the Javassist-wrap analogue)."""
 
-from repro.graft import CaptureAllActiveConfig, DebugConfig, debug_run
+import functools
+
+from repro.algorithms.pagerank import PageRank
+from repro.datasets import load_dataset
+from repro.graft import (
+    CaptureAllActiveConfig,
+    DebugConfig,
+    NonNegativeMessages,
+    NonNegativeValues,
+    debug_run,
+    standard_configs,
+)
+from repro.graft import config as graft_config
 from repro.graft.debug_run import GraftSession
 from repro.graft.instrumenter import instrument
 from repro.graft.trace import iter_file_records, worker_trace_path
 from repro.graph import GraphBuilder
 from repro.pregel import Computation, PregelEngine
+from repro.pregel.context import ComputeContext
+from repro.pregel.runtime import EXECUTOR_NAMES
+from repro.pregel.value_types import Int32, Long64, Short16
 from repro.simfs import SimFileSystem
 
 
@@ -150,7 +165,7 @@ class TestConstraintInterceptionPoints:
         assert ("m1", 1, 0, 0) in seen
 
     def test_message_constraint_checked_before_combining(self):
-        from repro.pregel import SumCombiner
+        from repro.pregel import MinCombiner, SumCombiner
 
         violations_seen = []
 
@@ -172,6 +187,15 @@ class TestConstraintInterceptionPoints:
 
         debug_run(MixedSends, small_graph(), NegativeCheck(), combiner=SumCombiner())
         assert (0, -5) in violations_seen
+        # The per-send path on the same shape: the library's predicate,
+        # point sends, a combiner that would hide the -5, forked workers.
+        run = debug_run(
+            MixedSends, small_graph(), NonNegativeMessages(), lint=False,
+            combiner=MinCombiner(), executor="processes", num_workers=2,
+        )
+        assert [v.details for v in run.violations()] == [
+            {"message": -5, "source": 0, "target": 1}
+        ]
 
     def test_vertex_constraint_checked_after_compute(self):
         checked = []
@@ -368,3 +392,177 @@ class TestSendLogConstraints:
                                num_workers=3, executor=executor)
             assert capped.capture_limit_hit
             assert file_order(capped) == file_order(uncapped)[:4]
+
+
+class NegativeBroadcast(Computation):
+    """Superstep 0: vertex 0 broadcasts -1.5, everyone else 2.0; vertex 4
+    (no out-edges) broadcasts -9 to nobody."""
+
+    def compute(self, ctx, messages):
+        if ctx.superstep == 0:
+            if ctx.vertex_id == 4:
+                ctx.send_message_to_all_neighbors(-9)
+            else:
+                ctx.send_message_to_all_neighbors(-1.5 if ctx.vertex_id == 0 else 2.0)
+        ctx.vote_to_halt()
+
+
+class UserCopyOfNonNegative(DebugConfig):
+    """The library predicate's body in a user's class: checked per message."""
+
+    def message_value_constraint(self, message, source_id, target_id, superstep):
+        return not graft_config._is_negative(message)
+
+
+def star_with_sink():
+    """0 -> 1, 2, 3 (in that edge order); 1 -> 0; 4 has no out-edges."""
+    return (
+        GraphBuilder(directed=True)
+        .edge(0, 1).edge(0, 2).edge(0, 3).edge(1, 0).vertex(4)
+        .build()
+    )
+
+
+class TestPerSendMessageCheck:
+    """The library's value-only predicate runs once per send call."""
+
+    def run_pagerank(self, config_of, monkeypatch):
+        """PageRank on web-BS with three calls logged: ``_is_negative`` (its
+        argument), ``send_message_to_all_neighbors`` — the only send PageRank
+        makes — and ``sent_messages()`` (the ``(vertex, superstep)`` expanded)."""
+        graph = load_dataset("web-BS", seed=1, num_vertices=120)
+        checked, sends, expansions = [], [], []
+        is_negative = graft_config._is_negative
+        broadcast = ComputeContext.send_message_to_all_neighbors
+        expand = ComputeContext.sent_messages
+        monkeypatch.setattr(
+            graft_config, "_is_negative",
+            lambda value: checked.append(value) or is_negative(value),
+        )
+        monkeypatch.setattr(
+            ComputeContext, "send_message_to_all_neighbors",
+            lambda ctx, value: sends.append(value) or broadcast(ctx, value),
+        )
+        monkeypatch.setattr(
+            ComputeContext, "sent_messages",
+            lambda ctx: expansions.append((ctx.vertex_id, ctx.superstep))
+            or expand(ctx),
+        )
+        run = debug_run(
+            functools.partial(PageRank, iterations=3), graph, config_of(graph),
+            num_workers=2,
+        )
+        assert run.ok and not run.violations()
+        assert 0 < len(sends) < run.result.metrics.total_messages
+        return run, checked, sends, expansions
+
+    def test_library_predicate_is_evaluated_once_per_send(self, monkeypatch):
+        run, checked, sends, expansions = self.run_pagerank(
+            lambda graph: standard_configs(list(graph.vertex_ids()))["DC-full"],
+            monkeypatch,
+        )
+        calls = run.result.metrics.total_compute_calls
+        # DC-full also checks each call's final vertex value with the same test.
+        assert len(checked) == len(sends) + calls
+        # The pairs are expanded for captured vertices only, once each.
+        captured = [record.key for record in run.reader.vertex_records]
+        assert 0 < len(captured) < calls
+        assert sorted(expansions) == sorted(captured)
+
+    def test_user_copy_of_the_predicate_is_evaluated_once_per_message(
+        self, monkeypatch
+    ):
+        run, checked, sends, expansions = self.run_pagerank(
+            lambda graph: UserCopyOfNonNegative(), monkeypatch
+        )
+        assert len(checked) == run.result.metrics.total_messages
+        assert expansions == []     # nothing captured, nothing expanded
+
+    def test_negative_broadcast_is_one_violation_per_target_in_target_order(self):
+        expected = [
+            ("message", 0, 0, {"message": -1.5, "source": 0, "target": target})
+            for target in (1, 2, 3)
+        ]
+        for executor in EXECUTOR_NAMES:
+            found = {}
+            for name, config in (
+                ("library", standard_configs(range(10))["DC-msg"]),
+                ("user", UserCopyOfNonNegative()),
+            ):
+                run = debug_run(
+                    NegativeBroadcast, star_with_sink(), config, lint=False,
+                    num_workers=2, executor=executor,
+                )
+                found[name] = [
+                    (v.kind, v.vertex_id, v.superstep, v.details)
+                    for v in run.violations()
+                ]
+                # Vertex 4's -9 went to zero targets: no violation, no capture.
+                assert run.capture_count == 1
+            assert found["library"] == expected
+            assert found["user"] == found["library"]
+
+    def test_subclass_overriding_the_library_predicate_is_called_per_target(self):
+        seen = []
+
+        class NotToThree(NonNegativeMessages):
+            def message_value_constraint(self, message, source_id, target_id, superstep):
+                seen.append((source_id, target_id))
+                return target_id != 3
+
+        run = debug_run(NegativeBroadcast, star_with_sink(), NotToThree(), lint=False)
+        # Once per target, in target order (vertex order is the partitioner's).
+        assert sorted(seen) == [(0, 1), (0, 2), (0, 3), (1, 0)]
+        assert [pair for pair in seen if pair[0] == 0] == [(0, 1), (0, 2), (0, 3)]
+        assert [v.details for v in run.violations()] == [
+            {"message": -1.5, "source": 0, "target": 3}
+        ]
+
+    def test_library_predicate_raising_is_the_vertex_exception(self, monkeypatch):
+        def explode(value):
+            raise RuntimeError("predicate blew up")
+
+        monkeypatch.setattr(graft_config, "_is_negative", explode)
+        run = debug_run(
+            NegativeBroadcast, star_with_sink(), NonNegativeMessages(),
+            lint=False, num_workers=1,
+        )
+        assert not run.ok
+        record = run.captured(0, 0)
+        assert record.exception.type_name == "RuntimeError"
+        assert record.sent == [(1, -1.5), (2, -1.5), (3, -1.5)]
+
+    # (value, satisfies the constraint) — what ``config._is_negative`` said
+    # at the parent commit; ``constraint_library``'s own copy (``>= 0`` on
+    # ``_numeric``) said the same everywhere but on nan, which it flagged.
+    NON_NEGATIVE = [
+        (True, True), (False, True), (0, True), (7, True), (-1, False),
+        (0.0, True), (-0.0, True), (2.5, True), (-2.5, False),
+        (float("nan"), True), (float("inf"), True), (float("-inf"), False),
+        (Short16(-3), False), (Short16(3), True), (Int32(-1), False),
+        (Int32(0), True), (Long64(-9), False), (Long64(9), True),
+        ("x", True), ("", True), (None, True), ((1, -2), True), ((-1,), True),
+    ]
+
+    def test_one_predicate_pair_serves_table_3_the_library_and_the_cli(self):
+        from repro.cli import _config_for, build_parser
+
+        cli = _config_for(build_parser().parse_args([
+            "debug", "--algorithm", "pagerank", "--dataset", "web-BS",
+            "--nonneg-messages", "--nonneg-values",
+        ]))
+        configs = standard_configs(range(10))
+        full, on_messages, on_values = (
+            configs[name] for name in ("DC-full", "DC-msg", "DC-vv")
+        )
+        for config in (full, on_messages, NonNegativeMessages(), cli):
+            assert type(config).message_value_constraint is (
+                graft_config.nonnegative_message
+            )
+        for config in (full, on_values, NonNegativeValues(), cli):
+            assert type(config).vertex_value_constraint is (
+                graft_config.nonnegative_value
+            )
+        for value, satisfied in self.NON_NEGATIVE:
+            assert cli.message_value_constraint(value, 0, 1, 0) is satisfied, value
+            assert cli.vertex_value_constraint(value, 0, 0) is satisfied, value
