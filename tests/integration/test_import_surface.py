@@ -6,11 +6,19 @@ package surfaces resolve names on first access
 modules that decode, and fork-side modules are imported when a backend is
 built. Every case here starts a fresh interpreter and checks *sets and
 counts* of ``sys.modules`` — nothing is timed, so nothing flakes.
+
+Module sets and counts are taken under ``-S``, with this interpreter's
+site directories put on the path instead: a ``.pth`` start-up hook in site-packages imports
+what it likes before the first ``repro`` import, and that belongs to the
+machine, not to ``repro``. Installed packages stay importable, so a
+guarded ``import numpy`` would still succeed and the sets still bite.
 """
 
 import ast
 import json
+import os
 import pathlib
+import site
 import subprocess
 import sys
 
@@ -51,20 +59,36 @@ NOT_FOR_A_RUN = {
 PRINT_MODULES = "\nimport sys; print('\\n'.join(sorted(sys.modules)))"
 
 
-def fresh(code, *argv, check=True):
-    """Run ``code`` in a fresh interpreter that finds ``src/``."""
+def fresh(code, *argv, check=True, flags=(), path=()):
+    """Run ``code`` in a fresh interpreter that finds ``src/`` (then ``path``)."""
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         capture_output=True, text=True, timeout=300, cwd=ROOT,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": os.pathsep.join([str(SRC), *path]),
+            "PATH": "/usr/bin:/bin",
+        },
     )
     if check:
         assert done.returncode == 0, done.stderr[-3000:]
     return done
 
 
+def site_directories():
+    """Where ``site`` would look, in its order: the user's, then the system's."""
+    user = [site.getusersitepackages()] if site.ENABLE_USER_SITE else []
+    return [*user, *site.getsitepackages()]
+
+
 def modules_after(code):
-    return set(fresh(code + PRINT_MODULES).stdout.split())
+    """``sys.modules`` after ``code``, in an interpreter that ran no ``site``."""
+    loaded = set(fresh(
+        code + PRINT_MODULES, flags=["-S"], path=site_directories(),
+    ).stdout.split())
+    # The count bounds below are the documented figures less what a clean
+    # ``site`` start-up loads: ``site``, ``_sitebuiltins`` and ``pwd``.
+    assert "site" not in loaded
+    return loaded
 
 
 # -- (a) the probe line and the run closure -------------------------------------
@@ -74,7 +98,7 @@ def test_probe_line_loads_no_optional_machinery():
     loaded = modules_after(PROBE)
     assert not loaded & NOT_FOR_A_RUN
     assert "repro.pregel.engine" not in loaded
-    assert len(loaded) <= 230
+    assert len(loaded) <= 227
 
 
 def test_a_serial_debugged_run_loads_no_optional_machinery():
@@ -102,7 +126,7 @@ def test_generated_test_imports_load_neither_engine_nor_analyser():
     assert not loaded & {
         "repro.pregel.engine", "repro.pregel.messages", "repro.analysis", "numpy",
     }
-    assert len(loaded) <= 145
+    assert len(loaded) <= 142
 
 
 def test_generated_test_passes_under_pytest_without_the_engine(tmp_path):
