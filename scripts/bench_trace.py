@@ -2,7 +2,7 @@
 
 Builds a synthetic capture trace (PageRank-shaped records, >=50k vertex
 records across several worker files, flushed at superstep barriers exactly
-like a real run), then measures what the indexed v2 format buys:
+like a real run), then measures what the indexed trace format buys:
 
 - **write** — the barrier-drain path: ``write_vertex_records`` +
   ``write_master_record`` + ``flush`` per superstep, ``close`` at the end
@@ -15,7 +15,8 @@ like a real run), then measures what the indexed v2 format buys:
 - **warm queries** — repeated gets/history/at_superstep on a live reader.
 - **storage** — stored bytes vs. the size of the same records' canonical
   JSON-line stream (the ``v1_bytes`` / ``v2_vs_v1`` keys: the stream
-  exists whether or not any file ever held it, and the keys keep their
+  exists whether or not any file ever held it; ``v2_*`` keys hold the
+  stored trace files, whatever their format — the keys keep their
   names), sidecar overhead, zlib ratio.
 
 Gates (exit status 1 when violated):
@@ -327,7 +328,7 @@ def main(argv=None):
 
     print(f"wrote {args.output}")
     print(f"  records: {report['workload']['total_records']:,} "
-          f"({report['storage']['v2_bytes']:,} bytes v2, "
+          f"({report['storage']['v2_bytes']:,} bytes stored, "
           f"{report['storage']['v1_bytes']:,} bytes v1)")
     print(f"  write: {report['write']['seconds']}s "
           f"({report['write']['records_per_second']:,} records/s)")

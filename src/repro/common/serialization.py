@@ -36,6 +36,7 @@ _EXACT_STR = {str}
 _EXACT_INT = {int}
 _EXACT_FLOAT = {float}
 _SCALAR_CLASSES = frozenset((type(None), bool, int, float, str))
+_CONSTANT_CLASSES = frozenset((type(None), bool))
 
 # Literals of the ``{"__t__": ...}`` envelopes, keys already in sorted order.
 _TUPLE_OPEN = '{"__t__":"tuple","items":['
@@ -84,8 +85,9 @@ class ValueCodec:
         # Per registered class: dataclass field names in declaration order
         # (None for ``to_payload`` classes), computed once at registration.
         self._field_names = {}
-        # Per registered dataclass: how :meth:`_registered_text` writes it.
-        self._text_plans = {}
+        # Per registered dataclass: how :meth:`_registered_text` writes it,
+        # ``(instance -> field values, %-template, number of fields)``.
+        self.text_plans = {}
 
     def register(self, cls, name=None):
         """Register a value type so instances can round-trip through traces.
@@ -116,7 +118,7 @@ class ValueCodec:
         if is_dataclass:
             names = tuple(f.name for f in dataclasses.fields(cls))
             self._field_names[cls] = names
-            self._text_plans[cls] = _obj_text_plan(name, names)
+            self.text_plans[cls] = _obj_text_plan(name, names)
             self._writers[cls] = self._registered_text
         else:
             self._field_names[cls] = None
@@ -282,12 +284,17 @@ class ValueCodec:
 
     def dumps_column(self, values):
         """:meth:`dumps_each` of a collection that is mostly of one class:
-        exact ints and finite exact floats are written in one C-level pass."""
+        exact ints, finite exact floats, exact strs, and ``None`` / bools
+        are written in one C-level pass."""
         classes = set(map(type, values))
         if classes == _EXACT_INT or (
             classes == _EXACT_FLOAT and all(map(isfinite, values))
         ):
             return list(map(repr, values))
+        if classes == _EXACT_STR:
+            return list(map(encode_basestring_ascii, values))
+        if classes <= _CONSTANT_CLASSES:
+            return list(map(_CONSTANT_TEXT, values))
         return self.dumps_each(values)
 
     def dumps_items(self, mapping):
@@ -299,6 +306,11 @@ class ValueCodec:
             + "," + (writer_of(value.__class__) or tree_text)(value) + "]"
             for key, value in mapping.items()
         ]) + _ITEMS_CLOSE
+
+    @staticmethod
+    def join_items(item_texts):
+        """Text of :meth:`encode_items` of ``(key text, value text)`` pairs."""
+        return _DICT_OPEN + ",".join(map("[%s,%s]".__mod__, item_texts)) + _ITEMS_CLOSE
 
     @staticmethod
     def dumps_tuple(item_texts):
@@ -349,7 +361,7 @@ class ValueCodec:
         return self.dumps_items(value)
 
     def _registered_text(self, value):
-        fields_of, template = self._text_plans[value.__class__]
+        fields_of, template, _width = self.text_plans[value.__class__]
         return template % tuple(self.dumps_each(fields_of(value)))
 
     def loads(self, text):
@@ -372,7 +384,8 @@ def _decode_each(decode, items):
 
 def _obj_text_plan(type_name, field_names):
     """How a registered dataclass is written: ``(instance -> its field
-    values in sorted-name order, %-template of the envelope around them)``."""
+    values in sorted-name order, %-template of the envelope around them,
+    number of fields)``."""
     names = sorted(field_names)
     if len(names) > 1:
         fields_of = attrgetter(*names)
@@ -383,7 +396,8 @@ def _obj_text_plan(type_name, field_names):
         encode_basestring_ascii(name).replace("%", "%%") + ":%s" for name in names
     )
     tail = encode_basestring_ascii(type_name).replace("%", "%%")
-    return fields_of, '{"__t__":"obj","fields":{' + slots + '},"type":' + tail + "}"
+    template = '{"__t__":"obj","fields":{' + slots + '},"type":' + tail + "}"
+    return fields_of, template, len(names)
 
 
 #: Process-wide default codec. Algorithm modules register their value types

@@ -79,7 +79,7 @@ if TYPE_CHECKING:
         replay_record,
     )
     from repro.graft.trace import (
-        TRACE_FORMAT_V2,
+        TRACE_FORMAT_V3,
         TraceReader,
         TraceStore,
         canonical_trace_digest,
@@ -132,7 +132,7 @@ __all__ = [
     "generate_end_to_end_test",
     "TraceReader",
     "TraceStore",
-    "TRACE_FORMAT_V2",
+    "TRACE_FORMAT_V3",
     "canonical_trace_digest",
     "canonical_trace_lines",
     "iter_canonical_trace_lines",
@@ -171,7 +171,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "order_insensitive_lines", "run_sanitizer",
     ),
     "repro.graft.trace": (
-        "TRACE_FORMAT_V2", "TraceReader", "TraceStore",
+        "TRACE_FORMAT_V3", "TraceReader", "TraceStore",
         "canonical_trace_digest", "canonical_trace_lines",
         "iter_canonical_trace_lines", "iter_file_records", "trace_stats",
     ),

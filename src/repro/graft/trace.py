@@ -14,12 +14,13 @@ file system and codec — a different process (the paper's "copy into your
 IDE" step) can do it, provided the modules defining the value types are
 imported.
 
-One storage format exists (see docs/trace-format.md): framed records with
-interned field keys, optional zlib block compression, and an index sidecar
-built incrementally at flush boundaries. The sidecar maps ``(superstep,
-repr(vertex_id))`` to a byte extent plus violation/exception posting data,
-which is what makes the default ``mode="lazy"`` reader's open and point
-queries O(result) instead of O(trace). A ``*.trace`` file is that format
+One storage format exists, v3 (see docs/trace-format.md): one framed block
+per flush holding its records by column, optional zlib block compression,
+and an index sidecar built incrementally at flush boundaries. The sidecar
+maps ``(superstep, repr(vertex_id))`` to a block and a position in it plus
+violation/exception posting data, which is what makes the default
+``mode="lazy"`` reader's open and point queries O(result) instead of
+O(trace). A ``*.trace`` file is that format
 or it is not a trace: an empty file is an empty trace, bytes without the
 magic raise :class:`~repro.common.errors.TraceError`.
 
@@ -56,31 +57,29 @@ from repro.graft.capture import (
     KIND_MASTER,
     KIND_VERTEX,
     MasterContextRecord,
-    RecordEncoder,
     VertexContextRecord,
+    field_names_of,
+    field_texts,
     join_line,
-    master_field_names,
     record_from_row,
-    split_row,
     vertex_field_names,
 )
 from repro.graft.traceformat import (
     TRACE_MAGIC,
     VFLAG_EXCEPTION,
     VFLAG_VIOLATIONS,
+    BlockBuilder,
+    BlockMeta,
     build_header,
     encode_header,
+    field_tables,
     format_idx_header,
     format_idx_line,
-    iter_v2_records,
+    iter_blocks,
     load_index,
-    pack_records,
-    read_block_payload,
-    record_entry,
-    summarize_entries,
+    read_block,
 )
 from repro.simfs.writers import (
-    DEFAULT_BUFFER_BYTES,
     DEFAULT_BUFFER_LINES,
     BlockWriter,
     append_retrying,
@@ -88,12 +87,14 @@ from repro.simfs.writers import (
 
 DEFAULT_ROOT = "/graft"
 
-TRACE_FORMAT_V2 = "v2"
+TRACE_FORMAT_V3 = "v3"
 
-#: Default LRU sizes for the lazy reader: decoded records and decompressed
-#: block payloads kept hot. Both bound memory; misses just re-read.
+#: Default LRU sizes for the lazy reader: decoded records and decoded
+#: blocks kept hot. Both bound memory; misses just re-read. A history walk
+#: visits one block per superstep of a worker, so the block LRU holds a
+#: few workers' worth of a typical run.
 DEFAULT_RECORD_CACHE = 1024
-DEFAULT_BLOCK_CACHE = 16
+DEFAULT_BLOCK_CACHE = 64
 
 
 def job_directory(job_id, root=DEFAULT_ROOT):
@@ -143,19 +144,22 @@ def load_job_metrics(filesystem, job_id, root=DEFAULT_ROOT):
 
 def iter_file_records(filesystem, path, codec=None):
     """Decode every record of one trace file, in file order."""
-    return iter_v2_records(filesystem, path, codec or default_codec)
+    codec = codec or default_codec
+    for block in iter_blocks(filesystem, path):
+        for position in range(block.size):
+            yield record_from_row(block.kind, block.row(position), codec, block.names)
 
 
 # -- write side ---------------------------------------------------------------
 
 
-class _V2FileWriter:
-    """One v2 trace file plus its index sidecar.
+class _FileWriter:
+    """One v3 trace file plus its index sidecar, for records of one kind.
 
-    Records buffer in encoded form; a flush packs them into one framed
-    (optionally compressed) block and appends the matching index line, so
-    index granularity == flush granularity == superstep barriers (plus
-    threshold flushes inside huge supersteps).
+    Records are written into a :class:`BlockBuilder` — their texts made
+    there and then, by column; a flush lays the block out, appends it, and
+    appends its index line, so index granularity == flush granularity ==
+    superstep barriers (plus threshold flushes inside huge supersteps).
     """
 
     def __init__(
@@ -163,17 +167,18 @@ class _V2FileWriter:
         filesystem,
         path,
         codec,
+        kind,
         buffer_records=DEFAULT_BUFFER_LINES,
-        buffer_bytes=DEFAULT_BUFFER_BYTES,
         compression=True,
     ):
         self._fs = filesystem
         self._codec = codec
+        self._kind = kind
         self.path = path
         self._block_writer = BlockWriter(filesystem, path, compression=compression)
-        self._data_start = self._block_writer.write_prelude(
-            TRACE_MAGIC + encode_header(build_header())
-        )
+        header = build_header()
+        self._names = field_tables(header)[kind]
+        self._block_writer.write_prelude(TRACE_MAGIC + encode_header(header))
         self._idx_path = path + ".idx"
         filesystem.create(self._idx_path, overwrite=True)
         idx_header = format_idx_header(posixpath.basename(path)) + "\n"
@@ -184,73 +189,33 @@ class _V2FileWriter:
         # append and its index line) never leaves a stale sidecar behind.
         self._idx_lines = [idx_header]
         self._buffer_records = buffer_records
-        self._buffer_bytes = buffer_bytes
-        self._encoded = []
-        self._metas = []
-        self._buffered_bytes = 0
+        self._block = None
         self.records_written = 0
 
-    def _encode(self, record, row_text):
-        rec_bytes = row_text(record).encode("utf-8")
-        if isinstance(record, MasterContextRecord):
-            meta = (KIND_MASTER, record.superstep, None, 0)
-        else:
-            vflags = 0
-            if record.violations:
-                vflags |= VFLAG_VIOLATIONS
-            if record.exception is not None:
-                vflags |= VFLAG_EXCEPTION
-            meta = (KIND_VERTEX, record.superstep, repr(record.vertex_id), vflags)
-        return rec_bytes, meta
-
-    def write_record(self, record):
-        self.write_records((record,))
-
     def write_records(self, records):
-        """Bulk append with a single threshold check at the end.
-
-        One :class:`RecordEncoder` serves the whole batch and dies with
-        this call: ``records`` is held for its duration and no user code
-        runs inside it, which is what the encoder's sharing relies on.
-        """
-        records = tuple(records)
-        row_text = RecordEncoder(self._codec).row
-        for record in records:
-            rec_bytes, meta = self._encode(record, row_text)
-            self._encoded.append(rec_bytes)
-            self._metas.append(meta)
-            self._buffered_bytes += len(rec_bytes)
-            self.records_written += 1
-        self._maybe_flush()
-
-    def _maybe_flush(self):
-        if (
-            len(self._encoded) >= self._buffer_records
-            or self._buffered_bytes >= self._buffer_bytes
-        ):
+        """Write the texts of ``records`` into the open block, then check
+        the threshold once."""
+        if self._block is None:
+            self._block = BlockBuilder(self._codec, self._kind, self._names)
+        self._block.add(records)
+        self.records_written += len(records)
+        if self._block.size >= self._buffer_records:
             self.flush()
 
     def flush(self):
         """Write one block + one index line for the buffered records."""
-        if not self._encoded:
+        block, self._block = self._block, None
+        if block is None:
             return
-        payload, extents = pack_records(self._encoded)
+        payload, entries_text, counters = block.encode()
         offset, length, flags = self._block_writer.write_block(payload)
-        entries = [
-            record_entry(kind, superstep, vid_repr, inner_off, inner_len, vflags)
-            for (kind, superstep, vid_repr, vflags), (inner_off, inner_len)
-            in zip(self._metas, extents)
-        ]
-        meta = summarize_entries(offset, length, flags, entries)
-        line = format_idx_line(meta, entries) + "\n"
+        meta = BlockMeta(offset, length, flags, *counters)
+        line = format_idx_line(meta, entries_text) + "\n"
         # Remember the line before attempting the append: the block is
         # already durable, so if the index append crashes the line can be
         # restored by repair()'s sidecar rewrite.
         self._idx_lines.append(line)
         append_retrying(self._fs, self._idx_path, line)
-        self._encoded = []
-        self._metas = []
-        self._buffered_bytes = 0
 
     def repair(self):
         """Restore file/sidecar consistency after a crash-induced rollback.
@@ -262,10 +227,9 @@ class _V2FileWriter:
         covering both a torn index append and an index line that was never
         written because the crash hit between block and sidecar.
         """
-        self.records_written -= len(self._encoded)
-        self._encoded = []
-        self._metas = []
-        self._buffered_bytes = 0
+        if self._block is not None:
+            self.records_written -= self._block.size
+            self._block = None
         self._block_writer.repair()
         expected = "".join(self._idx_lines)
         try:
@@ -295,21 +259,21 @@ class TraceStore:
         self.job_id = job_id
         self._codec = codec or default_codec
 
-        def make_writer(path):
-            return _V2FileWriter(
-                filesystem, path, self._codec, compression=compression
+        def make_writer(path, kind):
+            return _FileWriter(
+                filesystem, path, self._codec, kind, compression=compression
             )
 
         self._worker_writers = [
-            make_writer(worker_trace_path(job_id, worker_id))
+            make_writer(worker_trace_path(job_id, worker_id), KIND_VERTEX)
             for worker_id in range(num_workers)
         ]
-        self._master_writer = make_writer(master_trace_path(job_id))
+        self._master_writer = make_writer(master_trace_path(job_id), KIND_MASTER)
         self.records_written = 0
 
     def write_vertex_record(self, record):
         """Append one vertex capture to its worker's trace file."""
-        self._worker_writers[record.worker_id].write_record(record)
+        self._worker_writers[record.worker_id].write_records((record,))
         self.records_written += 1
 
     def write_vertex_records(self, records):
@@ -334,7 +298,7 @@ class TraceStore:
 
     def write_master_record(self, record):
         """Append one master capture to the master trace file."""
-        self._master_writer.write_record(record)
+        self._master_writer.write_records((record,))
         self.records_written += 1
 
     def flush(self):
@@ -382,9 +346,8 @@ class TraceStore:
 #
 # A *source* wraps one trace file behind its sidecar (ranged reads) and
 # yields index entries ``(kind, superstep, vid_repr, ref, vflags)``;
-# ``fetch(ref)`` decodes one record and ``row_text(ref)`` returns its row —
-# the record's field texts in the current classes' field order — without
-# building it.
+# ``fetch(ref)`` decodes one record and ``field_texts(ref)`` returns its
+# field texts in the current classes' field order without building it.
 
 
 class _LRUCache:
@@ -449,28 +412,29 @@ class _IndexedSource:
         self._record_cache = record_cache
         self._block_cache = block_cache
         self._entries_lock = threading.Lock()
-        self._blocks, header, self.index_stats = load_index(
-            filesystem, path, codec
-        )
-        fields = header.get("fields", {})
-        self._vertex_fields = fields.get("vertex")
-        self._master_fields = fields.get("master")
-        # A stored row is the current row only while the file's field
-        # tables are the current classes'.
-        self._rows_current = (
-            self._vertex_fields in (None, list(vertex_field_names()))
-            and self._master_fields in (None, list(master_field_names()))
-        )
+        self._blocks, header, self.index_stats = load_index(filesystem, path)
+        self._tables = field_tables(header)
+        # Where each current field's text sits in a row laid out by the
+        # file's field tables; None while they are the current classes'.
+        self._slots = {}
+        for kind, names in self._tables.items():
+            current = field_names_of(kind)
+            if names != current:
+                try:
+                    self._slots[kind] = [names.index(name) for name in current]
+                except ValueError:
+                    raise TraceError(
+                        f"{path!r} lacks fields of the current {kind} records"
+                    ) from None
 
-    # Entries come out of sidecar lines as raw lists
-    # [kind, ss, vid_repr, inner_off, inner_len, vflags]; refs address
-    # (block_index, inner_off, inner_len).
+    # Entries are ``(kind, ss, vid_repr, position, vflags)``; refs address
+    # ``(block_index, position)``.
 
     def _entry_tuple(self, block_index, raw):
-        return (raw[0], raw[1], raw[2], (block_index, raw[3], raw[4]), raw[5])
+        return (raw[0], raw[1], raw[2], (block_index, raw[3]), raw[4])
 
     def _entries_of(self, meta):
-        """``meta.entries()`` with the lazy JSON parse done under a lock."""
+        """``meta.entries()`` with the lazy parse done under a lock."""
         entries = meta._entries
         if entries is not None:
             return entries
@@ -514,7 +478,7 @@ class _IndexedSource:
             if not getattr(meta, counter):
                 continue
             for raw in self._entries_of(meta):
-                if raw[0] == KIND_VERTEX and raw[5] & vflag:
+                if raw[0] == KIND_VERTEX and raw[4] & vflag:
                     found.add(raw[1])
         return found
 
@@ -528,37 +492,37 @@ class _IndexedSource:
                     entries.append(self._entry_tuple(block_index, raw))
         return entries
 
-    def _payload(self, block_index):
+    def _block(self, block_index):
         key = (self.path, block_index)
-        payload = self._block_cache.get(key)
-        if payload is None:
-            payload = read_block_payload(
-                self._fs, self.path, self._blocks[block_index]
+        block = self._block_cache.get(key)
+        if block is None:
+            block = read_block(
+                self._fs, self.path, self._blocks[block_index], self._tables
             )
-            self._block_cache.put(key, payload)
-        return payload
+            self._block_cache.put(key, block)
+        return block
 
-    def _stored_row(self, ref):
-        block_index, inner_off, inner_len = ref
-        payload = self._payload(block_index)
-        return payload[inner_off:inner_off + inner_len].decode("utf-8")
+    def field_texts(self, ref):
+        """``(kind, field texts)`` of the record at ``ref``, in the current
+        classes' field order: rebuilt from the block's columns, nothing
+        decoded, nothing cached but the block."""
+        block = self._block(ref[0])
+        texts = block.texts(ref[1])
+        slots = self._slots.get(block.kind)
+        if slots is not None:
+            texts = [texts[slot] for slot in slots]
+        return block.kind, texts
 
     def fetch(self, ref):
-        key = (self.path, ref[0], ref[1])
+        key = (self.path, ref)
         record = self._record_cache.get(key)
         if record is None:
+            block = self._block(ref[0])
             record = record_from_row(
-                json.loads(self._stored_row(ref)),
-                self._codec, self._vertex_fields, self._master_fields,
+                block.kind, block.row(ref[1]), self._codec, block.names
             )
             self._record_cache.put(key, record)
         return record
-
-    def row_text(self, ref):
-        """Straight from the block cache: nothing is decoded or cached."""
-        if self._rows_current:
-            return self._stored_row(ref)
-        return RecordEncoder(self._codec).row(self.fetch(ref))
 
 
 def _trace_sources(filesystem, job_id, codec, root, record_cache, block_cache):
@@ -741,16 +705,16 @@ class TraceReader:
         return record if record.vertex_id == vertex_id else None
 
     def _confirmed_fields(self, hit, vertex_id):
-        """Field texts of the row behind a ``(source, entry)`` index hit."""
+        """Field texts of the record behind a ``(source, entry)`` index hit."""
         source, entry = hit
-        _kind, texts = split_row(source.row_text(entry[3]))
+        _kind, texts = source.field_texts(entry[3])
         # The index keys on repr(); confirm the stored id really matches.
         if self._codec.loads(texts[_VERTEX_ID_SLOT]) != vertex_id:
             return None
         return texts
 
     def _encoded_fields(self, record):
-        return split_row(RecordEncoder(self._codec).row(record))[1]
+        return field_texts(record, self._codec)[1]
 
     def _flagged(self, vflag, superstep=None):
         """Decoded records carrying ``vflag``, in (superstep, id) order."""
@@ -795,8 +759,8 @@ class TraceReader:
         """:meth:`get`, as the record's field texts instead of the record.
 
         The JSON texts of the record's fields in
-        :func:`~repro.graft.capture.vertex_field_names` order, cut out of
-        the stored row: no record is built and nothing enters the record
+        :func:`~repro.graft.capture.vertex_field_names` order, rebuilt from
+        the block's columns: no record is built and nothing enters the record
         cache, which is what a caller that only re-serializes the record
         (the debug server) wants.
         """
@@ -967,10 +931,9 @@ def iter_canonical_rows(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     Yields ``(key, rows)`` in *step order* (:func:`step_order`): ``key`` is
     ``(kind, superstep, repr(vertex_id))`` (``""`` for a master record) and
     ``rows`` the key's records — nearly always one — each as the field
-    texts :func:`split_row` cuts out of the stored row, ``worker_id``
-    normalized (vertex placement is an artifact of partitioning, not of
-    the computation). Nothing is decoded or re-encoded unless a file was
-    written with other field tables. Equal rows within one key collapse: a
+    texts the block's columns give back, ``worker_id`` normalized (vertex
+    placement is an artifact of partitioning, not of the computation).
+    Nothing is decoded or re-encoded. Equal rows within one key collapse: a
     superstep re-executed after a checkpoint rollback re-captures exactly
     the records the first attempt already persisted. Genuinely different
     records sharing a key are all kept, ordered by their canonical lines.
@@ -982,7 +945,8 @@ def iter_canonical_rows(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     """
     sources = _trace_sources(
         filesystem, job_id, codec or default_codec, root,
-        _LRUCache(0), _LRUCache(DEFAULT_BLOCK_CACHE),    # rows are read once
+        # Rows are read once, a superstep at a time: one block per file.
+        _LRUCache(0), _LRUCache(16),
     )
     keyed = []
     for source_index, source in enumerate(sources):
@@ -993,7 +957,7 @@ def iter_canonical_rows(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     for key, group in groupby(keyed, key=itemgetter(0)):
         rows = []
         for _key, source_index, ref in group:
-            kind, texts = split_row(sources[source_index].row_text(ref))
+            kind, texts = sources[source_index].field_texts(ref)
             if kind == KIND_VERTEX:
                 texts[_WORKER_ID_SLOT] = _NORMALIZED_WORKER_ID
             rows.append(texts)
@@ -1054,9 +1018,9 @@ def trace_stats(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     that is not a readable trace (foreign bytes someone parked under the
     job directory, a torn header) is skipped rather than failing the whole
     report: it lands in the returned ``skipped`` list as ``{"path",
-    "error"}`` so callers can warn about it.
+    "error"}`` so callers can warn about it. Nothing is decoded, so
+    ``codec`` is not needed; it stays for the callers that pass it.
     """
-    codec = codec or default_codec
     directory = job_directory(job_id, root)
     if not filesystem.is_dir(directory):
         raise TraceError(f"no trace directory for job {job_id!r}")
@@ -1064,7 +1028,7 @@ def trace_stats(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     skipped = []
     for path in filesystem.glob_files(directory, suffix=".trace"):
         try:
-            files.append(_file_stats(filesystem, path, codec))
+            files.append(_file_stats(filesystem, path))
         except (
             TraceError,
             SerializationError,
@@ -1100,14 +1064,15 @@ def trace_stats(filesystem, job_id, codec=None, root=DEFAULT_ROOT):
     }
 
 
-def _file_stats(filesystem, path, codec):
+def _file_stats(filesystem, path):
     """Stats row for one trace file; raises when the file is unreadable."""
     size = filesystem.stat(path).size
     idx_path = path + ".idx"
     idx_bytes = (
         filesystem.stat(idx_path).size if filesystem.is_file(idx_path) else 0
     )
-    blocks, _header, index_stats = load_index(filesystem, path, codec)
+    blocks, header, index_stats = load_index(filesystem, path)
+    tables = field_tables(header)
     indexed_blocks = index_stats["indexed_blocks"]
     records = sum(meta.num_records for meta in blocks)
     indexed_records = sum(
@@ -1115,11 +1080,11 @@ def _file_stats(filesystem, path, codec):
     )
     raw = stored = 0
     for meta in blocks:
-        raw += len(read_block_payload(filesystem, path, meta))
+        raw += read_block(filesystem, path, meta, tables).payload_size
         stored += meta.length
     return {
         "path": path,
-        "format": TRACE_FORMAT_V2,
+        "format": TRACE_FORMAT_V3,
         "bytes": size,
         "index_bytes": idx_bytes,
         "records": records,

@@ -24,7 +24,7 @@ packed and unpacked with :mod:`array` alone.
 
 **Frames** (:func:`FrameBuilder` / :func:`parse_frame`): a frame is a
 sequence of length-prefixed sections — ``u32be payload_len | u8 kind |
-payload`` — the same framing convention as the v2 trace format
+payload`` — the same framing convention as the trace format
 (:mod:`repro.graft.traceformat`). Sections carry compact broadcast
 records, per-target point batches, and (under state-transferring
 backends) the worker's vertex values, halt flags, and — only when
@@ -66,7 +66,7 @@ _U32BE = struct.Struct(">I")
 
 FRAME_MAGIC = b"GCF1"
 
-# Section kinds (``u32be len | u8 kind | payload``, v2-trace framing).
+# Section kinds (``u32be len | u8 kind | payload``, trace-block framing).
 SECTION_META = 1
 SECTION_BCAST = 2
 SECTION_POINT = 3

@@ -25,7 +25,7 @@ either way.
 
 A ``.idx`` sidecar accompanies every page file: one ``offset length
 flags count`` line per segment frame, so a reader can fetch any segment
-with a single ranged read — the same sidecar convention as the v2 trace
+with a single ranged read — the same sidecar convention as the trace
 format (see ``docs/trace-format.md``).
 """
 

@@ -34,10 +34,10 @@ from repro.graft.trace import (
 
 DEFAULT_ROOT = "/graft"
 
-#: Process-wide LRU budgets: how many decoded records / decompressed block
-#: payloads the whole server keeps hot, across all jobs and clients.
+#: Process-wide LRU budgets: how many decoded records / decoded blocks the
+#: whole server keeps hot, across all jobs and clients.
 DEFAULT_POOL_RECORD_CACHE = 16 * DEFAULT_RECORD_CACHE
-DEFAULT_POOL_BLOCK_CACHE = 8 * DEFAULT_BLOCK_CACHE
+DEFAULT_POOL_BLOCK_CACHE = 2 * DEFAULT_BLOCK_CACHE
 
 
 class JobSession:

@@ -12,7 +12,7 @@ Two writers live here:
   byte threshold is reached, so many tiny records batch up into large
   appends while a few huge records don't pin megabytes in memory.
 - :class:`BlockWriter` — length-prefixed, optionally zlib-compressed
-  binary frames (the v2 trace format's block layer). The caller hands it
+  binary frames (the trace format's block layer). The caller hands it
   whole payloads; it reports back exactly where each block landed so an
   index sidecar can point at it.
 """

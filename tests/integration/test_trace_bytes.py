@@ -1,13 +1,14 @@
-"""The trace writer's bytes: one-pass text == the codec tree, on disk and pinned.
+"""The trace writer's bytes: rebuilt rows == the codec tree, on disk and pinned.
 
-The v2 writer assembles each row as text, reusing the text of objects that
-several records of one barrier drain share. Three things hold that to the
-format: every row equals ``json.dumps`` of :func:`record_to_row`'s tree,
-the row as the tree-building writer laid it out, kept here as the oracle
-(on serial *and* processes — records that crossed a pickle share different
-objects, and the bytes must not notice); the files of three fixed jobs hash
-to what the commit before the one-pass writer produced; and the sharing
-never outlives a drain.
+The v3 writer stores a block's records by column, reusing the text of
+objects that several records of one write call share. Three things hold
+that to the format: every row the reader rebuilds equals ``json.dumps`` of
+:func:`record_to_row`'s tree taken when the record was written — the v2
+row, kept here as the oracle (on serial *and* processes: records that
+crossed a pickle share different objects, and the bytes must not notice);
+the files of three fixed jobs hash to pinned values and their canonical
+digests to what the v2 writer's files gave; and the sharing never outlives
+a write call.
 """
 
 import hashlib
@@ -32,14 +33,23 @@ from repro.common.serialization import default_codec
 from repro.datasets import load_dataset, random_symmetric_weights
 from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.capture import (
+    KIND_VERTEX,
     VertexContextRecord,
+    field_texts,
     master_field_names,
     record_from_row,
     vertex_field_names,
 )
 from repro.graft.config import standard_configs
 from repro.graft.reproducer import replay_record
-from repro.graft.trace import TraceReader, TraceStore, _V2FileWriter, job_directory
+from repro.graft.trace import (
+    TraceReader,
+    TraceStore,
+    _FileWriter,
+    canonical_trace_digest,
+    job_directory,
+)
+from repro.graft.traceformat import iter_blocks
 from repro.graph import GraphBuilder, to_undirected
 from repro.pregel import Computation, MinCombiner
 
@@ -68,19 +78,49 @@ def reference_row(record):
     ).encode("utf-8")
 
 
+class WrittenRows:
+    """The oracle row of every record, taken inside the write call, per file."""
+
+    def __init__(self):
+        self.files = {}         # id(writer) -> (filesystem, path, [oracle rows])
+
+    def note(self, writer, records):
+        _fs, _path, rows = self.files.setdefault(
+            id(writer), (writer._fs, writer.path, [])
+        )
+        rows += map(reference_row, records)
+
+    def pairs(self):
+        """``(oracle row, rebuilt row)`` of every record, in file order."""
+        found = []
+        for filesystem, path, rows in self.files.values():
+            rebuilt = [
+                rebuilt_row(block, position)
+                for block in iter_blocks(filesystem, path)
+                for position in range(block.size)
+            ]
+            assert len(rebuilt) == len(rows), path
+            found += zip(rows, rebuilt)
+        return found
+
+
+def rebuilt_row(block, position):
+    """The v2 row of the record the reader rebuilds from a block."""
+    return f"[{block.kind},{','.join(block.texts(position))}]".encode("utf-8")
+
+
 @pytest.fixture
 def written_rows(monkeypatch):
-    """Every ``(record, row bytes)`` the v2 writer encodes during the test."""
-    rows = []
-    encode = _V2FileWriter._encode
+    """Every record's oracle row, noted as the writer takes the record."""
+    noted = WrittenRows()
+    write = _FileWriter.write_records
 
-    def spy(self, record, row_text):
-        rec_bytes, meta = encode(self, record, row_text)
-        rows.append((record, rec_bytes))
-        return rec_bytes, meta
+    def spy(self, records):
+        noted.note(self, records)
+        return write(self, records)
 
-    monkeypatch.setattr(_V2FileWriter, "_encode", spy)
-    return rows
+    monkeypatch.setattr(_FileWriter, "write_records", spy)
+    return noted
 
 
 # -- every shipped algorithm, both sides of the pickle ------------------------
@@ -124,12 +164,13 @@ def test_written_rows_equal_the_codec_tree(written_rows, algorithm, executor):
         seed=7, num_workers=2, executor=executor, **kwargs,
     )
     assert run.ok, run.failure
-    assert len(written_rows) > run.capture_count > 0   # + the master records
-    for record, rec_bytes in written_rows:
-        assert rec_bytes == reference_row(record)
+    pairs = written_rows.pairs()
+    assert len(pairs) > run.capture_count > 0   # + the master records
+    for oracle, rebuilt in pairs:
+        assert rebuilt == oracle
 
 
-# -- files pinned from the commit before the one-pass writer ------------------
+# -- files pinned ---------------------------------------------------------------
 
 
 def _mid_rank_ids(graph):
@@ -154,51 +195,64 @@ def _sssp_dcmsg():
             standard_configs(range(10))["DC-msg"], {"combiner": MinCombiner()})
 
 
-#: job -> (builder, captures, {file name: sha256 of its bytes}), recorded at
-#: commit 0211e4d with ``seed=11, num_workers=2`` on the serial backend.
+#: job -> (builder, captures, {file name: sha256 of its bytes}), recorded
+#: with ``seed=11, num_workers=2`` on the serial backend when the v3 writer
+#: landed. The v2 writer's files of these jobs had been pinned since the
+#: one-pass row writer; what they held is pinned as ``PINNED_DIGESTS``.
 PINNED_FILES = {
     "pagerank-dcfull": (_pagerank_dcfull, 372, {
         "master.trace":
-            "d6b8edc325a7e6603fb10c3d0d7224c1d0ab9d115c38eb57e075492783a3e1a3",
+            "510c4303262cde1c91c79ec098dda721785dfcd24bc9acdb49fd1b297a261644",
         "master.trace.idx":
-            "e8d5cf1de6056e5f033d6f1900cf0f803b7a23c538a264df70cf19b3606675cd",
+            "cabb117a45ec74aaab9c1815e602d769cca6f84d0cfd72df43f3150a8962533e",
         "worker-0.trace":
-            "5d03f8ffaa52979db02c06ddded843941329535ad8a417cdca8cbeb4c36b326a",
+            "19c22a31e08c9973fda57317845f166260bf24b3542d49a096308566482ca788",
         "worker-0.trace.idx":
-            "2139727fd722ea05f79e41aa160bf7e0d888efdec3bb8c596829d03165762316",
+            "37bfbb80cda14dd878e84e97fa98f91611f39600e1014ccc22b81f67fe09b333",
         "worker-1.trace":
-            "f8c0c7a3bf6d09feabfcf8eacf4fad5d42184c5a0822fe85078e641a6d462d9b",
+            "28868a9b0a5e43e256c8532687536f60433495505e5b57c8d5d32a0444d0b323",
         "worker-1.trace.idx":
-            "641d02dc34c2af0c7ac50226fde74835977e81d9a574e92afe2fbff585068e4c",
+            "f65fefdd4fe027a4fa5d8cb21d0097c15e33ecfef4288580d0c79c045dd66e3d",
     }),
     "coloring-capture-all": (_coloring_capture_all, 3210, {
         "master.trace":
-            "ab30b58799d168262b654393b802acf3d6a7367b09f2e11df1cfcca9b2cabaed",
+            "d3cd3793e5ab081f722dedabccbeedc94789dfbcbc604b4245007c294e5a515a",
         "master.trace.idx":
-            "8afd7820c5ff6d29768576680f620df467b780515dcfcb20c6f45ea7c2aa5173",
+            "b0690d83ed63a91a0cab788758cc487e0d34e7aaa9b0b653b77c3b3dcfc4e0ae",
         "worker-0.trace":
-            "59017c089159124cf26e24b84c61dcb46b09720b128bdf14c862d442953b335f",
+            "65d9948672e380d030d10a0f7eed1d90d1132b6f810dfed67e31158265dccc24",
         "worker-0.trace.idx":
-            "8102195255351460b3561e28511c9b8a835e144ccc5cd65b8ca038d2ddcc6455",
+            "8f7b278a267c0b7cfc407ce08a773bb48e02fc605472ee798ca55e19e679a37e",
         "worker-1.trace":
-            "ce59ba0d9f2deb0ead3b64ab22effee47a3f321c4a2d9f0c642abdb6d2e995d2",
+            "995bbb29f0ce10e8bc2c2c26f82836040791343623851e17c709057e5bca815b",
         "worker-1.trace.idx":
-            "d2eb99ba7639530c5431bd04fa9c380ef8e7dd76313a8927df7a68f551e0759d",
+            "9e69401d8df30846a6c54a03125ded63879b3ef89063894f6f6fde24118e3136",
     }),
     "sssp-dcmsg": (_sssp_dcmsg, 0, {
         "master.trace":
-            "d6b8edc325a7e6603fb10c3d0d7224c1d0ab9d115c38eb57e075492783a3e1a3",
+            "510c4303262cde1c91c79ec098dda721785dfcd24bc9acdb49fd1b297a261644",
         "master.trace.idx":
-            "e8d5cf1de6056e5f033d6f1900cf0f803b7a23c538a264df70cf19b3606675cd",
+            "cabb117a45ec74aaab9c1815e602d769cca6f84d0cfd72df43f3150a8962533e",
         "worker-0.trace":
-            "1d93899c5cf85f72e6ff8dd4f63e93ef3e7f4afa4d3ddb9374cd51256de37bef",
+            "b5d1ec90f994bbe7cd5eafbf980a2faa75e6223a5b2a8aec2a3b16e827d8b8d9",
         "worker-0.trace.idx":
-            "91adb2119431fdebe0c2265a278b6e5c20c15b8a787f2d00e8028a73ffa37cbb",
+            "1d3162d0ba6ba5657b26998a3bb9629582bfc41f7142f6a9c4116b0d9a3a28e9",
         "worker-1.trace":
-            "1d93899c5cf85f72e6ff8dd4f63e93ef3e7f4afa4d3ddb9374cd51256de37bef",
+            "b5d1ec90f994bbe7cd5eafbf980a2faa75e6223a5b2a8aec2a3b16e827d8b8d9",
         "worker-1.trace.idx":
-            "8f05d129ec7af3897a3778c5d6018d483740f9327c3c2c7bbb4fe1148ff7b433",
+            "89b45ed0ae41554ea4cac09ae6702541bfabc71d6364ef596a81d75e94ff2a8b",
     }),
+}
+
+
+#: ``canonical_trace_digest`` of each job as the v2 writer's files gave it.
+PINNED_DIGESTS = {
+    "coloring-capture-all":
+        "0b33ce109bb5cd70078e2b72470c4a2092c568e10f39e57cbd9c3ef30e4ab32d",
+    "pagerank-dcfull":
+        "7c2f433dde08d64fcb8c368b98188504c1265a093aab0d0103621f2e6e8bd3f6",
+    "sssp-dcmsg":
+        "c45b5e30e8d7bcb9ce6bca7b5939ab1e09a6a05bb3be7458e12873ab946d372b",
 }
 
 
@@ -212,7 +266,7 @@ def trace_file_hashes(run):
 
 
 @pytest.mark.parametrize("job", sorted(PINNED_FILES))
-def test_trace_and_index_files_byte_identical_to_pinned(job):
+def test_trace_and_index_files_byte_identical_to_pinned(job, written_rows):
     build, captures, pinned = PINNED_FILES[job]
     factory, graph, config, kwargs = build()
     run = debug_run(
@@ -222,6 +276,10 @@ def test_trace_and_index_files_byte_identical_to_pinned(job):
     assert run.ok, run.failure
     assert run.capture_count == captures
     assert trace_file_hashes(run) == pinned
+    for oracle, rebuilt in written_rows.pairs():
+        assert rebuilt == oracle
+    digest = canonical_trace_digest(run.session.filesystem, "pin")
+    assert digest == PINNED_DIGESTS[job]
 
 
 # -- the sharing lives for one drain ------------------------------------------
@@ -241,16 +299,19 @@ def _record(vertex_id, superstep, value, **overrides):
 
 class TestSharingScope:
     def test_object_mutated_between_drains_is_written_anew(self, fs, written_rows):
+        """Two write calls into one block, the shared object mutated in
+        between: each record keeps the text it had when it was written."""
         store = TraceStore(fs, "scope", num_workers=1)
         value = {"seen": [1]}
         first = [_record(5, 0, value), _record(6, 0, value)]
         store.write_vertex_records(first)
-        assert [b for _, b in written_rows] == [reference_row(r) for r in first]
         value["seen"].append(2)     # same object, same id(), new state
         second = _record(5, 1, value)
         store.write_vertex_records([second])
-        assert written_rows[2][1] == reference_row(second)
         store.close()
+        pairs = written_rows.pairs()
+        assert len(pairs) == 3
+        assert [rebuilt for _, rebuilt in pairs] == [oracle for oracle, _ in pairs]
         reader = TraceReader(fs, "scope")
         assert reader.get(6, 0).value_after == {"seen": [1]}
         assert reader.get(5, 1).value_before == {"seen": [1, 2]}
@@ -272,11 +333,20 @@ class TestSharingScope:
                     sent=[(1, message()), (2, message())])
             for v in (5, 6)
         ]
-        TraceStore(fs, "shared", num_workers=1).write_vertex_records(shared)
-        TraceStore(fs, "distinct", num_workers=1).write_vertex_records(distinct)
-        shared_rows, distinct_rows = written_rows[:2], written_rows[2:]
-        assert [b for _, b in shared_rows] == [b for _, b in distinct_rows]
-        assert [b for _, b in shared_rows] == [reference_row(r) for r in shared]
+        for job, records in (("shared", shared), ("distinct", distinct)):
+            store = TraceStore(fs, job, num_workers=1)
+            store.write_vertex_records(records)
+            store.close()
+        pairs = written_rows.pairs()
+        assert [rebuilt for _, rebuilt in pairs[:2]] == [
+            rebuilt for _, rebuilt in pairs[2:]
+        ]
+        assert [oracle for oracle, _ in pairs[:2]] == [reference_row(r) for r in shared]
+        assert [rebuilt for _, rebuilt in pairs] == [oracle for oracle, _ in pairs]
+        for name in ("worker-0.trace", "worker-0.trace.idx"):
+            assert fs.read_bytes(f"/graft/shared/{name}") == fs.read_bytes(
+                f"/graft/distinct/{name}"
+            )
 
     def test_single_record_write_matches_bulk_write(self, fs, written_rows):
         records = [_record(v, 0, (v, "x")) for v in range(4)]
@@ -295,10 +365,13 @@ class TestSharingScope:
     def test_edges_after_differing_only_in_order_is_not_reused(self, written_rows, fs):
         record = _record(5, 0, 1, edges_before={1: None, 2: None},
                          edges_after={2: None, 1: None})
-        TraceStore(fs, "order", num_workers=1).write_vertex_records([record])
-        assert written_rows[0][1] == reference_row(record)
-        assert b"[[1,null],[2,null]]" in written_rows[0][1]
-        assert b"[[2,null],[1,null]]" in written_rows[0][1]
+        store = TraceStore(fs, "order", num_workers=1)
+        store.write_vertex_records([record])
+        store.close()
+        [(oracle, rebuilt)] = written_rows.pairs()
+        assert rebuilt == oracle == reference_row(record)
+        assert b"[[1,null],[2,null]]" in rebuilt
+        assert b"[[2,null],[1,null]]" in rebuilt
 
 
 class _Chatty(Computation):
@@ -359,7 +432,10 @@ def test_string_keyed_edge_maps_replay_faithfully(file_format):
 
 
 def test_string_keyed_edge_maps_written_by_older_versions_still_decode():
-    row = record_to_row(_record("a", 0, 1), default_codec)
-    row[5] = row[12] = {"b": None, "z": 0.5}     # the plain-object form
-    record = record_from_row(row, default_codec)
+    kind, texts = field_texts(_record("a", 0, 1), default_codec)
+    names = vertex_field_names()
+    for name in ("edges_before", "edges_after"):
+        texts[names.index(name)] = '{"b":null,"z":0.5}'    # the plain-object form
+    record = record_from_row(kind, "[" + ",".join(texts) + "]", default_codec)
+    assert kind == KIND_VERTEX
     assert record.edges_before == record.edges_after == {"b": None, "z": 0.5}

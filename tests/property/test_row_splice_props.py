@@ -1,39 +1,52 @@
-"""Property tests: a stored row can be re-laid-out without decoding it.
+"""Property tests: a record's field texts survive the v3 block unchanged.
 
-``split_row`` must cut a v2 row exactly where the encoder joined its field
-texts, whatever the fields hold, and the canonical line spliced from those
-texts must be the line the decode → re-encode path produces. Then two
-whole traces: the join of their row walks must list the divergences the
-decode-everything comparison (``tests/reference_diff.py``) lists.
+A block stores its records by column and the reader rebuilds every
+record's field texts from the columns; whatever the fields hold, the
+rebuilt texts must be the record's own (:func:`field_texts`), laid out as
+the v2 row they must be the oracle's (``json.dumps`` of the codec tree),
+and the canonical line spliced from them must be the line the decode →
+re-encode path produces. A block's bytes depend on the texts alone: not on
+how its records were cut into write calls, nor on which objects they
+share. Then two whole traces: the join of their row walks must list the
+divergences the decode-everything comparison (``tests/reference_diff.py``)
+lists.
 """
 
 import collections
 import copy
 import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.serialization import ValueCodec
+from repro.graft import traceformat
 from repro.graft.capture import (
-    _COLUMN_MIN,
+    KIND_MASTER,
+    KIND_VERTEX,
     ExceptionRecord,
     MasterContextRecord,
-    RecordEncoder,
     VertexContextRecord,
     Violation,
+    field_names_of,
+    field_texts,
     join_line,
-    master_field_names,
     record_from_row,
     record_to_line,
-    split_row,
     vertex_field_names,
 )
 from repro.graft.diffing import _difference, _merge, first_divergence
 from repro.graft.sanitizer import _normalized_rows, order_insensitive_lines
-from repro.graft.trace import TraceStore, iter_canonical_rows
+from repro.graft.trace import (
+    TraceStore,
+    iter_canonical_rows,
+    iter_file_records,
+    worker_trace_path,
+)
+from repro.graft.traceformat import BlockBuilder, decode_block, field_tables
 from repro.simfs import SimFileSystem
 from tests.integration.test_trace_bytes import record_to_row
 from tests.property.test_serialization_props import (
@@ -114,24 +127,50 @@ master_records = st.builds(
 )
 
 
+def kind_of(records):
+    return KIND_VERTEX if isinstance(records[0], VertexContextRecord) else KIND_MASTER
+
+
+def encode_block(records, calls=1):
+    """The payload of one block holding ``records`` (all of one kind),
+    written in ``calls`` write calls."""
+    kind = kind_of(records)
+    builder = BlockBuilder(codec, kind, field_names_of(kind))
+    size = -(-len(records) // calls)
+    for start in range(0, len(records), size):
+        builder.add(records[start:start + size])
+    return builder.encode()[0]
+
+
+def rebuilt_rows(payload):
+    block = decode_block(payload, field_tables({}))
+    return [
+        f"[{block.kind}," + ",".join(block.texts(position)) + "]"
+        for position in range(block.size)
+    ]
+
+
+def rebuilt_texts(record):
+    block = decode_block(encode_block([record]), field_tables({}))
+    return block.kind, block.texts(0)
+
+
 class TestRowSplice:
     @given(vertex_records | master_records)
     @settings(max_examples=200, deadline=None)
     def test_split_row_cuts_at_the_field_boundaries(self, record):
-        row = RecordEncoder(codec).row(record)
-        kind, texts = split_row(row)
-        names = vertex_field_names() if kind == 0 else master_field_names()
-        assert len(texts) == len(names)
-        assert f"[{kind}," + ",".join(texts) + "]" == row
+        kind, texts = rebuilt_texts(record)
+        assert (kind, texts) == field_texts(record, codec)
+        row = f"[{kind}," + ",".join(texts) + "]"
+        assert row == reference_rows([record])[0]
         assert [json.loads(text) for text in texts] == json.loads(row)[1:]
 
     @given(vertex_records | master_records)
     @settings(max_examples=200, deadline=None)
     def test_spliced_line_is_the_decoded_records_line(self, record):
-        row = RecordEncoder(codec).row(record)
-        kind, texts = split_row(row)
-        decoded = record_from_row(json.loads(row), codec)
-        if kind == 0:
+        kind, texts = rebuilt_texts(record)
+        decoded = record_from_row(kind, "[" + ",".join(texts) + "]", codec)
+        if kind == KIND_VERTEX:
             texts[vertex_field_names().index("worker_id")] = "0"
             decoded.worker_id = 0
         assert join_line(kind, texts) == record_to_line(decoded, codec)
@@ -139,17 +178,26 @@ class TestRowSplice:
     @given(vertex_records, st.integers(min_value=1, max_value=40))
     @settings(max_examples=100, deadline=None)
     def test_a_torn_row_raises(self, record, cut):
-        row = RecordEncoder(codec).row(record)
-        torn = row[:-cut] if cut < len(row) else ""
-        with pytest.raises(ValueError):
-            split_row(torn)
+        """A block torn by a crash mid-append is never served: the frame is
+        dropped whole, so no record comes back garbled."""
+        fs = SimFileSystem()
+        record.worker_id = 0
+        store = TraceStore(fs, "torn", 1, codec)
+        store.write_vertex_record(record)
+        store.close()
+        path = worker_trace_path("torn", 0)
+        data = fs.read_bytes(path)
+        frame = len(data) - traceformat.read_header(fs, path)[1]
+        fs.create(path, overwrite=True)
+        fs.append_bytes(path, data[: len(data) - 1 - (cut - 1) % (frame - 1)])
+        assert list(iter_file_records(fs, path, codec)) == []
 
 
 # -- pair lists written by column ------------------------------------------------
 #
-# ``incoming`` / ``sent`` lists of at least ``_COLUMN_MIN`` exact 2-tuples are
-# written column by column, a message object once per batch. Whatever the
-# lists hold, the row is the reference's: ``json.dumps`` of the codec tree.
+# ``incoming`` / ``sent`` lists of exact 2-tuples are written column by
+# column, a message text once per column and block. Whatever the lists
+# hold, the rebuilt row is the reference's: ``json.dumps`` of the codec tree.
 
 
 def reference_rows(records):
@@ -160,8 +208,7 @@ def reference_rows(records):
 
 
 def rows_in_one_batch(records):
-    row = RecordEncoder(codec).row
-    return [row(record) for record in records]
+    return rebuilt_rows(encode_block(records)) if records else []
 
 
 def record_with(incoming, sent):
@@ -175,9 +222,15 @@ def record_with(incoming, sent):
 def assert_rows_are_the_reference(records):
     expected = reference_rows(records)
     assert rows_in_one_batch(records) == expected
-    assert [RecordEncoder(codec).row(record) for record in records] == expected
+    if records:
+        one_by_one = encode_block(records, calls=len(records))
+        assert one_by_one == encode_block(records)
+        assert rebuilt_rows(one_by_one) == expected
 
 
+#: Pair lists this long were the shortest the v2 writer wrote by column;
+#: the hazard lists keep their lengths (and names) around it.
+_COLUMN_MIN = 8
 NamedPair = collections.namedtuple("NamedPair", "id message")
 NAN = float("nan")
 LONG = _COLUMN_MIN + 2
@@ -219,18 +272,21 @@ HAZARDS = {
 
 class TestPairColumns:
     def test_the_hazard_lists_reach_the_column_path(self, monkeypatch):
+        """Any list of exact 2-tuples is written by column; a list holding
+        anything else is written as its text."""
         seen = []
-        columns = RecordEncoder._pair_columns
-        monkeypatch.setattr(
-            RecordEncoder, "_pair_columns",
-            lambda self, ids, messages: seen.append(len(ids))
-            or columns(self, ids, messages),
-        )
+        add = traceformat._PairLists.add
+
+        def spy(self, block, lists):
+            seen.extend(len(pairs) for pairs in lists if pairs)
+            return add(self, block, lists)
+
+        monkeypatch.setattr(traceformat._PairLists, "add", spy)
         rows_in_one_batch([record_with(HAZARDS["signed zeros"], [])])
         rows_in_one_batch([record_with(HAZARDS["one below the column path"], [])])
         rows_in_one_batch([record_with(HAZARDS["a 2-list among pairs"], [])])
         rows_in_one_batch([record_with(HAZARDS["first list on the column path"], [])])
-        assert seen == [LONG, _COLUMN_MIN]
+        assert seen == [LONG, _COLUMN_MIN - 1, _COLUMN_MIN]
 
     @pytest.mark.parametrize("name", sorted(HAZARDS))
     def test_hazard(self, name):
@@ -290,6 +346,141 @@ class TestPairColumns:
         assert_rows_are_the_reference(
             data.draw(st.lists(st.builds(record_with, lists, lists), max_size=3))
         )
+
+
+# -- record batches, by column ---------------------------------------------------
+
+#: Objects whose texts differ where their values compare equal (or not at
+#: all), of subclasses the codec writes from the tree, and of two
+#: registered classes — shared across records, ids and messages alike.
+BATCH_HAZARDS = [
+    0.0, -0.0, True, False, 1, 1.0, 0, NAN, float("inf"), float("-inf"),
+    Color.RED, Color.BLUE, Number(2.5), Text("sub"), Text("__t__"), 2**70,
+    None, "", "a,b", [1], [1.0], {"k": 1}, Pair(1, Empty()), Empty(),
+    Pair(True), (1,), (1, 2, 3),
+]
+batch_ids = st.one_of(
+    st.sampled_from([0, 1, True, 1.0, -0.0, Color.RED, Text("sub"), "v,1", [1], (0,)]),
+    st.integers(-3, 40),
+)
+
+
+@st.composite
+def record_batches(draw):
+    """Vertex records over one pool of objects — the same object in many
+    records and fields, equal copies of it, now and then a pair list entry
+    that is not an exact 2-tuple."""
+    pool = BATCH_HAZARDS + draw(st.lists(payloads, max_size=4))
+    pool += [copy.deepcopy(value) for value in draw(st.lists(st.sampled_from(pool), max_size=3))]
+    objects = st.sampled_from(pool)
+    entries = st.tuples(batch_ids, objects)
+    if draw(st.booleans()):
+        entries |= st.sampled_from([(1,), (1, 2, 3), [1, 2], 7, None])
+    pair_lists = st.lists(entries, max_size=6) | st.sampled_from(pool)
+    edge_maps = st.dictionaries(st.integers(0, 5), objects, max_size=3) | objects
+    record = st.builds(
+        VertexContextRecord,
+        vertex_id=batch_ids,
+        superstep=st.integers(0, 2),
+        worker_id=st.just(0),
+        value_before=objects,
+        edges_before=edge_maps,
+        incoming=pair_lists,
+        aggregators=objects,
+        num_vertices=st.sampled_from([5, 5, 6, 2**70]),
+        num_edges=objects,
+        run_seed=objects,
+        value_after=objects,
+        edges_after=edge_maps,
+        sent=pair_lists,
+        halted=objects,
+        reasons=st.sampled_from([["all_active"], ["random"], [Text("x")], []]),
+        violations=st.sampled_from([[], [Violation("message", 1, 0, {})], ()]),
+        exception=st.sampled_from([None, ExceptionRecord("E", "m", "tb")]),
+    )
+    records = draw(st.lists(record, min_size=1, max_size=8))
+    for index in draw(st.lists(st.integers(0, len(records) - 1), max_size=3)):
+        twin = copy.copy(records[index])           # the very objects again
+        twin.edges_after = twin.edges_before
+        records.append(twin)
+    return records
+
+
+def oracle_and_block(records, calls, mutate=None):
+    """Write ``records`` in ``calls`` write calls, calling ``mutate`` after
+    each; the oracle rows are taken as each call writes its records."""
+    builder = BlockBuilder(codec, KIND_VERTEX, vertex_field_names())
+    expected = []
+    size = -(-len(records) // calls)
+    for start in range(0, len(records), size):
+        chunk = records[start:start + size]
+        expected += reference_rows(chunk)
+        builder.add(chunk)
+        if mutate is not None:
+            mutate()
+    return expected, builder.encode()[0]
+
+
+class TestBlockColumns:
+    @given(record_batches(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_rebuilt_texts_are_the_oracle_rows(self, records, calls):
+        expected, payload = oracle_and_block(records, calls)
+        assert rebuilt_rows(payload) == expected
+        # The layout is a function of the texts: neither the write calls
+        # nor which objects the records share (a pickle round trip makes
+        # new ints and floats, as the processes executor does) show in it.
+        assert oracle_and_block(records, 1)[1] == payload
+        copies = pickle.loads(pickle.dumps(records))
+        assert oracle_and_block(copies, calls)[1] == payload
+
+    @given(record_batches(), st.integers(2, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_an_object_mutated_between_two_write_calls(self, records, calls):
+        shared = {"seen": [1]}
+        for record in records[::2]:
+            record.value_before = record.aggregators = shared
+            record.sent = [(1, shared), (2, shared)]
+
+        def mutate():
+            shared["seen"].append(len(shared["seen"]) + 1)
+
+        expected, payload = oracle_and_block(records, calls, mutate)
+        assert rebuilt_rows(payload) == expected
+
+    def test_every_block_constant_overridden_per_record(self):
+        base = VertexContextRecord(
+            vertex_id=0, superstep=3, worker_id=1, value_before=Pair(1),
+            edges_before={1: None, 2: None}, incoming=[(1, 0.5)],
+            aggregators={"phase": "A"}, num_vertices=9, num_edges=12, run_seed=7,
+            value_after=Pair(1), edges_after={1: None, 2: None}, sent=[],
+            halted=False, reasons=["all_active"], violations=[],
+        )
+        other = {
+            "vertex_id": (1, "a"), "superstep": 4, "worker_id": 2,
+            "value_before": Empty(), "edges_before": {"b": 1},
+            "incoming": [(1, -0.0)], "aggregators": {"phase": "B"},
+            "num_vertices": 10, "num_edges": 1.0, "run_seed": None,
+            "value_after": 2.5, "edges_after": {}, "sent": [(1, (1,))],
+            "halted": True, "reasons": ["random"],
+            "violations": [Violation("message", 0, 3, {"x": 1})],
+            "exception": ExceptionRecord("E", "m", "tb"),
+        }
+        assert sorted(other) == sorted(vertex_field_names())
+        for name, value in other.items():
+            records = [dataclasses.replace(base, vertex_id=i) for i in range(6)]
+            records[3] = dataclasses.replace(records[3], **{name: value})
+            assert_rows_are_the_reference(records)
+
+    def test_two_registered_classes_in_one_value_column(self):
+        values = [Pair(1), Empty(), Pair(2, Empty()), 3, Empty(), Payload(4)]
+        records = [
+            dataclasses.replace(record_with([], []), vertex_id=i, value_before=value)
+            for i, value in enumerate(values)
+        ]
+        assert_rows_are_the_reference(records)
+        head = encode_block(records).split(b"\n")[0].split()
+        assert b"x" in head and head.count(b"o") == 2
 
 
 # -- two walks, joined ----------------------------------------------------------

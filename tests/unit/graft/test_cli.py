@@ -183,7 +183,7 @@ class TestTraceCommand:
         assert "master.trace" in output
         assert "TOTAL" in output
         assert "100.0%" in output  # fully indexed
-        assert "v2" in output
+        assert "v3" in output
 
     def test_stats_missing_directory(self):
         status, output = run_cli(

@@ -142,9 +142,26 @@ class TestReplayHarness:
 
 class TestReplayRecord:
     def _run(self):
+        # Doubler never ends (see test_doubler_runs_until_its_budget): the
+        # assertions read supersteps 0-1, so three supersteps are enough.
         return debug_run(
-            Doubler, pair_graph(), CaptureAllActiveConfig(), seed=3, num_workers=2
+            Doubler, pair_graph(), CaptureAllActiveConfig(), seed=3, num_workers=2,
+            max_supersteps=3,
         )
+
+    def test_doubler_runs_until_its_budget(self):
+        """Doubler votes to halt but broadcasts every superstep, so each
+        vertex wakes the other: only the superstep budget ends the run."""
+        from repro.pregel import halting
+
+        run = debug_run(
+            Doubler, pair_graph(), CaptureAllActiveConfig(), seed=3, num_workers=2,
+            max_supersteps=6,
+        )
+        assert run.result.halt_reason == halting.MAX_SUPERSTEPS
+        assert run.result.num_supersteps == 6
+        assert "nontermination" in run.observed_evidence_kinds()
+        assert [r.superstep for r in run.reader.history(0)] == list(range(6))
 
     def test_faithful_replay(self):
         run = self._run()

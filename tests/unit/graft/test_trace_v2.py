@@ -1,4 +1,6 @@
-"""Unit tests for the v2 trace format: framing, index, lazy reader, recovery."""
+"""Unit tests for the trace format (v3): framing, index, lazy reader, recovery.
+
+The module keeps its name from the v2 format it used to cover."""
 
 import hashlib
 import json
@@ -8,13 +10,13 @@ import pytest
 from repro.common.errors import TraceError
 from repro.common.serialization import default_codec
 from repro.graft import trace as trace_module
+from repro.graft import traceformat
 from repro.graft.capture import (
     ExceptionRecord,
     MasterContextRecord,
-    RecordEncoder,
     Violation,
+    field_texts,
     record_to_line,
-    split_row,
     vertex_field_names,
 )
 from repro.graft.trace import (
@@ -29,7 +31,14 @@ from repro.graft.trace import (
     trace_stats,
     worker_trace_path,
 )
-from repro.graft.traceformat import IDX_MAGIC, TRACE_MAGIC
+from repro.graft.traceformat import (
+    IDX_MAGIC,
+    TRACE_MAGIC,
+    decode_block,
+    field_tables,
+    iter_frames,
+    read_header,
+)
 from tests.unit.graft.test_capture import sample_record
 
 JOB = "jobV2"
@@ -80,12 +89,17 @@ class TestV2FileLayout:
 
     def test_index_prefix_is_json_free(self, fs):
         build_store(fs)
-        line = list(fs.iter_lines(worker_trace_path(JOB, 0) + ".idx"))[1]
+        line = list(fs.iter_lines(worker_trace_path(JOB, 2) + ".idx"))[2]
         prefix = line.partition("|")[0].split()
         assert prefix[0] == "B"
         assert all(token.lstrip("-").isdigit() for token in prefix[1:])
-        entries = json.loads(line.partition("|")[2])
-        assert len(entries) == int(prefix[6])
+        # Superstep 1's block: one superstep (no step list), vertex 2's
+        # violation flagged, int ids written as their reprs.
+        steps, flags, ids = line.partition("|")[2].split("|")
+        assert steps == ""
+        assert flags == "1,0,0,0"
+        assert ids == "2,5,8,11"
+        assert int(prefix[6]) == 4 and int(prefix[7]) == 1
 
     def test_iter_file_records_both_formats(self, fs):
         """Both block formats — zlib-compressed and stored — decode alike."""
@@ -260,6 +274,41 @@ class TestRecovery:
         lazy = TraceReader(fs, JOB, mode="lazy")
         assert len(lazy) == 48  # the torn frame contributed nothing
 
+    @pytest.mark.parametrize("damage", ["missing", "torn", "stale"])
+    def test_recovery_reads_blocks_not_records(self, fs, monkeypatch, damage):
+        """Each block's own superstep, flag and id columns give its index
+        line back: the lost lines come back equal, with one ranged read for
+        the unindexed tail (at most one per block), and no record rebuilt."""
+        build_store(fs, supersteps=6)
+        path = worker_trace_path(JOB, 2)
+        blocks, _header, _stats = traceformat.load_index(fs, path)
+        want = [meta.entries() for meta in blocks]
+        idx = fs.read_bytes(path + ".idx")
+        lines = idx.split(b"\n")
+        fs.delete(path + ".idx")
+        if damage == "torn":        # the last line lost its tail
+            fs.create(path + ".idx")
+            fs.append_bytes(path + ".idx", idx[:-7])
+        elif damage == "stale":     # a line pointing past the end of the file
+            stale = lines[3].split(b" ")
+            stale[1] = str(fs.stat(path).size).encode()
+            fs.create(path + ".idx")
+            fs.append_bytes(path + ".idx", b"\n".join(
+                [*lines[:3], b" ".join(stale), *lines[4:]]
+            ))
+        monkeypatch.setattr(
+            traceformat.Block, "texts",
+            lambda self, position: pytest.fail("recovery rebuilt a record"),
+        )
+        before = fs.read_calls
+        blocks, _header, stats = traceformat.load_index(fs, path)
+        calls = fs.read_calls - before
+        assert [meta.entries() for meta in blocks] == want
+        assert stats["recovered_blocks"] >= 1
+        # magic, header length, header; the sidecar; the unindexed tail
+        assert calls == 3 + (damage != "missing") + 1
+        assert calls - 3 <= 1 + stats["recovered_blocks"]
+
     def test_digest_unchanged_by_idx_loss(self, fs):
         build_store(fs)
         want = canonical_trace_digest(fs, JOB)
@@ -397,8 +446,7 @@ class TestRowLevelReads:
         assert lazy.history_fields(99) == []
         assert len(lazy._record_cache) == cached
         for key, texts in zip(keys, found):
-            row = RecordEncoder(default_codec).row(lazy.get(*key))
-            assert texts == split_row(row)[1]
+            assert texts == field_texts(lazy.get(*key), default_codec)[1]
 
     def test_get_fields_confirms_the_repr_keyed_id(self, fs):
         build_store(fs)
@@ -435,38 +483,59 @@ class TestRowLevelReads:
     def test_files_with_other_field_tables_take_the_decode_path(
         self, fs, monkeypatch
     ):
-        """A v2 file laid out by another version's field order."""
+        """A file whose header lays the vertex fields out in another order:
+        its blocks follow that order and the reader maps the texts back by
+        field name."""
         names = list(vertex_field_names())
-        row = RecordEncoder.row
-
-        def reversed_row(self, record):
-            kind, texts = split_row(row(self, record))
-            if kind == 0:
-                texts.reverse()
-            return f"[{kind}," + ",".join(texts) + "]"
-
         header = trace_module.build_header()
         header["fields"]["vertex"] = names[::-1]
         with monkeypatch.context() as patch:
             patch.setattr(trace_module, "build_header", lambda: header)
-            patch.setattr(RecordEncoder, "row", reversed_row)
             build_store(fs)
         twin = type(fs)()
         build_store(twin)
+        assert fs.read_bytes(worker_trace_path(JOB, 2)) != twin.read_bytes(
+            worker_trace_path(JOB, 2)
+        )
         lazy, expected = TraceReader(fs, JOB), TraceReader(twin, JOB)
         assert lazy.get(2, 1) == expected.get(2, 1)
         assert lazy.get_fields(2, 1) == expected.get_fields(2, 1)
         assert canonical_trace_digest(fs, JOB) == self.DECODED_DIGEST
 
-    def test_a_torn_row_is_refused(self):
-        with pytest.raises(ValueError, match="Unterminated string"):
-            split_row('[0,1,2,"unterminated')
-        with pytest.raises(ValueError, match="malformed trace row"):
-            split_row("[0,1,2")
-        with pytest.raises(ValueError, match="malformed trace row"):
-            split_row("[7,1,2]")        # unknown kind
-        with pytest.raises(ValueError, match="malformed trace row"):
-            split_row("[1,0,{}]")       # a master row two fields short
+    @pytest.mark.parametrize("vertices", [12, 60])    # rows, and by column
+    def test_a_block_read_again_and_again_gives_the_same_records(self, fs, vertices):
+        """Past a handful of reads a block turns its columns into lists;
+        every read before and after gives the same record."""
+        build_store(fs, vertices=vertices)
+        eager = TraceReader(fs, JOB, mode="eager")
+        lazy = TraceReader(fs, JOB, cache_records=0)
+        for _ in range(3):
+            for vid in range(vertices):
+                assert lazy.get(vid, 1) == eager.get(vid, 1)
+                assert lazy.get_fields(vid, 1) == eager.get_fields(vid, 1)
+
+    def test_a_torn_row_is_refused(self, fs):
+        """A block cut short, or with a column spec it does not hold, is a
+        :class:`TraceError`, never a garbled record — laid out by column or,
+        for a few records, as rows."""
+        build_store(fs, vertices=30)
+        path = worker_trace_path(JOB, 2)
+        header, start = read_header(fs, path)
+        tables = field_tables(header)
+        _offset, _length, _flags, payload = next(iter_frames(fs, path, start))
+        assert decode_block(payload, tables).size == 10
+        lines = payload.split(b"\n")
+        for torn in (
+            payload[: len(payload) // 2],
+            b"\n".join(lines[:-1]),                       # a section short
+            b"\n".join([lines[0] + b" f", *lines[1:]]),   # a spec too many
+            b"\n".join([lines[0], b"1 2", *lines[2:]]),   # constants cut
+        ):
+            with pytest.raises(TraceError, match="malformed trace block"):
+                decode_block(torn, tables)
+        rows = b"0 2\n" + b"\n".join(lines[-2:])
+        with pytest.raises(TraceError, match="malformed trace block"):
+            decode_block(rows, tables).texts(0)
 
 
 class TestTraceStats:
@@ -477,7 +546,7 @@ class TestTraceStats:
         assert stats["totals"]["files"] == 4
         assert stats["totals"]["index_coverage"] == 1.0
         for info in stats["files"]:
-            assert info["format"] == "v2"
+            assert info["format"] == "v3"
             assert info["bytes"] > 0
             assert info["index_bytes"] > 0
         worker0 = next(
