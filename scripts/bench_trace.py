@@ -13,11 +13,11 @@ like a real run), then measures what the indexed trace format buys:
   The "jump straight to the suspicious vertex" move from the paper's GUI:
   lazy does one index lookup, one ranged read, one record decode.
 - **warm queries** — repeated gets/history/at_superstep on a live reader.
-- **storage** — stored bytes vs. the size of the same records' canonical
-  JSON-line stream (the ``v1_bytes`` / ``v2_vs_v1`` keys: the stream
-  exists whether or not any file ever held it; ``v2_*`` keys hold the
-  stored trace files, whatever their format — the keys keep their
-  names), sidecar overhead, zlib ratio.
+- **storage** — stored bytes (``stored_bytes``, ``stored_index_bytes``:
+  the trace files and their sidecars, in whatever format the writer
+  writes) vs. the size of the same records' canonical JSON-line stream
+  (``v1_bytes``, ``stored_vs_v1``: the stream exists whether or not any
+  file ever held it), sidecar overhead, zlib ratio.
 
 Gates (exit status 1 when violated):
 
@@ -281,10 +281,10 @@ def run_bench(num_vertices=2_500, num_supersteps=20, rounds=ROUNDS):
             "at_superstep": round(at_step_s, 6),
         },
         "storage": {
-            "v2_bytes": stats["totals"]["bytes"],
-            "v2_index_bytes": stats["totals"]["index_bytes"],
+            "stored_bytes": stats["totals"]["bytes"],
+            "stored_index_bytes": stats["totals"]["index_bytes"],
             "v1_bytes": v1_bytes,
-            "v2_vs_v1": round(stats["totals"]["bytes"] / v1_bytes, 3),
+            "stored_vs_v1": round(stats["totals"]["bytes"] / v1_bytes, 3),
             "compression_ratio": stats["totals"]["compression_ratio"],
             "index_coverage": stats["totals"]["index_coverage"],
         },
@@ -328,7 +328,7 @@ def main(argv=None):
 
     print(f"wrote {args.output}")
     print(f"  records: {report['workload']['total_records']:,} "
-          f"({report['storage']['v2_bytes']:,} bytes stored, "
+          f"({report['storage']['stored_bytes']:,} bytes stored, "
           f"{report['storage']['v1_bytes']:,} bytes v1)")
     print(f"  write: {report['write']['seconds']}s "
           f"({report['write']['records_per_second']:,} records/s)")

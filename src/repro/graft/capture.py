@@ -254,3 +254,8 @@ def record_from_row(kind, row, codec, names=None):
         name: value if value.__class__ in _SCALAR_CLASSES else decode(value)
         for name, value in zip(names or field_names_of(kind), values)
     })
+
+
+def record_of(kind, names, values):
+    """The record of decoded field ``values``, in the order of ``names``."""
+    return _RECORD_CLASSES[kind](**dict(zip(names, values)))

@@ -61,7 +61,6 @@ from repro.graft.capture import (
     field_names_of,
     field_texts,
     join_line,
-    record_from_row,
     vertex_field_names,
 )
 from repro.graft.traceformat import (
@@ -147,7 +146,7 @@ def iter_file_records(filesystem, path, codec=None):
     codec = codec or default_codec
     for block in iter_blocks(filesystem, path):
         for position in range(block.size):
-            yield record_from_row(block.kind, block.row(position), codec, block.names)
+            yield block.record(position, codec)
 
 
 # -- write side ---------------------------------------------------------------
@@ -517,10 +516,7 @@ class _IndexedSource:
         key = (self.path, ref)
         record = self._record_cache.get(key)
         if record is None:
-            block = self._block(ref[0])
-            record = record_from_row(
-                block.kind, block.row(ref[1]), self._codec, block.names
-            )
+            record = self._block(ref[0]).record(ref[1], self._codec)
             self._record_cache.put(key, record)
         return record
 

@@ -196,9 +196,11 @@ def _sssp_dcmsg():
 
 
 #: job -> (builder, captures, {file name: sha256 of its bytes}), recorded
-#: with ``seed=11, num_workers=2`` on the serial backend when the v3 writer
-#: landed. The v2 writer's files of these jobs had been pinned since the
-#: one-pass row writer; what they held is pinned as ``PINNED_DIGESTS``.
+#: with ``seed=11, num_workers=2`` on the serial backend when v3 blocks
+#: took packed numeric columns (``sssp-dcmsg`` captures nothing, and the
+#: master files hold rows, so those kept their hashes). The v2 writer's files
+#: of these jobs had been pinned since the one-pass row writer; what they
+#: held is pinned as ``PINNED_DIGESTS``.
 PINNED_FILES = {
     "pagerank-dcfull": (_pagerank_dcfull, 372, {
         "master.trace":
@@ -206,13 +208,13 @@ PINNED_FILES = {
         "master.trace.idx":
             "cabb117a45ec74aaab9c1815e602d769cca6f84d0cfd72df43f3150a8962533e",
         "worker-0.trace":
-            "19c22a31e08c9973fda57317845f166260bf24b3542d49a096308566482ca788",
+            "ba45e63d74114b72de0b5da1ac347919103a1b9e3bc505b04c729eccac769f58",
         "worker-0.trace.idx":
-            "37bfbb80cda14dd878e84e97fa98f91611f39600e1014ccc22b81f67fe09b333",
+            "da1a1f92ac9adb03a219dc9aa231efb8492ca155b4682093885e8f09933cb7f7",
         "worker-1.trace":
-            "28868a9b0a5e43e256c8532687536f60433495505e5b57c8d5d32a0444d0b323",
+            "aba6bfbad6a1d48a4359b962114ce10d68c6a64504c6c06ee5cb0eef2b224b90",
         "worker-1.trace.idx":
-            "f65fefdd4fe027a4fa5d8cb21d0097c15e33ecfef4288580d0c79c045dd66e3d",
+            "761784403c183997c4e0153468850b8142c054c3e314ec1eb1d5da3415bb79b8",
     }),
     "coloring-capture-all": (_coloring_capture_all, 3210, {
         "master.trace":
@@ -220,13 +222,13 @@ PINNED_FILES = {
         "master.trace.idx":
             "b0690d83ed63a91a0cab788758cc487e0d34e7aaa9b0b653b77c3b3dcfc4e0ae",
         "worker-0.trace":
-            "65d9948672e380d030d10a0f7eed1d90d1132b6f810dfed67e31158265dccc24",
+            "47e89eed91ad6fab6ea9146262f5406f01de5febe901978c070e2bc66d9c4437",
         "worker-0.trace.idx":
-            "8f7b278a267c0b7cfc407ce08a773bb48e02fc605472ee798ca55e19e679a37e",
+            "ebc4afc488915ac6056c01e5747c2bbba6135636c3f3f19a2f1ec93fecd59f3d",
         "worker-1.trace":
-            "995bbb29f0ce10e8bc2c2c26f82836040791343623851e17c709057e5bca815b",
+            "0d86bbf1cd7a5c5b4433509356e3dcd02400e5ee136211872fb16584ce76d65c",
         "worker-1.trace.idx":
-            "9e69401d8df30846a6c54a03125ded63879b3ef89063894f6f6fde24118e3136",
+            "c76b56d64125d6190b2c07beb01baa31a4d1809c79e8f1666a7f8709d6f08ce1",
     }),
     "sssp-dcmsg": (_sssp_dcmsg, 0, {
         "master.trace":

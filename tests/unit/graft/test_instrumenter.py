@@ -103,8 +103,11 @@ class TestCapturedContextContents:
                 if ctx.superstep >= 1:
                     ctx.vote_to_halt()
 
+        # Talk broadcasts every superstep, so it never halts on its own;
+        # superstep 1 is all the assertions read.
         run = debug_run(
-            Talk, small_graph(), CaptureAllActiveConfig(), seed=4, num_workers=2
+            Talk, small_graph(), CaptureAllActiveConfig(), seed=4, num_workers=2,
+            max_supersteps=3,
         )
         record = run.captured(0, 1)
         # Pre-call context (the paper's five pieces):
