@@ -514,6 +514,19 @@ class TestRowLevelReads:
                 assert lazy.get(vid, 1) == eager.get(vid, 1)
                 assert lazy.get_fields(vid, 1) == eager.get_fields(vid, 1)
 
+    def test_a_block_listed_for_records_then_read_for_texts(self, fs):
+        """Records read past a handful of reads list only the columns they
+        take as texts; texts read after them list the rest, and both reads
+        give what the eager reader gives."""
+        build_store(fs, vertices=60)
+        eager = TraceReader(fs, JOB, mode="eager")
+        lazy = TraceReader(fs, JOB, cache_records=0)
+        for vid in range(60):
+            assert lazy.get(vid, 1) == eager.get(vid, 1)
+        for vid in range(60):
+            assert lazy.get_fields(vid, 1) == eager.get_fields(vid, 1)
+            assert lazy.get(vid, 1) == eager.get(vid, 1)
+
     def test_a_torn_row_is_refused(self, fs):
         """A block cut short, or with a column spec it does not hold, is a
         :class:`TraceError`, never a garbled record — laid out by column or,
