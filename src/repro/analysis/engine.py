@@ -38,9 +38,9 @@ from repro.analysis.findings import AnalysisReport
 #: Hashing the actual MRO sources means a class redefined with new code
 #: (notebooks, exec'd test fixtures) never sees a stale report; the LRU
 #: bound keeps long-lived sessions from accumulating every class ever
-#: linted. The cache is process-global shared mutable state reachable
-#: from the threads backend's pre-flight lint (the very hazard GL019
-#: flags in user code), so every access holds ``_REPORT_CACHE_LOCK`` —
+#: linted. The cache is process-global shared mutable state (the very
+#: hazard GL019 flags in user code) and callers may lint from several
+#: threads, so every access holds ``_REPORT_CACHE_LOCK`` —
 #: ``move_to_end`` on an ``OrderedDict`` is not atomic.
 _REPORT_CACHE = OrderedDict()
 _REPORT_CACHE_MAX = 128

@@ -1,11 +1,12 @@
 """GL019: compute() writes state shared across vertices.
 
 A module global, a class-level attribute, or a closed-over mutable
-written from ``compute()`` is visible to *every* vertex — and under the
-threads backend those writes race: two vertices in the same superstep
-interleave arbitrarily, so the final state depends on scheduling, not
-on the computation. Even under the serial backend the value depends on
-vertex *iteration* order, which the Pregel model leaves undefined.
+written from ``compute()`` is shared by *every* vertex, and neither
+backend makes that sharing well-defined. Under the processes backend
+each worker's writes land in its forked child and are lost at the
+barrier, so other workers and later supersteps never see them. Under
+the serial backend the value depends on vertex *iteration* order, which
+the Pregel model leaves undefined.
 
 This is GL001's bigger sibling: GL001 catches per-*worker* state
 smuggled through instance attributes; GL019 catches per-*job* state
@@ -33,8 +34,9 @@ TITLE = "compute() mutates state shared across vertices"
 
 _HINT = (
     "keep per-vertex state in ctx.value and cross-vertex reductions in "
-    "aggregators; shared Python objects race under the threads backend "
-    "and break replay everywhere"
+    "aggregators; writes to a shared Python object are lost at the "
+    "barrier under processes, depend on vertex order under serial, and "
+    "break replay everywhere"
 )
 
 
@@ -53,7 +55,8 @@ def check(context):
                 message = (
                     f"`{scope.name}` writes the class-level attribute "
                     f"`{write.name}` — one object shared by every vertex "
-                    "instance; a true data race under the threads backend"
+                    "instance; its writes are lost at the barrier under the "
+                    "processes backend"
                 )
                 confidence = PROVEN
             else:
@@ -61,7 +64,7 @@ def check(context):
                     f"`{scope.name}` mutates `{write.name}`, which is "
                     "never bound in the method — if it is a closed-over "
                     "or module-level container, every vertex shares it "
-                    "and writes race"
+                    "and its contents depend on vertex order"
                 )
                 confidence = LIKELY
             yield Finding(

@@ -67,7 +67,6 @@ if TYPE_CHECKING:
         ProcessBackend,
         SerialBackend,
         StepOutcome,
-        ThreadBackend,
         resolve_backend,
     )
     from repro.pregel.value_types import Int32, Long64, Short16
@@ -113,7 +112,6 @@ __all__ = [
     "EXECUTOR_NAMES",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "StepOutcome",
     "resolve_backend",
@@ -148,7 +146,7 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     "repro.pregel.permutation": ("PermutationSchedule",),
     "repro.pregel.runtime": (
         "EXECUTOR_NAMES", "ExecutionBackend", "ProcessBackend",
-        "SerialBackend", "StepOutcome", "ThreadBackend", "resolve_backend",
+        "SerialBackend", "StepOutcome", "resolve_backend",
     ),
     "repro.pregel.store.spill": ("SpillStore",),
     "repro.pregel.value_types": ("Int32", "Long64", "Short16"),

@@ -50,7 +50,7 @@ columnar store reproduces exactly that order when it reads an inbox —
 broadcast expansion walks in-neighbor lists pre-sorted by ``(repr, worker,
 load order)`` and the general path sorts decorated entries by
 ``(repr(source), worker id, emission seq)`` — so canonical trace digests
-are byte-identical across serial/threads/processes and worker counts. The
+are byte-identical across serial/processes and worker counts. The
 determinism suite and graft-san pin this.
 """
 
@@ -259,7 +259,7 @@ class ColumnBuilder:
     def values(self):
         """Decode the live column to a plain value list (no byte round-trip).
 
-        Used by same-address-space consumers (serial/threads barriers)
+        Used by same-address-space consumers (the serial barrier)
         where encoding to bytes would be pure waste.
         """
         kind = self.kind
@@ -824,7 +824,7 @@ class ColumnarMessageStore:
     """One superstep's messages, kept packed until a vertex reads them.
 
     Built at the barrier by absorbing per-worker frames (process backend)
-    or live :class:`ColumnarOutbox` objects (serial/threads) **in
+    or live :class:`ColumnarOutbox` objects (serial) **in
     worker-id order**. Messages live as:
 
     - ``_bcast``: source idx -> ``[(worker_id, seq, value)]`` compact

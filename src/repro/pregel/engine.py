@@ -19,7 +19,7 @@ runs ``compute()`` over its active vertices against a private packed
 outbox and aggregator buffer, and returns a
 :class:`~repro.pregel.runtime.StepOutcome`. An
 :class:`~repro.pregel.runtime.ExecutionBackend` (``executor="serial" |
-"threads" | "processes"``) schedules the steps; the engine then reduces
+"processes"``) schedules the steps; the engine then reduces
 all outcomes at the barrier **in worker-id order** — message merge,
 mutation application, aggregator partial fold, error selection — so
 results, aggregator values, and Graft trace files are identical whichever
@@ -171,7 +171,7 @@ class PregelEngine:
         Cluster shape. Default: 4 workers, hash partitioning.
     executor:
         Execution backend for worker steps: ``"serial"`` (default),
-        ``"threads"``, ``"processes"``, or an
+        ``"processes"``, or an
         :class:`~repro.pregel.runtime.ExecutionBackend` instance. Results
         and Graft traces are identical across backends; see
         ``docs/performance.md``.
@@ -191,7 +191,7 @@ class PregelEngine:
         ``"raise"`` (default) propagates a failing ``compute()`` as
         :class:`~repro.common.errors.ComputeError`; ``"halt_vertex"``
         records it and keeps going (used with Graft exception capture).
-        Under parallel backends with ``"raise"``, concurrent steps run to
+        Under ``"processes"`` with ``"raise"``, every forked step runs to
         completion and the error from the lowest-numbered worker wins.
     listeners:
         Objects whose optional hooks ``on_start(engine)``,
@@ -441,10 +441,11 @@ class PregelEngine:
         """Package one worker's share of a superstep as a pure step function.
 
         The step touches only the worker's own state, a fresh aggregator
-        buffer, and the immutable ``incoming`` store, so backends may run
-        steps concurrently without locks. Fatal compute errors are returned
-        in the outcome (not raised) so sibling steps aren't torn down
-        mid-superstep; the engine re-raises deterministically afterwards.
+        buffer, and the immutable ``incoming`` store, so steps share no
+        mutable state and their order cannot change the barrier's input.
+        Fatal compute errors are returned in the outcome (not raised) so
+        sibling steps aren't torn down mid-superstep; the engine re-raises
+        deterministically afterwards.
 
         ``fault`` is a chaos decision made in the parent *before* the step
         is scheduled (so it is backend-independent): an optional
@@ -705,7 +706,7 @@ class PregelEngine:
     def _raise_if_step_failed(self, superstep, outcomes):
         """Propagate a fatal step error deterministically.
 
-        Concurrent backends run every step even when one fails, so several
+        The process backend forks every step before any reports, so several
         outcomes may carry errors; the lowest worker id wins regardless of
         completion order. Listeners get ``on_superstep_aborted`` first so
         Graft can persist exactly the captures a serial run would have

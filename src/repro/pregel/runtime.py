@@ -2,26 +2,22 @@
 
 The engine splits each superstep into one *step* per worker — a zero-arg
 callable returning a :class:`StepOutcome` — and hands the whole batch to an
-:class:`ExecutionBackend`. The backend decides only *where/when* the steps
-run (in order on the calling thread, on a thread pool, or in forked child
-processes); every reduction that follows — message routing, aggregator
-merges, mutations, metrics, Graft trace drains — happens in the engine at
-the barrier in worker-id order, which is why results and trace files do
-not depend on the backend chosen.
+:class:`ExecutionBackend`. The backend decides only *where* the steps run
+(in order on the calling thread, or in forked child processes); every
+reduction that follows — message routing, aggregator merges, mutations,
+metrics, Graft trace drains — happens in the engine at the barrier in
+worker-id order, which is why results and trace files do not depend on
+the backend chosen.
 
-Step functions are data-parallel by construction: each one touches only
-its own worker's vertex state, a private packed outbox, and a private
-:class:`~repro.pregel.aggregators.AggregatorBuffer`, so the thread backend
-needs no locks. The process backend additionally ships each worker's
-mutated state back to the parent (``StepOutcome.frame``, or
-``StepOutcome.state`` on the spill plane), since fork gives children
-copy-on-write memory the parent never sees.
-
-CPython note: threads still share the GIL, so the thread backend helps
-workloads that release it (I/O, native extensions) and provides the
-scheduling structure for free-threaded builds; pure-Python compute gains
-come from the batched message path rather than thread parallelism. See
-``docs/performance.md``.
+Steps share no mutable state: each one touches only its own worker's
+vertex state, a private packed outbox, and a private
+:class:`~repro.pregel.aggregators.AggregatorBuffer`, so their order within
+a superstep cannot change what the barrier sees. The process backend
+additionally ships each worker's mutated state back to the parent
+(``StepOutcome.frame``, or ``StepOutcome.state`` on the spill plane),
+since fork gives children copy-on-write memory the parent never sees.
+There is no thread backend: under the GIL it never beat serial (see
+``docs/performance.md``).
 """
 
 import pickle
@@ -29,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import PregelError
 
-EXECUTOR_NAMES = ("serial", "threads", "processes")
+EXECUTOR_NAMES = ("serial", "processes")
 
 
 @dataclass
@@ -104,60 +100,6 @@ class SerialBackend(ExecutionBackend):
             if outcome.error is not None:
                 break
         return outcomes
-
-
-class ThreadBackend(ExecutionBackend):
-    """Steps run concurrently on a shared thread pool.
-
-    All steps run to completion even when one fails — concurrent siblings
-    cannot be un-launched — and the engine resolves the failure
-    deterministically (lowest worker id wins) at the barrier.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers):
-        # Loaded when a thread backend is built (it brings ``logging``
-        # with it): not by every engine import, nor on the first
-        # superstep's clock, where the pool itself is made.
-        import concurrent.futures  # noqa: F401
-
-        if max_workers < 1:
-            raise PregelError("threads backend needs max_workers >= 1")
-        self._max_workers = max_workers
-        self._pool = None
-
-    def run_superstep(self, steps):
-        if len(steps) == 1:
-            return [steps[0]()]
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="pregel-worker",
-            )
-        futures = [self._pool.submit(step) for step in steps]
-        # Wait for EVERY step before raising: a raised step (an injected
-        # worker crash) must not leave sibling threads still mutating
-        # worker state while the engine rolls back to a checkpoint. The
-        # lowest step index wins, matching the outcome-error policy.
-        outcomes = []
-        first_error = None
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return outcomes
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class ProcessBackend(ExecutionBackend):
@@ -265,15 +207,13 @@ def _child_main(step, conn):
 def resolve_backend(executor, num_workers):
     """Turn an ``executor=`` argument into an :class:`ExecutionBackend`.
 
-    Accepts a backend name (``"serial"``, ``"threads"``, ``"processes"``)
+    Accepts a backend name (``"serial"``, ``"processes"``)
     or an already-constructed backend instance (for tests and extensions).
     """
     if isinstance(executor, ExecutionBackend):
         return executor
     if executor == "serial":
         return SerialBackend()
-    if executor == "threads":
-        return ThreadBackend(max_workers=num_workers)
     if executor == "processes":
         return ProcessBackend()
     raise PregelError(

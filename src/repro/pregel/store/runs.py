@@ -215,9 +215,9 @@ class SpilledMessageStore:
     routed-message total, and the resolver's dropped set.
     :meth:`load_partition` groups one partition's messages into a
     :class:`~repro.pregel.messages.MessageStore` — each worker gets its
-    own, so there is no shared mutable cursor and the threads backend
-    stays safe — and settles it with the routine the in-memory barrier
-    uses (:meth:`MessageStore.settle
+    own, so there is no shared mutable cursor between steps — and
+    settles it with the routine the in-memory barrier uses
+    (:meth:`MessageStore.settle
     <repro.pregel.messages.MessageStore.settle>`).
     """
 

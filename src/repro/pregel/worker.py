@@ -3,13 +3,13 @@
 Each worker owns the values, adjacency, and halt flags of the vertices its
 partition assigned to it, and executes ``compute()`` for its active
 vertices each superstep. Workers are plain objects scheduled by the
-engine's execution backend (serially or concurrently); everything a
+engine's execution backend (in order, or in forked children); everything a
 distributed worker would do at the API level — message emission,
 aggregator partials, mutation requests, metrics — happens here, so Graft's
 per-worker trace files come out exactly as they would on a cluster.
 
-A worker's per-superstep outputs are written only by its own step, so the
-parallel backends need no locks: the engine hands each worker a private
+A worker's per-superstep outputs are written only by its own step, so
+steps share no mutable state: the engine hands each worker a private
 aggregator buffer and reads all outputs back at the barrier.
 """
 

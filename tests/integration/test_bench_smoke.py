@@ -38,5 +38,5 @@ def test_bench_smoke_gates(tmp_path):
     assert report["gates"]["passed"], report["gates"]["failures"]
     assert status == 0
     assert set(report["throughput_calls_per_second"]) == {
-        "serial", "threads", "processes",
+        "serial", "processes",
     }

@@ -3,8 +3,8 @@
 This is the subsystem's reason to exist, stated as a test: for each
 preset fault plan, the injected run must recover (rollback + re-execute)
 and finish with final vertex values, aggregator state, and canonical
-trace digest **bit-identical** to the undisturbed run — under the serial,
-threads, and processes executors alike. Deselect the sweep with
+trace digest **bit-identical** to the undisturbed run — under the serial
+and processes executors alike. Deselect the sweep with
 ``-m 'not chaos'`` when iterating on unrelated code.
 """
 

@@ -1,8 +1,9 @@
 """Backend determinism: one job, same answer, byte-identical traces.
 
-The contract of the pluggable execution backends (ISSUE 2): for the same
-job — algorithm, graph, seed, worker count — the ``serial``, ``threads``,
-and ``processes`` backends must produce
+The contract of the pluggable execution backends: for the same job —
+algorithm, graph, seed, worker count — the ``serial`` and ``processes``
+backends, and the test-only ``reversed`` one (steps run in reverse worker
+order, which shows steps share no mutable state), must produce
 
 - the same :class:`~repro.pregel.PregelResult` (values, supersteps,
   halt reason, aggregators),
@@ -21,6 +22,7 @@ from repro.datasets import load_dataset
 from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.trace import canonical_trace_digest, worker_trace_path
 from repro.pregel.runtime import EXECUTOR_NAMES
+from tests.reversed_backend import ReversedBackend
 
 WORKER_COUNTS = (1, 2, 4, 8)
 
@@ -49,7 +51,7 @@ def _run(algorithm, executor, workers):
             lint=False,
             seed=7,
             num_workers=workers,
-            executor=executor,
+            executor=ReversedBackend() if executor == "reversed" else executor,
             max_supersteps=12,
         )
         assert run.ok, f"{key}: {run.failure}"
@@ -74,9 +76,9 @@ def _run(algorithm, executor, workers):
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-@pytest.mark.parametrize("executor", EXECUTOR_NAMES[1:])
+@pytest.mark.parametrize("executor", EXECUTOR_NAMES[1:] + ("reversed",))
 def test_backends_agree_with_serial(algorithm, executor, workers):
-    """threads/processes match serial exactly at every worker count."""
+    """processes/reversed match serial exactly at every worker count."""
     reference = _run(algorithm, "serial", workers)
     candidate = _run(algorithm, executor, workers)
     assert candidate["values"] == reference["values"]
@@ -86,6 +88,7 @@ def test_backends_agree_with_serial(algorithm, executor, workers):
     assert candidate["captures"] == reference["captures"]
     # Byte-identical traces: every per-worker file hashes the same.
     assert candidate["file_hashes"] == reference["file_hashes"]
+    assert candidate["canonical_digest"] == reference["canonical_digest"]
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))

@@ -13,6 +13,7 @@ from repro.datasets import premade_graph
 from repro.graft import CaptureAllActiveConfig, debug_run, replay_from_trace
 from repro.graft.trace import TraceReader, canonical_trace_digest
 from repro.pregel import EXECUTOR_NAMES
+from tests.reversed_backend import ReversedBackend
 
 WORKER_COUNTS = (1, 3)
 
@@ -77,7 +78,7 @@ def test_digest_stable_across_formats_and_backends():
         executor: canonical_trace_digest(
             _run(executor, 2).session.filesystem, "lazyjob"
         )
-        for executor in ("serial", "threads")
+        for executor in ("serial", ReversedBackend())
     }
     assert len(set(digests.values())) == 1, digests
 

@@ -427,6 +427,9 @@ class TestGL019SharedMutableState:
             "GL019",
         )
         assert finding.confidence == PROVEN
+        # The hazards named are those of the two executors that exist.
+        assert "lost at the barrier under the processes backend" in finding.message
+        assert "vertex order under serial" in finding.hint
 
     def test_closure_mutation_is_likely(self):
         (finding,) = findings_of(

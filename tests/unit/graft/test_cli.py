@@ -54,6 +54,14 @@ class TestRunCommand:
         with pytest.raises(SystemExit):
             run_cli("run", "--algorithm", "quicksort")
 
+    def test_removed_executor_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("run", "--algorithm", "pagerank", "--executor", "threads")
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "argument --executor: invalid choice: 'threads'" in error
+        assert "serial" in error and "processes" in error
+
 
 class TestDebugCommand:
     def test_capture_random_tabular(self):

@@ -22,6 +22,7 @@ from repro.pregel.context import ComputeContext
 from repro.pregel.runtime import EXECUTOR_NAMES
 from repro.pregel.value_types import Int32, Long64, Short16
 from repro.simfs import SimFileSystem
+from tests.reversed_backend import ReversedBackend
 
 
 class Probe(Computation):
@@ -300,20 +301,22 @@ class TestSendLogConstraints:
             {"message": 6, "source": 2, "target": 0},
         ]
         per_backend = {}
-        for executor in ("serial", "threads", "processes"):
+        for name, executor in (("serial", "serial"),
+                               ("reversed", ReversedBackend()),
+                               ("processes", "processes")):
             run = debug_run(
                 BroadcastThenPoint, graph, OddMessagesOnly(), seed=3,
                 lint=False, num_workers=3, executor=executor,
             )
             assert run.ok
             assert [v.details for v in run.captured(2, 0).violations] == expected_of_2
-            per_backend[executor] = [
+            per_backend[name] = [
                 (v.kind, v.vertex_id, v.superstep, v.details)
                 for v in run.violations()
             ]
         # Two broadcast violations per vertex plus vertex 2's point send.
         assert len(per_backend["serial"]) == 11
-        assert per_backend["threads"] == per_backend["serial"]
+        assert per_backend["reversed"] == per_backend["serial"]
         assert per_backend["processes"] == per_backend["serial"]
 
     def test_violation_kept_when_compute_raises_after_the_send(self):

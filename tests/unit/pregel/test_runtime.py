@@ -1,7 +1,5 @@
 """Unit tests for the pluggable superstep execution backends."""
 
-import threading
-
 import pytest
 
 from repro.common.errors import ComputeError, PregelError
@@ -11,10 +9,10 @@ from repro.pregel import (
     ProcessBackend,
     SerialBackend,
     StepOutcome,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.pregel.computation import Computation
+from tests.reversed_backend import ReversedBackend
 
 
 def _step(worker_id, log=None, error=None):
@@ -29,7 +27,6 @@ def _step(worker_id, log=None, error=None):
 class TestResolveBackend:
     def test_names_resolve(self):
         assert isinstance(resolve_backend("serial", 4), SerialBackend)
-        assert isinstance(resolve_backend("threads", 4), ThreadBackend)
         assert isinstance(resolve_backend("processes", 4), ProcessBackend)
 
     def test_instance_passes_through(self):
@@ -37,15 +34,17 @@ class TestResolveBackend:
         assert resolve_backend(backend, 4) is backend
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(PregelError, match="executor must be one of"):
-            resolve_backend("gpu", 4)
+        # "threads" named a backend that was removed: it fails like any
+        # other unknown name, listing the two that remain.
+        for name in ("gpu", "threads"):
+            with pytest.raises(
+                PregelError,
+                match=r"executor must be one of \('serial', 'processes'\)",
+            ):
+                resolve_backend(name, 4)
 
     def test_names_constant_matches(self):
-        assert EXECUTOR_NAMES == ("serial", "threads", "processes")
-
-    def test_thread_backend_validates_worker_count(self):
-        with pytest.raises(PregelError, match="max_workers"):
-            ThreadBackend(max_workers=0)
+        assert EXECUTOR_NAMES == ("serial", "processes")
 
 
 class TestSerialBackend:
@@ -70,57 +69,15 @@ class TestSerialBackend:
         assert outcomes[1].error is boom
 
 
-class TestThreadBackend:
-    def test_outcomes_ordered_by_step_index(self):
-        backend = ThreadBackend(max_workers=4)
-        try:
-            outcomes = backend.run_superstep(
-                [_step(worker_id) for worker_id in (3, 1, 0, 2)]
-            )
-            assert [o.worker_id for o in outcomes] == [3, 1, 0, 2]
-        finally:
-            backend.close()
-
-    def test_steps_actually_run_off_the_calling_thread(self):
-        backend = ThreadBackend(max_workers=2)
-        threads = []
-
-        def step():
-            threads.append(threading.current_thread().name)
-            return StepOutcome(worker_id=0)
-
-        try:
-            backend.run_superstep([step, step])
-            assert all(name.startswith("pregel-worker") for name in threads)
-        finally:
-            backend.close()
-
-    def test_single_step_runs_inline(self):
-        backend = ThreadBackend(max_workers=4)
-        try:
-            outcomes = backend.run_superstep([_step(0)])
-            assert [o.worker_id for o in outcomes] == [0]
-            assert backend._pool is None  # no pool spun up for one step
-        finally:
-            backend.close()
-
-    def test_all_outcomes_returned_even_with_error(self):
-        boom = ComputeError(vertex_id=1, superstep=0, original=ValueError("x"))
-        backend = ThreadBackend(max_workers=3)
-        try:
-            outcomes = backend.run_superstep(
-                [_step(0), _step(1, error=boom), _step(2)]
-            )
-            assert len(outcomes) == 3
-            assert outcomes[1].error is boom
-        finally:
-            backend.close()
-
-    def test_close_is_idempotent(self):
-        backend = ThreadBackend(max_workers=2)
-        backend.run_superstep([_step(0), _step(1)])
-        backend.close()
-        backend.close()
+class TestReversedBackend:
+    def test_runs_backwards_and_returns_in_step_order(self):
+        # The determinism matrix relies on both halves of this.
+        log = []
+        outcomes = ReversedBackend().run_superstep(
+            [_step(worker_id, log) for worker_id in range(4)]
+        )
+        assert log == [3, 2, 1, 0]
+        assert [o.worker_id for o in outcomes] == [0, 1, 2, 3]
 
 
 class TestProcessBackend:
@@ -154,7 +111,6 @@ class TestProcessBackend:
     def test_transfers_state_flag(self):
         assert ProcessBackend.transfers_state is True
         assert SerialBackend.transfers_state is False
-        assert ThreadBackend.transfers_state is False
 
 
 class _SelfStateful(Computation):
@@ -183,5 +139,5 @@ class TestEngineIntegration:
         assert closed == [True]
 
     def test_executor_name_property(self, triangle):
-        engine = PregelEngine(_SelfStateful, triangle, executor="threads")
-        assert engine.executor_name == "threads"
+        engine = PregelEngine(_SelfStateful, triangle, executor="processes")
+        assert engine.executor_name == "processes"
