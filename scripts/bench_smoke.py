@@ -13,9 +13,9 @@ Gates (exit status 1 when violated):
 - ``processes`` gets its own hardware-aware floor (it no longer hides
   behind ``best_backend``): with >= 4 usable cores it must beat serial
   2x outright; on smaller machines — where multi-process parallelism is
-  physically unavailable — fork, frame packing and the shared-memory
-  transport may cost at most half of serial's throughput on the same
-  workload (see docs/columnar.md).
+  physically unavailable — fork, frame packing and the frames' trip back
+  through the pipe may cost at most half of serial's throughput on the
+  same workload (see docs/columnar.md).
 
 Usage::
 
@@ -194,7 +194,7 @@ def run_smoke(num_vertices=20_000, overhead_vertices=2_000, rounds=ROUNDS):
     transport = {
         "mode": proc_metrics.supersteps[0].transport
         if proc_metrics.supersteps else "columnar",
-        "shm_frame_bytes": proc_metrics.total_transport_bytes,
+        "frame_bytes": proc_metrics.total_transport_bytes,
         "packed_batches": proc_metrics.total_transport_batches,
         "pickle_fallbacks": proc_metrics.total_pickle_fallbacks,
         "messages": proc_metrics.total_messages,
@@ -234,8 +234,9 @@ def run_smoke(num_vertices=20_000, overhead_vertices=2_000, rounds=ROUNDS):
             "records, and the capture/serialization fast paths. The "
             "processes gate is hardware-aware: on >= 4 usable cores it "
             "demands an outright 2x win over serial; on core-starved "
-            "machines it bounds what fork + the shared-memory transport "
-            "may cost against serial in the same run instead. "
+            "machines it bounds what fork + the packed frames' trip back "
+            "through the pipe may cost against serial in the same run "
+            "instead. "
             "See docs/performance.md and docs/columnar.md."
         ),
     }

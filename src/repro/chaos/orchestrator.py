@@ -313,9 +313,9 @@ def run_chaos(
             "; ".join(snapshot_failures),
         )
 
-    # The columnar transport ships messages through shared-memory blocks
-    # under the processes backend; every crash/rollback path must unlink
-    # its segments, or repeated chaos runs slowly fill /dev/shm.
+    # The engine makes no shared-memory segment (frames ride the step
+    # outcome through the fork's pipe), so no crash or rollback may leave
+    # one behind; user code that makes its own must unlink it too.
     leaked = _shm_segments() - shm_before
     check(
         "no shared-memory segments leaked",

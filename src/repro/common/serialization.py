@@ -45,6 +45,27 @@ _ITEMS_CLOSE = "]}"
 _TUPLE_SEP = _ITEMS_CLOSE + "," + _TUPLE_OPEN
 
 
+# The encoding and text of the exact numeric classes are fixed, not
+# methods: an exact int or finite exact float is written as its ``repr``
+# on every path (``dumps``, ``dumps_each``, ``dumps_items`` and
+# ``dumps_column``, which writes whole columns with ``repr``), which is
+# also what packed trace columns rebuild on read.
+def _encode_identity(value):
+    return value
+
+
+def _encode_float(value):
+    if isfinite(value):
+        return value
+    return {_TYPE_KEY: "float", "repr": repr(value)}
+
+
+def _float_text(value):
+    if isfinite(value):
+        return repr(value)                  # exact class, so float.__repr__
+    return _JSON.encode(_encode_float(value))
+
+
 class ValueCodec:
     """Encodes and decodes user values to JSON-compatible structures."""
 
@@ -57,11 +78,11 @@ class ValueCodec:
         # instead of an isinstance chain. Subclasses miss the memo and fall
         # back to the original chain, preserving its semantics.
         self._dispatch = {
-            type(None): self._encode_identity,
-            bool: self._encode_identity,
-            str: self._encode_identity,
-            int: self._encode_identity,
-            float: self._encode_float,
+            type(None): _encode_identity,
+            bool: _encode_identity,
+            str: _encode_identity,
+            int: _encode_identity,
+            float: _encode_float,
             list: self._encode_list,
             tuple: self._encode_tuple,
             set: self._encode_set,
@@ -77,7 +98,7 @@ class ValueCodec:
             bool: _CONSTANT_TEXT,
             str: encode_basestring_ascii,
             int: repr,               # exact class, so this is int.__repr__
-            float: self._float_text,
+            float: _float_text,
             list: self._list_text,
             tuple: self._tuple_text,
             dict: self._dict_text,
@@ -136,16 +157,6 @@ class ValueCodec:
 
     # Per-type encoders, reached through the dispatch memo.
 
-    @staticmethod
-    def _encode_identity(value):
-        return value
-
-    @staticmethod
-    def _encode_float(value):
-        if isfinite(value):
-            return value
-        return {_TYPE_KEY: "float", "repr": repr(value)}
-
     def _encode_list(self, value):
         return [self.encode(item) for item in value]
 
@@ -193,7 +204,7 @@ class ValueCodec:
         if isinstance(value, int):
             return value
         if isinstance(value, float):
-            return self._encode_float(value)
+            return _encode_float(value)
         if isinstance(value, list):
             return self._encode_list(value)
         if isinstance(value, tuple):
@@ -328,11 +339,6 @@ class ValueCodec:
         return _JSON.encode(self.encode(value))
 
     # Per-type text writers, reached through ``_writers``.
-
-    def _float_text(self, value):
-        if isfinite(value):
-            return repr(value)              # exact class, so float.__repr__
-        return self._tree_text(value)
 
     def _list_text(self, value):
         if not value:

@@ -1,4 +1,4 @@
-"""Columnar message batches and shared-memory transport (the in-memory data plane).
+"""Columnar message batches and frames (the in-memory data plane).
 
 ``BENCH_engine.json`` showed the processes backend losing to serial:
 every superstep pickled ~50k message objects per worker across a pipe,
@@ -6,12 +6,12 @@ plus the worker's entire state dicts.
 Following Pregelix's columnar discipline (Ammar & Özsu's cross-system
 analysis), this module moves the inter-worker data plane off the object
 heap: messages and vertex values cross process boundaries as *flat packed
-buffers* — typed columns backed by :mod:`array` — shipped through
-``multiprocessing.shared_memory`` blocks, one per worker pair (child →
-parent) per superstep.
+buffers* — typed columns backed by :mod:`array` — one frame per worker
+per superstep, carried back to the parent as plain bytes in the step's
+:class:`~repro.pregel.runtime.StepOutcome`.
 
-The three layers
-----------------
+The two layers
+--------------
 
 **Columns** (:class:`ColumnBuilder` / :func:`decode_column`): a value
 column holds a homogeneous run of built-in payloads — ``float`` as a
@@ -22,23 +22,21 @@ that sees a second type, an overflowing int, or an arbitrary object
 degrades to a pickled fallback list — counted, never fatal. Columns are
 packed and unpacked with :mod:`array` alone.
 
-**Frames** (:func:`FrameBuilder` / :func:`parse_frame`): a frame is a
+**Frames** (:func:`build_frame` / :func:`parse_frame`): a frame is a
 sequence of length-prefixed sections — ``u32be payload_len | u8 kind |
 payload`` — the same framing convention as the trace format
 (:mod:`repro.graft.traceformat`). Sections carry compact broadcast
-records, per-target point batches, and (under state-transferring
-backends) the worker's vertex values, halt flags, and — only when
-mutated — its adjacency. Vertex ids are referenced as ``u32`` indices
-into the run-global :class:`VertexInterner` (the interned dictionary
-column), which children inherit from the parent via fork, so id strings
-never travel at all.
+records, per-target point batches, and the worker's vertex values, halt
+flags, and — only when mutated — its adjacency. Vertex ids are referenced
+as ``u32`` indices into the run-global :class:`VertexInterner` (the
+interned dictionary column), which children inherit from the parent via
+fork, so id strings never travel at all.
 
-**Transport** (:class:`ShmTransport`): a frame
-crosses the process boundary as one shared-memory block handoff; the
-parent attaches, copies, and unlinks at the barrier, so no segment
-outlives its superstep (the chaos harness asserts ``/dev/shm`` stays
-clean). Same-address-space backends skip frames altogether and hand the
-barrier their live :class:`ColumnarOutbox`.
+Under ``processes`` a frame rides ``StepOutcome.frame`` through the
+fork's pipe, with the rest of the pickled outcome, and the barrier parses
+it; nothing outlives the step that made it. Same-address-space backends
+skip frames altogether and hand the barrier their live
+:class:`ColumnarOutbox`.
 
 Determinism
 -----------
@@ -449,15 +447,15 @@ class _SectionWriter:
         return b"".join(self.parts)
 
 
-def build_frame(worker, interner, superstep, state_sections=False):
+def build_frame(worker, interner, superstep):
     """Pack one worker's superstep products into a columnar frame.
 
-    Always carries the outbox (broadcast + point + fallback sections);
-    with ``state_sections`` (process backend) it also carries the
-    worker's values, halt flags, and — only when ``edges_dirty`` — its
+    Carries the outbox (broadcast + point + fallback sections), the
+    worker's values and halt flags, and — only when ``edges_dirty`` — its
     adjacency, so unmutated edge maps never cross the pipe again.
     """
     outbox = worker.outbox
+    index = interner.index
     writer = _SectionWriter()
     flags = META_EDGES_DIRTY if worker.edges_dirty else 0
     writer.add(SECTION_META, _META.pack(
@@ -465,9 +463,7 @@ def build_frame(worker, interner, superstep, state_sections=False):
     ))
 
     if outbox.bcast_sources:
-        src_idx = array(_ID_TYPECODE, [
-            interner.index[s] for s in outbox.bcast_sources
-        ])
+        src_idx = array(_ID_TYPECODE, [index[s] for s in outbox.bcast_sources])
         payload = b"".join((
             _U32BE.pack(len(src_idx)),
             src_idx.tobytes(),
@@ -479,7 +475,7 @@ def build_frame(worker, interner, superstep, state_sections=False):
     if outbox.point:
         plain, odd = {}, {}
         for target, batch in outbox.point.items():
-            idx = interner.index.get(target)
+            idx = index.get(target)
             if idx is None:
                 odd[target] = batch
             else:
@@ -497,8 +493,18 @@ def build_frame(worker, interner, superstep, state_sections=False):
             }
             writer.add(SECTION_FALLBACK, pickle.dumps(payload, protocol=4))
 
-    if state_sections:
-        _add_state_sections(writer, worker, interner)
+    ids = array(_ID_TYPECODE, [index[v] for v in worker.values])
+    writer.add(SECTION_VALUES, b"".join((
+        _U32BE.pack(len(ids)), ids.tobytes(),
+        encode_values(list(worker.values.values()))[0],
+    )))
+    writer.add(SECTION_HALTED, b"".join((
+        _U32BE.pack(len(worker.halted)),
+        array(_ID_TYPECODE, [index[v] for v in worker.halted]).tobytes(),
+        bytes(1 if h else 0 for h in worker.halted.values()),
+    )))
+    if worker.edges_dirty:
+        writer.add(SECTION_EDGES, pickle.dumps(worker.edges, protocol=4))
     return writer.tobytes()
 
 
@@ -515,22 +521,6 @@ def _encode_point_section(batches, interner):
         parts.append(_U32BE.pack(len(column)))
         parts.append(column)
     return b"".join(parts)
-
-
-def _add_state_sections(writer, worker, interner):
-    index = interner.index
-    ids = array(_ID_TYPECODE, [index[v] for v in worker.values])
-    writer.add(SECTION_VALUES, b"".join((
-        _U32BE.pack(len(ids)), ids.tobytes(),
-        encode_values(list(worker.values.values()))[0],
-    )))
-    writer.add(SECTION_HALTED, b"".join((
-        _U32BE.pack(len(worker.halted)),
-        array(_ID_TYPECODE, [index[v] for v in worker.halted]).tobytes(),
-        bytes(1 if h else 0 for h in worker.halted.values()),
-    )))
-    if worker.edges_dirty:
-        writer.add(SECTION_EDGES, pickle.dumps(worker.edges, protocol=4))
 
 
 class ParsedFrame:
@@ -646,86 +636,6 @@ def _parse_keyed_column(payload, interner, frame):
         frame.pickle_fallbacks += 1
     resolve = interner.ids
     return {resolve[idx]: value for idx, value in zip(ids, values)}
-
-
-# =====================================================================
-# Transport
-# =====================================================================
-
-
-class ShmTransport:
-    """Frames cross the process boundary as shared-memory blocks.
-
-    The child writes the frame into a fresh ``SharedMemory`` block and
-    sends only ``("shm", name, nbytes)`` over the pipe. The parent
-    attaches, copies the bytes out, closes, and **unlinks immediately** —
-    a block never outlives the barrier that consumes it, so a run leaves
-    ``/dev/shm`` exactly as it found it (the chaos harness checks).
-    Falls back to ``("bytes", frame)`` over the pipe when the platform
-    refuses a segment.
-    """
-
-    name = "shm"
-
-    def __init__(self):
-        # Start the multiprocessing resource tracker *before* any worker
-        # forks: children then inherit the parent's tracker instead of
-        # each spawning their own, so create (child) and unlink (parent)
-        # land in the same tracker and nothing is reported leaked.
-        # ``shared_memory`` is imported here for the same reason: ``ship``
-        # runs in the children, and a module first imported after the fork
-        # is imported again by every worker of every superstep.
-        try:  # pragma: no cover - absent on exotic platforms
-            from multiprocessing import resource_tracker, shared_memory  # noqa: F401
-
-            resource_tracker.ensure_running()
-        except Exception:  # noqa: BLE001 - tracker is an optimization
-            pass
-
-    def ship(self, frame_bytes):
-        try:
-            from multiprocessing import shared_memory
-            block = shared_memory.SharedMemory(
-                create=True, size=max(1, len(frame_bytes))
-            )
-        except (ImportError, OSError):
-            return ("bytes", frame_bytes)
-        try:
-            block.buf[:len(frame_bytes)] = frame_bytes
-            name = block.name
-        finally:
-            block.close()
-        return ("shm", name, len(frame_bytes))
-
-    def retrieve(self, handle):
-        if handle[0] == "bytes":
-            return handle[1]
-        from multiprocessing import shared_memory
-        block = shared_memory.SharedMemory(name=handle[1])
-        try:
-            data = bytes(block.buf[:handle[2]])
-        finally:
-            block.close()
-            block.unlink()
-        return data
-
-    def release(self, handle):
-        """Free a shipped-but-unconsumed frame (failure paths)."""
-        if handle is None or handle[0] != "shm":
-            return
-        try:
-            from multiprocessing import shared_memory
-            block = shared_memory.SharedMemory(name=handle[1])
-            block.close()
-            block.unlink()
-        except (ImportError, OSError, FileNotFoundError):
-            pass
-
-
-def release_frame(handle):
-    """Best-effort release of any frame handle (used on failure paths)."""
-    if handle is not None and handle[0] == "shm":
-        ShmTransport().release(handle)
 
 
 # =====================================================================

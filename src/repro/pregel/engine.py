@@ -19,7 +19,9 @@ runs ``compute()`` over its active vertices against a private packed
 outbox and aggregator buffer, and returns a
 :class:`~repro.pregel.runtime.StepOutcome`. An
 :class:`~repro.pregel.runtime.ExecutionBackend` (``executor="serial" |
-"processes"``) schedules the steps; the engine then reduces
+"processes"``) schedules the steps — under ``processes`` the pickled
+outcome, its packed frame included as plain bytes, is all that crosses
+back from a child — and the engine then reduces
 all outcomes at the barrier **in worker-id order** — message merge,
 mutation application, aggregator partial fold, error selection — so
 results, aggregator values, and Graft trace files are identical whichever
@@ -54,10 +56,8 @@ from repro.pregel.aggregators import AggregatorRegistry
 from repro.pregel.columnar import (
     ColumnarMessageStore,
     ColumnarRunState,
-    ShmTransport,
     build_frame,
     parse_frame,
-    release_frame,
 )
 from repro.pregel.checkpoint import (
     WorkerFailure,
@@ -306,15 +306,9 @@ class PregelEngine:
             if delivery_schedule is not None
             else None
         )
-        # The in-memory plane's topology index and, when steps run in
-        # other address spaces, its frame transport; the spill plane routes
-        # through run files and needs neither.
+        # The in-memory plane's topology index; the spill plane routes
+        # through run files and needs none.
         self._run_state = None if spill else ColumnarRunState()
-        self._transport = (
-            ShmTransport()
-            if not spill and self._backend.transfers_state
-            else None
-        )
         self._ran = False
         # Populated by run():
         self.workers = []
@@ -495,16 +489,10 @@ class PregelEngine:
                 ]
                 if not spill:
                     # Pack outbox + values + halt flags (+ adjacency only
-                    # when mutated) into one flat frame and ship it as a
-                    # shared-memory block; nothing per-message crosses the
-                    # pickle pipe.
-                    frame = self._transport.ship(
-                        build_frame(
-                            worker,
-                            self._run_state.interner,
-                            superstep,
-                            state_sections=True,
-                        )
+                    # when mutated) into one flat frame of bytes that rides
+                    # the outcome; nothing per-message is pickled.
+                    frame = build_frame(
+                        worker, self._run_state.interner, superstep
                     )
             return StepOutcome(
                 worker_id=worker.worker_id,
@@ -719,10 +707,6 @@ class PregelEngine:
                 break
         if failed is None:
             return
-        # The barrier will never run: free any shipped-but-unconsumed
-        # shared-memory frames before propagating.
-        for outcome in outcomes:
-            release_frame(outcome.frame)
         self._notify("on_superstep_aborted", superstep, failed.worker_id)
         raise failed.error
 
@@ -786,23 +770,16 @@ class PregelEngine:
         aggregator partials. No step result is consumed in completion
         order, which is what makes the barrier backend-independent.
         """
-        try:
-            if self._backend.transfers_state:
-                for outcome in outcomes:
-                    for listener, payload in zip(
-                        payload_collectors, outcome.payloads
-                    ):
-                        listener.absorb_step_payload(outcome.worker_id, payload)
-            if self._store is not None:
-                outgoing = self._spill_barrier(outcomes, superstep_metrics)
-            else:
-                outgoing = self._memory_barrier(outcomes, superstep_metrics)
-        except BaseException:
-            # Frames the barrier did not get to retrieve would outlive the
-            # run in /dev/shm; releasing a retrieved one is a no-op.
+        if self._backend.transfers_state:
             for outcome in outcomes:
-                release_frame(outcome.frame)
-            raise
+                for listener, payload in zip(
+                    payload_collectors, outcome.payloads
+                ):
+                    listener.absorb_step_payload(outcome.worker_id, payload)
+        if self._store is not None:
+            outgoing = self._spill_barrier(outcomes, superstep_metrics)
+        else:
+            outgoing = self._memory_barrier(outcomes, superstep_metrics)
         for outcome in outcomes:
             self.aggregators.merge_partials(outcome.agg_partials)
         self.aggregators.barrier()
@@ -822,16 +799,13 @@ class PregelEngine:
         any_dirty = False
         for outcome in outcomes:
             if transfers:
-                blob = self._transport.retrieve(outcome.frame)
-                superstep_metrics.transport_bytes += len(blob)
-                frame = parse_frame(blob, run_state.interner)
+                superstep_metrics.transport_bytes += len(outcome.frame)
+                frame = parse_frame(outcome.frame, run_state.interner)
                 superstep_metrics.transport_batches += frame.batches
                 superstep_metrics.pickle_fallbacks += frame.pickle_fallbacks
                 worker = self.workers[outcome.worker_id]
-                if frame.values is not None:
-                    worker.values = frame.values
-                if frame.halted is not None:
-                    worker.halted = frame.halted
+                worker.values = frame.values
+                worker.halted = frame.halted
                 if frame.edges is not None:
                     worker.edges = frame.edges
                 any_dirty |= frame.edges_dirty

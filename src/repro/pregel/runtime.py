@@ -15,7 +15,9 @@ vertex state, a private packed outbox, and a private
 a superstep cannot change what the barrier sees. The process backend
 additionally ships each worker's mutated state back to the parent
 (``StepOutcome.frame``, or ``StepOutcome.state`` on the spill plane),
-since fork gives children copy-on-write memory the parent never sees.
+since fork gives children copy-on-write memory the parent never sees;
+the pickled outcome through the fork's pipe is the only way back, so a
+failed superstep leaves nothing behind to free.
 There is no thread backend: under the GIL it never beat serial (see
 ``docs/performance.md``).
 """
@@ -43,10 +45,9 @@ class StepOutcome:
     :class:`~repro.common.errors.ComputeError` that aborted the step under
     the ``raise`` policy, if any. ``payloads`` carries opaque per-listener
     data collected in the child (e.g. Graft's buffered capture records).
-    ``frame`` is the columnar transport handle for this worker's packed
-    message frame (see :mod:`repro.pregel.columnar`) — a shared-memory
-    block reference under the process backend — which the barrier must
-    retrieve or release exactly once.
+    ``frame`` is this worker's packed columnar frame as plain ``bytes``
+    (see :mod:`repro.pregel.columnar`), which the barrier parses; it
+    crosses the pipe with the rest of the outcome.
     """
 
     worker_id: int
@@ -125,8 +126,6 @@ class ProcessBackend(ExecutionBackend):
         import multiprocessing.connection  # noqa: F401 - Pipe, Connection.send
         import multiprocessing.popen_fork  # noqa: F401 - Process.start
 
-        import repro.pregel.columnar  # noqa: F401 - _child_main's release_frame
-
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError as exc:
@@ -168,13 +167,6 @@ class ProcessBackend(ExecutionBackend):
                         + (f": {data}" if data else "")
                     )
         if failure is not None:
-            # Frames already shipped by surviving workers will never be
-            # retrieved by a barrier — unlink their shared-memory blocks
-            # now or they outlive the run in /dev/shm.
-            from repro.pregel.columnar import release_frame
-
-            for outcome in outcomes:
-                release_frame(getattr(outcome, "frame", None))
             raise failure
         return outcomes
 
@@ -193,12 +185,6 @@ def _child_main(step, conn):
     try:
         conn.send(payload)
     except Exception:  # noqa: BLE001 - e.g. unpicklable user values
-        if payload[0] == "ok":
-            # The parent will never see this outcome's shm handle; unlink
-            # it here or the block leaks past the run.
-            from repro.pregel.columnar import release_frame
-
-            release_frame(getattr(payload[1], "frame", None))
         conn.send(("crashed", "step outcome could not be pickled"))
     finally:
         conn.close()

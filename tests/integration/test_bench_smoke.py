@@ -40,3 +40,4 @@ def test_bench_smoke_gates(tmp_path):
     assert set(report["throughput_calls_per_second"]) == {
         "serial", "processes",
     }
+    assert report["transport"]["frame_bytes"] > 0

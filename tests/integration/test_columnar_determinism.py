@@ -1,15 +1,15 @@
 """In-memory data plane determinism: packed batches change nothing observable.
 
-The packed outbox -> ``ColumnarMessageStore`` path (shared-memory frames
-under the processes backend) replaced a plane that moved per-envelope
-object lists. The contract it was admitted under still holds and is gated
-here: for the same job, every backend and worker count must reproduce the
-:class:`~repro.pregel.PregelResult` and canonical trace digest **the
-envelope plane produced** — pinned below from the last commit that had
-it — with per-worker trace files byte-identical between serial and
-processes. If a packed column, a compact broadcast record, or a
-shared-memory frame ever reorders or rewrites a message, a digest here
-splits. ``test_spill_determinism`` cross-checks the same jobs against the
+The packed outbox -> ``ColumnarMessageStore`` path (packed frames in the
+step outcome under the processes backend) replaced a plane that moved
+per-envelope object lists. The contract it was admitted under still holds
+and is gated here: for the same job, every backend and worker count must
+reproduce the :class:`~repro.pregel.PregelResult` and canonical trace
+digest **the envelope plane produced** — pinned below from the last
+commit that had it — with per-worker trace files byte-identical between
+serial and processes. If a packed column, a compact broadcast record, or
+a packed frame ever reorders or rewrites a message, a digest here splits.
+``test_spill_determinism`` cross-checks the same jobs against the
 independently implemented spill plane.
 """
 

@@ -604,7 +604,7 @@ class TestPackedColumns:
     def test_a_codec_with_its_own_float_writer_keeps_texts(self):
         class OwnFloats(ValueCodec):
             def _float_text(self, value):
-                return super()._float_text(value)
+                return f"{value:.2f}"
 
         own = OwnFloats()
         own.register(Pair)

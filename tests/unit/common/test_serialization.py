@@ -1,6 +1,7 @@
 """Unit tests for repro.common.serialization."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -182,6 +183,34 @@ class TestWireFormat:
             '{"__t__":"dict","items":[["z",1],["b",2]]}'
         )
         assert list(default_codec.decode(encoded)) == ["z", "b"]
+
+    def test_numbers_are_their_repr_on_every_path(self):
+        """A subclass that rounds floats in its own writer and encoder does
+        not change the text of an exact int or finite exact float: every
+        path writes the ``repr`` that ``json.dumps(encode(v))`` gives."""
+
+        class Rounding(ValueCodec):
+            def _float_text(self, value):
+                return f"{value:.2f}"
+
+            def _encode_float(self, value):
+                return round(value, 2)
+
+        codec = Rounding()
+        numbers = [1.23456, 2.5, -0.0, 1e300, 7, -(2**70)]
+        texts = [repr(number) for number in numbers]
+        assert [json.dumps(codec.encode(n)) for n in numbers] == texts
+        assert [codec.dumps(n) for n in numbers] == texts
+        assert codec.dumps_each(numbers) == texts
+        for column in (numbers[:4], numbers[4:], numbers):
+            assert codec.dumps_column(column) == list(map(repr, column))
+        mapping = dict(zip(numbers, reversed(numbers)))
+        assert codec.dumps_items(mapping) == json.dumps(
+            codec.encode_items(mapping), separators=(",", ":")
+        )
+        assert codec.dumps_items({7: 1.23456}) == (
+            '{"__t__":"dict","items":[[7,1.23456]]}'
+        )
 
     def test_field_names_are_read_once_at_registration(self, monkeypatch):
         codec = ValueCodec()
