@@ -1,4 +1,4 @@
-"""Columnar message batches and frames (the in-memory data plane).
+"""Columnar message columns and frames (the in-memory data plane).
 
 ``BENCH_engine.json`` showed the processes backend losing to serial:
 every superstep pickled ~50k message objects per worker across a pipe,
@@ -26,11 +26,11 @@ packed and unpacked with :mod:`array` alone.
 sequence of length-prefixed sections — ``u32be payload_len | u8 kind |
 payload`` — the same framing convention as the trace format
 (:mod:`repro.graft.traceformat`). Sections carry compact broadcast
-records, per-target point batches, and the worker's vertex values, halt
-flags, and — only when mutated — its adjacency. Vertex ids are referenced
-as ``u32`` indices into the run-global :class:`VertexInterner` (the
-interned dictionary column), which children inherit from the parent via
-fork, so id strings never travel at all.
+records, one flat set of point-send columns, and the worker's vertex
+values, halt flags, and — only when mutated — its adjacency. Vertex ids
+are referenced as ``u32`` indices into the run-global
+:class:`VertexInterner` (the interned dictionary column), which children
+inherit from the parent via fork, so id strings never travel at all.
 
 Under ``processes`` a frame rides ``StepOutcome.frame`` through the
 fork's pipe, with the rest of the pickled outcome, and the barrier parses
@@ -44,17 +44,19 @@ Canonical inbox order (worker outboxes merged in worker-id order, then
 each inbox sorted) is a stable sort on ``repr(source)``; ties (equal
 reprs) fall back to merge position, i.e. ``(worker id, emission order)``.
 ``tests/reference_delivery.py`` states it the slow, obvious way. The
-columnar store reproduces exactly that order when it reads an inbox —
-broadcast expansion walks in-neighbor lists pre-sorted by ``(repr, worker,
-load order)`` and the general path sorts decorated entries by
-``(repr(source), worker id, emission seq)`` — so canonical trace digests
-are byte-identical across serial/processes and worker counts. The
-determinism suite and graft-san pin this.
+columnar store reproduces exactly that order: point sends are grouped by
+one stable sort of the concatenated worker columns on integer ``(target
+rank, source repr rank)`` keys, broadcast expansion walks in-neighbor
+lists pre-sorted by ``(repr, worker, load order)``, and a target that
+receives both merges them on ``(repr rank, worker id, emission seq)`` —
+so canonical trace digests are byte-identical across serial/processes
+and worker counts. The determinism suite and graft-san pin this.
 """
 
 import pickle
 import struct
 from array import array
+from collections import Counter
 
 from repro.common.errors import PregelError
 from repro.pregel.messages import IncomingView, MessageStore
@@ -86,6 +88,8 @@ META_EDGES_DIRTY = 1
 
 #: ``array`` typecodes for the id/seq columns (u32) and numeric payloads.
 _ID_TYPECODE = "I"
+#: Target index of a point send whose target the sender could not intern.
+UNINTERNED = 0xFFFFFFFF
 
 # -- fixed-width payload codecs -------------------------------------------
 
@@ -340,38 +344,22 @@ def _decode_u32_column(blob):
 # =====================================================================
 
 
-class _PointBatch:
-    """Point-send accumulation for one target: parallel source/seq/value."""
-
-    __slots__ = ("sources", "seqs", "column")
-
-    def __init__(self):
-        self.sources = []
-        self.seqs = []
-        self.column = ColumnBuilder()
-
-    def add(self, source, seq, value):
-        self.sources.append(source)
-        self.seqs.append(seq)
-        self.column.append(value)
-
-    def __len__(self):
-        return len(self.sources)
-
-
 class ColumnarOutbox:
-    """Per-worker outbox that accumulates packed batches at emit time.
+    """Per-worker outbox that accumulates packed columns at emit time.
 
-    The two hot shapes map to two sections:
+    The two hot shapes map to two column sets:
 
-    - point sends group into per-target :class:`_PointBatch` columns;
+    - point sends append to one flat set of parallel ``point_sources`` /
+      ``point_targets`` / ``point_seqs`` lists plus one value column,
+      whatever their target — the barrier groups them by destination
+      with one sort;
     - broadcasts append **one compact record** ``(source, seq, value)``;
       the receiver expands them against the (fork-inherited) reverse
       adjacency, so a fan-out of ten thousand neighbors ships as a dozen
       bytes. When the worker's adjacency has been mutated this superstep
-      (``edges_dirty``), broadcasts degrade to explicit per-target point
-      entries, because the parent's reverse index no longer matches the
-      emit-time neighbor snapshot.
+      (``edges_dirty``), broadcasts degrade to explicit point entries
+      (one per target, sharing one seq), because the parent's reverse
+      index no longer matches the emit-time neighbor snapshot.
 
     ``seq`` is the worker's emission counter; one broadcast consumes one
     seq for its whole fan-out. Per ``(worker, target)`` pair the seqs are
@@ -379,14 +367,18 @@ class ColumnarOutbox:
     the canonical inbox sort needs.
     """
 
-    __slots__ = ("point", "bcast_sources", "bcast_seqs", "bcast_column",
-                 "seq", "messages")
+    __slots__ = ("point_sources", "point_targets", "point_seqs",
+                 "point_column", "bcast_sources", "bcast_seqs",
+                 "bcast_column", "seq", "messages")
 
     #: The engine-side reverse index expands ``add_broadcast`` records.
     compact_broadcasts = True
 
     def __init__(self):
-        self.point = {}
+        self.point_sources = []
+        self.point_targets = []
+        self.point_seqs = []
+        self.point_column = ColumnBuilder()
         self.bcast_sources = []
         self.bcast_seqs = []
         self.bcast_column = ColumnBuilder()
@@ -396,10 +388,10 @@ class ColumnarOutbox:
     def add_point(self, source, target, value):
         seq = self.seq
         self.seq = seq + 1
-        batch = self.point.get(target)
-        if batch is None:
-            batch = self.point[target] = _PointBatch()
-        batch.add(source, seq, value)
+        self.point_sources.append(source)
+        self.point_targets.append(target)
+        self.point_seqs.append(seq)
+        self.point_column.append(value)
         self.messages += 1
 
     def add_broadcast(self, source, value, fan_out):
@@ -414,17 +406,18 @@ class ColumnarOutbox:
         """Dirty-adjacency fallback: file the fan-out as point entries."""
         seq = self.seq
         self.seq = seq + 1
-        point = self.point
-        for target in targets:
-            batch = point.get(target)
-            if batch is None:
-                batch = point[target] = _PointBatch()
-            batch.add(source, seq, value)
-        self.messages += len(targets)
+        count = len(targets)
+        self.point_sources += [source] * count
+        self.point_targets += targets
+        self.point_seqs += [seq] * count
+        append = self.point_column.append
+        for _ in range(count):
+            append(value)
+        self.messages += count
 
     def batch_count(self):
-        """Packed batches held: per-target point batches + the bcast column."""
-        return len(self.point) + (1 if self.bcast_sources else 0)
+        """Packed column sets held: the point columns + the bcast column."""
+        return (1 if self.point_targets else 0) + (1 if self.bcast_sources else 0)
 
 
 # =====================================================================
@@ -472,26 +465,27 @@ def build_frame(worker, interner, superstep):
         ))
         writer.add(SECTION_BCAST, payload)
 
-    if outbox.point:
-        plain, odd = {}, {}
-        for target, batch in outbox.point.items():
-            idx = index.get(target)
-            if idx is None:
-                odd[target] = batch
-            else:
-                plain[idx] = batch
-        if plain:
-            writer.add(SECTION_POINT, _encode_point_section(plain, interner))
-        if odd:
+    if outbox.point_targets:
+        raw = outbox.point_targets
+        try:
+            targets = [index[t] for t in raw]
+        except KeyError:
             # Targets outside the interner (sends to ids that do not exist
-            # yet); the id itself must travel. Ships as pickled triples.
-            payload = {
-                target: list(zip(
-                    batch.seqs, batch.sources, batch.column.values()
-                ))
-                for target, batch in odd.items()
-            }
-            writer.add(SECTION_FALLBACK, pickle.dumps(payload, protocol=4))
+            # yet) get a placeholder index, and the ids themselves travel,
+            # in column order, as a pickled FALLBACK list.
+            get = index.get
+            targets = [get(t, UNINTERNED) for t in raw]
+            writer.add(SECTION_FALLBACK, pickle.dumps(
+                [t for t, idx in zip(raw, targets) if idx == UNINTERNED],
+                protocol=4,
+            ))
+        writer.add(SECTION_POINT, b"".join((
+            _U32BE.pack(len(targets)),
+            _encode_u32_column([index[s] for s in outbox.point_sources]),
+            _encode_u32_column(targets),
+            _encode_u32_column(outbox.point_seqs),
+            outbox.point_column.encode(),
+        )))
 
     ids = array(_ID_TYPECODE, [index[v] for v in worker.values])
     writer.add(SECTION_VALUES, b"".join((
@@ -508,27 +502,13 @@ def build_frame(worker, interner, superstep):
     return writer.tobytes()
 
 
-def _encode_point_section(batches, interner):
-    parts = [_U32BE.pack(len(batches))]
-    index = interner.index
-    for target_idx, batch in batches.items():
-        src_idx = array(_ID_TYPECODE, [index[s] for s in batch.sources])
-        parts.append(_U32BE.pack(target_idx))
-        parts.append(_U32BE.pack(len(batch)))
-        parts.append(src_idx.tobytes())
-        parts.append(array(_ID_TYPECODE, batch.seqs).tobytes())
-        column = batch.column.encode()
-        parts.append(_U32BE.pack(len(column)))
-        parts.append(column)
-    return b"".join(parts)
-
-
 class ParsedFrame:
     """One worker's frame, decoded to plain columns.
 
-    ``bcast`` is ``[(source_idx, seq, value)]``; ``point`` maps
-    ``target_idx -> (source_idx list, seq list, value list)``; ``fallback``
-    maps raw target ids to ``(seq, source, value)`` triples. State
+    ``bcast`` is ``[(source_idx, seq, value)]``; ``point`` is the
+    parallel ``(source_idx, target_idx, seq, value)`` column lists, where
+    a target outside the interner has the index :data:`UNINTERNED`;
+    ``fallback`` lists those targets' ids in column order. State
     sections decode into ``values``/``halted`` dicts (insertion order
     preserved — it is the compute order) and ``edges`` when shipped.
     """
@@ -543,8 +523,8 @@ class ParsedFrame:
         self.messages = 0
         self.edges_dirty = False
         self.bcast = []
-        self.point = {}
-        self.fallback = {}
+        self.point = ([], [], [], [])
+        self.fallback = []
         self.values = None
         self.halted = None
         self.edges = None
@@ -578,8 +558,8 @@ def parse_frame(blob, interner):
             _parse_point(frame, payload)
         elif kind == SECTION_FALLBACK:
             frame.fallback = pickle.loads(payload)
-            frame.batches += len(frame.fallback)
-            frame.pickle_fallbacks += len(frame.fallback)
+            frame.batches += 1
+            frame.pickle_fallbacks += 1
         elif kind == SECTION_VALUES:
             frame.values = _parse_keyed_column(payload, interner, frame)
         elif kind == SECTION_HALTED:
@@ -609,23 +589,16 @@ def _parse_bcast(frame, payload):
 
 
 def _parse_point(frame, payload):
-    (ntargets,) = _U32BE.unpack_from(payload, 0)
-    offset = 4
-    for _ in range(ntargets):
-        target_idx, n = struct.unpack_from(">II", payload, offset)
-        offset += 8
-        sources = _decode_u32_column(payload[offset:offset + 4 * n])
-        offset += 4 * n
-        seqs = _decode_u32_column(payload[offset:offset + 4 * n])
-        offset += 4 * n
-        (col_len,) = _U32BE.unpack_from(payload, offset)
-        offset += 4
-        values, fell_back = decode_column(bytes(payload[offset:offset + col_len]))
-        offset += col_len
-        frame.point[target_idx] = (sources, seqs, values)
-        frame.batches += 1
-        if fell_back:
-            frame.pickle_fallbacks += 1
+    (n,) = _U32BE.unpack_from(payload, 0)
+    width = 4 * n
+    sources = _decode_u32_column(payload[4:4 + width])
+    targets = _decode_u32_column(payload[4 + width:4 + 2 * width])
+    seqs = _decode_u32_column(payload[4 + 2 * width:4 + 3 * width])
+    values, fell_back = decode_column(bytes(payload[4 + 3 * width:]))
+    frame.point = (sources, targets, seqs, values)
+    frame.batches += 1
+    if fell_back:
+        frame.pickle_fallbacks += 1
 
 
 def _parse_keyed_column(payload, interner, frame):
@@ -660,6 +633,9 @@ class ColumnarRunState:
         #: exist at index-build time (resolver candidates).
         self.missing_out = {}
         self._stale = True
+        self._load_order = {}
+        self._rank = []
+        self._repr_rank = []
 
     # -- build --------------------------------------------------------
 
@@ -684,16 +660,9 @@ class ColumnarRunState:
                     else:
                         lst.append(s_idx)
         # Canonical source order per inbox: (repr, owning worker, load
-        # order) — compute order, so equal reprs tie by emission. Computed
-        # once as a global rank so per-list sorts are plain int sorts.
-        reprs = interner.reprs
-        order = sorted(
-            range(len(reprs)),
-            key=lambda i: (reprs[i], load_order.get(i, -1)),
-        )
-        rank = [0] * len(reprs)
-        for position, idx in enumerate(order):
-            rank[idx] = position
+        # order) — compute order, so equal reprs tie by emission.
+        self._load_order = load_order
+        rank = self._rank_ids()
         for lst in in_lists.values():
             lst.sort(key=rank.__getitem__)
         self.in_lists = in_lists
@@ -705,6 +674,35 @@ class ColumnarRunState:
                     missing_out[interner.index[source_id]] = missing
         self.missing_out = missing_out
         self._stale = False
+
+    def _rank_ids(self):
+        reprs = self.interner.reprs
+        load_order = self._load_order
+        order = sorted(
+            range(len(reprs)),
+            key=lambda i: (reprs[i], load_order.get(i, -1)),
+        )
+        rank = [0] * len(reprs)
+        repr_rank = [0] * len(reprs)
+        first, previous = 0, None
+        for position, idx in enumerate(order):
+            text = reprs[idx]
+            if text != previous:
+                first, previous = position, text
+            rank[idx] = position
+            repr_rank[idx] = first
+        self._rank = rank
+        self._repr_rank = repr_rank
+        return rank
+
+    def ranks(self):
+        """``(rank, repr_rank)``: two int keys per interned id, so sorts
+        by ``repr`` compare ints. ``rank`` is unique, ordered by ``(repr,
+        load order)``; ``repr_rank`` is equal exactly for equal reprs.
+        Recomputed when the interner has grown since they were made."""
+        if len(self._rank) != len(self.interner):
+            self._rank_ids()
+        return self._rank, self._repr_rank
 
     # -- engine hooks -------------------------------------------------
 
@@ -734,24 +732,29 @@ class ColumnarMessageStore:
     """One superstep's messages, kept packed until a vertex reads them.
 
     Built at the barrier by absorbing per-worker frames (process backend)
-    or live :class:`ColumnarOutbox` objects (serial) **in
-    worker-id order**. Messages live as:
+    or live :class:`ColumnarOutbox` objects (serial) **in worker-id
+    order**. Messages live as:
 
     - ``_bcast``: source idx -> ``[(worker_id, seq, value)]`` compact
       broadcast records, expanded per receiver against the reverse-
       adjacency index they were emitted under;
-    - ``_point``: target id -> ``[(worker_id, seq, source_id, value)]``.
+    - point columns: every worker's point sends concatenated in worker-id
+      order as parallel source idx / target idx / worker / seq / value
+      lists, grouped by destination with one stable sort on first read
+      (:meth:`_point_inboxes`).
 
-    Value lists materialize lazily and memoize. Under the process backend
-    the consumers are next superstep's forked children, so the per-message
-    expansion work lands on the worker side of the fence — parallel where
-    the hardware allows — instead of in the parent's serial barrier.
+    A broadcast-only inbox's values materialize lazily and memoize; under
+    the process backend that expansion lands in next superstep's forked
+    children, parallel where the hardware allows, instead of in the
+    parent's serial barrier.
 
     Canonical order: an inbox's reference order is the stable sort by
     ``repr(source)`` over worker-id-merge order, i.e. exactly
-    ``(repr(source), worker_id, emission seq)``. The pure-broadcast fast
-    path walks in-neighbor lists pre-sorted by that key; the mixed path
-    decorates and sorts by the triple explicitly.
+    ``(repr(source), worker_id, emission seq)``. The point sort keys on
+    ``(target rank, source repr rank)`` — ints from
+    :meth:`ColumnarRunState.ranks` — and stability supplies the rest; the
+    pure-broadcast path walks in-neighbor lists pre-sorted by source rank;
+    a target that receives both merges the two on the explicit triple.
     """
 
     #: A packed store is unpermuted and uncombined (see :meth:`settled`).
@@ -759,6 +762,7 @@ class ColumnarMessageStore:
     permuted = 0
 
     def __init__(self, run_state):
+        self._run_state = run_state
         self._interner = run_state.interner
         # Pinned, not read through ``run_state``: inboxes are read one
         # superstep after emission, by which time a sender that rewired
@@ -766,7 +770,12 @@ class ColumnarMessageStore:
         self._in_lists = run_state.in_lists
         self._missing_out = run_state.missing_out
         self._bcast = {}
-        self._point = {}
+        self._sources = []
+        self._targets = []
+        self._workers = []
+        self._seqs = []
+        self._values = []
+        self._point = None
         self._values_cache = {}
         self.total_messages = 0
 
@@ -782,21 +791,13 @@ class ColumnarMessageStore:
                 bcast[s_idx] = [(wid, seq, value)]
             else:
                 lst.append((wid, seq, value))
-        ids = self._interner.ids
-        point = self._point
-        for t_idx, (sources, seqs, values) in frame.point.items():
-            target = ids[t_idx]
-            lst = point.get(target)
-            if lst is None:
-                lst = point[target] = []
-            for s_idx, seq, value in zip(sources, seqs, values):
-                lst.append((wid, seq, ids[s_idx], value))
-        for target, triples in frame.fallback.items():
-            lst = point.get(target)
-            if lst is None:
-                lst = point[target] = []
-            for seq, source, value in triples:
-                lst.append((wid, seq, source, value))
+        sources, targets, seqs, values = frame.point
+        if frame.fallback:
+            interned = map(self._interner.intern, frame.fallback)
+            targets = [
+                next(interned) if t == UNINTERNED else t for t in targets
+            ]
+        self._absorb_points(wid, sources, targets, seqs, values)
         self.total_messages += frame.messages
 
     def absorb_outbox(self, worker_id, outbox):
@@ -813,16 +814,109 @@ class ColumnarMessageStore:
                 bcast[s_idx] = [(worker_id, seq, value)]
             else:
                 lst.append((worker_id, seq, value))
-        point = self._point
-        for target, batch in outbox.point.items():
-            lst = point.get(target)
-            if lst is None:
-                lst = point[target] = []
-            for source, seq, value in zip(
-                batch.sources, batch.seqs, batch.column.values()
-            ):
-                lst.append((worker_id, seq, source, value))
+        if outbox.point_targets:
+            self._absorb_points(
+                worker_id,
+                [index[s] for s in outbox.point_sources],
+                self._intern_all(outbox.point_targets),
+                outbox.point_seqs,
+                outbox.point_column.values(),
+            )
         self.total_messages += outbox.messages
+
+    def _intern_all(self, targets):
+        """Target ids as interner indices. A target that does not exist
+        yet is interned here, in the parent, so it sorts like any other;
+        children forked later inherit it."""
+        index = self._interner.index
+        try:
+            return [index[t] for t in targets]
+        except KeyError:
+            return list(map(self._interner.intern, targets))
+
+    def _absorb_points(self, worker_id, sources, targets, seqs, values):
+        self._sources += sources
+        self._targets += targets
+        self._workers += [worker_id] * len(targets)
+        self._seqs += seqs
+        self._values += values
+        self._point = None
+
+    # -- grouping -----------------------------------------------------
+
+    def _point_inboxes(self):
+        """``{target id: (sources, values)}`` for every target of a point
+        send, each inbox complete and canonical, in target rank order.
+
+        One stable sort of the concatenated columns on ``(target rank,
+        source repr rank)`` groups them by destination and orders each
+        group by ``repr(source)``; equal reprs keep worker-merge order,
+        which is ``(worker, seq)``. A target that also receives compact
+        broadcasts merges them in on the explicit triple (:meth:`_merged`).
+        Memoized in ``_point`` until the next absorption; the barrier's
+        resolver pass builds it in the parent.
+        """
+        point = self._point
+        if point is not None:
+            return point
+        point = self._point = {}
+        targets = self._targets
+        if not targets:
+            return point
+        rank, repr_rank = self._run_state.ranks()
+        sources = self._sources
+        scale = len(rank)
+        keys = [
+            rank[t] * scale + repr_rank[s] for t, s in zip(targets, sources)
+        ]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        del keys
+        ids = self._interner.ids
+        values = self._values
+        ordered_sources = [ids[sources[i]] for i in order]
+        ordered_values = [values[i] for i in order]
+        counts = Counter(targets)
+        bcast = self._bcast
+        in_lists = self._in_lists
+        start = 0
+        for t_idx in sorted(counts, key=rank.__getitem__):
+            end = start + counts[t_idx]
+            if bcast and any(s in bcast for s in in_lists.get(t_idx, ())):
+                inbox = self._merged(t_idx, order[start:end])
+            else:
+                inbox = (ordered_sources[start:end], ordered_values[start:end])
+            point[ids[t_idx]] = inbox
+            start = end
+        return point
+
+    def _merged(self, t_idx, positions):
+        """One target's point entries and compact broadcasts, merged.
+
+        Each entry is decorated ``(repr rank, worker_id, seq, source,
+        value)``; sorting by the first three fields reproduces the
+        reference stable repr-sort over worker-merge order exactly (no
+        two entries of one inbox share ``(worker, seq)``).
+        """
+        _rank, repr_rank = self._run_state.ranks()
+        ids = self._interner.ids
+        sources, workers = self._sources, self._workers
+        seqs, values = self._seqs, self._values
+        entries = [
+            (repr_rank[sources[i]], workers[i], seqs[i], ids[sources[i]],
+             values[i])
+            for i in positions
+        ]
+        bcast = self._bcast
+        for s_idx in self._in_lists.get(t_idx, ()):
+            records = bcast.get(s_idx)
+            if records:
+                key, source = repr_rank[s_idx], ids[s_idx]
+                entries += [
+                    (key, wid, seq, source, value)
+                    for wid, seq, value in records
+                ]
+        entries.sort(key=lambda entry: entry[:3])
+        return [entry[3] for entry in entries], [entry[4] for entry in entries]
 
     # -- inbox materialization ----------------------------------------
 
@@ -834,46 +928,44 @@ class ColumnarMessageStore:
 
     def inbox_values(self, target):
         """Message values for ``target`` in canonical order (memoized)."""
+        point = self._point
+        if point is None:
+            point = self._point_inboxes()
+        inbox = point.get(target)
+        if inbox is not None:
+            return inbox[1]
         cached = self._values_cache.get(target)
         if cached is not None:
             return cached
-        point = self._point.get(target)
-        bcast = self._bcast
-        if point is None:
-            # Pure broadcast fan-in: in-neighbors are pre-sorted by
-            # (repr, worker, load order) and each source's records are
-            # already in (worker, seq) order, so concatenation IS
-            # canonical order — no sort, no sources.
-            values = []
-            if bcast:
-                append = values.append
-                get = bcast.get
-                for s_idx in self._in_list(target):
-                    lst = get(s_idx)
-                    if lst is not None:
-                        for record in lst:
-                            append(record[2])
-        else:
-            values = [entry[4] for entry in self._decorated(target, point)]
+        # Pure broadcast fan-in: in-neighbors are pre-sorted by (repr,
+        # worker, load order) and each source's records are already in
+        # (worker, seq) order, so concatenation IS canonical order — no
+        # sort, no sources.
+        values = []
+        if self._bcast:
+            append = values.append
+            get = self._bcast.get
+            for s_idx in self._in_list(target):
+                lst = get(s_idx)
+                if lst is not None:
+                    for record in lst:
+                        append(record[2])
         self._values_cache[target] = values
         return values
 
     def _columns(self, target):
         """``(sources, values)`` for ``target`` in canonical order."""
-        point = self._point.get(target)
-        if point is None:
-            ids = self._interner.ids
-            sources, values = [], []
-            get = self._bcast.get
-            for s_idx in self._in_list(target):
-                lst = get(s_idx)
-                if lst is not None:
-                    sources += [ids[s_idx]] * len(lst)
-                    values += [record[2] for record in lst]
-        else:
-            entries = self._decorated(target, point)
-            sources = [entry[3] for entry in entries]
-            values = [entry[4] for entry in entries]
+        inbox = self._point_inboxes().get(target)
+        if inbox is not None:
+            return inbox
+        ids = self._interner.ids
+        sources, values = [], []
+        get = self._bcast.get
+        for s_idx in self._in_list(target):
+            lst = get(s_idx)
+            if lst is not None:
+                sources += [ids[s_idx]] * len(lst)
+                values += [record[2] for record in lst]
         return sources, values
 
     def inbox(self, target):
@@ -884,39 +976,16 @@ class ColumnarMessageStore:
         """
         return list(zip(*self._columns(target)))
 
-    def _decorated(self, target, point):
-        """Mixed point+broadcast entries decorated and sorted canonically.
-
-        Each entry is ``(repr(source), worker_id, seq, source, value)``;
-        sorting by the first three fields reproduces the reference stable
-        repr-sort over worker-merge order exactly.
-        """
-        entries = [
-            (repr(source), wid, seq, source, value)
-            for wid, seq, source, value in point
-        ]
-        bcast = self._bcast
-        if bcast:
-            interner = self._interner
-            ids = interner.ids
-            reprs = interner.reprs
-            for s_idx in self._in_list(target):
-                lst = bcast.get(s_idx)
-                if lst:
-                    source_repr = reprs[s_idx]
-                    source = ids[s_idx]
-                    for wid, seq, value in lst:
-                        entries.append((source_repr, wid, seq, source, value))
-        entries.sort(key=lambda entry: (entry[0], entry[1], entry[2]))
-        return entries
-
     # -- store protocol (what the engine/worker/checkpoint consume) ---
 
     def incoming_view(self, target):
         return IncomingView(self, target)
 
     def has_inbox(self, target):
-        if target in self._point:
+        point = self._point
+        if point is None:
+            point = self._point_inboxes()
+        if target in point:
             return True
         if not self._bcast:
             return False
@@ -933,22 +1002,22 @@ class ColumnarMessageStore:
         return self.total_messages > 0
 
     def targets(self):
-        """All vertex ids with at least one message, sorted by repr.
+        """All vertex ids with at least one message, in repr (rank) order.
 
         Full-materialization consumers only (:meth:`settled`, checkpoint
         writes). The broadcast side is recovered by scanning the reverse
         index for in-neighbors that broadcast this superstep.
         """
-        targets = set(self._point)
-        if self._bcast:
-            ids = self._interner.ids
-            bcast = self._bcast
+        index = self._interner.index
+        found = {index[target] for target in self._point_inboxes()}
+        bcast = self._bcast
+        if bcast:
             for t_idx, sources in self._in_lists.items():
-                for s_idx in sources:
-                    if s_idx in bcast:
-                        targets.add(ids[t_idx])
-                        break
-        return sorted(targets, key=repr)
+                if t_idx not in found and any(s in bcast for s in sources):
+                    found.add(t_idx)
+        rank, _repr_rank = self._run_state.ranks()
+        ids = self._interner.ids
+        return [ids[t_idx] for t_idx in sorted(found, key=rank.__getitem__)]
 
     def missing_targets(self, locations):
         """Message targets that do not currently exist (resolver input).
@@ -958,10 +1027,10 @@ class ColumnarMessageStore:
         build time, which ``missing_out`` precomputed — so this never
         expands a fan-out.
         """
-        missing = set()
-        for target in self._point:
-            if target not in locations:
-                missing.add(target)
+        missing = {
+            target for target in self._point_inboxes()
+            if target not in locations
+        }
         if self._bcast:
             missing_out = self._missing_out
             for s_idx in self._bcast:
@@ -987,8 +1056,11 @@ class ColumnarMessageStore:
         :meth:`MessageStore.settle` the spill plane runs on each
         partition it loads.
         """
+        if self._bcast:
+            columns = self._columns
+            inboxes = {target: columns(target) for target in self.targets()}
+        else:
+            inboxes = self._point_inboxes()  # already in target rank order
         store = MessageStore()
-        for target in self.targets():
-            sources, values = self._columns(target)
-            store.deliver_columns(sources, [target] * len(values), values)
+        store.deliver_inboxes(inboxes)
         return store.settle(superstep, schedule, combiner)

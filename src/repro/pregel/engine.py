@@ -268,6 +268,9 @@ class PregelEngine:
             )
         self._num_workers = self._partitioner.num_workers
         self._backend = resolve_backend(executor, self._num_workers)
+        self._transfers_state = self._backend.transfers_state_for(
+            self._num_workers
+        )
         self._memory_limit = memory_limit
         if spill:
             from repro.pregel.store import SpillStore
@@ -379,7 +382,7 @@ class PregelEngine:
             self.workers = [
                 SpilledWorker(
                     worker_id, self._seed, self._store, partitioner,
-                    self._locations, deferred=self._backend.transfers_state,
+                    self._locations, deferred=self._transfers_state,
                 )
                 for worker_id in range(self._num_workers)
             ]
@@ -448,7 +451,7 @@ class PregelEngine:
         deliberately not caught here, because it models the machine dying,
         not user code failing.
         """
-        transfers_state = self._backend.transfers_state
+        transfers_state = self._transfers_state
         on_error = self._on_error
         spill = self._store is not None
         delay = fault.get("delay") if fault else None
@@ -614,7 +617,7 @@ class PregelEngine:
                         # forked children can never write the fork-shared
                         # spill area.
                         self._store.clear_runs(superstep + 1)
-                        self._store.frozen = self._backend.transfers_state
+                        self._store.frozen = self._transfers_state
                     try:
                         with Timer() as wall_timer:
                             outcomes = self._backend.run_superstep(steps)
@@ -770,7 +773,7 @@ class PregelEngine:
         aggregator partials. No step result is consumed in completion
         order, which is what makes the barrier backend-independent.
         """
-        if self._backend.transfers_state:
+        if self._transfers_state:
             for outcome in outcomes:
                 for listener, payload in zip(
                     payload_collectors, outcome.payloads
@@ -794,7 +797,7 @@ class PregelEngine:
         values)`` columns first (see "Settling" in ``docs/columnar.md``).
         """
         run_state = self._run_state
-        transfers = self._backend.transfers_state
+        transfers = self._transfers_state
         store = ColumnarMessageStore(run_state)
         any_dirty = False
         for outcome in outcomes:

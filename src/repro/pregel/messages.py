@@ -86,6 +86,14 @@ class MessageStore:
                 inbox[1].append(values[i])
         self.total_messages += len(order)
 
+    def deliver_inboxes(self, inboxes):
+        """File whole ``{target: (sources, values)}`` inboxes, each already
+        in delivery order, for targets that have none yet. The lists are
+        kept, not copied: :meth:`settle` replaces an inbox rather than
+        reordering it in place."""
+        self._by_target.update(inboxes)
+        self.total_messages += sum(len(values) for _, values in inboxes.values())
+
     def settle(self, superstep, schedule, combiner):
         """Apply the delivery schedule, then the combiner, to every inbox.
 
@@ -108,8 +116,9 @@ class MessageStore:
             if schedule is not None:
                 order = list(range(count))
                 if schedule.permute_inbox(target, superstep, order):
-                    sources[:] = [sources[i] for i in order]
-                    values[:] = [values[i] for i in order]
+                    sources = [sources[i] for i in order]
+                    values = [values[i] for i in order]
+                    by_target[target] = (sources, values)
                     self.permuted += 1
             if combiner is not None:
                 by_target[target] = ([None], [combiner.fold_column(values)])

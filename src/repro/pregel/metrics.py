@@ -65,12 +65,14 @@ class SuperstepMetrics:
     #: superstep's barrier (0 unless a graft-san run is active).
     inboxes_permuted: int = 0
     #: Data plane that carried this superstep's messages:
-    #: ``"columnar"`` (packed batches) or ``"spill"`` (partition-cut run files).
+    #: ``"columnar"`` (packed columns) or ``"spill"`` (partition-cut run files).
     transport: str = "columnar"
     #: Frame bytes shipped across process boundaries at the barrier
     #: (0 under same-address-space backends — nothing is copied).
     transport_bytes: int = 0
-    #: Packed column batches carried by the columnar plane.
+    #: Packed column sets carried by the columnar plane: per worker at
+    #: most one of point sends and one of broadcasts, plus one FALLBACK
+    #: section of a frame when it has one.
     transport_batches: int = 0
     #: Columns that degraded to the pickled-object fallback.
     pickle_fallbacks: int = 0

@@ -75,6 +75,11 @@ class ExecutionBackend:
     #: listener payloads must be shipped back via :class:`StepOutcome`.
     transfers_state = False
 
+    def transfers_state_for(self, num_steps):
+        """Whether a superstep of ``num_steps`` steps runs any of them in
+        another address space (what the engine asks, once per run)."""
+        return self.transfers_state
+
     def run_superstep(self, steps):
         """Run every step; return their outcomes ordered by step index."""
         raise NotImplementedError
@@ -133,6 +138,11 @@ class ProcessBackend(ExecutionBackend):
                 "executor='processes' requires the fork start method, "
                 "which this platform does not support"
             ) from exc
+
+    def transfers_state_for(self, num_steps):
+        # A lone step runs in the parent, so a one-worker run packs no
+        # frame and ships no state: it is a serial run.
+        return num_steps > 1
 
     def run_superstep(self, steps):
         if len(steps) == 1:

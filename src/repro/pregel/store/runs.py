@@ -37,7 +37,6 @@ iterates an inbox.
 
 import pickle
 import struct
-import threading
 
 from repro.common.errors import PregelError
 from repro.pregel.columnar import decode_column, encode_values
@@ -87,18 +86,16 @@ class RunOutbox:
     compact_broadcasts = False
 
     def __init__(self, filesystem, path, partitioner, locations,
-                 chunk_entries=RUN_CHUNK_ENTRIES, lock=None, deferred=False):
+                 chunk_entries=RUN_CHUNK_ENTRIES, deferred=False):
         if deferred:
             from repro.simfs.filesystem import SimFileSystem
 
             filesystem = SimFileSystem()
-            lock = None
         self._fs = filesystem
         self.path = path
         self._partitioner = partitioner
         self._locations = locations
         self._chunk_entries = chunk_entries
-        self._lock = lock or threading.RLock()
         self._deferred = deferred
         # partition id -> flat [target, source, value, target, ...]
         self._buffers = {}
@@ -152,10 +149,9 @@ class RunOutbox:
         self._append(b"".join(parts))
 
     def _append(self, data):
-        with self._lock:
-            if not self._offset:
-                self._fs.create(self.path, overwrite=True)
-            self._fs.append_bytes(self.path, data)
+        if not self._offset:
+            self._fs.create(self.path, overwrite=True)
+        self._fs.append_bytes(self.path, data)
         self._offset += len(data)
 
     def seal(self):

@@ -21,7 +21,6 @@ the mutated partitions to the parent, which installs them at the
 barrier via :meth:`replace_partition`.
 """
 
-import threading
 from collections import OrderedDict
 
 from repro.common.errors import PregelError
@@ -94,7 +93,6 @@ class SpillStore:
         self.num_partitions = num_partitions
         self.cache_bytes = cache_bytes
         self.base = base.rstrip("/")
-        self.lock = threading.RLock()
         self.frozen = False
         self._cache = OrderedDict()
         # Running total of the cached (unpinned) pages' ``nbytes``.
@@ -132,47 +130,44 @@ class SpillStore:
         }
 
     def resident_partitions(self):
-        with self.lock:
-            return len(self._cache) + len(self._pins)
+        return len(self._cache) + len(self._pins)
 
     # -- page lifecycle ----------------------------------------------------
 
     def acquire(self, partition_id):
         """Pin a partition's page in memory and return it."""
-        with self.lock:
-            pinned = self._pins.get(partition_id)
-            if pinned is not None:
-                pinned[1] += 1
-                return pinned[0]
-            page = self._uncache(partition_id)
-            if page is not None:
-                self.page_hits += 1
-            else:
-                self.page_misses += 1
-                page = self._load_page(partition_id)
-            self._pins[partition_id] = [page, 1, False]
-            return page
+        pinned = self._pins.get(partition_id)
+        if pinned is not None:
+            pinned[1] += 1
+            return pinned[0]
+        page = self._uncache(partition_id)
+        if page is not None:
+            self.page_hits += 1
+        else:
+            self.page_misses += 1
+            page = self._load_page(partition_id)
+        self._pins[partition_id] = [page, 1, False]
+        return page
 
     def release(self, partition_id, dirty=False):
         """Unpin; a page released dirty refreshes its summary and will be
         written when evicted, a page only read stays as clean as it was."""
-        with self.lock:
-            pinned = self._pins.get(partition_id)
-            if pinned is None:
-                raise PregelError(
-                    f"release of unpinned partition {partition_id}"
-                )
-            if dirty:
-                pinned[2] = True
-            pinned[1] -= 1
-            if pinned[1] > 0:
-                return
-            del self._pins[partition_id]
-            page = pinned[0]
-            if pinned[2]:
-                page.dirty = True
-                self._refresh_summary(page)
-            self._encache(page)
+        pinned = self._pins.get(partition_id)
+        if pinned is None:
+            raise PregelError(
+                f"release of unpinned partition {partition_id}"
+            )
+        if dirty:
+            pinned[2] = True
+        pinned[1] -= 1
+        if pinned[1] > 0:
+            return
+        del self._pins[partition_id]
+        page = pinned[0]
+        if pinned[2]:
+            page.dirty = True
+            self._refresh_summary(page)
+        self._encache(page)
 
     def _encache(self, page):
         self._cache[page.partition_id] = page
@@ -263,25 +258,23 @@ class SpillStore:
 
     def flush(self):
         """Spill every dirty unpinned page (tests and shutdown hygiene)."""
-        with self.lock:
-            for page in self._cache.values():
-                if page.dirty:
-                    self._write_page(page)
+        for page in self._cache.values():
+            if page.dirty:
+                self._write_page(page)
 
     # -- frozen-mode state transfer (process backend) ----------------------
 
     def collect_dirty(self, partition_ids):
         """Detach dirty pages for shipping to the parent at the barrier."""
-        with self.lock:
-            shipped = {}
-            for partition_id in partition_ids:
-                page = self._cache.get(partition_id)
-                if page is not None and page.dirty:
-                    shipped[partition_id] = (
-                        page.values, page.edges, page.halted
-                    )
-                    self._uncache(partition_id)
-            return shipped
+        shipped = {}
+        for partition_id in partition_ids:
+            page = self._cache.get(partition_id)
+            if page is not None and page.dirty:
+                shipped[partition_id] = (
+                    page.values, page.edges, page.halted
+                )
+                self._uncache(partition_id)
+        return shipped
 
     def replace_partition(self, partition_id, values, edges, halted):
         """Install a partition's full state (barrier absorb / restore)."""
@@ -290,14 +283,13 @@ class SpillStore:
             {vid: dict(edge_map) for vid, edge_map in edges.items()},
             dict(halted), dirty=True,
         )
-        with self.lock:
-            if partition_id in self._pins:
-                raise PregelError(
-                    f"replace_partition({partition_id}) while pinned"
-                )
-            self._uncache(partition_id)
-            self._refresh_summary(page)
-            self._encache(page)
+        if partition_id in self._pins:
+            raise PregelError(
+                f"replace_partition({partition_id}) while pinned"
+            )
+        self._uncache(partition_id)
+        self._refresh_summary(page)
+        self._encache(page)
 
     def install_run_file(self, path, data):
         """Install a child-shipped run file verbatim (parent, barrier)."""
@@ -375,7 +367,7 @@ class SpillStore:
         """The outbox whose run file ``superstep`` will deliver."""
         return RunOutbox(
             self.filesystem, run_path(self.base, superstep, worker_id),
-            partitioner, locations, lock=self.lock, deferred=deferred,
+            partitioner, locations, deferred=deferred,
         )
 
     def message_store(self, superstep, **delivery):

@@ -39,8 +39,8 @@ class _WorkerServices(ComputeServices):
         # worker's edges back).
         self._worker.edges_dirty = True
 
-    # Emission goes into the worker's packed outbox (per-target column
-    # batches in memory, per-partition run columns on the spill plane). A
+    # Emission goes into the worker's packed outbox (one flat set of point
+    # columns in memory, per-partition run columns on the spill plane). A
     # broadcast appends one compact ``(source, seq, value)`` record for the
     # whole fan-out — unless the outbox has no reverse index to expand it
     # against (the spill plane), or this worker already mutated adjacency

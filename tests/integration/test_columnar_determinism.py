@@ -21,7 +21,7 @@ from repro.algorithms import PageRank, ShortestPaths
 from repro.datasets import load_dataset
 from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.trace import canonical_trace_digest, worker_trace_path
-from repro.pregel import Computation, MinCombiner
+from repro.pregel import Computation, MinCombiner, PregelEngine
 
 WORKER_COUNTS = (1, 2, 4)
 EXECUTORS = ("serial", "processes")
@@ -190,6 +190,7 @@ def _run(job, executor, workers):
             "captures": run.capture_count,
             "file_hashes": file_hashes,
             "canonical_digest": canonical_trace_digest(fs, "col"),
+            "transport_bytes": run.result.metrics.total_transport_bytes,
         }
     return _CACHE[key]
 
@@ -222,6 +223,25 @@ def test_columnar_processes_matches_serial(job):
     assert candidate["values"] == reference["values"]
     assert candidate["file_hashes"] == reference["file_hashes"]
     assert candidate["canonical_digest"] == reference["canonical_digest"]
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_single_worker_processes_run_builds_no_frame(job):
+    """One worker under ``processes`` runs its step in the parent, so no
+    frame is packed or parsed: nothing is transported, and the run is
+    serial's, value for value and digest for digest."""
+    reference = _run(job, "serial", 1)
+    candidate = _run(job, "processes", 1)
+    assert candidate["transport_bytes"] == 0
+    assert candidate["values"] == reference["values"]
+    assert candidate["canonical_digest"] == reference["canonical_digest"]
+    assert candidate["file_hashes"] == reference["file_hashes"]
+    assert _run(job, "processes", 2)["transport_bytes"] > 0
+    factory, extra_kwargs = JOBS[job]
+    engine = PregelEngine(
+        factory, _graph(), num_workers=1, executor="processes", **extra_kwargs
+    )
+    assert engine.executor_name == "processes"
 
 
 @pytest.mark.parametrize("job", sorted(JOBS))

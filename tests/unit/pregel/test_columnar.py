@@ -17,6 +17,7 @@ import random
 import subprocess
 import sys
 from array import array
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +30,7 @@ from repro.pregel.columnar import (
     COL_I64,
     COL_OBJ,
     COL_STR,
+    UNINTERNED,
     ColumnarMessageStore,
     ColumnarOutbox,
     ColumnarRunState,
@@ -164,11 +166,14 @@ class TestFrames:
         assert frame.messages == 4  # 2 points + fan_out 2
         assert not frame.edges_dirty
         assert frame.bcast == [(interner.get("b"), 1, 2.5)]
-        b_idx, c_idx = interner.get("b"), interner.get("c")
-        assert frame.point[b_idx] == ([interner.get("a")], [0], [1.5])
-        assert frame.point[c_idx] == ([interner.get("a")], [2], [3.5])
+        # One flat point section: (sources, targets, seqs, values) over
+        # every target, in emission order.
+        a_idx, b_idx, c_idx = (interner.get(v) for v in ("a", "b", "c"))
+        assert frame.point == (
+            [a_idx, a_idx], [b_idx, c_idx], [0, 2], [1.5, 3.5]
+        )
         assert frame.pickle_fallbacks == 0
-        assert frame.batches == 3
+        assert frame.batches == 2  # the point columns + the bcast column
         assert (frame.values, frame.halted, frame.edges) == ({}, {}, None)
 
     def test_uninterned_target_ships_via_fallback_section(self):
@@ -178,7 +183,8 @@ class TestFrames:
         outbox.add_point("a", "ghost", 9.0)
         blob = build_frame(_outbox_worker(outbox), interner, 0)
         frame = parse_frame(blob, interner)
-        assert frame.fallback == {"ghost": [(0, "a", 9.0)]}
+        assert frame.point == ([interner.get("a")], [UNINTERNED], [0], [9.0])
+        assert frame.fallback == ["ghost"]
         assert frame.pickle_fallbacks == 1
 
     def test_state_sections_ship_values_and_halts(self):
@@ -233,7 +239,9 @@ class TestTransport:
         assert shipped.frame == blob
         frame = parse_frame(shipped.frame, interner)
         assert (frame.worker_id, frame.superstep, frame.messages) == (2, 4, 2)
-        assert frame.point[interner.get("b")] == ([interner.get("a")], [0], [1.5])
+        assert frame.point == (
+            [interner.get("a")], [interner.get("b")], [0], [1.5]
+        )
 
     def test_failed_barrier_releases_unretrieved_frames(self, monkeypatch):
         """Worker 1's frame fails to parse: the barrier raises, the frames
@@ -336,6 +344,45 @@ def _random_plane(seed, payload_kind):
         columnar.absorb_frame(parse_frame(blob, run_state.interner))
     reference.canonicalize()
     return vertices, reference, columnar
+
+
+@dataclass(frozen=True)
+class Printed:
+    """Distinct ids that print alike."""
+
+    name: str
+    tag: int
+
+    def __repr__(self):
+        return self.name
+
+
+class TestFlatPointSort:
+    @pytest.mark.parametrize("framed", [False, True])
+    def test_equal_reprs_tie_by_worker_not_by_load_order(self, framed):
+        """A vertex created at a barrier has no load order; a source key
+        that fell back on it would put worker 1's message first."""
+        loaded, created = Printed("x", 0), Printed("x", 1)
+        run_state = ColumnarRunState()
+        workers = [
+            SimpleNamespace(edges={loaded: {}, "t": {}}),
+            SimpleNamespace(edges={}),
+        ]
+        run_state.ensure_index(workers, {loaded: 0, "t": 0})
+        run_state.note_vertex_added(created)
+        store = ColumnarMessageStore(run_state)
+        for worker_id, source, value in ((0, loaded, 0.0), (1, created, -0.0)):
+            outbox = ColumnarOutbox()
+            outbox.add_point(source, "t", value)
+            if framed:
+                blob = build_frame(
+                    _outbox_worker(outbox, worker_id), run_state.interner, 0
+                )
+                store.absorb_frame(parse_frame(blob, run_state.interner))
+            else:
+                store.absorb_outbox(worker_id, outbox)
+        assert store.inbox("t") == [(loaded, 0.0), (created, -0.0)]
+        assert repr(store.inbox_values("t")) == "[0.0, -0.0]"
 
 
 class TestCanonicalOrderProperty:

@@ -140,7 +140,7 @@ class TestRunSuperstep:
         outbox = worker.outbox
         assert outbox.bcast_sources == ["a"]
         assert outbox.bcast_column.values() == ["payload"]
-        assert outbox.point == {}
+        assert outbox.point_targets == []
         assert outbox.messages == 1
         assert worker.messages_sent == 1
         assert worker.bytes_sent > 0
