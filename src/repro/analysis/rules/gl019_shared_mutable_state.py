@@ -3,10 +3,10 @@
 A module global, a class-level attribute, or a closed-over mutable
 written from ``compute()`` is shared by *every* vertex, and neither
 backend makes that sharing well-defined. Under the processes backend
-each worker's writes land in its forked child and are lost at the
-barrier, so other workers and later supersteps never see them. Under
-the serial backend the value depends on vertex *iteration* order, which
-the Pregel model leaves undefined.
+each worker's writes land in its own pool child: other workers never
+see them, and they are gone whenever the pool re-forks (a topology
+change, a rollback). Under the serial backend the value depends on
+vertex *iteration* order, which the Pregel model leaves undefined.
 
 This is GL001's bigger sibling: GL001 catches per-*worker* state
 smuggled through instance attributes; GL019 catches per-*job* state
@@ -34,9 +34,9 @@ TITLE = "compute() mutates state shared across vertices"
 
 _HINT = (
     "keep per-vertex state in ctx.value and cross-vertex reductions in "
-    "aggregators; writes to a shared Python object are lost at the "
-    "barrier under processes, depend on vertex order under serial, and "
-    "break replay everywhere"
+    "aggregators; writes to a shared Python object stay inside each "
+    "worker's process under processes, depend on vertex order under "
+    "serial, and break replay everywhere"
 )
 
 
@@ -55,8 +55,8 @@ def check(context):
                 message = (
                     f"`{scope.name}` writes the class-level attribute "
                     f"`{write.name}` — one object shared by every vertex "
-                    "instance; its writes are lost at the barrier under the "
-                    "processes backend"
+                    "instance; under the processes backend its writes stay "
+                    "inside each worker's process, unseen by the others"
                 )
                 confidence = PROVEN
             else:

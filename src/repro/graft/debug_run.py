@@ -141,21 +141,29 @@ class GraftSession:
                 self.capture_count += len(records)
 
     # -- process-backend payload transfer ---------------------------------
-    # Under executor="processes" each step runs in a forked child, so the
+    # Under executor="processes" each step runs in a pool child, so the
     # records it buffered live in the child's memory. The engine calls
-    # collect_step_payload inside the child and absorb_step_payload in the
-    # parent at the barrier, after which draining proceeds as usual.
+    # collect_step_payload inside the child — which takes the buffers, so
+    # a child that runs the next superstep too never sends a record twice
+    # — and absorb_step_payload in the parent at the barrier, after which
+    # draining proceeds as usual. What the parent decides between steps
+    # and a step reads (the master's aggregator values, the capture
+    # limit) goes down with each superstep: step_state in the parent,
+    # load_step_state in the child.
 
     def collect_step_payload(self, worker_id):
-        return (
-            self._buffers.get(worker_id, []),
-            self._deferred.get(worker_id, []),
-        )
+        records, self._buffers[worker_id] = self._buffers[worker_id], []
+        deferred, self._deferred[worker_id] = self._deferred[worker_id], []
+        return records, deferred
 
     def absorb_step_payload(self, worker_id, payload):
-        records, deferred = payload
-        self._buffers[worker_id] = list(records)
-        self._deferred[worker_id] = list(deferred)
+        self._buffers[worker_id], self._deferred[worker_id] = payload
+
+    def step_state(self):
+        return self._current_aggregators, self.capture_limit_hit
+
+    def load_step_state(self, state):
+        self._current_aggregators, self.capture_limit_hit = state
 
     # -- engine listener hooks -------------------------------------------------
 

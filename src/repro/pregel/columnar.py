@@ -444,9 +444,12 @@ def build_frame(worker, interner, superstep):
     """Pack one worker's superstep products into a columnar frame.
 
     Carries the outbox (broadcast + point + fallback sections), the
-    worker's values and halt flags, and — only when ``edges_dirty`` — its
-    adjacency, so unmutated edge maps never cross the pipe again.
+    values and halt flags of the vertices the step computed
+    (``worker.active``, the only ones it can have changed), and — only
+    when ``edges_dirty`` — its adjacency, so unmutated edge maps never
+    cross the pipe again.
     """
+    vertices = worker.active
     outbox = worker.outbox
     index = interner.index
     writer = _SectionWriter()
@@ -487,15 +490,15 @@ def build_frame(worker, interner, superstep):
             outbox.point_column.encode(),
         )))
 
-    ids = array(_ID_TYPECODE, [index[v] for v in worker.values])
+    ids = array(_ID_TYPECODE, [index[v] for v in vertices]).tobytes()
+    values, halted = worker.values, worker.halted
     writer.add(SECTION_VALUES, b"".join((
-        _U32BE.pack(len(ids)), ids.tobytes(),
-        encode_values(list(worker.values.values()))[0],
+        _U32BE.pack(len(vertices)), ids,
+        encode_values([values[v] for v in vertices])[0],
     )))
     writer.add(SECTION_HALTED, b"".join((
-        _U32BE.pack(len(worker.halted)),
-        array(_ID_TYPECODE, [index[v] for v in worker.halted]).tobytes(),
-        bytes(1 if h else 0 for h in worker.halted.values()),
+        _U32BE.pack(len(vertices)), ids,
+        bytes([1 if halted[v] else 0 for v in vertices]),
     )))
     if worker.edges_dirty:
         writer.add(SECTION_EDGES, pickle.dumps(worker.edges, protocol=4))
@@ -509,8 +512,9 @@ class ParsedFrame:
     parallel ``(source_idx, target_idx, seq, value)`` column lists, where
     a target outside the interner has the index :data:`UNINTERNED`;
     ``fallback`` lists those targets' ids in column order. State
-    sections decode into ``values``/``halted`` dicts (insertion order
-    preserved — it is the compute order) and ``edges`` when shipped.
+    sections decode into ``values``/``halted`` dicts of the vertices the
+    step computed (in compute order), which the barrier merges into the
+    worker's own, and ``edges`` when shipped.
     """
 
     __slots__ = ("worker_id", "superstep", "messages", "edges_dirty",
@@ -565,11 +569,8 @@ def parse_frame(blob, interner):
         elif kind == SECTION_HALTED:
             (n,) = _U32BE.unpack_from(payload, 0)
             ids = _decode_u32_column(payload[4:4 + 4 * n])
-            flags = payload[4 + 4 * n:4 + 4 * n + n]
-            resolve = interner.ids
-            frame.halted = {
-                resolve[idx]: bool(flag) for idx, flag in zip(ids, flags)
-            }
+            flags = map(bool, payload[4 + 4 * n:4 + 4 * n + n])
+            frame.halted = dict(zip(map(interner.ids.__getitem__, ids), flags))
         elif kind == SECTION_EDGES:
             frame.edges = pickle.loads(payload)
         # Unknown sections are skipped: frames are same-build transport,
@@ -607,8 +608,7 @@ def _parse_keyed_column(payload, interner, frame):
     values, fell_back = decode_column(bytes(payload[4 + 4 * n:]))
     if fell_back:
         frame.pickle_fallbacks += 1
-    resolve = interner.ids
-    return {resolve[idx]: value for idx, value in zip(ids, values)}
+    return dict(zip(map(interner.ids.__getitem__, ids), values))
 
 
 # =====================================================================
@@ -616,22 +616,96 @@ def _parse_keyed_column(payload, interner, frame):
 # =====================================================================
 
 
+class ReverseIndex:
+    """The reverse adjacency one superstep's compact broadcasts expand
+    against, built on its first read.
+
+    ``in_lists`` maps a target idx to its in-neighbors' idxs, sorted by
+    ``(repr, owning worker, load order)``; ``missing_out`` maps a source
+    idx to its out-edge targets that did not exist when the index was
+    made (resolver candidates). Both are a pure function of the
+    adjacency the index was made under, so whichever process reads them
+    first — the parent at the barrier, or a forked worker reading its
+    inbox — builds the same index. The engine builds it before that
+    adjacency changes under it (:meth:`build`): at a worker's first edge
+    edit of a superstep, and before a barrier absorbs edited edges.
+    A job that never broadcasts never builds one.
+    """
+
+    __slots__ = ("_run_state", "_workers", "_locations", "_dangling",
+                 "_in_lists", "_missing_out")
+
+    def __init__(self, run_state, workers, locations, dangling):
+        self._run_state = run_state
+        self._workers = workers
+        self._locations = locations
+        #: Whether any edge target was missing when the index was made;
+        #: without one, ``missing_out`` is empty and needs no edge walk.
+        self._dangling = dangling
+        self._in_lists = None
+        self._missing_out = None if dangling else {}
+
+    @property
+    def built(self):
+        return self._in_lists is not None
+
+    @property
+    def in_lists(self):
+        if self._in_lists is None:
+            self.build()
+        return self._in_lists
+
+    @property
+    def missing_out(self):
+        if self._missing_out is None:
+            self.build()
+        return self._missing_out
+
+    def build(self):
+        """Build from the workers' adjacency now (no-op once built)."""
+        if self._in_lists is not None:
+            return
+        index = self._run_state.interner.index
+        in_lists = {}
+        for worker in self._workers:
+            for source_id, edge_map in worker.edges.items():
+                s_idx = index[source_id]
+                for target in edge_map:
+                    t_idx = index[target]
+                    lst = in_lists.get(t_idx)
+                    if lst is None:
+                        in_lists[t_idx] = [s_idx]
+                    else:
+                        lst.append(s_idx)
+        rank = self._run_state.ranks()[0]
+        for lst in in_lists.values():
+            lst.sort(key=rank.__getitem__)
+        self._in_lists = in_lists
+        if self._missing_out is None:
+            locations = self._locations
+            missing_out = {}
+            for worker in self._workers:
+                for source_id, edge_map in worker.edges.items():
+                    missing = tuple(t for t in edge_map if t not in locations)
+                    if missing:
+                        missing_out[index[source_id]] = missing
+            self._missing_out = missing_out
+
+
 class ColumnarRunState:
     """Everything the columnar plane derives from the graph topology.
 
-    Owned by the engine (parent); children inherit it read-only via fork.
-    The reverse-adjacency index (``in_lists``) is what lets a compact
-    broadcast record expand on the receiving side; it is rebuilt lazily
-    whenever a worker mutated adjacency or vertices were added/removed
-    with edges.
+    Owned by the engine (parent); children inherit it via fork. The
+    interner and the canonical ranks are brought up to date at the top of
+    every superstep after a topology change (:meth:`ensure_index`); the
+    reverse-adjacency index a compact broadcast record expands against
+    (:class:`ReverseIndex`, ``index``) is made there too, but built only
+    when something reads it.
     """
 
     def __init__(self):
         self.interner = VertexInterner()
-        self.in_lists = {}
-        #: source idx -> tuple of its out-edge target ids that did not
-        #: exist at index-build time (resolver candidates).
-        self.missing_out = {}
+        self.index = ReverseIndex(self, (), {}, False)
         self._stale = True
         self._load_order = {}
         self._rank = []
@@ -646,33 +720,22 @@ class ColumnarRunState:
     def _build(self, workers, locations):
         interner = self.interner
         intern = interner.intern
-        in_lists = {}
+        known = interner.index
         load_order = {}
         for worker in workers:
             for source_id, edge_map in worker.edges.items():
-                s_idx = intern(source_id)
-                load_order[s_idx] = len(load_order)
+                load_order[intern(source_id)] = len(load_order)
                 for target in edge_map:
-                    t_idx = intern(target)
-                    lst = in_lists.get(t_idx)
-                    if lst is None:
-                        in_lists[t_idx] = [s_idx]
-                    else:
-                        lst.append(s_idx)
+                    if target not in known:
+                        intern(target)
         # Canonical source order per inbox: (repr, owning worker, load
         # order) — compute order, so equal reprs tie by emission.
         self._load_order = load_order
-        rank = self._rank_ids()
-        for lst in in_lists.values():
-            lst.sort(key=rank.__getitem__)
-        self.in_lists = in_lists
-        missing_out = {}
-        for worker in workers:
-            for source_id, edge_map in worker.edges.items():
-                missing = tuple(t for t in edge_map if t not in locations)
-                if missing:
-                    missing_out[interner.index[source_id]] = missing
-        self.missing_out = missing_out
+        self._rank_ids()
+        dangling = len(interner) > len(locations) and any(
+            vertex_id not in locations for vertex_id in interner.ids
+        )
+        self.index = ReverseIndex(self, workers, locations, dangling)
         self._stale = False
 
     def _rank_ids(self):
@@ -710,10 +773,10 @@ class ColumnarRunState:
         """Adjacency changed: rebuild the reverse index before next use.
 
         The engine calls this whenever a barrier applied explicit vertex
-        mutations or a worker reported ``edges_dirty``. A rebuild makes
-        fresh dicts, and a :class:`ColumnarMessageStore` pins the ones it
-        was built under, so no compact broadcast record ever expands
-        against an index newer than its emit-time adjacency.
+        mutations or a worker reported ``edges_dirty``. A rebuild makes a
+        fresh :class:`ReverseIndex`, and a :class:`ColumnarMessageStore`
+        pins the one it was built under, so no compact broadcast record
+        ever expands against an index newer than its emit-time adjacency.
         """
         self._stale = True
 
@@ -767,8 +830,7 @@ class ColumnarMessageStore:
         # Pinned, not read through ``run_state``: inboxes are read one
         # superstep after emission, by which time a sender that rewired
         # its edges has had the index rebuilt from post-mutation adjacency.
-        self._in_lists = run_state.in_lists
-        self._missing_out = run_state.missing_out
+        self._index = run_state.index
         self._bcast = {}
         self._sources = []
         self._targets = []
@@ -784,13 +846,7 @@ class ColumnarMessageStore:
     def absorb_frame(self, frame):
         """Merge one worker's parsed frame (process backend)."""
         wid = frame.worker_id
-        bcast = self._bcast
-        for s_idx, seq, value in frame.bcast:
-            lst = bcast.get(s_idx)
-            if lst is None:
-                bcast[s_idx] = [(wid, seq, value)]
-            else:
-                lst.append((wid, seq, value))
+        self._absorb_bcast(wid, frame.bcast)
         sources, targets, seqs, values = frame.point
         if frame.fallback:
             interned = map(self._interner.intern, frame.fallback)
@@ -803,17 +859,10 @@ class ColumnarMessageStore:
     def absorb_outbox(self, worker_id, outbox):
         """Merge one worker's live outbox (same-address-space backends)."""
         index = self._interner.index
-        bcast = self._bcast
-        for source, seq, value in zip(
-            outbox.bcast_sources, outbox.bcast_seqs,
-            outbox.bcast_column.values(),
-        ):
-            s_idx = index[source]
-            lst = bcast.get(s_idx)
-            if lst is None:
-                bcast[s_idx] = [(worker_id, seq, value)]
-            else:
-                lst.append((worker_id, seq, value))
+        self._absorb_bcast(worker_id, zip(
+            [index[source] for source in outbox.bcast_sources],
+            outbox.bcast_seqs, outbox.bcast_column.values(),
+        ))
         if outbox.point_targets:
             self._absorb_points(
                 worker_id,
@@ -823,6 +872,16 @@ class ColumnarMessageStore:
                 outbox.point_column.values(),
             )
         self.total_messages += outbox.messages
+
+    def _absorb_bcast(self, worker_id, records):
+        """File ``(source idx, seq, value)`` compact broadcast records."""
+        bcast = self._bcast
+        for s_idx, seq, value in records:
+            lst = bcast.get(s_idx)
+            if lst is None:
+                bcast[s_idx] = [(worker_id, seq, value)]
+            else:
+                lst.append((worker_id, seq, value))
 
     def _intern_all(self, targets):
         """Target ids as interner indices. A target that does not exist
@@ -877,7 +936,9 @@ class ColumnarMessageStore:
         ordered_values = [values[i] for i in order]
         counts = Counter(targets)
         bcast = self._bcast
-        in_lists = self._in_lists
+        # Only a target that also receives compact broadcasts needs the
+        # reverse index; a job that never broadcasts never builds it.
+        in_lists = self._index.in_lists if bcast else {}
         start = 0
         for t_idx in sorted(counts, key=rank.__getitem__):
             end = start + counts[t_idx]
@@ -907,7 +968,7 @@ class ColumnarMessageStore:
             for i in positions
         ]
         bcast = self._bcast
-        for s_idx in self._in_lists.get(t_idx, ()):
+        for s_idx in self._index.in_lists.get(t_idx, ()):
             records = bcast.get(s_idx)
             if records:
                 key, source = repr_rank[s_idx], ids[s_idx]
@@ -922,9 +983,9 @@ class ColumnarMessageStore:
 
     def _in_list(self, target):
         t_idx = self._interner.index.get(target)
-        if t_idx is None:
+        if t_idx is None or not self._bcast:
             return ()
-        return self._in_lists.get(t_idx, ())
+        return self._index.in_lists.get(t_idx, ())
 
     def inbox_values(self, target):
         """Message values for ``target`` in canonical order (memoized)."""
@@ -1012,7 +1073,7 @@ class ColumnarMessageStore:
         found = {index[target] for target in self._point_inboxes()}
         bcast = self._bcast
         if bcast:
-            for t_idx, sources in self._in_lists.items():
+            for t_idx, sources in self._index.in_lists.items():
                 if t_idx not in found and any(s in bcast for s in sources):
                     found.add(t_idx)
         rank, _repr_rank = self._run_state.ranks()
@@ -1032,7 +1093,7 @@ class ColumnarMessageStore:
             if target not in locations
         }
         if self._bcast:
-            missing_out = self._missing_out
+            missing_out = self._index.missing_out
             for s_idx in self._bcast:
                 for target in missing_out.get(s_idx, ()):
                     if target not in locations:
@@ -1064,3 +1125,100 @@ class ColumnarMessageStore:
         store = MessageStore()
         store.deliver_inboxes(inboxes)
         return store.settle(superstep, schedule, combiner)
+
+
+# =====================================================================
+# Inboxes shipped down to persistent workers
+# =====================================================================
+
+
+def pack_inboxes(store, interner, owners_of, num_workers):
+    """One superstep's deliveries, packed for the workers that read them.
+
+    ``store`` is the barrier's outgoing store, settled or packed. Returns
+    ``(point, bcast)``: ``point[w]`` holds every complete inbox of worker
+    ``w``'s targets, in the store's order, as ``u32be n | target idx[n] |
+    count[n] | source idx[sum(count)] | value column``, where a combined
+    inbox's source None travels as :data:`UNINTERNED`; ``bcast`` holds a
+    packed store's compact broadcast records as ``u32be n | source idx[n]
+    | worker id[n] | seq[n] | value column`` (``b""`` when there are
+    none), which every worker expands against its own reverse index.
+    ``owners_of(targets)`` lists the workers that compute ``targets``.
+    """
+    if isinstance(store, ColumnarMessageStore):
+        inboxes, records = store._point_inboxes(), store._bcast
+    else:
+        inboxes, records = store._by_target, None
+    index = interner.index
+    buckets = [[] for _ in range(num_workers)]
+    for item, owner in zip(inboxes.items(), owners_of(inboxes)):
+        buckets[owner].append(item)
+    point = []
+    for bucket in buckets:
+        sources = [
+            UNINTERNED if source is None else index[source]
+            for _target, (column, _values) in bucket for source in column
+        ]
+        values = [
+            value for _target, (_sources, column) in bucket for value in column
+        ]
+        point.append(b"".join((
+            _U32BE.pack(len(bucket)),
+            _encode_u32_column([index[target] for target, _inbox in bucket]),
+            _encode_u32_column([len(inbox[1]) for _target, inbox in bucket]),
+            _encode_u32_column(sources),
+            encode_values(values)[0],
+        )))
+    bcast = b""
+    if records:
+        sources = [s_idx for s_idx, lst in records.items() for _ in lst]
+        workers, seqs, values = zip(*[
+            record for lst in records.values() for record in lst
+        ])
+        bcast = b"".join((
+            _U32BE.pack(len(sources)),
+            _encode_u32_column(sources),
+            _encode_u32_column(workers),
+            _encode_u32_column(seqs),
+            encode_values(list(values))[0],
+        ))
+    return point, bcast
+
+
+def unpack_inboxes(run_state, point, bcast):
+    """The :class:`ColumnarMessageStore` a worker reads a shipped
+    superstep from: ``point`` and ``bcast`` as :func:`pack_inboxes`
+    made them, expanded against this process's own reverse index."""
+    store = ColumnarMessageStore(run_state)
+    ids = run_state.interner.ids
+    (n,) = _U32BE.unpack_from(point, 0)
+    view = memoryview(point)
+    targets = _decode_u32_column(view[4:4 + 4 * n])
+    counts = _decode_u32_column(view[4 + 4 * n:4 + 8 * n])
+    end = 4 + 8 * n + 4 * sum(counts)
+    sources = [
+        None if s_idx == UNINTERNED else ids[s_idx]
+        for s_idx in _decode_u32_column(view[4 + 8 * n:end])
+    ]
+    values = decode_column(point[end:])[0]
+    inboxes = store._point = {}
+    start = 0
+    for t_idx, count in zip(targets, counts):
+        stop = start + count
+        inboxes[ids[t_idx]] = (sources[start:stop], values[start:stop])
+        start = stop
+    if bcast:
+        (n,) = _U32BE.unpack_from(bcast, 0)
+        view = memoryview(bcast)
+        sources = _decode_u32_column(view[4:4 + 4 * n])
+        workers = _decode_u32_column(view[4 + 4 * n:4 + 8 * n])
+        seqs = _decode_u32_column(view[4 + 8 * n:4 + 12 * n])
+        values = decode_column(bcast[4 + 12 * n:])[0]
+        records = store._bcast
+        for s_idx, worker_id, seq, value in zip(sources, workers, seqs, values):
+            lst = records.get(s_idx)
+            if lst is None:
+                records[s_idx] = [(worker_id, seq, value)]
+            else:
+                lst.append((worker_id, seq, value))
+    return store

@@ -74,11 +74,14 @@ class ComputeServices:
         """Request vertex removal at the coming barrier."""
         raise NotImplementedError
 
-    def note_edges_mutated(self):
-        """Record an in-place adjacency edit (columnar-index taint).
+    def note_edges_mutated(self, delta=0):
+        """Record an in-place adjacency edit (columnar-index taint),
+        called just before the edit; ``delta`` is what it will change
+        the vertex's out-degree by.
 
         Default is a no-op so replay hosts stay trivial; workers override
-        it to taint broadcast compaction for the rest of the superstep.
+        it to taint broadcast compaction for the rest of the superstep
+        and to keep their edge count.
         """
 
 
@@ -158,18 +161,18 @@ class ComputeContext:
             raise PregelError(
                 f"vertex {self.vertex_id!r} has no edge to {target!r}"
             )
-        self._edges[target] = value
         self._services.note_edges_mutated()
+        self._edges[target] = value
 
     def add_edge(self, target, value=None):
         """Add a local outgoing edge, effective immediately."""
+        self._services.note_edges_mutated(0 if target in self._edges else 1)
         self._edges[target] = value
-        self._services.note_edges_mutated()
 
     def remove_edge(self, target):
         """Remove a local outgoing edge, effective immediately."""
+        self._services.note_edges_mutated(-1 if target in self._edges else 0)
         self._edges.pop(target, None)
-        self._services.note_edges_mutated()
 
     # -- messages -----------------------------------------------------------
 

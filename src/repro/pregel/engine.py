@@ -14,15 +14,18 @@
    and checks termination.
 
 Superstep execution is split into two layers. Each worker's share of a
-superstep is packaged as a *step*: a closure that prepares the worker,
-runs ``compute()`` over its active vertices against a private packed
-outbox and aggregator buffer, and returns a
+superstep is one call of the engine's step function (:meth:`PregelEngine._step`):
+it prepares the worker, runs ``compute()`` over its active vertices
+against a private packed outbox and aggregator buffer, and returns a
 :class:`~repro.pregel.runtime.StepOutcome`. An
 :class:`~repro.pregel.runtime.ExecutionBackend` (``executor="serial" |
-"processes"``) schedules the steps — under ``processes`` the pickled
-outcome, its packed frame included as plain bytes, is all that crosses
-back from a child — and the engine then reduces
-all outcomes at the barrier **in worker-id order** — message merge,
+"processes"``) schedules the steps. Under ``processes`` they run in a
+pool of forked children that persists while the parent's state matches
+what the children inherited: each superstep the parent sends a child
+its inboxes and the superstep's scalars, and the pickled outcome — a
+packed frame of the outbox and the computed vertices' new state, as
+plain bytes — is all that crosses back. The engine then reduces all
+outcomes at the barrier **in worker-id order** — message merge,
 mutation application, aggregator partial fold, error selection — so
 results, aggregator values, and Graft trace files are identical whichever
 backend ran the steps.
@@ -30,14 +33,18 @@ backend ran the steps.
 Listeners observe superstep boundaries — this is where Graft hooks in its
 master-context capture and per-superstep trace flushing without the engine
 knowing anything about the debugger. Listeners that buffer per-worker data
-during steps may implement two extra hooks used by state-transferring
+during steps may implement extra hooks used by state-transferring
 backends (``processes``): ``collect_step_payload(worker_id)`` runs inside
-the step's address space and returns picklable data;
+the step's address space and returns (and forgets) picklable data;
 ``absorb_step_payload(worker_id, payload)`` replays it in the parent at
-the barrier. ``on_superstep_aborted(superstep, worker_id)`` fires when a
-step's fatal error is about to propagate.
+the barrier; ``step_state()`` returns the picklable state a step reads
+that the parent sets between steps, which ``load_step_state(state)``
+installs in a pool child before each superstep it is sent.
+``on_superstep_aborted(superstep, worker_id)`` fires when a step's fatal
+error is about to propagate.
 """
 
+import functools
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -57,7 +64,9 @@ from repro.pregel.columnar import (
     ColumnarMessageStore,
     ColumnarRunState,
     build_frame,
+    pack_inboxes,
     parse_frame,
+    unpack_inboxes,
 )
 from repro.pregel.checkpoint import (
     WorkerFailure,
@@ -70,7 +79,7 @@ from repro.pregel.master import MasterContext, ensure_master, run_master
 from repro.pregel.messages import MessageStore
 from repro.pregel.metrics import RunMetrics, SuperstepMetrics, sample_peak_memory
 from repro.pregel.partition import HashPartitioner
-from repro.pregel.runtime import StepOutcome, resolve_backend
+from repro.pregel.runtime import StepBatch, StepOutcome, resolve_backend
 from repro.pregel.worker import SpilledWorker, Worker
 
 DEFAULT_MAX_SUPERSTEPS = 10_000
@@ -267,6 +276,11 @@ class PregelEngine:
                 num_workers, num_partitions=num_partitions
             )
         self._num_workers = self._partitioner.num_workers
+        #: partition id -> the worker that runs it.
+        self._partition_owners = [
+            self._partitioner.worker_of_partition(partition_id)
+            for partition_id in range(self._partitioner.num_partitions)
+        ]
         self._backend = resolve_backend(executor, self._num_workers)
         self._transfers_state = self._backend.transfers_state_for(
             self._num_workers
@@ -433,16 +447,19 @@ class PregelEngine:
 
     # -- worker steps -------------------------------------------------------
 
-    def _make_step(self, worker, computation, superstep, incoming,
-                   num_vertices, num_edges, payload_collectors, fault=None):
-        """Package one worker's share of a superstep as a pure step function.
+    def _step(self, worker_id, superstep, incoming, num_vertices, num_edges,
+              fault=None):
+        """Run one worker's share of a superstep; return its outcome.
 
-        The step touches only the worker's own state, a fresh aggregator
-        buffer, and the immutable ``incoming`` store, so steps share no
-        mutable state and their order cannot change the barrier's input.
-        Fatal compute errors are returned in the outcome (not raised) so
-        sibling steps aren't torn down mid-superstep; the engine re-raises
-        deterministically afterwards.
+        The one step function: serial runs it in place, and a pool child
+        of the process backend runs it on its own copy of the engine —
+        inherited through the fork, or resumed with the inbox the parent
+        sent (:meth:`_resume_step`). It touches only the worker's own
+        state, a fresh aggregator buffer, and the immutable ``incoming``
+        store, so steps share no mutable state and their order cannot
+        change the barrier's input. Fatal compute errors are returned in
+        the outcome (not raised) so sibling steps aren't torn down
+        mid-superstep; the engine re-raises deterministically afterwards.
 
         ``fault`` is a chaos decision made in the parent *before* the step
         is scheduled (so it is backend-independent): an optional
@@ -451,70 +468,131 @@ class PregelEngine:
         deliberately not caught here, because it models the machine dying,
         not user code failing.
         """
+        worker = self.workers[worker_id]
         transfers_state = self._transfers_state
-        on_error = self._on_error
         spill = self._store is not None
-        delay = fault.get("delay") if fault else None
-        crash_after = fault.get("crash_after") if fault else None
+        buffer = self.aggregators.buffer()
+        worker.prepare_superstep(
+            buffer, None if spill else self._run_state.index
+        )
+        error = None
+        if fault and fault.get("delay"):
+            time.sleep(fault["delay"])
+        with Timer() as timer:
+            try:
+                worker.run_superstep(
+                    self._computations[worker_id],
+                    superstep,
+                    incoming,
+                    num_vertices,
+                    num_edges,
+                    on_error=self._on_error,
+                    crash_after_calls=fault.get("crash_after") if fault else None,
+                )
+            except ComputeError as exc:
+                error = exc
+        payloads = None
+        state = None
+        frame = None
+        # Same-address-space backends hand the live packed outbox to
+        # the barrier; the spill plane's messages are already in the
+        # worker's run file and the barrier wants only its summary.
+        outbox = None if spill or transfers_state else worker.outbox
+        if spill:
+            state = worker.collect_spill_state()
+        if transfers_state:
+            payloads = [
+                listener.collect_step_payload(worker_id)
+                for listener in self._payload_listeners
+            ]
+            if not spill:
+                # Pack outbox + the computed vertices' values and halt
+                # flags (+ adjacency only when mutated) into one flat
+                # frame of bytes that rides the outcome; nothing
+                # per-message is pickled.
+                frame = build_frame(
+                    worker, self._run_state.interner, superstep
+                )
+        return StepOutcome(
+            worker_id=worker_id,
+            elapsed=timer.elapsed,
+            outbox=outbox,
+            agg_partials=buffer.partials,
+            add_vertex_requests=worker.add_vertex_requests,
+            remove_vertex_requests=worker.remove_vertex_requests,
+            messages_sent=worker.messages_sent,
+            bytes_sent=worker.bytes_sent,
+            compute_calls=worker.compute_calls,
+            compute_errors=worker.compute_errors,
+            error=error,
+            state=state,
+            payloads=payloads,
+            frame=frame,
+        )
 
-        def step():
-            buffer = self.aggregators.buffer()
-            worker.prepare_superstep(buffer)
-            error = None
-            if delay:
-                time.sleep(delay)
-            with Timer() as timer:
-                try:
-                    worker.run_superstep(
-                        computation,
-                        superstep,
-                        incoming,
-                        num_vertices,
-                        num_edges,
-                        on_error=on_error,
-                        crash_after_calls=crash_after,
-                    )
-                except ComputeError as exc:
-                    error = exc
-            payloads = None
-            state = None
-            frame = None
-            # Same-address-space backends hand the live packed outbox to
-            # the barrier; the spill plane's messages are already in the
-            # worker's run file and the barrier wants only its summary.
-            outbox = None if spill or transfers_state else worker.outbox
-            if spill:
-                state = worker.collect_spill_state()
-            if transfers_state:
-                payloads = [
-                    collector(worker.worker_id)
-                    for collector in payload_collectors
-                ]
-                if not spill:
-                    # Pack outbox + values + halt flags (+ adjacency only
-                    # when mutated) into one flat frame of bytes that rides
-                    # the outcome; nothing per-message is pickled.
-                    frame = build_frame(
-                        worker, self._run_state.interner, superstep
-                    )
-            return StepOutcome(
-                worker_id=worker.worker_id,
-                elapsed=timer.elapsed,
-                outbox=outbox,
-                agg_partials=buffer.partials,
-                add_vertex_requests=worker.add_vertex_requests,
-                remove_vertex_requests=worker.remove_vertex_requests,
-                messages_sent=worker.messages_sent,
-                bytes_sent=worker.bytes_sent,
-                compute_calls=worker.compute_calls,
-                compute_errors=worker.compute_errors,
-                error=error,
-                state=state,
-                payloads=payloads,
-                frame=frame,
+    def _step_batch(self, superstep, incoming, num_vertices, num_edges,
+                    faults):
+        """This superstep's steps, one per worker, for the backend.
+
+        On the in-memory plane the batch is resumable: a pool child that
+        ran the previous superstep runs this one from a request
+        (:meth:`_step_requests`) instead of being forked again. The spill
+        plane's children write the fork-shared spill area, so its batch
+        is not, and the backend forks it afresh.
+        """
+        steps = [
+            functools.partial(
+                self._step, worker_id, superstep, incoming, num_vertices,
+                num_edges, faults[worker_id],
             )
+            for worker_id in range(self._num_workers)
+        ]
+        if self._store is not None:
+            return steps
+        return StepBatch(
+            steps,
+            requests=lambda: self._step_requests(
+                superstep, incoming, num_vertices, num_edges, faults
+            ),
+            resume=self._resume_step,
+        )
 
-        return step
+    def _step_requests(self, superstep, incoming, num_vertices, num_edges,
+                       faults):
+        """One picklable request per worker: what a pool child needs to
+        run this superstep on top of the previous one. Counts the packed
+        inbox bytes in ``_shipped_bytes``."""
+        point, bcast = pack_inboxes(
+            incoming, self._run_state.interner, self._owner_ids,
+            self._num_workers,
+        )
+        self._shipped_bytes += sum(map(len, point)) + len(bcast) * len(point)
+        aggregators = self.aggregators.visible_snapshot()
+        states = [listener.step_state() for listener in self._state_listeners]
+        return [
+            (worker_id, superstep, num_vertices, num_edges, aggregators,
+             faults[worker_id], states, point[worker_id], bcast)
+            for worker_id in range(self._num_workers)
+        ]
+
+    def _resume_step(self, request):
+        """Run a superstep in a pool child from the parent's request."""
+        (worker_id, superstep, num_vertices, num_edges, aggregators, fault,
+         states, point, bcast) = request
+        self.aggregators.restore_snapshot(aggregators)
+        for listener, state in zip(self._state_listeners, states):
+            listener.load_step_state(state)
+        incoming = unpack_inboxes(self._run_state, point, bcast)
+        return self._step(
+            worker_id, superstep, incoming, num_vertices, num_edges, fault
+        )
+
+    def _owner_ids(self, vertex_ids):
+        """The ids of the workers that compute ``vertex_ids``."""
+        return map(
+            self._partition_owners.__getitem__,
+            map(self._locations.__getitem__, vertex_ids),
+        )
 
     # -- the BSP loop -------------------------------------------------------
 
@@ -531,13 +609,18 @@ class PregelEngine:
     def _run(self):
         self._load()
         self._notify("on_start", self)
-        payload_collectors = [
+        # Listeners that buffer per-worker data in a step's address space
+        # (``collect_step_payload``), and those whose per-superstep state
+        # a pool child must be sent (``step_state``).
+        self._payload_listeners = [
             listener
             for listener in self._listeners
             if hasattr(listener, "collect_step_payload")
         ]
-        collector_hooks = [
-            listener.collect_step_payload for listener in payload_collectors
+        self._state_listeners = [
+            listener
+            for listener in self._listeners
+            if hasattr(listener, "step_state")
         ]
 
         metrics = RunMetrics()
@@ -584,30 +667,21 @@ class PregelEngine:
                     halt_reason = halting.MASTER_HALT
                     break
                 if self._run_state is not None:
-                    # Rebuild the interner/reverse-adjacency index if a
-                    # prior barrier invalidated it — before steps are
-                    # packaged, so forked children inherit it.
+                    # Re-intern and re-rank if a prior barrier changed the
+                    # topology — before steps are packaged, so forked
+                    # children inherit it.
                     self._run_state.ensure_index(self.workers, self._locations)
 
-                steps = [
-                    self._make_step(
-                        worker,
-                        computation,
-                        superstep,
-                        incoming,
-                        num_vertices,
-                        num_edges,
-                        collector_hooks,
-                        fault=(
-                            injector.step_fault(superstep, worker.worker_id)
-                            if injector is not None
-                            else None
-                        ),
-                    )
-                    for worker, computation in zip(
-                        self.workers, self._computations
-                    )
-                ]
+                steps = self._step_batch(
+                    superstep, incoming, num_vertices, num_edges,
+                    [
+                        injector.step_fault(superstep, worker_id)
+                        if injector is not None
+                        else None
+                        for worker_id in range(self._num_workers)
+                    ],
+                )
+                self._shipped_bytes = 0
                 try:
                     if self._store is not None:
                         # A crashed earlier attempt may have left torn run
@@ -630,6 +704,7 @@ class PregelEngine:
                         superstep, recovered=superstep <= max_completed
                     )
                     superstep_metrics.wall_seconds = wall_timer.elapsed
+                    superstep_metrics.transport_bytes += self._shipped_bytes
                     for outcome in outcomes:
                         superstep_metrics.compute_seconds += outcome.elapsed
                         superstep_metrics.compute_calls += outcome.compute_calls
@@ -645,9 +720,7 @@ class PregelEngine:
                         )
                         compute_errors.extend(outcome.compute_errors)
 
-                    outgoing = self._barrier(
-                        outcomes, superstep_metrics, payload_collectors
-                    )
+                    outgoing = self._barrier(outcomes, superstep_metrics)
                     superstep_metrics.peak_memory_bytes = sample_peak_memory()
                     metrics.add_superstep(superstep_metrics)
                     self._notify("on_superstep_end", superstep, superstep_metrics)
@@ -754,6 +827,7 @@ class PregelEngine:
                 self.workers, checkpoint, self._partitioner, self._locations
             )
             self.aggregators.restore_snapshot(checkpoint["aggregators"])
+            self._backend.discard()
             if self._run_state is not None:
                 # Restored adjacency may predate the current reverse
                 # index; rebuild before the next columnar superstep.
@@ -764,7 +838,7 @@ class PregelEngine:
             + (f" (skipped {len(skipped)} corrupt candidate(s))" if skipped else "")
         )
 
-    def _barrier(self, outcomes, superstep_metrics, payload_collectors):
+    def _barrier(self, outcomes, superstep_metrics):
         """Reduce step outcomes in worker-id order.
 
         Every reduction here is a deterministic fold over ``outcomes``
@@ -776,7 +850,7 @@ class PregelEngine:
         if self._transfers_state:
             for outcome in outcomes:
                 for listener, payload in zip(
-                    payload_collectors, outcome.payloads
+                    self._payload_listeners, outcome.payloads
                 ):
                     listener.absorb_step_payload(outcome.worker_id, payload)
         if self._store is not None:
@@ -797,23 +871,34 @@ class PregelEngine:
         values)`` columns first (see "Settling" in ``docs/columnar.md``).
         """
         run_state = self._run_state
-        transfers = self._transfers_state
+        interned = len(run_state.interner)
         store = ColumnarMessageStore(run_state)
-        any_dirty = False
-        for outcome in outcomes:
-            if transfers:
+        if self._transfers_state:
+            frames = [
+                parse_frame(outcome.frame, run_state.interner)
+                for outcome in outcomes
+            ]
+            any_dirty = any(frame.edges_dirty for frame in frames)
+            if any_dirty and any(frame.bcast for frame in frames):
+                # The store's compact broadcasts expand against the
+                # adjacency they were emitted under: build the index from
+                # it before the edited edges replace it.
+                run_state.index.build()
+            for outcome, frame in zip(outcomes, frames):
                 superstep_metrics.transport_bytes += len(outcome.frame)
-                frame = parse_frame(outcome.frame, run_state.interner)
                 superstep_metrics.transport_batches += frame.batches
                 superstep_metrics.pickle_fallbacks += frame.pickle_fallbacks
+                # The frame carries the computed vertices only; the
+                # parent's dicts stay the authority for everything else.
                 worker = self.workers[outcome.worker_id]
-                worker.values = frame.values
-                worker.halted = frame.halted
+                worker.values.update(frame.values)
+                worker.halted.update(frame.halted)
                 if frame.edges is not None:
-                    worker.edges = frame.edges
-                any_dirty |= frame.edges_dirty
+                    worker.replace_edges(frame.edges)
                 store.absorb_frame(frame)
-            else:
+        else:
+            any_dirty = False
+            for outcome in outcomes:
                 outbox = outcome.outbox
                 superstep_metrics.transport_batches += outbox.batch_count()
                 any_dirty |= self.workers[outcome.worker_id].edges_dirty
@@ -825,8 +910,10 @@ class PregelEngine:
         if any_dirty or mutating:
             # The reverse index is stale for the *next* superstep; this
             # superstep's store pinned the one its compact broadcasts
-            # (from clean workers only) were emitted under.
+            # (from clean workers only) were emitted under. Pool children
+            # hold the old topology: the next superstep forks anew.
             run_state.invalidate()
+            self._backend.discard()
         schedule = self._delivery_schedule
         combiner = self._combiner
         # Settle in the parent, so a permutation is a pure function of
@@ -845,6 +932,10 @@ class PregelEngine:
         superstep_metrics.inboxes_permuted = outgoing.permuted
         superstep_metrics.messages_combined = outgoing.eliminated
         self._apply_mutations(outcomes, outgoing)
+        if len(run_state.interner) != interned:
+            # Children address ids by interner index: they must inherit
+            # the grown table.
+            self._backend.discard()
         return outgoing
 
     def _spill_barrier(self, outcomes, superstep_metrics):
@@ -959,6 +1050,7 @@ class PregelEngine:
             )
         self._locations[vertex_id] = partition_id
         self.workers[worker_index].load_vertex(vertex_id, value, {})
+        self._backend.discard()
         if self._run_state is not None:
             self._run_state.note_vertex_added(vertex_id)
 

@@ -32,12 +32,19 @@ class _WorkerServices(ComputeServices):
     def aggregate(self, name, contribution):
         self._worker._aggregators.aggregate(name, contribution)
 
-    def note_edges_mutated(self):
+    def note_edges_mutated(self, delta=0):
         # One worker-wide flag: any in-place adjacency edit this superstep
         # taints broadcast-compaction and forces the engine to rebuild the
         # reverse index (and, under the process backend, to ship this
-        # worker's edges back).
-        self._worker.edges_dirty = True
+        # worker's edges back). Called before the edit: the first one
+        # builds the reverse index this superstep's compact broadcasts
+        # expand against, while the adjacency is still what they saw.
+        worker = self._worker
+        if not worker.edges_dirty:
+            worker.edges_dirty = True
+            if worker.reverse_index is not None:
+                worker.reverse_index.build()
+        worker.edge_count += delta
 
     # Emission goes into the worker's packed outbox (one flat set of point
     # columns in memory, per-partition run columns on the spill plane). A
@@ -127,10 +134,17 @@ class Worker:
         self.values = {}
         self.edges = {}
         self.halted = {}
+        #: Out-edges over all of ``edges``, kept up to date by every
+        #: change rather than recounted each superstep.
+        self.edge_count = 0
         self._services = _WorkerServices(self)
         self._aggregators = None
+        self.reverse_index = None
         # Per-superstep outputs, reset by prepare_superstep():
         self.outbox = ColumnarOutbox()
+        #: The vertices of the last compute loop, in compute order: the
+        #: only ones whose value or halt flag the superstep can change.
+        self.active = []
         self.edges_dirty = False
         self.add_vertex_requests = []
         self.remove_vertex_requests = []
@@ -143,13 +157,15 @@ class Worker:
 
     def load_vertex(self, vertex_id, value, edge_map):
         """Place a vertex on this worker (initial load or barrier creation)."""
+        edges = dict(edge_map)
+        self.edge_count += len(edges) - len(self.edges.get(vertex_id, ()))
         self.values[vertex_id] = value
-        self.edges[vertex_id] = dict(edge_map)
+        self.edges[vertex_id] = edges
         self.halted[vertex_id] = False
 
     def remove_vertex(self, vertex_id):
         self.values.pop(vertex_id, None)
-        self.edges.pop(vertex_id, None)
+        self.edge_count -= len(self.edges.pop(vertex_id, ()))
         self.halted.pop(vertex_id, None)
 
     def has_vertex(self, vertex_id):
@@ -169,8 +185,14 @@ class Worker:
     def restore_state(self, values, edges, halted):
         """Overwrite this worker's full vertex state (checkpoint restore)."""
         self.values = values
-        self.edges = edges
         self.halted = halted
+        self.replace_edges(edges)
+
+    def replace_edges(self, edges):
+        """Adopt a whole new adjacency (checkpoint restore, or the edges
+        a step in another address space edited) and recount it."""
+        self.edges = edges
+        self.edge_count = sum(map(len, edges.values()))
 
     @property
     def num_vertices(self):
@@ -178,11 +200,11 @@ class Worker:
 
     @property
     def num_edges(self):
-        return sum(len(edge_map) for edge_map in self.edges.values())
+        return self.edge_count
 
     # -- superstep execution -------------------------------------------------
 
-    def prepare_superstep(self, aggregators):
+    def prepare_superstep(self, aggregators, reverse_index=None):
         """Reset per-superstep outputs and bind the aggregator sink.
 
         ``aggregators`` is anything with ``visible_value``/``aggregate`` —
@@ -190,9 +212,14 @@ class Worker:
         (serial semantics) or a worker-local
         :class:`~repro.pregel.aggregators.AggregatorBuffer` (what the
         engine's backends hand out so steps never share mutable state).
+        ``reverse_index`` is the in-memory plane's
+        :class:`~repro.pregel.columnar.ReverseIndex` for this superstep,
+        built before the worker's first edge edit.
         """
         self._aggregators = aggregators
+        self.reverse_index = reverse_index
         self.outbox = ColumnarOutbox()
+        self.active = []
         self.edges_dirty = False
         self.add_vertex_requests = []
         self.remove_vertex_requests = []
@@ -255,7 +282,8 @@ class Worker:
         ``halted`` at one partition page at a time and re-run this loop per
         partition — the loop itself is store-agnostic.
         """
-        for vertex_id in self.active_vertices(superstep, message_store):
+        self.active = self.active_vertices(superstep, message_store)
+        for vertex_id in self.active:
             if (
                 crash_after_calls is not None
                 and self.compute_calls >= crash_after_calls

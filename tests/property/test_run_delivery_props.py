@@ -245,7 +245,9 @@ def test_column_runs_deliver_the_oracle_inboxes(
     packed = ColumnarMessageStore(run_state)
     worker_sends = []
     for worker in memory_workers:
-        worker.prepare_superstep(None)
+        # As the engine does: the worker's first edge edit builds the
+        # reverse index its compact broadcasts expand against.
+        worker.prepare_superstep(None, run_state.index)
         worker_sends.append(_run_step(program, worker, values_only))
         if framed:
             frame = build_frame(worker, run_state.interner, SUPERSTEP - 1)

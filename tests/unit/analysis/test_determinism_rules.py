@@ -428,7 +428,10 @@ class TestGL019SharedMutableState:
         )
         assert finding.confidence == PROVEN
         # The hazards named are those of the two executors that exist.
-        assert "lost at the barrier under the processes backend" in finding.message
+        assert (
+            "under the processes backend its writes stay inside each "
+            "worker's process" in finding.message
+        )
         assert "vertex order under serial" in finding.hint
 
     def test_closure_mutation_is_likely(self):

@@ -147,6 +147,7 @@ def _outbox_worker(outbox, worker_id=0, edges_dirty=False):
         values={},
         halted={},
         edges={},
+        active=[],
     )
 
 
@@ -192,13 +193,15 @@ class TestFrames:
         for vid in ("a", "b"):
             interner.intern(vid)
         worker = _outbox_worker(ColumnarOutbox(), worker_id=1)
-        worker.values = {"a": 0.25, "b": 0.75}
-        worker.halted = {"a": False, "b": True}
+        worker.values = {"a": 0.25, "b": 0.75, "c": 0.5}
+        worker.halted = {"a": False, "b": True, "c": False}
         worker.edges = {"a": {"b": None}}
+        # Only the vertices the step computed travel, in compute order.
+        worker.active = ["b", "a"]
         blob = build_frame(worker, interner, 2)
         frame = parse_frame(blob, interner)
-        assert frame.values == worker.values
-        assert frame.halted == worker.halted
+        assert list(frame.values.items()) == [("b", 0.75), ("a", 0.25)]
+        assert list(frame.halted.items()) == [("b", True), ("a", False)]
         assert frame.edges is None  # clean adjacency never ships
 
     def test_dirty_adjacency_ships_edges(self):
@@ -210,6 +213,7 @@ class TestFrames:
         worker.values = {"a": 1.0}
         worker.halted = {"a": False}
         worker.edges = {"a": {"z": 4}}
+        worker.active = ["a"]
         blob = build_frame(worker, interner, 2)
         frame = parse_frame(blob, interner)
         assert frame.edges_dirty
@@ -277,6 +281,42 @@ class TestTransport:
                 executor="serial",
             ).vertex_values
         )
+
+
+class TestLazyReverseIndex:
+    """The reverse index is built on the first compact-broadcast read."""
+
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
+    def test_sssp_run_never_builds_it(self, executor):
+        from repro.algorithms import ShortestPaths
+        from repro.datasets import load_dataset
+        from repro.pregel import MinCombiner, PregelEngine
+
+        engine = PregelEngine(
+            lambda: ShortestPaths(0),
+            load_dataset("web-BS", num_vertices=80, seed=3),
+            num_workers=2, executor=executor, combiner=MinCombiner(),
+        )
+        assert engine.run().num_supersteps > 2
+        assert not engine._run_state.index.built
+
+    def test_a_broadcast_builds_it_when_its_inbox_is_read(self):
+        from repro.algorithms import PageRank
+        from repro.datasets import load_dataset
+        from repro.pregel import PregelEngine
+
+        built = []
+        engine = PregelEngine(
+            lambda: PageRank(iterations=2),
+            load_dataset("web-BS", num_vertices=40, seed=3), num_workers=2,
+            listeners=[SimpleNamespace(on_superstep_end=lambda step, _: (
+                built.append(engine._run_state.index.built)
+            ))],
+        )
+        engine.run()
+        # Superstep 0 reads no inbox; superstep 1 reads superstep 0's
+        # broadcasts.
+        assert built == [False, True, True]
 
 
 # ---------------------------------------------------------------------------

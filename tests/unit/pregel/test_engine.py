@@ -163,6 +163,50 @@ class TestMutations:
         assert all(v == 0 for v in result.vertex_values.values())
 
 
+class EditsEdges(Computation):
+    """Edits its edges for three supersteps; remembers the edge count
+    every superstep saw. On a 6-cycle (6 edges): +2 each at superstep 0
+    (re-adding an existing edge changes nothing), -1 each at 1 (removing
+    a missing edge changes nothing), values only at 2, and vertex 5 is
+    removed at that barrier, taking its 2 edges with it."""
+
+    def initial_value(self, vertex_id, input_value):
+        return ()
+
+    def compute(self, ctx, messages):
+        ctx.set_value(ctx.value + (ctx.num_edges,))
+        vertex, step = ctx.vertex_id, ctx.superstep
+        if step == 0:
+            ctx.add_edge((vertex + 1) % 6)
+            ctx.add_edge((vertex + 2) % 6)
+            ctx.add_edge((vertex + 3) % 6)
+        elif step == 1:
+            ctx.remove_edge((vertex + 2) % 6)
+            ctx.remove_edge("nope")
+        elif step == 2:
+            ctx.set_edge_value((vertex + 1) % 6, 5)
+            if vertex == 0:
+                ctx.remove_vertex_request(5)
+        else:
+            ctx.vote_to_halt()
+
+
+class TestEdgeCount:
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
+    def test_maintained_count_matches_a_recount(self, executor):
+        graph = GraphBuilder().cycle(*range(6)).build()
+        engine = PregelEngine(
+            EditsEdges, graph, num_workers=2, executor=executor
+        )
+        result = engine.run()
+        for worker in engine.workers:
+            assert worker.num_edges == sum(map(len, worker.edges.values()))
+        assert engine.num_edges == 10
+        assert result.vertex_values == {
+            vertex: (6, 18, 12, 10) for vertex in range(5)
+        }
+
+
 class TestAggregatorsAndGlobals:
     def test_engine_level_aggregators(self):
         class Count(Computation):
