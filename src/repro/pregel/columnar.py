@@ -26,16 +26,19 @@ packed and unpacked with :mod:`array` alone.
 sequence of length-prefixed sections — ``u32be payload_len | u8 kind |
 payload`` — the same framing convention as the trace format
 (:mod:`repro.graft.traceformat`). Sections carry compact broadcast
-records, one flat set of point-send columns, and the worker's vertex
-values, halt flags, and — only when mutated — its adjacency. Vertex ids
-are referenced as ``u32`` indices into the run-global
-:class:`VertexInterner` (the interned dictionary column), which children
-inherit from the parent via fork, so id strings never travel at all.
+records, one flat set of point-send columns, the values and halt flags
+of the vertices the step computed, and — only when mutated — the
+worker's adjacency. Vertex ids are referenced as ``u32`` indices into
+the run-global :class:`VertexInterner` (the interned dictionary column),
+which children inherit from the parent via fork, so id strings never
+travel at all.
 
 Under ``processes`` a frame rides ``StepOutcome.frame`` through the
-fork's pipe, with the rest of the pickled outcome, and the barrier parses
-it; nothing outlives the step that made it. Same-address-space backends
-skip frames altogether and hand the barrier their live
+child's pipe, with the rest of the pickled outcome, and the barrier
+parses it; nothing outlives the step that made it. The other way, a
+pool child that runs the next superstep is sent its inboxes packed the
+same way (:func:`pack_inboxes` / :func:`unpack_inboxes`). Same-address-
+space backends skip frames altogether and hand the barrier their live
 :class:`ColumnarOutbox`.
 
 Determinism

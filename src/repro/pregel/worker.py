@@ -156,11 +156,11 @@ class Worker:
     # -- loading & mutation ------------------------------------------------
 
     def load_vertex(self, vertex_id, value, edge_map):
-        """Place a vertex on this worker (initial load or barrier creation)."""
-        edges = dict(edge_map)
-        self.edge_count += len(edges) - len(self.edges.get(vertex_id, ()))
+        """Place a vertex this worker does not hold yet (initial load or
+        barrier creation)."""
+        edges = self.edges[vertex_id] = dict(edge_map)
+        self.edge_count += len(edges)
         self.values[vertex_id] = value
-        self.edges[vertex_id] = edges
         self.halted[vertex_id] = False
 
     def remove_vertex(self, vertex_id):
