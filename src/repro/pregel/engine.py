@@ -19,16 +19,18 @@ it prepares the worker, runs ``compute()`` over its active vertices
 against a private packed outbox and aggregator buffer, and returns a
 :class:`~repro.pregel.runtime.StepOutcome`. An
 :class:`~repro.pregel.runtime.ExecutionBackend` (``executor="serial" |
-"processes"``) schedules the steps. Under ``processes`` they run in a
-pool of forked children that persists while the parent's state matches
-what the children inherited: each superstep the parent sends a child
-its inboxes and the superstep's scalars, and the pickled outcome — a
-packed frame of the outbox and the computed vertices' new state, as
-plain bytes — is all that crosses back. The engine then reduces all
-outcomes at the barrier **in worker-id order** — message merge,
-mutation application, aggregator partial fold, error selection — so
-results, aggregator values, and Graft trace files are identical whichever
-backend ran the steps.
+"processes"``) schedules the steps. Under ``processes`` with more than
+one worker on the in-memory plane they run in a pool of forked children
+that persists while the parent's state matches what the children
+inherited: each superstep the parent sends a child its inboxes and the
+superstep's scalars, and the pickled outcome — a packed frame of the
+outbox and the computed vertices' new state, as plain bytes — is all
+that crosses back. A one-worker run and every run on the spill plane
+keep their steps in the parent, whatever the executor. The engine then
+reduces all outcomes at the barrier **in worker-id order** — message
+merge, mutation application, aggregator partial fold, error selection —
+so results, aggregator values, and Graft trace files are identical
+whichever backend ran the steps.
 
 Listeners observe superstep boundaries — this is where Graft hooks in its
 master-context capture and per-superstep trace flushing without the engine
@@ -79,7 +81,7 @@ from repro.pregel.master import MasterContext, ensure_master, run_master
 from repro.pregel.messages import MessageStore
 from repro.pregel.metrics import RunMetrics, SuperstepMetrics, sample_peak_memory
 from repro.pregel.partition import HashPartitioner
-from repro.pregel.runtime import StepBatch, StepOutcome, resolve_backend
+from repro.pregel.runtime import SerialBackend, StepBatch, StepOutcome, resolve_backend
 from repro.pregel.worker import SpilledWorker, Worker
 
 DEFAULT_MAX_SUPERSTEPS = 10_000
@@ -282,8 +284,19 @@ class PregelEngine:
             for partition_id in range(self._partitioner.num_partitions)
         ]
         self._backend = resolve_backend(executor, self._num_workers)
-        self._transfers_state = self._backend.transfers_state_for(
-            self._num_workers
+        # Whether steps leave the parent, decided here once per run. A
+        # lone worker has no sibling to overlap with, and the spill plane's
+        # pages and run files belong to the parent: both run their steps
+        # in place, as a serial run, whatever the executor is called.
+        self._transfers_state = (
+            self._backend.transfers_state
+            and self._num_workers > 1
+            and not spill
+        )
+        self._run_steps = (
+            SerialBackend().run_superstep
+            if self._backend.transfers_state and not self._transfers_state
+            else self._backend.run_superstep
         )
         self._memory_limit = memory_limit
         if spill:
@@ -396,7 +409,7 @@ class PregelEngine:
             self.workers = [
                 SpilledWorker(
                     worker_id, self._seed, self._store, partitioner,
-                    self._locations, deferred=self._transfers_state,
+                    self._locations,
                 )
                 for worker_id in range(self._num_workers)
             ]
@@ -492,31 +505,22 @@ class PregelEngine:
             except ComputeError as exc:
                 error = exc
         payloads = None
-        state = None
         frame = None
-        # Same-address-space backends hand the live packed outbox to
-        # the barrier; the spill plane's messages are already in the
-        # worker's run file and the barrier wants only its summary.
-        outbox = None if spill or transfers_state else worker.outbox
-        if spill:
-            state = worker.collect_spill_state()
         if transfers_state:
             payloads = [
                 listener.collect_step_payload(worker_id)
                 for listener in self._payload_listeners
             ]
-            if not spill:
-                # Pack outbox + the computed vertices' values and halt
-                # flags (+ adjacency only when mutated) into one flat
-                # frame of bytes that rides the outcome; nothing
-                # per-message is pickled.
-                frame = build_frame(
-                    worker, self._run_state.interner, superstep
-                )
+            # Pack outbox + the computed vertices' values and halt flags
+            # (+ adjacency only when mutated) into one flat frame of
+            # bytes that rides the outcome; nothing per-message is
+            # pickled.
+            frame = build_frame(worker, self._run_state.interner, superstep)
         return StepOutcome(
             worker_id=worker_id,
             elapsed=timer.elapsed,
-            outbox=outbox,
+            # A step run in the parent hands the barrier its live outbox.
+            outbox=None if transfers_state else worker.outbox,
             agg_partials=buffer.partials,
             add_vertex_requests=worker.add_vertex_requests,
             remove_vertex_requests=worker.remove_vertex_requests,
@@ -525,7 +529,6 @@ class PregelEngine:
             compute_calls=worker.compute_calls,
             compute_errors=worker.compute_errors,
             error=error,
-            state=state,
             payloads=payloads,
             frame=frame,
         )
@@ -534,11 +537,9 @@ class PregelEngine:
                     faults):
         """This superstep's steps, one per worker, for the backend.
 
-        On the in-memory plane the batch is resumable: a pool child that
-        ran the previous superstep runs this one from a request
-        (:meth:`_step_requests`) instead of being forked again. The spill
-        plane's children write the fork-shared spill area, so its batch
-        is not, and the backend forks it afresh.
+        The batch is resumable: a pool child that ran the previous
+        superstep runs this one from a request (:meth:`_step_requests`)
+        instead of being forked again.
         """
         steps = [
             functools.partial(
@@ -547,8 +548,6 @@ class PregelEngine:
             )
             for worker_id in range(self._num_workers)
         ]
-        if self._store is not None:
-            return steps
         return StepBatch(
             steps,
             requests=lambda: self._step_requests(
@@ -686,18 +685,10 @@ class PregelEngine:
                     if self._store is not None:
                         # A crashed earlier attempt may have left torn run
                         # chunks for this delivery superstep; re-execution
-                        # must start from a clean directory. Freeze the
-                        # store while steps run in other address spaces so
-                        # forked children can never write the fork-shared
-                        # spill area.
+                        # must start from a clean directory.
                         self._store.clear_runs(superstep + 1)
-                        self._store.frozen = self._transfers_state
-                    try:
-                        with Timer() as wall_timer:
-                            outcomes = self._backend.run_superstep(steps)
-                    finally:
-                        if self._store is not None:
-                            self._store.frozen = False
+                    with Timer() as wall_timer:
+                        outcomes = self._run_steps(steps)
                     self._raise_if_step_failed(superstep, outcomes)
 
                     superstep_metrics = SuperstepMetrics(
@@ -939,7 +930,7 @@ class PregelEngine:
         return outgoing
 
     def _spill_barrier(self, outcomes, superstep_metrics):
-        """The out-of-core plane: absorb pages, hand off runs.
+        """The out-of-core plane: hand off runs.
 
         Same reductions in the same worker-id order as the in-memory
         barrier. Messages were already cut into per-partition run
@@ -955,20 +946,15 @@ class PregelEngine:
         routed = 0
         suspect_counts = {}
         for outcome in outcomes:
-            shipped = outcome.state
-            # Process backend only: the child's dirty pages and run file.
-            for partition_id in sorted(shipped["pages"]):
-                store.replace_partition(
-                    partition_id, *shipped["pages"][partition_id]
-                )
-            if shipped["run"] is not None:
-                store.install_run_file(*shipped["run"])
+            # The steps ran in the parent: pages and run files are
+            # already in the store, the worker holds the counts.
+            worker = self.workers[outcome.worker_id]
             routed += outcome.messages_sent
-            for target, count in shipped["suspect_counts"].items():
+            for target, count in outcome.outbox.suspect_counts.items():
                 suspect_counts[target] = suspect_counts.get(target, 0) + count
-            superstep_metrics.pickle_fallbacks += shipped["pickle_fallbacks"]
-            superstep_metrics.messages_combined += shipped["messages_combined"]
-            superstep_metrics.inboxes_permuted += shipped["inboxes_permuted"]
+            superstep_metrics.pickle_fallbacks += outcome.outbox.pickle_fallbacks
+            superstep_metrics.messages_combined += worker.messages_combined
+            superstep_metrics.inboxes_permuted += worker.inboxes_permuted
         outgoing = store.message_store(
             superstep + 1, total_messages=routed, suspect_counts=suspect_counts,
             combiner=self._combiner, schedule=self._delivery_schedule,

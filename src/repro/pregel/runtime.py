@@ -20,11 +20,13 @@ superstep the parent sends every child a request — the superstep's
 scalars, aggregator values, listener state and that worker's inboxes as
 packed columns — and the child ships back what changed
 (``StepOutcome.frame``: the outbox and the values and halt flags of the
-vertices it computed; ``StepOutcome.state`` on the spill plane). The
-pickled messages over each child's pipe are the only traffic, so a failed
-superstep leaves nothing behind to free; the pool is then re-forked from
-the parent. There is no thread backend: under the GIL it never beat
-serial (see ``docs/performance.md``).
+vertices it computed). The pickled messages over each child's pipe are
+the only traffic, so a failed superstep leaves nothing behind to free;
+the pool is then re-forked from the parent. Whether a run forks at all is
+the engine's decision, made once per run: a one-worker run and every run
+on the spill plane keep their steps in the parent. There is no thread
+backend: under the GIL it never beat serial (see
+``docs/performance.md``).
 """
 
 import pickle
@@ -41,14 +43,12 @@ class StepOutcome:
     """Everything one worker's superstep produced, ready for the barrier.
 
     Plain data (no live worker references) so the process backend can
-    pickle it across a pipe. ``outbox`` is the worker's live packed
-    outbox under same-address-space backends. Under backends with
-    ``transfers_state`` it is ``None`` and the worker's products travel
-    instead as ``frame`` (in-memory plane): the outbox, and the values
-    and halt flags of the vertices the step computed. The spill plane always
-    reports through ``state`` — its run summary, plus the dirty pages
-    and the sealed run file when they must cross a process boundary.
-    ``error`` holds the
+    pickle it across a pipe. ``outbox`` is the worker's live outbox
+    (packed columns, or the spill plane's run outbox) when the step ran
+    in the parent. When it ran in a pool child it is ``None`` and the
+    worker's products travel instead as ``frame``: the outbox, and the
+    values and halt flags of the vertices the step computed. ``error``
+    holds the
     :class:`~repro.common.errors.ComputeError` that aborted the step under
     the ``raise`` policy, if any. ``payloads`` carries opaque per-listener
     data collected in the child (e.g. Graft's buffered capture records).
@@ -68,7 +68,6 @@ class StepOutcome:
     compute_calls: int = 0
     compute_errors: list = field(default_factory=list)
     error: object = None
-    state: object = None
     payloads: object = None
     frame: object = None
 
@@ -81,11 +80,9 @@ class StepBatch(list):
     ``requests()`` gives one picklable request per step, and
     ``resume(request)``, called in the child that ran the previous step
     of the same worker, runs it and returns its :class:`StepOutcome`.
-    ``resume`` is None when the steps cannot be resumed; a plain list of
-    steps is treated the same way.
     """
 
-    def __init__(self, steps, requests=None, resume=None):
+    def __init__(self, steps, requests, resume):
         super().__init__(steps)
         self.requests = requests
         self.resume = resume
@@ -98,12 +95,9 @@ class ExecutionBackend:
     name = "base"
     #: True when steps run in another address space, so worker state and
     #: listener payloads must be shipped back via :class:`StepOutcome`.
+    #: The engine hands such a backend only runs of more than one worker
+    #: on the in-memory plane; it runs every other run's steps serially.
     transfers_state = False
-
-    def transfers_state_for(self, num_steps):
-        """Whether a superstep of ``num_steps`` steps runs any of them in
-        another address space (what the engine asks, once per run)."""
-        return self.transfers_state
 
     def run_superstep(self, steps):
         """Run every step; return their outcomes ordered by step index."""
@@ -142,19 +136,18 @@ class ProcessBackend(ExecutionBackend):
 
     At the first superstep the backend forks one child per step; the
     child runs that step on its fork-inherited copy of the engine and
-    sends the pickled :class:`StepOutcome` back over its pipe. A child
-    whose batch is resumable (:class:`StepBatch`) then stays: it keeps
-    its worker, its ``Computation`` and its listener copies, and each
-    later superstep the parent sends it one picklable request
-    (``steps.requests()``), which it runs with ``steps.resume``. The
-    parent absorbs every outcome at the barrier and stays the authority
-    for all state.
+    sends the pickled :class:`StepOutcome` back over its pipe. The child
+    then stays: it keeps its worker, its ``Computation`` and its listener
+    copies, and each later superstep the parent sends it one picklable
+    request (``steps.requests()`` of the :class:`StepBatch`), which it
+    runs with ``steps.resume``. The parent absorbs every outcome at the
+    barrier and stays the authority for all state.
 
     :meth:`discard` stops the pool, and the next superstep forks a new
     one from the parent's current state. The engine calls it whenever the
     parent's state stops matching what the children inherited; the
     backend calls it itself after a failed or crashed step (its siblings
-    have already advanced), and after a batch that is not resumable.
+    have already advanced).
     :meth:`close` discards the pool: no child outlives the run. Requires
     the ``fork`` start method (POSIX) and picklable vertex/message values.
     """
@@ -185,20 +178,10 @@ class ProcessBackend(ExecutionBackend):
         #: Children started so far (one per worker per pool).
         self.forks = 0
 
-    def transfers_state_for(self, num_steps):
-        # A lone step runs in the parent, so a one-worker run packs no
-        # frame and ships no state: it is a serial run.
-        return num_steps > 1
-
     def run_superstep(self, steps):
-        if len(steps) == 1:
-            return [steps[0]()]
-        resume = getattr(steps, "resume", None)
-        if self._pool is not None and len(self._pool) != len(steps):
-            self.discard()
         try:
             if self._pool is None:
-                self._fork(steps, resume)
+                self._fork(steps)
             else:
                 for (_process, conn), request in zip(
                     self._pool, steps.requests()
@@ -208,20 +191,19 @@ class ProcessBackend(ExecutionBackend):
         except BaseException:
             self.discard()
             raise
-        if failure is not None or resume is None:
-            self.discard()
         if failure is not None:
+            self.discard()
             raise failure
         return outcomes
 
-    def _fork(self, steps, resume):
+    def _fork(self, steps):
         pool = self._pool = []
         for step in steps:
             box = [step]
             parent_conn, child_conn = self._ctx.Pipe()
             process = self._ctx.Process(
                 target=_child_main,
-                args=(box, resume, child_conn,
+                args=(box, steps.resume, child_conn,
                       [conn for _process, conn in pool] + [parent_conn]),
                 daemon=True,
             )
@@ -283,10 +265,9 @@ def _child_main(box, resume, conn, siblings):
     fork inherited; each later one is ``resume(request)`` on the next
     request the parent sends, run on this child's own copy of the engine
     as the previous step left it. Every outcome (or the exception that
-    ended the step) is sent back pickled; a failed step, an unresumable
-    batch (``resume`` is None) or end-of-file ends the child. Nothing of
-    a step is kept past sending its outcome: not the request with its
-    inbox, and not the outcome with its frame.
+    ended the step) is sent back pickled; a failed step or end-of-file
+    ends the child. Nothing of a step is kept past sending its outcome:
+    not the request with its inbox, and not the outcome with its frame.
 
     ``siblings`` are the parent's ends of this child's and the earlier
     children's pipes, inherited through the fork; closing them here
@@ -312,7 +293,7 @@ def _child_main(box, resume, conn, siblings):
             conn.send(("crashed", "step outcome could not be pickled"))
             break
         status, payload = payload[0], None
-        if status != "ok" or resume is None:
+        if status != "ok":
             break
         try:
             args = (conn.recv(),)

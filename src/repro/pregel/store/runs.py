@@ -20,7 +20,9 @@ A run section holds the messages one chunk addressed to one partition,
 in emission order, as three parallel columns; the value column is a
 :func:`~repro.pregel.columnar.encode_values` column (typed arrays for
 float/int payloads, the counted pickle fallback for everything else).
-Nothing is sorted on the write side.
+Nothing is sorted on the write side. Spill-plane steps run in the parent
+under every executor, so each run file is written once, in place, in the
+store's own filesystem.
 
 Delivery (:meth:`SpilledMessageStore.load_partition`) reads a
 partition's sections in (worker id, chunk) order — ranged reads located
@@ -69,12 +71,9 @@ class RunOutbox:
     The spill plane's counterpart of
     :class:`~repro.pregel.columnar.ColumnarOutbox` behind the same
     ``_WorkerServices``; there is no reverse index to expand a compact
-    broadcast against, so every fan-out is filed per target.
-
-    ``deferred=True`` (the process backend) buffers the run file in a
-    private in-memory filesystem; :meth:`shipped_file` hands the bytes
-    to the parent, which installs them verbatim (offsets are
-    file-relative).
+    broadcast against, so every fan-out is filed per target. It writes
+    the store's filesystem directly: steps on the spill plane run in the
+    parent, whatever the executor.
 
     A target absent from ``locations`` *at emit time* is counted in
     ``suspect_counts`` — the resolver's work list. The barrier re-checks
@@ -86,17 +85,12 @@ class RunOutbox:
     compact_broadcasts = False
 
     def __init__(self, filesystem, path, partitioner, locations,
-                 chunk_entries=RUN_CHUNK_ENTRIES, deferred=False):
-        if deferred:
-            from repro.simfs.filesystem import SimFileSystem
-
-            filesystem = SimFileSystem()
+                 chunk_entries=RUN_CHUNK_ENTRIES):
         self._fs = filesystem
         self.path = path
         self._partitioner = partitioner
         self._locations = locations
         self._chunk_entries = chunk_entries
-        self._deferred = deferred
         # partition id -> flat [target, source, value, target, ...]
         self._buffers = {}
         self._buffered = 0
@@ -171,12 +165,6 @@ class RunOutbox:
             directory, _TRAILER.pack(self._offset),
         )))
         self._directory = []
-
-    def shipped_file(self):
-        """Deferred mode: the sealed run file as ``(path, bytes)``."""
-        if not self._deferred or not self._fs.exists(self.path):
-            return None
-        return self.path, self._fs.read_bytes(self.path)
 
 
 def read_directory(filesystem, path):

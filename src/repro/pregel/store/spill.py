@@ -14,11 +14,9 @@ a spill — so small graphs effectively keep today's all-in-memory
 behaviour while big ones cycle pages through disk, and a page nobody
 touched since it was last written is evicted without being rewritten.
 
-Under the process backend the store is *frozen* inside worker children:
-dirty pages are never written back (the children's spill directory is a
-fork-shared view of the parent's); instead :meth:`collect_dirty` ships
-the mutated partitions to the parent, which installs them at the
-barrier via :meth:`replace_partition`.
+The store lives in one process: every step on the spill plane runs in
+the parent, whatever the executor, so the cache budget bounds the
+resident pages of the whole run.
 """
 
 from collections import OrderedDict
@@ -93,7 +91,6 @@ class SpillStore:
         self.num_partitions = num_partitions
         self.cache_bytes = cache_bytes
         self.base = base.rstrip("/")
-        self.frozen = False
         self._cache = OrderedDict()
         # Running total of the cached (unpinned) pages' ``nbytes``.
         self._cached_bytes = 0
@@ -195,12 +192,7 @@ class SpillStore:
         for partition_id in list(self._cache):
             if self._cached_bytes <= self.cache_bytes:
                 break
-            page = self._cache[partition_id]
-            if page.dirty and self.frozen:
-                # Children must not write the fork-shared spill area;
-                # dirty pages stay resident until collect_dirty().
-                continue
-            self._uncache(partition_id)
+            page = self._uncache(partition_id)
             if page.dirty:
                 self._write_page(page)
 
@@ -262,22 +254,8 @@ class SpillStore:
             if page.dirty:
                 self._write_page(page)
 
-    # -- frozen-mode state transfer (process backend) ----------------------
-
-    def collect_dirty(self, partition_ids):
-        """Detach dirty pages for shipping to the parent at the barrier."""
-        shipped = {}
-        for partition_id in partition_ids:
-            page = self._cache.get(partition_id)
-            if page is not None and page.dirty:
-                shipped[partition_id] = (
-                    page.values, page.edges, page.halted
-                )
-                self._uncache(partition_id)
-        return shipped
-
     def replace_partition(self, partition_id, values, edges, halted):
-        """Install a partition's full state (barrier absorb / restore)."""
+        """Install a partition's full state (checkpoint restore)."""
         page = PartitionPage(
             partition_id, dict(values),
             {vid: dict(edge_map) for vid, edge_map in edges.items()},
@@ -290,11 +268,6 @@ class SpillStore:
         self._uncache(partition_id)
         self._refresh_summary(page)
         self._encache(page)
-
-    def install_run_file(self, path, data):
-        """Install a child-shipped run file verbatim (parent, barrier)."""
-        self.filesystem.create(path, overwrite=True)
-        self.filesystem.append_bytes(path, data)
 
     # -- point access (barrier mutations, debugger reads) ------------------
 
@@ -362,12 +335,11 @@ class SpillStore:
 
     # -- runs --------------------------------------------------------------
 
-    def run_outbox(self, worker_id, superstep, partitioner, locations,
-                   deferred=False):
+    def run_outbox(self, worker_id, superstep, partitioner, locations):
         """The outbox whose run file ``superstep`` will deliver."""
         return RunOutbox(
             self.filesystem, run_path(self.base, superstep, worker_id),
-            partitioner, locations, deferred=deferred,
+            partitioner, locations,
         )
 
     def message_store(self, superstep, **delivery):

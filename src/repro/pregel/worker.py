@@ -338,18 +338,18 @@ class SpilledWorker(Worker):
     and a page cache large enough to hold it, this degenerates to
     exactly the in-memory worker's behaviour — identical compute order,
     identical aggregator fold order. Every per-vertex accessor takes the
-    vertex's partition from the engine's location map.
+    vertex's partition from the engine's location map. Its steps run in
+    the parent under every executor, so the store it pages through is
+    the run's one store.
     """
 
-    def __init__(self, worker_id, run_seed, store, partitioner, locations,
-                 deferred=False):
+    def __init__(self, worker_id, run_seed, store, partitioner, locations):
         # The base dicts are never the source of truth here: they point
         # at whichever page the worker is computing over.
         super().__init__(worker_id, run_seed)
         self.store = store
         self.spill_partitioner = partitioner
         self.locations = locations
-        self.deferred_runs = deferred
         self.messages_combined = 0
         self.inboxes_permuted = 0
         self._partitions = list(partitioner.partitions_of_worker(worker_id))
@@ -376,7 +376,6 @@ class SpilledWorker(Worker):
             superstep + 1,
             self.spill_partitioner,
             self.locations,
-            deferred=self.deferred_runs,
         )
         self.messages_combined = 0
         self.inboxes_permuted = 0
@@ -406,22 +405,6 @@ class SpilledWorker(Worker):
                 )
         computation.post_superstep(worker_info)
         self.outbox.seal()
-
-    def collect_spill_state(self):
-        """What the barrier needs from this step beyond the counters of
-        :class:`~repro.pregel.runtime.StepOutcome`; under the process
-        backend that includes the dirty pages and the sealed run file."""
-        return {
-            "pages": (
-                self.store.collect_dirty(self._partitions)
-                if self.deferred_runs else {}
-            ),
-            "run": self.outbox.shipped_file(),
-            "suspect_counts": self.outbox.suspect_counts,
-            "pickle_fallbacks": self.outbox.pickle_fallbacks,
-            "messages_combined": self.messages_combined,
-            "inboxes_permuted": self.inboxes_permuted,
-        }
 
     # -- state access through the store ------------------------------------
 

@@ -12,9 +12,9 @@ spilled partition pages and message runs cost disk instead of RSS.
 Design notes:
 
 - Every operation opens the backing file, acts, and closes it. No file
-  descriptors are cached, which makes the spool safe across ``fork()``:
-  the process backend's children read spilled pages without sharing
-  seek offsets or buffered writers with the parent.
+  descriptors are cached, so nothing is left open between operations
+  (the engine itself only ever touches a spool from the parent
+  process: spill-plane steps never run in a forked child).
 - Paths keep simfs semantics (absolute, ``/``-separated) and are mapped
   to flat percent-encoded file names, so no simfs path can escape the
   spool root.

@@ -14,14 +14,16 @@ independently implemented spill plane.
 """
 
 import hashlib
+import multiprocessing
 
 import pytest
 
 from repro.algorithms import PageRank, ShortestPaths
+from repro.chaos import PRESET_PLANS, run_chaos
 from repro.datasets import load_dataset
 from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.trace import canonical_trace_digest, worker_trace_path
-from repro.pregel import Computation, MinCombiner, PregelEngine
+from repro.pregel import Computation, MinCombiner, PregelEngine, ProcessBackend
 
 WORKER_COUNTS = (1, 2, 4)
 EXECUTORS = ("serial", "processes")
@@ -158,9 +160,13 @@ def _graph():
 _CACHE = {}
 
 
-def _run(job, executor, workers):
-    """Run one debugged job; memoized so each config executes once."""
-    key = (job, executor, workers)
+def _run(job, executor, workers, plane=None):
+    """Run one debugged job; memoized so each config executes once.
+
+    ``plane`` names a :data:`SPILL_PLANES` entry; the default is the
+    in-memory plane. ``executor`` may be a backend instance, so a test
+    can read what the backend did."""
+    key = (job, executor, workers, plane)
     if key not in _CACHE:
         factory, extra_kwargs = JOBS[job]
         run = debug_run(
@@ -174,6 +180,7 @@ def _run(job, executor, workers):
             executor=executor,
             max_supersteps=8,
             **extra_kwargs,
+            **SPILL_PLANES.get(plane, {}),
         )
         assert run.ok, f"{key}: {run.failure}"
         fs = run.session.filesystem
@@ -242,6 +249,63 @@ def test_single_worker_processes_run_builds_no_frame(job):
         factory, _graph(), num_workers=1, executor="processes", **extra_kwargs
     )
     assert engine.executor_name == "processes"
+
+
+#: The spill plane, chosen explicitly and by ``store="auto"`` under a
+#: memory ceiling the 90-vertex graph exceeds.
+SPILL_PLANES = {
+    "spill": {"store": "spill"},
+    "auto": {"store": "auto", "memory_limit": 1_000},
+}
+
+
+def _assert_stayed_in_the_parent(backend):
+    assert backend.forks == 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+@pytest.mark.parametrize("plane", sorted(SPILL_PLANES))
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_processes_on_the_spill_plane_runs_in_the_parent(job, plane, workers):
+    """On the spill plane every step runs in the parent whatever the
+    executor: no child is forked, nothing is transported, and the run is
+    serial's, value for value and trace file for trace file."""
+    engine = PregelEngine(
+        JOBS[job][0], _graph(), num_workers=workers, executor="processes",
+        **SPILL_PLANES[plane],
+    )
+    assert engine._store is not None
+    assert engine.executor_name == "processes"
+    reference = _run(job, "serial", workers, plane)
+    backend = ProcessBackend()
+    candidate = _run(job, backend, workers, plane)
+    _assert_stayed_in_the_parent(backend)
+    assert candidate["transport_bytes"] == 0
+    assert candidate["values"] == reference["values"]
+    assert candidate["canonical_digest"] == reference["canonical_digest"]
+    assert candidate["file_hashes"] == reference["file_hashes"]
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+@pytest.mark.parametrize("plane", sorted(SPILL_PLANES))
+def test_processes_chaos_recovery_on_the_spill_plane_is_serials(plane, workers):
+    """A worker crash rolled back over spilled pages recovers in the
+    parent under ``processes`` exactly as under serial."""
+    reports = {}
+    backend = ProcessBackend()
+    for name, executor in (("serial", "serial"), ("processes", backend)):
+        reports[name] = run_chaos(
+            lambda: PageRank(iterations=8), _graph(),
+            PRESET_PLANS["worker-crash"], seed=7, num_workers=workers,
+            executor=executor, checkpoint_every=2, num_partitions=8,
+            **SPILL_PLANES[plane],
+        )
+        assert reports[name].ok, reports[name].summary()
+        assert reports[name].rollbacks > 0
+    _assert_stayed_in_the_parent(backend)
+    assert reports["processes"].injected_digest == reports["serial"].injected_digest
+    assert reports["processes"].baseline_digest == reports["serial"].baseline_digest
 
 
 @pytest.mark.parametrize("job", sorted(JOBS))

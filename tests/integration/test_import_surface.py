@@ -379,7 +379,7 @@ from repro.algorithms.pagerank import PageRank
 from repro.datasets.registry import load_dataset
 from repro.pregel.checkpoint import CheckpointConfig
 from repro.pregel.engine import PregelEngine
-from repro.pregel.runtime import ProcessBackend
+from repro.pregel.runtime import ProcessBackend, StepBatch
 from repro.simfs.filesystem import SimFileSystem
 
 class Recording(ProcessBackend):
@@ -392,13 +392,16 @@ class Recording(ProcessBackend):
             self.parent_before_first_superstep = set(sys.modules)
 
         def reporting(step):
-            def run():
-                outcome = step()
+            def run(*request):
+                outcome = step(*request)
                 outcome.child_modules = set(sys.modules)
                 return outcome
             return run
 
-        outcomes = super().run_superstep([reporting(step) for step in steps])
+        outcomes = super().run_superstep(StepBatch(
+            [reporting(step) for step in steps],
+            steps.requests, reporting(steps.resume),
+        ))
         self.first_imported_in_a_child.append(sorted(set().union(*(
             outcome.child_modules - self.parent_before_first_superstep
             for outcome in outcomes

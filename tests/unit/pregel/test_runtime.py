@@ -35,6 +35,14 @@ def _step(worker_id, log=None, error=None):
     return run
 
 
+def _batch(steps):
+    """A resumable batch, as the engine hands the pool."""
+    return StepBatch(
+        steps, requests=lambda: [None] * len(steps),
+        resume=lambda request: None,
+    )
+
+
 class TestResolveBackend:
     def test_names_resolve(self):
         assert isinstance(resolve_backend("serial", 4), SerialBackend)
@@ -94,8 +102,9 @@ class TestReversedBackend:
 class TestProcessBackend:
     def test_outcomes_cross_the_pipe(self):
         backend = ProcessBackend()
-        outcomes = backend.run_superstep([_step(0), _step(1), _step(2)])
+        outcomes = backend.run_superstep(_batch([_step(0), _step(1), _step(2)]))
         assert [o.worker_id for o in outcomes] == [0, 1, 2]
+        backend.close()
 
     def test_child_exception_reraised_in_parent(self):
         def bad_step():
@@ -103,7 +112,7 @@ class TestProcessBackend:
 
         backend = ProcessBackend()
         with pytest.raises(ValueError, match="child blew up"):
-            backend.run_superstep([_step(0), bad_step])
+            backend.run_superstep(_batch([_step(0), bad_step]))
 
     def test_compute_error_survives_pickling(self):
         original = ComputeError(
@@ -115,7 +124,7 @@ class TestProcessBackend:
 
         backend = ProcessBackend()
         with pytest.raises(ComputeError) as excinfo:
-            backend.run_superstep([_step(0), failing_step])
+            backend.run_superstep(_batch([_step(0), failing_step]))
         assert excinfo.value.vertex_id == "v"
         assert excinfo.value.superstep == 3
 
@@ -334,11 +343,9 @@ class TestProcessPool:
 
     def test_close_reaps_an_idle_pool(self):
         backend = ProcessBackend()
-        outcomes = backend.run_superstep(StepBatch(
-            [_step(worker_id) for worker_id in range(3)],
-            requests=lambda: [None] * 3,
-            resume=lambda request: None,
-        ))
+        outcomes = backend.run_superstep(
+            _batch([_step(worker_id) for worker_id in range(3)])
+        )
         assert [o.worker_id for o in outcomes] == [0, 1, 2]
         assert len(multiprocessing.active_children()) == 3
         backend.close()

@@ -124,7 +124,6 @@ class TestRunFiles:
         outbox = _outbox(fs, 0, {})
         outbox.seal()
         assert not fs.exists(outbox.path)
-        assert outbox.shipped_file() is None
 
     def test_router_records_suspects_for_unknown_targets(self):
         fs = SimFileSystem()
@@ -244,22 +243,14 @@ class TestSpillStore:
             store.replace_partition(0, {}, {}, {})
         store.release(0)
 
-    def test_frozen_store_keeps_dirty_pages_resident(self):
-        store = _loaded_store(num_partitions=2, cache_bytes=1)
-        store.frozen = True
-        page = store.acquire(0)
-        page.values[0] = -5.0
-        store.release(0, dirty=True)
-        spilled_before = store.pages_spilled
-        # Dirty page may not be written while frozen (fork-shared files).
-        assert store.pages_spilled == spilled_before
-        assert store.resident_partitions() == 1
-        store.frozen = False
-
     def test_clear_runs_removes_only_that_superstep(self):
         store = _loaded_store(num_partitions=1)
-        store.install_run_file("/spill/runs/s00001/p00000.w000.run", b"one")
-        store.install_run_file("/spill/runs/s00002/p00000.w000.run", b"two")
+        for path, data in (
+            ("/spill/runs/s00001/p00000.w000.run", b"one"),
+            ("/spill/runs/s00002/p00000.w000.run", b"two"),
+        ):
+            store.filesystem.create(path, overwrite=True)
+            store.filesystem.append_bytes(path, data)
         store.clear_runs(1)
         assert not store.filesystem.exists(
             "/spill/runs/s00001/p00000.w000.run"
