@@ -5,37 +5,31 @@ so overhead percentages in the Figure 7 reproduction can be read against a
 known baseline (compute calls/second and messages/second of the simulator).
 """
 
-import pytest
-
 from bench_helpers import GRID_SEED
 from repro.algorithms import PageRank
 from repro.datasets import load_dataset
-from repro.pregel import EXECUTOR_NAMES, PregelEngine, SumCombiner
+from repro.pregel import PregelEngine, SumCombiner
 
 
-def _run(combiner=None, num_vertices=2000, iterations=5, executor="serial"):
+def _run(combiner=None, num_vertices=2000, iterations=5):
     graph = load_dataset("web-BS", num_vertices=num_vertices, seed=GRID_SEED)
     engine = PregelEngine(
         lambda: PageRank(iterations=iterations),
         graph,
         combiner=combiner,
         seed=GRID_SEED,
-        executor=executor,
     )
     return engine.run()
 
 
-@pytest.mark.parametrize("executor", EXECUTOR_NAMES)
-def test_pagerank_throughput(benchmark, executor):
-    result = benchmark.pedantic(
-        lambda: _run(executor=executor), rounds=3, iterations=1
-    )
+def test_pagerank_throughput(benchmark):
+    result = benchmark.pedantic(_run, rounds=3, iterations=1)
     calls_per_second = (
         result.metrics.total_compute_calls / result.metrics.total_seconds
     )
     print()
     print(
-        f"engine throughput [{executor}]: "
+        "engine throughput: "
         f"{calls_per_second:,.0f} compute calls/s, "
         f"{result.metrics.total_messages / result.metrics.total_seconds:,.0f} msgs/s"
     )

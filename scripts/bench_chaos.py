@@ -8,7 +8,8 @@ Gates (exit status 1 when violated):
 
 - every measured chaos run must come back ``ok`` — recovery reproduced
   the fault-free vertex values, aggregator state, and canonical trace
-  digest bit-identically, on every execution backend measured;
+  digest bit-identically (every run steps in one process, under the
+  serial backend);
 - the injected run (two rollbacks, several supersteps re-executed, a
   checkpoint written every other superstep) may cost at most
   ``OVERHEAD_CEILING``x the fault-free run of the same job. Rollback
@@ -30,7 +31,6 @@ import sys
 from repro.algorithms import PageRank
 from repro.chaos import run_chaos
 from repro.datasets import load_dataset
-from repro.pregel import EXECUTOR_NAMES
 
 #: The preset the overhead gate measures: two crashes -> two rollbacks.
 PLAN = "worker-crash"
@@ -47,8 +47,8 @@ NUM_WORKERS = 4
 ROUNDS = 2
 
 
-def _measure(graph, executor, rounds=ROUNDS):
-    """Best-of-N timings for one backend; returns (report dict, last run)."""
+def _measure(graph, rounds=ROUNDS):
+    """Best-of-N timings; returns (report dict, last run)."""
     best_base = best_injected = None
     last = None
     for _ in range(rounds):
@@ -58,7 +58,6 @@ def _measure(graph, executor, rounds=ROUNDS):
             PLAN,
             seed=SEED,
             num_workers=NUM_WORKERS,
-            executor=executor,
         )
         if not report.ok:
             return None, report
@@ -84,20 +83,18 @@ def run_bench(num_vertices=1_000, rounds=ROUNDS):
     graph = load_dataset("web-BS", num_vertices=num_vertices, seed=SEED)
     failures = []
     backends = {}
-    for executor in EXECUTOR_NAMES:
-        measured, last = _measure(graph, executor, rounds)
-        if measured is None:
-            failures.append(
-                f"{executor}: chaos run failed recovery verification: "
-                + "; ".join(last.failures)
-            )
-            continue
-        backends[executor] = measured
+    measured, last = _measure(graph, rounds)
+    if measured is None:
+        failures.append(
+            "chaos run failed recovery verification: "
+            + "; ".join(last.failures)
+        )
+    else:
+        backends["serial"] = measured
         if measured["overhead_ratio"] > OVERHEAD_CEILING:
             failures.append(
-                f"{executor}: injected run costs "
-                f"{measured['overhead_ratio']}x the fault-free run; "
-                f"ceiling is {OVERHEAD_CEILING}x"
+                f"injected run costs {measured['overhead_ratio']}x the "
+                f"fault-free run; ceiling is {OVERHEAD_CEILING}x"
             )
 
     report = {

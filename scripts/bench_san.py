@@ -7,8 +7,8 @@ gates on.
 Gates (exit status 1 when violated):
 
 - the clean workload must come back deterministic (byte-identical
-  order-insensitive digests across every schedule) on every backend
-  measured, and the buggy workload must diverge;
+  order-insensitive digests across every schedule), and the buggy
+  workload must diverge;
 - a K-schedule sweep runs the job K+1 times and normalizes/digests each
   trace, so the honest cost is about ``schedules + 1`` times one run;
   the per-run overhead (sweep time over ``(K+1) x`` one baseline run)
@@ -32,7 +32,6 @@ from repro.datasets import load_dataset
 from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.sanitizer import run_sanitizer
 from repro.graph import to_undirected
-from repro.pregel import EXECUTOR_NAMES
 from repro.simfs.filesystem import SimFileSystem
 
 #: A K-schedule sweep executes the job K+1 times plus a digest
@@ -52,7 +51,7 @@ SCHEDULES = 3
 ROUNDS = 2
 
 
-def _plain_run_seconds(graph, executor):
+def _plain_run_seconds(graph):
     """Wall time of one plain captured debug run (the unit of comparison)."""
     started = time.perf_counter()
     run = debug_run(
@@ -63,20 +62,19 @@ def _plain_run_seconds(graph, executor):
         lint=False,
         seed=SEED,
         num_workers=NUM_WORKERS,
-        executor=executor,
     )
     elapsed = time.perf_counter() - started
     assert run.ok, run.failure
     return elapsed
 
 
-def _measure(graph, executor, rounds=ROUNDS):
-    """Best-of-N sweep timings for one backend; (report dict, failures)."""
+def _measure(graph, rounds=ROUNDS):
+    """Best-of-N sweep timings; (report dict, failures)."""
     failures = []
     best_sweep = best_plain = None
     last = None
     for _ in range(rounds):
-        plain = _plain_run_seconds(graph, executor)
+        plain = _plain_run_seconds(graph)
         best_plain = plain if best_plain is None else min(best_plain, plain)
         started = time.perf_counter()
         report = run_sanitizer(
@@ -85,15 +83,14 @@ def _measure(graph, executor, rounds=ROUNDS):
             schedules=SCHEDULES,
             seed=SEED,
             num_workers=NUM_WORKERS,
-            executor=executor,
         )
         sweep_seconds = time.perf_counter() - started
         if not report.ok:
-            failures.append(f"{executor}: sweep failed: {report.failures}")
+            failures.append(f"sweep failed: {report.failures}")
             return None, failures
         if not report.deterministic:
             failures.append(
-                f"{executor}: clean label propagation diverged: "
+                "clean label propagation diverged: "
                 + report.summary()
             )
             return None, failures
@@ -120,23 +117,18 @@ def run_bench(num_vertices=1_000, rounds=ROUNDS):
     graph = to_undirected(
         load_dataset("web-BS", num_vertices=num_vertices, seed=SEED)
     )
-    failures = []
     backends = {}
-    for executor in EXECUTOR_NAMES:
-        measured, measure_failures = _measure(graph, executor, rounds)
-        failures.extend(measure_failures)
-        if measured is None:
-            continue
-        backends[executor] = measured
+    measured, failures = _measure(graph, rounds)
+    if measured is not None:
+        backends["serial"] = measured
         if measured["per_run_overhead_ratio"] > OVERHEAD_CEILING:
             failures.append(
-                f"{executor}: each sanitizer run costs "
+                "each sanitizer run costs "
                 f"{measured['per_run_overhead_ratio']}x a plain run; "
                 f"ceiling is {OVERHEAD_CEILING}x"
             )
 
-    # Sensitivity check: the seeded race must be caught (serial is enough;
-    # the digest is backend-independent, as the integration suite pins).
+    # Sensitivity check: the seeded race must be caught.
     buggy = run_sanitizer(
         lambda: BuggyLabelPropagation(iterations=ITERATIONS),
         graph,

@@ -1,12 +1,10 @@
 """GL019: compute() writes state shared across vertices.
 
 A module global, a class-level attribute, or a closed-over mutable
-written from ``compute()`` is shared by *every* vertex, and neither
-backend makes that sharing well-defined. Under the processes backend
-each worker's writes land in its own pool child: other workers never
-see them, and they are gone whenever the pool re-forks (a topology
-change, a rollback). Under the serial backend the value depends on
-vertex *iteration* order, which the Pregel model leaves undefined.
+written from ``compute()`` is shared by *every* vertex, and nothing makes
+that sharing well-defined: every worker steps in one process, so the
+value depends on vertex *iteration* order, which the Pregel model leaves
+undefined.
 
 This is GL001's bigger sibling: GL001 catches per-*worker* state
 smuggled through instance attributes; GL019 catches per-*job* state
@@ -34,9 +32,8 @@ TITLE = "compute() mutates state shared across vertices"
 
 _HINT = (
     "keep per-vertex state in ctx.value and cross-vertex reductions in "
-    "aggregators; writes to a shared Python object stay inside each "
-    "worker's process under processes, depend on vertex order under "
-    "serial, and break replay everywhere"
+    "aggregators; what a shared Python object holds depends on vertex "
+    "order when all workers share one process, and replay breaks"
 )
 
 
@@ -55,8 +52,8 @@ def check(context):
                 message = (
                     f"`{scope.name}` writes the class-level attribute "
                     f"`{write.name}` — one object shared by every vertex "
-                    "instance; under the processes backend its writes stay "
-                    "inside each worker's process, unseen by the others"
+                    "instance; all workers share one process, so what it "
+                    "holds depends on vertex order"
                 )
                 confidence = PROVEN
             else:

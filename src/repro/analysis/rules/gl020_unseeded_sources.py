@@ -7,11 +7,11 @@ This rule covers the sources that slip past a module-name scan:
   wall-clock reads through the ``datetime`` module — ``proven``, error
   severity, predicts ``replay_divergence``;
 - ``id(...)`` — CPython object identity is an address: it differs
-  between processes, so using it in branching or payloads makes the
-  processes backend diverge from serial — ``likely``;
+  between processes, so using it in branching or payloads makes a run
+  and its replay diverge — ``likely``;
 - ``hash(x)`` for non-literal ``x`` — ``str``/``bytes`` hashing is
   randomized per interpreter (PYTHONHASHSEED), so hashes differ between
-  runs and between the processes backend's workers — ``likely``;
+  runs — ``likely``;
 - a bare ``Random()`` constructed with no seed (``from random import
   Random`` escapes GL003's bare-name list) — ``likely``.
 
@@ -70,8 +70,8 @@ def _classify(context, scope, call):
             message=(
                 f"`{scope.name}` uses `id(...)` — object identity is a "
                 "memory address, different in every process; branching "
-                "or payloads built on it diverge under the processes "
-                "backend"
+                "or payloads built on it diverge between a run and its "
+                "replay"
             ),
             hint="key on vertex ids or message values, never on id()",
             confidence=LIKELY,
@@ -86,8 +86,7 @@ def _classify(context, scope, call):
             message=(
                 f"`{scope.name}` hashes a runtime value — str/bytes "
                 "hashing is randomized per interpreter "
-                "(PYTHONHASHSEED), so the result differs between runs "
-                "and between process workers"
+                "(PYTHONHASHSEED), so the result differs between runs"
             ),
             hint=(
                 "use a content hash (hashlib) or sort keys explicitly "

@@ -6,8 +6,9 @@ failures:
 - :class:`FaultInjector` is handed to the engine (``fault_injector=``) and
   consulted at deterministic points of the BSP loop: the barrier entering
   each superstep (machine crashes), step packaging (mid-step crashes and
-  straggler delays — decided in the parent *before* the step is scheduled,
-  so the decision is identical under every execution backend), and right
+  straggler delays — decided by the engine *before* the step is
+  scheduled, so the decision is identical under every execution
+  backend), and right
   after each checkpoint write (corruption).
 - :class:`ChaosFileSystem` is a :class:`~repro.simfs.SimFileSystem` whose
   append path asks the injector whether this write should fail. All write
@@ -101,7 +102,7 @@ class FaultInjector:
         return None
 
     def step_fault(self, superstep, worker_id):
-        """Fault decision for one worker's step, made in the parent.
+        """Fault decision for one worker's step, made before it runs.
 
         Returns ``{"delay": seconds}`` and/or ``{"crash_after": calls}``
         merged into one dict, or None when this step runs clean.

@@ -730,8 +730,8 @@ def build_parser():
         p.add_argument("--num-workers", type=int, dest="workers",
                        help="alias for --workers")
         p.add_argument("--executor", choices=EXECUTOR_NAMES, default="serial",
-                       help="superstep execution backend (results and traces "
-                            "are identical across backends)")
+                       help="superstep execution backend (both names run "
+                            "the serial schedule)")
         p.add_argument("--store", choices=("auto", "memory", "spill"),
                        default=None,
                        help="vertex/message store plane: 'memory' (dicts), "

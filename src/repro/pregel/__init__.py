@@ -64,7 +64,6 @@ if TYPE_CHECKING:
     from repro.pregel.runtime import (
         EXECUTOR_NAMES,
         ExecutionBackend,
-        ProcessBackend,
         SerialBackend,
         StepOutcome,
         resolve_backend,
@@ -112,7 +111,6 @@ __all__ = [
     "EXECUTOR_NAMES",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessBackend",
     "StepOutcome",
     "resolve_backend",
     "Short16",
@@ -145,8 +143,8 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
     ),
     "repro.pregel.permutation": ("PermutationSchedule",),
     "repro.pregel.runtime": (
-        "EXECUTOR_NAMES", "ExecutionBackend", "ProcessBackend",
-        "SerialBackend", "StepOutcome", "resolve_backend",
+        "EXECUTOR_NAMES", "ExecutionBackend", "SerialBackend",
+        "StepOutcome", "resolve_backend",
     ),
     "repro.pregel.store.spill": ("SpillStore",),
     "repro.pregel.value_types": ("Int32", "Long64", "Short16"),

@@ -1,45 +1,25 @@
-"""Columnar message columns and frames (the in-memory data plane).
+"""Columnar message columns (the in-memory data plane).
 
-``BENCH_engine.json`` showed the processes backend losing to serial:
-every superstep pickled ~50k message objects per worker across a pipe,
-plus the worker's entire state dicts.
 Following Pregelix's columnar discipline (Ammar & Özsu's cross-system
-analysis), this module moves the inter-worker data plane off the object
-heap: messages and vertex values cross process boundaries as *flat packed
-buffers* — typed columns backed by :mod:`array` — one frame per worker
-per superstep, carried back to the parent as plain bytes in the step's
-:class:`~repro.pregel.runtime.StepOutcome`.
+analysis), messages live off the object heap as typed columns backed by
+:mod:`array`: each worker's step fills a :class:`ColumnarOutbox`, and the
+barrier absorbs the live outboxes, in worker-id order, into one
+:class:`ColumnarMessageStore` that stays packed until a vertex reads its
+inbox.
 
-The two layers
---------------
-
-**Columns** (:class:`ColumnBuilder` / :func:`decode_column`): a value
-column holds a homogeneous run of built-in payloads — ``float`` as a
-packed ``array('d')``, ``int`` as ``array('q')``, fixed-width integers
+**Value columns** (:class:`ColumnBuilder` / :func:`encode_values` /
+:func:`decode_column`): a value column holds a homogeneous run of
+built-in payloads — ``float`` as a packed ``array('d')``, ``int`` as
+``array('q')``, fixed-width integers
 (:class:`~repro.pregel.value_types.Short16` and friends) as their wrapped
 ``int`` payloads plus a class tag, ``str`` as a compact list. A column
 that sees a second type, an overflowing int, or an arbitrary object
-degrades to a pickled fallback list — counted, never fatal. Columns are
-packed and unpacked with :mod:`array` alone.
+degrades to a pickled fallback list — counted, never fatal. The byte
+codec is what the spill plane's pages and run files store.
 
-**Frames** (:func:`build_frame` / :func:`parse_frame`): a frame is a
-sequence of length-prefixed sections — ``u32be payload_len | u8 kind |
-payload`` — the same framing convention as the trace format
-(:mod:`repro.graft.traceformat`). Sections carry compact broadcast
-records, one flat set of point-send columns, the values and halt flags
-of the vertices the step computed, and — only when mutated — the
-worker's adjacency. Vertex ids are referenced as ``u32`` indices into
-the run-global :class:`VertexInterner` (the interned dictionary column),
-which children inherit from the parent via fork, so id strings never
-travel at all.
-
-Under ``processes`` a frame rides ``StepOutcome.frame`` through the
-child's pipe, with the rest of the pickled outcome, and the barrier
-parses it; nothing outlives the step that made it. The other way, a
-pool child that runs the next superstep is sent its inboxes packed the
-same way (:func:`pack_inboxes` / :func:`unpack_inboxes`). Same-address-
-space backends skip frames altogether and hand the barrier their live
-:class:`ColumnarOutbox`.
+Vertex ids are referenced as indices into the run-global
+:class:`VertexInterner`, so the canonical ``repr`` of every id is
+computed once per run and the store's sorts compare ints.
 
 Determinism
 -----------
@@ -52,31 +32,17 @@ one stable sort of the concatenated worker columns on integer ``(target
 rank, source repr rank)`` keys, broadcast expansion walks in-neighbor
 lists pre-sorted by ``(repr, worker, load order)``, and a target that
 receives both merges them on ``(repr rank, worker id, emission seq)`` —
-so canonical trace digests are byte-identical across serial/processes
-and worker counts. The determinism suite and graft-san pin this.
+so canonical trace digests are byte-identical across backends and worker
+counts. The determinism suite and graft-san pin this.
 """
 
 import pickle
-import struct
 from array import array
 from collections import Counter
 
 from repro.common.errors import PregelError
 from repro.pregel.messages import IncomingView, MessageStore
 from repro.pregel.value_types import Int32, Long64, Short16
-
-_U32BE = struct.Struct(">I")
-
-FRAME_MAGIC = b"GCF1"
-
-# Section kinds (``u32be len | u8 kind | payload``, trace-block framing).
-SECTION_META = 1
-SECTION_BCAST = 2
-SECTION_POINT = 3
-SECTION_FALLBACK = 4
-SECTION_VALUES = 5
-SECTION_HALTED = 6
-SECTION_EDGES = 7
 
 # Column tags (first byte of an encoded value column).
 COL_EMPTY = 0
@@ -86,19 +52,11 @@ COL_FIXED = 3
 COL_STR = 4
 COL_OBJ = 5  # pickled fallback list — counted in transport metrics
 
-_META = struct.Struct(">IIQB")  # worker_id, superstep, messages, flags
-META_EDGES_DIRTY = 1
-
-#: ``array`` typecodes for the id/seq columns (u32) and numeric payloads.
-_ID_TYPECODE = "I"
-#: Target index of a point send whose target the sender could not intern.
-UNINTERNED = 0xFFFFFFFF
-
 # -- fixed-width payload codecs -------------------------------------------
 
 #: Exact class <-> bits tag. Populated via :func:`register_fixed_width`;
 #: Short16/Int32/Long64 are registered below, by the module that decodes
-#: the tag, so a frame, page, run or checkpoint column written by another
+#: the tag, so a page, run or checkpoint column written by another
 #: process always finds them.
 _FIXED_BY_CLASS = {}
 _FIXED_BY_BITS = {}
@@ -133,10 +91,9 @@ class VertexInterner:
     """Run-global dictionary column: vertex id <-> dense u32 index.
 
     Built once by the engine at load (vertices *and* edge targets), then
-    grown append-only as vertices are created at barriers. Children
-    inherit the table through fork, so frames reference ids as 4-byte
-    indices and the canonical ``repr`` of every id is computed exactly
-    once per run.
+    grown append-only as vertices are created at barriers, so the store
+    references ids as dense ints and the canonical ``repr`` of every id
+    is computed exactly once per run.
     """
 
     __slots__ = ("ids", "index", "reprs")
@@ -264,8 +221,8 @@ class ColumnBuilder:
     def values(self):
         """Decode the live column to a plain value list (no byte round-trip).
 
-        Used by same-address-space consumers (the serial barrier)
-        where encoding to bytes would be pure waste.
+        Used by the barrier, where encoding to bytes would be pure
+        waste.
         """
         kind = self.kind
         if kind == COL_EMPTY:
@@ -309,7 +266,7 @@ def decode_column(blob):
         cls = _FIXED_BY_BITS.get(blob[1])
         if cls is None:
             raise PregelError(
-                f"columnar frame references unregistered fixed-width tag {blob[1]}"
+                f"column references unregistered fixed-width tag {blob[1]}"
             )
         raw = _decode_numeric("q", blob, 2)
         make = cls.__new__
@@ -323,22 +280,12 @@ def decode_column(blob):
         return pickle.loads(blob[1:]), False
     if kind == COL_OBJ:
         return pickle.loads(blob[1:]), True
-    raise PregelError(f"unknown column tag {kind} in columnar frame")
+    raise PregelError(f"unknown column tag {kind}")
 
 
 def _decode_numeric(typecode, blob, offset):
     col = array(typecode)
     col.frombytes(blob[offset:])
-    return col.tolist()
-
-
-def _encode_u32_column(values):
-    return array(_ID_TYPECODE, values).tobytes()
-
-
-def _decode_u32_column(blob):
-    col = array(_ID_TYPECODE)
-    col.frombytes(blob)
     return col.tolist()
 
 
@@ -357,11 +304,11 @@ class ColumnarOutbox:
       whatever their target — the barrier groups them by destination
       with one sort;
     - broadcasts append **one compact record** ``(source, seq, value)``;
-      the receiver expands them against the (fork-inherited) reverse
-      adjacency, so a fan-out of ten thousand neighbors ships as a dozen
-      bytes. When the worker's adjacency has been mutated this superstep
+      the receiver expands them against the reverse adjacency, so a
+      fan-out of ten thousand neighbors is stored once. When the
+      worker's adjacency has been mutated this superstep
       (``edges_dirty``), broadcasts degrade to explicit point entries
-      (one per target, sharing one seq), because the parent's reverse
+      (one per target, sharing one seq), because the engine's reverse
       index no longer matches the emit-time neighbor snapshot.
 
     ``seq`` is the worker's emission counter; one broadcast consumes one
@@ -422,196 +369,13 @@ class ColumnarOutbox:
         """Packed column sets held: the point columns + the bcast column."""
         return (1 if self.point_targets else 0) + (1 if self.bcast_sources else 0)
 
-
-# =====================================================================
-# Frames
-# =====================================================================
-
-
-class _SectionWriter:
-    """Accumulates ``u32be len | u8 kind | payload`` sections."""
-
-    def __init__(self):
-        self.parts = [FRAME_MAGIC]
-
-    def add(self, kind, payload):
-        self.parts.append(_U32BE.pack(len(payload)))
-        self.parts.append(bytes((kind,)))
-        self.parts.append(payload)
-
-    def tobytes(self):
-        return b"".join(self.parts)
-
-
-def build_frame(worker, interner, superstep):
-    """Pack one worker's superstep products into a columnar frame.
-
-    Carries the outbox (broadcast + point + fallback sections), the
-    values and halt flags of the vertices the step computed
-    (``worker.active``, the only ones it can have changed), and — only
-    when ``edges_dirty`` — its adjacency, so unmutated edge maps never
-    cross the pipe again.
-    """
-    vertices = worker.active
-    outbox = worker.outbox
-    index = interner.index
-    writer = _SectionWriter()
-    flags = META_EDGES_DIRTY if worker.edges_dirty else 0
-    writer.add(SECTION_META, _META.pack(
-        worker.worker_id, superstep, outbox.messages, flags
-    ))
-
-    if outbox.bcast_sources:
-        src_idx = array(_ID_TYPECODE, [index[s] for s in outbox.bcast_sources])
-        payload = b"".join((
-            _U32BE.pack(len(src_idx)),
-            src_idx.tobytes(),
-            array(_ID_TYPECODE, outbox.bcast_seqs).tobytes(),
-            outbox.bcast_column.encode(),
-        ))
-        writer.add(SECTION_BCAST, payload)
-
-    if outbox.point_targets:
-        raw = outbox.point_targets
-        try:
-            targets = [index[t] for t in raw]
-        except KeyError:
-            # Targets outside the interner (sends to ids that do not exist
-            # yet) get a placeholder index, and the ids themselves travel,
-            # in column order, as a pickled FALLBACK list.
-            get = index.get
-            targets = [get(t, UNINTERNED) for t in raw]
-            writer.add(SECTION_FALLBACK, pickle.dumps(
-                [t for t, idx in zip(raw, targets) if idx == UNINTERNED],
-                protocol=4,
-            ))
-        writer.add(SECTION_POINT, b"".join((
-            _U32BE.pack(len(targets)),
-            _encode_u32_column([index[s] for s in outbox.point_sources]),
-            _encode_u32_column(targets),
-            _encode_u32_column(outbox.point_seqs),
-            outbox.point_column.encode(),
-        )))
-
-    ids = array(_ID_TYPECODE, [index[v] for v in vertices]).tobytes()
-    values, halted = worker.values, worker.halted
-    writer.add(SECTION_VALUES, b"".join((
-        _U32BE.pack(len(vertices)), ids,
-        encode_values([values[v] for v in vertices])[0],
-    )))
-    writer.add(SECTION_HALTED, b"".join((
-        _U32BE.pack(len(vertices)), ids,
-        bytes([1 if halted[v] else 0 for v in vertices]),
-    )))
-    if worker.edges_dirty:
-        writer.add(SECTION_EDGES, pickle.dumps(worker.edges, protocol=4))
-    return writer.tobytes()
-
-
-class ParsedFrame:
-    """One worker's frame, decoded to plain columns.
-
-    ``bcast`` is ``[(source_idx, seq, value)]``; ``point`` is the
-    parallel ``(source_idx, target_idx, seq, value)`` column lists, where
-    a target outside the interner has the index :data:`UNINTERNED`;
-    ``fallback`` lists those targets' ids in column order. State
-    sections decode into ``values``/``halted`` dicts of the vertices the
-    step computed (in compute order), which the barrier merges into the
-    worker's own, and ``edges`` when shipped.
-    """
-
-    __slots__ = ("worker_id", "superstep", "messages", "edges_dirty",
-                 "bcast", "point", "fallback", "values", "halted", "edges",
-                 "pickle_fallbacks", "batches")
-
-    def __init__(self):
-        self.worker_id = None
-        self.superstep = None
-        self.messages = 0
-        self.edges_dirty = False
-        self.bcast = []
-        self.point = ([], [], [], [])
-        self.fallback = []
-        self.values = None
-        self.halted = None
-        self.edges = None
-        self.pickle_fallbacks = 0
-        self.batches = 0
-
-
-def parse_frame(blob, interner):
-    """Decode a frame built by :func:`build_frame`."""
-    if blob[:4] != FRAME_MAGIC:
-        raise PregelError("columnar frame has bad magic")
-    frame = ParsedFrame()
-    offset = 4
-    view = memoryview(blob)
-    total = len(blob)
-    while offset < total:
-        (length,) = _U32BE.unpack_from(blob, offset)
-        kind = blob[offset + 4]
-        start = offset + 5
-        payload = view[start:start + length]
-        offset = start + length
-        if kind == SECTION_META:
-            wid, superstep, messages, flags = _META.unpack(payload)
-            frame.worker_id = wid
-            frame.superstep = superstep
-            frame.messages = messages
-            frame.edges_dirty = bool(flags & META_EDGES_DIRTY)
-        elif kind == SECTION_BCAST:
-            _parse_bcast(frame, payload)
-        elif kind == SECTION_POINT:
-            _parse_point(frame, payload)
-        elif kind == SECTION_FALLBACK:
-            frame.fallback = pickle.loads(payload)
-            frame.batches += 1
-            frame.pickle_fallbacks += 1
-        elif kind == SECTION_VALUES:
-            frame.values = _parse_keyed_column(payload, interner, frame)
-        elif kind == SECTION_HALTED:
-            (n,) = _U32BE.unpack_from(payload, 0)
-            ids = _decode_u32_column(payload[4:4 + 4 * n])
-            flags = map(bool, payload[4 + 4 * n:4 + 4 * n + n])
-            frame.halted = dict(zip(map(interner.ids.__getitem__, ids), flags))
-        elif kind == SECTION_EDGES:
-            frame.edges = pickle.loads(payload)
-        # Unknown sections are skipped: frames are same-build transport,
-        # but a tolerant reader keeps partial rollouts debuggable.
-    return frame
-
-
-def _parse_bcast(frame, payload):
-    (n,) = _U32BE.unpack_from(payload, 0)
-    sources = _decode_u32_column(payload[4:4 + 4 * n])
-    seqs = _decode_u32_column(payload[4 + 4 * n:4 + 8 * n])
-    values, fell_back = decode_column(bytes(payload[4 + 8 * n:]))
-    frame.bcast = list(zip(sources, seqs, values))
-    frame.batches += 1
-    if fell_back:
-        frame.pickle_fallbacks += 1
-
-
-def _parse_point(frame, payload):
-    (n,) = _U32BE.unpack_from(payload, 0)
-    width = 4 * n
-    sources = _decode_u32_column(payload[4:4 + width])
-    targets = _decode_u32_column(payload[4 + width:4 + 2 * width])
-    seqs = _decode_u32_column(payload[4 + 2 * width:4 + 3 * width])
-    values, fell_back = decode_column(bytes(payload[4 + 3 * width:]))
-    frame.point = (sources, targets, seqs, values)
-    frame.batches += 1
-    if fell_back:
-        frame.pickle_fallbacks += 1
-
-
-def _parse_keyed_column(payload, interner, frame):
-    (n,) = _U32BE.unpack_from(payload, 0)
-    ids = _decode_u32_column(payload[4:4 + 4 * n])
-    values, fell_back = decode_column(bytes(payload[4 + 4 * n:]))
-    if fell_back:
-        frame.pickle_fallbacks += 1
-    return dict(zip(map(interner.ids.__getitem__, ids), values))
+    @property
+    def pickle_fallbacks(self):
+        """Value columns that degraded to the pickled-object fallback."""
+        return (
+            (self.point_column.kind == COL_OBJ)
+            + (self.bcast_column.kind == COL_OBJ)
+        )
 
 
 # =====================================================================
@@ -627,11 +391,10 @@ class ReverseIndex:
     ``(repr, owning worker, load order)``; ``missing_out`` maps a source
     idx to its out-edge targets that did not exist when the index was
     made (resolver candidates). Both are a pure function of the
-    adjacency the index was made under, so whichever process reads them
-    first — the parent at the barrier, or a forked worker reading its
-    inbox — builds the same index. The engine builds it before that
-    adjacency changes under it (:meth:`build`): at a worker's first edge
-    edit of a superstep, and before a barrier absorbs edited edges.
+    adjacency the index was made under, so whichever reader comes first —
+    the barrier's resolver pass or a step reading its inbox — builds the
+    same index. The engine builds it before that adjacency changes under
+    it (:meth:`build`): at a worker's first edge edit of a superstep.
     A job that never broadcasts never builds one.
     """
 
@@ -698,12 +461,11 @@ class ReverseIndex:
 class ColumnarRunState:
     """Everything the columnar plane derives from the graph topology.
 
-    Owned by the engine (parent); children inherit it via fork. The
-    interner and the canonical ranks are brought up to date at the top of
-    every superstep after a topology change (:meth:`ensure_index`); the
-    reverse-adjacency index a compact broadcast record expands against
-    (:class:`ReverseIndex`, ``index``) is made there too, but built only
-    when something reads it.
+    Owned by the engine. The interner and the canonical ranks are brought
+    up to date at the top of every superstep after a topology change
+    (:meth:`ensure_index`); the reverse-adjacency index a compact
+    broadcast record expands against (:class:`ReverseIndex`, ``index``)
+    is made there too, but built only when something reads it.
     """
 
     def __init__(self):
@@ -797,9 +559,8 @@ class ColumnarRunState:
 class ColumnarMessageStore:
     """One superstep's messages, kept packed until a vertex reads them.
 
-    Built at the barrier by absorbing per-worker frames (process backend)
-    or live :class:`ColumnarOutbox` objects (serial) **in worker-id
-    order**. Messages live as:
+    Built at the barrier by absorbing the live :class:`ColumnarOutbox`
+    of every worker **in worker-id order**. Messages live as:
 
     - ``_bcast``: source idx -> ``[(worker_id, seq, value)]`` compact
       broadcast records, expanded per receiver against the reverse-
@@ -809,10 +570,8 @@ class ColumnarMessageStore:
       lists, grouped by destination with one stable sort on first read
       (:meth:`_point_inboxes`).
 
-    A broadcast-only inbox's values materialize lazily and memoize; under
-    the process backend that expansion lands in next superstep's forked
-    children, parallel where the hardware allows, instead of in the
-    parent's serial barrier.
+    A broadcast-only inbox's values materialize lazily and memoize, in
+    the next superstep's step that reads them.
 
     Canonical order: an inbox's reference order is the stable sort by
     ``repr(source)`` over worker-id-merge order, i.e. exactly
@@ -844,23 +603,10 @@ class ColumnarMessageStore:
         self._values_cache = {}
         self.total_messages = 0
 
-    # -- absorption (parent, worker-id order) -------------------------
-
-    def absorb_frame(self, frame):
-        """Merge one worker's parsed frame (process backend)."""
-        wid = frame.worker_id
-        self._absorb_bcast(wid, frame.bcast)
-        sources, targets, seqs, values = frame.point
-        if frame.fallback:
-            interned = map(self._interner.intern, frame.fallback)
-            targets = [
-                next(interned) if t == UNINTERNED else t for t in targets
-            ]
-        self._absorb_points(wid, sources, targets, seqs, values)
-        self.total_messages += frame.messages
+    # -- absorption (barrier, worker-id order) -------------------------
 
     def absorb_outbox(self, worker_id, outbox):
-        """Merge one worker's live outbox (same-address-space backends)."""
+        """Merge one worker's live outbox."""
         index = self._interner.index
         self._absorb_bcast(worker_id, zip(
             [index[source] for source in outbox.bcast_sources],
@@ -888,8 +634,7 @@ class ColumnarMessageStore:
 
     def _intern_all(self, targets):
         """Target ids as interner indices. A target that does not exist
-        yet is interned here, in the parent, so it sorts like any other;
-        children forked later inherit it."""
+        yet is interned here, so it sorts like any other."""
         index = self._interner.index
         try:
             return [index[t] for t in targets]
@@ -916,7 +661,7 @@ class ColumnarMessageStore:
         which is ``(worker, seq)``. A target that also receives compact
         broadcasts merges them in on the explicit triple (:meth:`_merged`).
         Memoized in ``_point`` until the next absorption; the barrier's
-        resolver pass builds it in the parent.
+        resolver pass usually builds it.
         """
         point = self._point
         if point is not None:
@@ -1129,99 +874,3 @@ class ColumnarMessageStore:
         store.deliver_inboxes(inboxes)
         return store.settle(superstep, schedule, combiner)
 
-
-# =====================================================================
-# Inboxes shipped down to persistent workers
-# =====================================================================
-
-
-def pack_inboxes(store, interner, owners_of, num_workers):
-    """One superstep's deliveries, packed for the workers that read them.
-
-    ``store`` is the barrier's outgoing store, settled or packed. Returns
-    ``(point, bcast)``: ``point[w]`` holds every complete inbox of worker
-    ``w``'s targets, in the store's order, as ``u32be n | target idx[n] |
-    count[n] | source idx[sum(count)] | value column``, where a combined
-    inbox's source None travels as :data:`UNINTERNED`; ``bcast`` holds a
-    packed store's compact broadcast records as ``u32be n | source idx[n]
-    | worker id[n] | seq[n] | value column`` (``b""`` when there are
-    none), which every worker expands against its own reverse index.
-    ``owners_of(targets)`` lists the workers that compute ``targets``.
-    """
-    if isinstance(store, ColumnarMessageStore):
-        inboxes, records = store._point_inboxes(), store._bcast
-    else:
-        inboxes, records = store._by_target, None
-    index = interner.index
-    buckets = [[] for _ in range(num_workers)]
-    for item, owner in zip(inboxes.items(), owners_of(inboxes)):
-        buckets[owner].append(item)
-    point = []
-    for bucket in buckets:
-        sources = [
-            UNINTERNED if source is None else index[source]
-            for _target, (column, _values) in bucket for source in column
-        ]
-        values = [
-            value for _target, (_sources, column) in bucket for value in column
-        ]
-        point.append(b"".join((
-            _U32BE.pack(len(bucket)),
-            _encode_u32_column([index[target] for target, _inbox in bucket]),
-            _encode_u32_column([len(inbox[1]) for _target, inbox in bucket]),
-            _encode_u32_column(sources),
-            encode_values(values)[0],
-        )))
-    bcast = b""
-    if records:
-        sources = [s_idx for s_idx, lst in records.items() for _ in lst]
-        workers, seqs, values = zip(*[
-            record for lst in records.values() for record in lst
-        ])
-        bcast = b"".join((
-            _U32BE.pack(len(sources)),
-            _encode_u32_column(sources),
-            _encode_u32_column(workers),
-            _encode_u32_column(seqs),
-            encode_values(list(values))[0],
-        ))
-    return point, bcast
-
-
-def unpack_inboxes(run_state, point, bcast):
-    """The :class:`ColumnarMessageStore` a worker reads a shipped
-    superstep from: ``point`` and ``bcast`` as :func:`pack_inboxes`
-    made them, expanded against this process's own reverse index."""
-    store = ColumnarMessageStore(run_state)
-    ids = run_state.interner.ids
-    (n,) = _U32BE.unpack_from(point, 0)
-    view = memoryview(point)
-    targets = _decode_u32_column(view[4:4 + 4 * n])
-    counts = _decode_u32_column(view[4 + 4 * n:4 + 8 * n])
-    end = 4 + 8 * n + 4 * sum(counts)
-    sources = [
-        None if s_idx == UNINTERNED else ids[s_idx]
-        for s_idx in _decode_u32_column(view[4 + 8 * n:end])
-    ]
-    values = decode_column(point[end:])[0]
-    inboxes = store._point = {}
-    start = 0
-    for t_idx, count in zip(targets, counts):
-        stop = start + count
-        inboxes[ids[t_idx]] = (sources[start:stop], values[start:stop])
-        start = stop
-    if bcast:
-        (n,) = _U32BE.unpack_from(bcast, 0)
-        view = memoryview(bcast)
-        sources = _decode_u32_column(view[4:4 + 4 * n])
-        workers = _decode_u32_column(view[4 + 4 * n:4 + 8 * n])
-        seqs = _decode_u32_column(view[4 + 8 * n:4 + 12 * n])
-        values = decode_column(bcast[4 + 12 * n:])[0]
-        records = store._bcast
-        for s_idx, worker_id, seq, value in zip(sources, workers, seqs, values):
-            lst = records.get(s_idx)
-            if lst is None:
-                records[s_idx] = [(worker_id, seq, value)]
-            else:
-                lst.append((worker_id, seq, value))
-    return store

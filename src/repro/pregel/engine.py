@@ -18,30 +18,17 @@ superstep is one call of the engine's step function (:meth:`PregelEngine._step`)
 it prepares the worker, runs ``compute()`` over its active vertices
 against a private packed outbox and aggregator buffer, and returns a
 :class:`~repro.pregel.runtime.StepOutcome`. An
-:class:`~repro.pregel.runtime.ExecutionBackend` (``executor="serial" |
-"processes"``) schedules the steps. Under ``processes`` with more than
-one worker on the in-memory plane they run in a pool of forked children
-that persists while the parent's state matches what the children
-inherited: each superstep the parent sends a child its inboxes and the
-superstep's scalars, and the pickled outcome — a packed frame of the
-outbox and the computed vertices' new state, as plain bytes — is all
-that crosses back. A one-worker run and every run on the spill plane
-keep their steps in the parent, whatever the executor. The engine then
-reduces all outcomes at the barrier **in worker-id order** — message
-merge, mutation application, aggregator partial fold, error selection —
-so results, aggregator values, and Graft trace files are identical
-whichever backend ran the steps.
+:class:`~repro.pregel.runtime.ExecutionBackend` runs the steps in the
+engine's process; both accepted ``executor=`` names select the serial
+schedule.
+The engine then reduces all outcomes at the barrier **in worker-id
+order** — message merge, mutation application, aggregator partial fold,
+error selection — so results, aggregator values, and Graft trace files
+are identical whichever order a backend ran the steps in.
 
 Listeners observe superstep boundaries — this is where Graft hooks in its
 master-context capture and per-superstep trace flushing without the engine
-knowing anything about the debugger. Listeners that buffer per-worker data
-during steps may implement extra hooks used by state-transferring
-backends (``processes``): ``collect_step_payload(worker_id)`` runs inside
-the step's address space and returns (and forgets) picklable data;
-``absorb_step_payload(worker_id, payload)`` replays it in the parent at
-the barrier; ``step_state()`` returns the picklable state a step reads
-that the parent sets between steps, which ``load_step_state(state)``
-installs in a pool child before each superstep it is sent.
+knowing anything about the debugger.
 ``on_superstep_aborted(superstep, worker_id)`` fires when a step's fatal
 error is about to propagate.
 """
@@ -62,14 +49,7 @@ from repro.common.errors import (
 from repro.common.timing import Timer
 from repro.pregel import halting
 from repro.pregel.aggregators import AggregatorRegistry
-from repro.pregel.columnar import (
-    ColumnarMessageStore,
-    ColumnarRunState,
-    build_frame,
-    pack_inboxes,
-    parse_frame,
-    unpack_inboxes,
-)
+from repro.pregel.columnar import ColumnarMessageStore, ColumnarRunState
 from repro.pregel.checkpoint import (
     WorkerFailure,
     checkpoint_candidates,
@@ -81,7 +61,7 @@ from repro.pregel.master import MasterContext, ensure_master, run_master
 from repro.pregel.messages import MessageStore
 from repro.pregel.metrics import RunMetrics, SuperstepMetrics, sample_peak_memory
 from repro.pregel.partition import HashPartitioner
-from repro.pregel.runtime import SerialBackend, StepBatch, StepOutcome, resolve_backend
+from repro.pregel.runtime import StepOutcome, resolve_backend
 from repro.pregel.worker import SpilledWorker, Worker
 
 DEFAULT_MAX_SUPERSTEPS = 10_000
@@ -181,10 +161,9 @@ class PregelEngine:
     num_workers, partitioner:
         Cluster shape. Default: 4 workers, hash partitioning.
     executor:
-        Execution backend for worker steps: ``"serial"`` (default),
-        ``"processes"``, or an
-        :class:`~repro.pregel.runtime.ExecutionBackend` instance. Results
-        and Graft traces are identical across backends; see
+        Execution backend for worker steps: ``"serial"`` (default) or an
+        :class:`~repro.pregel.runtime.ExecutionBackend` instance.
+        ``"processes"`` is accepted and runs the serial schedule; see
         ``docs/performance.md``.
     master:
         Optional :class:`~repro.pregel.MasterComputation` instance.
@@ -202,8 +181,6 @@ class PregelEngine:
         ``"raise"`` (default) propagates a failing ``compute()`` as
         :class:`~repro.common.errors.ComputeError`; ``"halt_vertex"``
         records it and keeps going (used with Graft exception capture).
-        Under ``"processes"`` with ``"raise"``, every forked step runs to
-        completion and the error from the lowest-numbered worker wins.
     listeners:
         Objects whose optional hooks ``on_start(engine)``,
         ``on_master_computed(superstep, master_ctx)``,
@@ -278,26 +255,7 @@ class PregelEngine:
                 num_workers, num_partitions=num_partitions
             )
         self._num_workers = self._partitioner.num_workers
-        #: partition id -> the worker that runs it.
-        self._partition_owners = [
-            self._partitioner.worker_of_partition(partition_id)
-            for partition_id in range(self._partitioner.num_partitions)
-        ]
         self._backend = resolve_backend(executor, self._num_workers)
-        # Whether steps leave the parent, decided here once per run. A
-        # lone worker has no sibling to overlap with, and the spill plane's
-        # pages and run files belong to the parent: both run their steps
-        # in place, as a serial run, whatever the executor is called.
-        self._transfers_state = (
-            self._backend.transfers_state
-            and self._num_workers > 1
-            and not spill
-        )
-        self._run_steps = (
-            SerialBackend().run_superstep
-            if self._backend.transfers_state and not self._transfers_state
-            else self._backend.run_superstep
-        )
         self._memory_limit = memory_limit
         if spill:
             from repro.pregel.store import SpillStore
@@ -464,29 +422,24 @@ class PregelEngine:
               fault=None):
         """Run one worker's share of a superstep; return its outcome.
 
-        The one step function: serial runs it in place, and a pool child
-        of the process backend runs it on its own copy of the engine —
-        inherited through the fork, or resumed with the inbox the parent
-        sent (:meth:`_resume_step`). It touches only the worker's own
-        state, a fresh aggregator buffer, and the immutable ``incoming``
-        store, so steps share no mutable state and their order cannot
-        change the barrier's input. Fatal compute errors are returned in
-        the outcome (not raised) so sibling steps aren't torn down
-        mid-superstep; the engine re-raises deterministically afterwards.
+        It touches only the worker's own state, a fresh aggregator buffer,
+        and the immutable ``incoming`` store, so steps share no mutable
+        state and their order cannot change the barrier's input. Fatal
+        compute errors are returned in the outcome (not raised) so sibling
+        steps aren't torn down mid-superstep; the engine re-raises
+        deterministically afterwards.
 
-        ``fault`` is a chaos decision made in the parent *before* the step
-        is scheduled (so it is backend-independent): an optional
+        ``fault`` is a chaos decision made *before* the step is scheduled
+        (so it is backend-independent): an optional
         ``{"delay": seconds, "crash_after": calls}`` dict. A crash raises
         :class:`~repro.common.errors.InjectedWorkerCrash` out of the step —
         deliberately not caught here, because it models the machine dying,
         not user code failing.
         """
         worker = self.workers[worker_id]
-        transfers_state = self._transfers_state
-        spill = self._store is not None
         buffer = self.aggregators.buffer()
         worker.prepare_superstep(
-            buffer, None if spill else self._run_state.index
+            buffer, None if self._run_state is None else self._run_state.index
         )
         error = None
         if fault and fault.get("delay"):
@@ -504,23 +457,10 @@ class PregelEngine:
                 )
             except ComputeError as exc:
                 error = exc
-        payloads = None
-        frame = None
-        if transfers_state:
-            payloads = [
-                listener.collect_step_payload(worker_id)
-                for listener in self._payload_listeners
-            ]
-            # Pack outbox + the computed vertices' values and halt flags
-            # (+ adjacency only when mutated) into one flat frame of
-            # bytes that rides the outcome; nothing per-message is
-            # pickled.
-            frame = build_frame(worker, self._run_state.interner, superstep)
         return StepOutcome(
             worker_id=worker_id,
             elapsed=timer.elapsed,
-            # A step run in the parent hands the barrier its live outbox.
-            outbox=None if transfers_state else worker.outbox,
+            outbox=worker.outbox,
             agg_partials=buffer.partials,
             add_vertex_requests=worker.add_vertex_requests,
             remove_vertex_requests=worker.remove_vertex_requests,
@@ -529,69 +469,18 @@ class PregelEngine:
             compute_calls=worker.compute_calls,
             compute_errors=worker.compute_errors,
             error=error,
-            payloads=payloads,
-            frame=frame,
         )
 
     def _step_batch(self, superstep, incoming, num_vertices, num_edges,
                     faults):
-        """This superstep's steps, one per worker, for the backend.
-
-        The batch is resumable: a pool child that ran the previous
-        superstep runs this one from a request (:meth:`_step_requests`)
-        instead of being forked again.
-        """
-        steps = [
+        """This superstep's steps, one per worker, for the backend."""
+        return [
             functools.partial(
                 self._step, worker_id, superstep, incoming, num_vertices,
                 num_edges, faults[worker_id],
             )
             for worker_id in range(self._num_workers)
         ]
-        return StepBatch(
-            steps,
-            requests=lambda: self._step_requests(
-                superstep, incoming, num_vertices, num_edges, faults
-            ),
-            resume=self._resume_step,
-        )
-
-    def _step_requests(self, superstep, incoming, num_vertices, num_edges,
-                       faults):
-        """One picklable request per worker: what a pool child needs to
-        run this superstep on top of the previous one. Counts the packed
-        inbox bytes in ``_shipped_bytes``."""
-        point, bcast = pack_inboxes(
-            incoming, self._run_state.interner, self._owner_ids,
-            self._num_workers,
-        )
-        self._shipped_bytes += sum(map(len, point)) + len(bcast) * len(point)
-        aggregators = self.aggregators.visible_snapshot()
-        states = [listener.step_state() for listener in self._state_listeners]
-        return [
-            (worker_id, superstep, num_vertices, num_edges, aggregators,
-             faults[worker_id], states, point[worker_id], bcast)
-            for worker_id in range(self._num_workers)
-        ]
-
-    def _resume_step(self, request):
-        """Run a superstep in a pool child from the parent's request."""
-        (worker_id, superstep, num_vertices, num_edges, aggregators, fault,
-         states, point, bcast) = request
-        self.aggregators.restore_snapshot(aggregators)
-        for listener, state in zip(self._state_listeners, states):
-            listener.load_step_state(state)
-        incoming = unpack_inboxes(self._run_state, point, bcast)
-        return self._step(
-            worker_id, superstep, incoming, num_vertices, num_edges, fault
-        )
-
-    def _owner_ids(self, vertex_ids):
-        """The ids of the workers that compute ``vertex_ids``."""
-        return map(
-            self._partition_owners.__getitem__,
-            map(self._locations.__getitem__, vertex_ids),
-        )
 
     # -- the BSP loop -------------------------------------------------------
 
@@ -600,27 +489,11 @@ class PregelEngine:
         if self._ran:
             raise EngineStateError("engine instances are single-use; build a new one")
         self._ran = True
-        try:
-            return self._run()
-        finally:
-            self._backend.close()
+        return self._run()
 
     def _run(self):
         self._load()
         self._notify("on_start", self)
-        # Listeners that buffer per-worker data in a step's address space
-        # (``collect_step_payload``), and those whose per-superstep state
-        # a pool child must be sent (``step_state``).
-        self._payload_listeners = [
-            listener
-            for listener in self._listeners
-            if hasattr(listener, "collect_step_payload")
-        ]
-        self._state_listeners = [
-            listener
-            for listener in self._listeners
-            if hasattr(listener, "step_state")
-        ]
 
         metrics = RunMetrics()
         compute_errors = []
@@ -667,8 +540,7 @@ class PregelEngine:
                     break
                 if self._run_state is not None:
                     # Re-intern and re-rank if a prior barrier changed the
-                    # topology — before steps are packaged, so forked
-                    # children inherit it.
+                    # topology, before any step reads an inbox.
                     self._run_state.ensure_index(self.workers, self._locations)
 
                 steps = self._step_batch(
@@ -680,7 +552,6 @@ class PregelEngine:
                         for worker_id in range(self._num_workers)
                     ],
                 )
-                self._shipped_bytes = 0
                 try:
                     if self._store is not None:
                         # A crashed earlier attempt may have left torn run
@@ -688,14 +559,13 @@ class PregelEngine:
                         # must start from a clean directory.
                         self._store.clear_runs(superstep + 1)
                     with Timer() as wall_timer:
-                        outcomes = self._run_steps(steps)
+                        outcomes = self._backend.run_superstep(steps)
                     self._raise_if_step_failed(superstep, outcomes)
 
                     superstep_metrics = SuperstepMetrics(
                         superstep, recovered=superstep <= max_completed
                     )
                     superstep_metrics.wall_seconds = wall_timer.elapsed
-                    superstep_metrics.transport_bytes += self._shipped_bytes
                     for outcome in outcomes:
                         superstep_metrics.compute_seconds += outcome.elapsed
                         superstep_metrics.compute_calls += outcome.compute_calls
@@ -761,10 +631,10 @@ class PregelEngine:
     def _raise_if_step_failed(self, superstep, outcomes):
         """Propagate a fatal step error deterministically.
 
-        The process backend forks every step before any reports, so several
-        outcomes may carry errors; the lowest worker id wins regardless of
-        completion order. Listeners get ``on_superstep_aborted`` first so
-        Graft can persist exactly the captures a serial run would have
+        A backend that runs every step before reporting may hand back
+        several outcomes with errors; the lowest worker id wins regardless
+        of completion order. Listeners get ``on_superstep_aborted`` first
+        so Graft can persist exactly the captures a serial run would have
         produced (workers after the failing one never ran serially).
         """
         failed = None
@@ -818,7 +688,6 @@ class PregelEngine:
                 self.workers, checkpoint, self._partitioner, self._locations
             )
             self.aggregators.restore_snapshot(checkpoint["aggregators"])
-            self._backend.discard()
             if self._run_state is not None:
                 # Restored adjacency may predate the current reverse
                 # index; rebuild before the next columnar superstep.
@@ -833,17 +702,11 @@ class PregelEngine:
         """Reduce step outcomes in worker-id order.
 
         Every reduction here is a deterministic fold over ``outcomes``
-        (already ordered by worker id): absorb listener payloads and
-        transferred state, route messages, combine, apply mutations, fold
-        aggregator partials. No step result is consumed in completion
-        order, which is what makes the barrier backend-independent.
+        (already ordered by worker id): route messages, combine, apply
+        mutations, fold aggregator partials. No step result is consumed in
+        completion order, which is what makes the barrier
+        backend-independent.
         """
-        if self._transfers_state:
-            for outcome in outcomes:
-                for listener, payload in zip(
-                    self._payload_listeners, outcome.payloads
-                ):
-                    listener.absorb_step_payload(outcome.worker_id, payload)
         if self._store is not None:
             outgoing = self._spill_barrier(outcomes, superstep_metrics)
         else:
@@ -854,7 +717,7 @@ class PregelEngine:
         return outgoing
 
     def _memory_barrier(self, outcomes, superstep_metrics):
-        """The in-memory plane: absorb frames, keep messages packed.
+        """The in-memory plane: absorb outboxes, keep messages packed.
 
         Messages stay as packed columns in a :class:`ColumnarMessageStore`
         unless this barrier must permute, combine or drop inboxes or mutate
@@ -862,38 +725,14 @@ class PregelEngine:
         values)`` columns first (see "Settling" in ``docs/columnar.md``).
         """
         run_state = self._run_state
-        interned = len(run_state.interner)
         store = ColumnarMessageStore(run_state)
-        if self._transfers_state:
-            frames = [
-                parse_frame(outcome.frame, run_state.interner)
-                for outcome in outcomes
-            ]
-            any_dirty = any(frame.edges_dirty for frame in frames)
-            if any_dirty and any(frame.bcast for frame in frames):
-                # The store's compact broadcasts expand against the
-                # adjacency they were emitted under: build the index from
-                # it before the edited edges replace it.
-                run_state.index.build()
-            for outcome, frame in zip(outcomes, frames):
-                superstep_metrics.transport_bytes += len(outcome.frame)
-                superstep_metrics.transport_batches += frame.batches
-                superstep_metrics.pickle_fallbacks += frame.pickle_fallbacks
-                # The frame carries the computed vertices only; the
-                # parent's dicts stay the authority for everything else.
-                worker = self.workers[outcome.worker_id]
-                worker.values.update(frame.values)
-                worker.halted.update(frame.halted)
-                if frame.edges is not None:
-                    worker.replace_edges(frame.edges)
-                store.absorb_frame(frame)
-        else:
-            any_dirty = False
-            for outcome in outcomes:
-                outbox = outcome.outbox
-                superstep_metrics.transport_batches += outbox.batch_count()
-                any_dirty |= self.workers[outcome.worker_id].edges_dirty
-                store.absorb_outbox(outcome.worker_id, outbox)
+        any_dirty = False
+        for outcome in outcomes:
+            outbox = outcome.outbox
+            superstep_metrics.transport_batches += outbox.batch_count()
+            superstep_metrics.pickle_fallbacks += outbox.pickle_fallbacks
+            any_dirty |= self.workers[outcome.worker_id].edges_dirty
+            store.absorb_outbox(outcome.worker_id, outbox)
         mutating = any(
             outcome.add_vertex_requests or outcome.remove_vertex_requests
             for outcome in outcomes
@@ -901,15 +740,13 @@ class PregelEngine:
         if any_dirty or mutating:
             # The reverse index is stale for the *next* superstep; this
             # superstep's store pinned the one its compact broadcasts
-            # (from clean workers only) were emitted under. Pool children
-            # hold the old topology: the next superstep forks anew.
+            # (from clean workers only) were emitted under.
             run_state.invalidate()
-            self._backend.discard()
         schedule = self._delivery_schedule
         combiner = self._combiner
-        # Settle in the parent, so a permutation is a pure function of
-        # (seed, schedule, superstep, target) whatever backend ran the
-        # workers; the messages are consumed one superstep later. With
+        # Settle at the barrier, so a permutation is a pure function of
+        # (seed, schedule, superstep, target) whatever order the steps ran
+        # in; the messages are consumed one superstep later. With
         # nothing left but Giraph's default resolver creating targets —
         # new vertices have no edges — messages stay packed.
         outgoing = (
@@ -923,10 +760,6 @@ class PregelEngine:
         superstep_metrics.inboxes_permuted = outgoing.permuted
         superstep_metrics.messages_combined = outgoing.eliminated
         self._apply_mutations(outcomes, outgoing)
-        if len(run_state.interner) != interned:
-            # Children address ids by interner index: they must inherit
-            # the grown table.
-            self._backend.discard()
         return outgoing
 
     def _spill_barrier(self, outcomes, superstep_metrics):
@@ -946,8 +779,8 @@ class PregelEngine:
         routed = 0
         suspect_counts = {}
         for outcome in outcomes:
-            # The steps ran in the parent: pages and run files are
-            # already in the store, the worker holds the counts.
+            # Pages and run files are already in the store; the worker
+            # holds the counts.
             worker = self.workers[outcome.worker_id]
             routed += outcome.messages_sent
             for target, count in outcome.outbox.suspect_counts.items():
@@ -1036,7 +869,6 @@ class PregelEngine:
             )
         self._locations[vertex_id] = partition_id
         self.workers[worker_index].load_vertex(vertex_id, value, {})
-        self._backend.discard()
         if self._run_state is not None:
             self._run_state.note_vertex_added(vertex_id)
 

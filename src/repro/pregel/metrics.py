@@ -67,12 +67,12 @@ class SuperstepMetrics:
     #: Data plane that carried this superstep's messages:
     #: ``"columnar"`` (packed columns) or ``"spill"`` (partition-cut run files).
     transport: str = "columnar"
-    #: Frame bytes shipped across process boundaries at the barrier
-    #: (0 under same-address-space backends — nothing is copied).
+    #: Bytes shipped across process boundaries at the barrier: 0, since
+    #: every step runs in the engine's process. Kept in the row schema
+    #: (``metrics.json``) that graftbench's harness reads.
     transport_bytes: int = 0
     #: Packed column sets carried by the columnar plane: per worker at
-    #: most one of point sends and one of broadcasts, plus one FALLBACK
-    #: section of a frame when it has one.
+    #: most one of point sends and one of broadcasts.
     transport_batches: int = 0
     #: Columns that degraded to the pickled-object fallback.
     pickle_fallbacks: int = 0

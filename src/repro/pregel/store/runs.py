@@ -20,9 +20,8 @@ A run section holds the messages one chunk addressed to one partition,
 in emission order, as three parallel columns; the value column is a
 :func:`~repro.pregel.columnar.encode_values` column (typed arrays for
 float/int payloads, the counted pickle fallback for everything else).
-Nothing is sorted on the write side. Spill-plane steps run in the parent
-under every executor, so each run file is written once, in place, in the
-store's own filesystem.
+Nothing is sorted on the write side. Each run file is written once, in
+place, in the store's own filesystem.
 
 Delivery (:meth:`SpilledMessageStore.load_partition`) reads a
 partition's sections in (worker id, chunk) order — ranged reads located
@@ -72,8 +71,7 @@ class RunOutbox:
     :class:`~repro.pregel.columnar.ColumnarOutbox` behind the same
     ``_WorkerServices``; there is no reverse index to expand a compact
     broadcast against, so every fan-out is filed per target. It writes
-    the store's filesystem directly: steps on the spill plane run in the
-    parent, whatever the executor.
+    the store's filesystem directly.
 
     A target absent from ``locations`` *at emit time* is counted in
     ``suspect_counts`` — the resolver's work list. The barrier re-checks

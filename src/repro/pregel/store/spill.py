@@ -14,9 +14,8 @@ a spill — so small graphs effectively keep today's all-in-memory
 behaviour while big ones cycle pages through disk, and a page nobody
 touched since it was last written is evicted without being rewritten.
 
-The store lives in one process: every step on the spill plane runs in
-the parent, whatever the executor, so the cache budget bounds the
-resident pages of the whole run.
+The store lives in one process, where every step runs, so the cache
+budget bounds the resident pages of the whole run.
 """
 
 from collections import OrderedDict

@@ -3,7 +3,7 @@
 Each worker owns the values, adjacency, and halt flags of the vertices its
 partition assigned to it, and executes ``compute()`` for its active
 vertices each superstep. Workers are plain objects scheduled by the
-engine's execution backend (in order, or in forked children); everything a
+engine's execution backend, one step per worker; everything a
 distributed worker would do at the API level — message emission,
 aggregator partials, mutation requests, metrics — happens here, so Graft's
 per-worker trace files come out exactly as they would on a cluster.
@@ -35,8 +35,7 @@ class _WorkerServices(ComputeServices):
     def note_edges_mutated(self, delta=0):
         # One worker-wide flag: any in-place adjacency edit this superstep
         # taints broadcast-compaction and forces the engine to rebuild the
-        # reverse index (and, under the process backend, to ship this
-        # worker's edges back). Called before the edit: the first one
+        # reverse index. Called before the edit: the first one
         # builds the reverse index this superstep's compact broadcasts
         # expand against, while the adjacency is still what they saw.
         worker = self._worker
@@ -142,9 +141,6 @@ class Worker:
         self.reverse_index = None
         # Per-superstep outputs, reset by prepare_superstep():
         self.outbox = ColumnarOutbox()
-        #: The vertices of the last compute loop, in compute order: the
-        #: only ones whose value or halt flag the superstep can change.
-        self.active = []
         self.edges_dirty = False
         self.add_vertex_requests = []
         self.remove_vertex_requests = []
@@ -186,11 +182,6 @@ class Worker:
         """Overwrite this worker's full vertex state (checkpoint restore)."""
         self.values = values
         self.halted = halted
-        self.replace_edges(edges)
-
-    def replace_edges(self, edges):
-        """Adopt a whole new adjacency (checkpoint restore, or the edges
-        a step in another address space edited) and recount it."""
         self.edges = edges
         self.edge_count = sum(map(len, edges.values()))
 
@@ -219,7 +210,6 @@ class Worker:
         self._aggregators = aggregators
         self.reverse_index = reverse_index
         self.outbox = ColumnarOutbox()
-        self.active = []
         self.edges_dirty = False
         self.add_vertex_requests = []
         self.remove_vertex_requests = []
@@ -282,8 +272,7 @@ class Worker:
         ``halted`` at one partition page at a time and re-run this loop per
         partition — the loop itself is store-agnostic.
         """
-        self.active = self.active_vertices(superstep, message_store)
-        for vertex_id in self.active:
+        for vertex_id in self.active_vertices(superstep, message_store):
             if (
                 crash_after_calls is not None
                 and self.compute_calls >= crash_after_calls
@@ -338,9 +327,7 @@ class SpilledWorker(Worker):
     and a page cache large enough to hold it, this degenerates to
     exactly the in-memory worker's behaviour — identical compute order,
     identical aggregator fold order. Every per-vertex accessor takes the
-    vertex's partition from the engine's location map. Its steps run in
-    the parent under every executor, so the store it pages through is
-    the run's one store.
+    vertex's partition from the engine's location map.
     """
 
     def __init__(self, worker_id, run_seed, store, partitioner, locations):

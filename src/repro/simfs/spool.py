@@ -13,8 +13,8 @@ Design notes:
 
 - Every operation opens the backing file, acts, and closes it. No file
   descriptors are cached, so nothing is left open between operations
-  (the engine itself only ever touches a spool from the parent
-  process: spill-plane steps never run in a forked child).
+  (the engine only ever touches a spool from the one process every
+  step runs in).
 - Paths keep simfs semantics (absolute, ``/``-separated) and are mapped
   to flat percent-encoded file names, so no simfs path can escape the
   spool root.

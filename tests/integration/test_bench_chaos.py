@@ -37,6 +37,6 @@ def test_bench_chaos_gates(tmp_path):
     report = json.loads(output.read_text())
     assert report["gates"]["passed"], report["gates"]["failures"]
     assert status == 0
-    assert set(report["backends"]) == {"serial", "processes"}
+    assert set(report["backends"]) == {"serial"}
     for measured in report["backends"].values():
         assert measured["rollbacks"] == 2

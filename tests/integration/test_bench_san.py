@@ -37,6 +37,6 @@ def test_bench_san_gates(tmp_path):
     report = json.loads(output.read_text())
     assert report["gates"]["passed"], report["gates"]["failures"]
     assert status == 0
-    assert set(report["backends"]) == {"serial", "processes"}
+    assert set(report["backends"]) == {"serial"}
     assert report["sensitivity"]["detected"] is True
     assert report["sensitivity"]["divergent_schedules"]

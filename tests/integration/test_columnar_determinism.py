@@ -1,14 +1,13 @@
 """In-memory data plane determinism: packed batches change nothing observable.
 
-The packed outbox -> ``ColumnarMessageStore`` path (packed frames in the
-step outcome under the processes backend) replaced a plane that moved
-per-envelope object lists. The contract it was admitted under still holds
-and is gated here: for the same job, every backend and worker count must
-reproduce the :class:`~repro.pregel.PregelResult` and canonical trace
-digest **the envelope plane produced** — pinned below from the last
-commit that had it — with per-worker trace files byte-identical between
-serial and processes. If a packed column, a compact broadcast record, or
-a packed frame ever reorders or rewrites a message, a digest here splits.
+The packed outbox -> ``ColumnarMessageStore`` path replaced a plane that
+moved per-envelope object lists. The contract it was admitted under still
+holds and is gated here: for the same job, every accepted executor name
+and worker count must reproduce the :class:`~repro.pregel.PregelResult`
+and canonical trace digest **the envelope plane produced** — pinned below
+from the last commit that had it — with per-worker trace files
+byte-identical between them. If a packed column or a compact broadcast
+record ever reorders or rewrites a message, a digest here splits.
 ``test_spill_determinism`` cross-checks the same jobs against the
 independently implemented spill plane.
 """
@@ -23,7 +22,7 @@ from repro.chaos import PRESET_PLANS, run_chaos
 from repro.datasets import load_dataset
 from repro.graft import CaptureAllActiveConfig, debug_run
 from repro.graft.trace import canonical_trace_digest, worker_trace_path
-from repro.pregel import Computation, MinCombiner, PregelEngine, ProcessBackend
+from repro.pregel import Computation, MinCombiner, PregelEngine
 
 WORKER_COUNTS = (1, 2, 4)
 EXECUTORS = ("serial", "processes")
@@ -164,8 +163,7 @@ def _run(job, executor, workers, plane=None):
     """Run one debugged job; memoized so each config executes once.
 
     ``plane`` names a :data:`SPILL_PLANES` entry; the default is the
-    in-memory plane. ``executor`` may be a backend instance, so a test
-    can read what the backend did."""
+    in-memory plane."""
     key = (job, executor, workers, plane)
     if key not in _CACHE:
         factory, extra_kwargs = JOBS[job]
@@ -197,7 +195,6 @@ def _run(job, executor, workers, plane=None):
             "captures": run.capture_count,
             "file_hashes": file_hashes,
             "canonical_digest": canonical_trace_digest(fs, "col"),
-            "transport_bytes": run.result.metrics.total_transport_bytes,
         }
     return _CACHE[key]
 
@@ -224,31 +221,12 @@ def test_columnar_matches_envelope(job, executor, workers):
 
 @pytest.mark.parametrize("job", sorted(JOBS))
 def test_columnar_processes_matches_serial(job):
-    """Shared-memory frames reproduce the serial backend byte-for-byte."""
+    """The "processes" name reproduces the serial run byte-for-byte."""
     reference = _run(job, "serial", 4)
     candidate = _run(job, "processes", 4)
     assert candidate["values"] == reference["values"]
     assert candidate["file_hashes"] == reference["file_hashes"]
     assert candidate["canonical_digest"] == reference["canonical_digest"]
-
-
-@pytest.mark.parametrize("job", sorted(JOBS))
-def test_single_worker_processes_run_builds_no_frame(job):
-    """One worker under ``processes`` runs its step in the parent, so no
-    frame is packed or parsed: nothing is transported, and the run is
-    serial's, value for value and digest for digest."""
-    reference = _run(job, "serial", 1)
-    candidate = _run(job, "processes", 1)
-    assert candidate["transport_bytes"] == 0
-    assert candidate["values"] == reference["values"]
-    assert candidate["canonical_digest"] == reference["canonical_digest"]
-    assert candidate["file_hashes"] == reference["file_hashes"]
-    assert _run(job, "processes", 2)["transport_bytes"] > 0
-    factory, extra_kwargs = JOBS[job]
-    engine = PregelEngine(
-        factory, _graph(), num_workers=1, executor="processes", **extra_kwargs
-    )
-    assert engine.executor_name == "processes"
 
 
 #: The spill plane, chosen explicitly and by ``store="auto"`` under a
@@ -259,8 +237,7 @@ SPILL_PLANES = {
 }
 
 
-def _assert_stayed_in_the_parent(backend):
-    assert backend.forks == 0
+def _assert_stayed_in_the_parent():
     assert multiprocessing.active_children() == []
 
 
@@ -269,19 +246,17 @@ def _assert_stayed_in_the_parent(backend):
 @pytest.mark.parametrize("job", sorted(JOBS))
 def test_processes_on_the_spill_plane_runs_in_the_parent(job, plane, workers):
     """On the spill plane every step runs in the parent whatever the
-    executor: no child is forked, nothing is transported, and the run is
-    serial's, value for value and trace file for trace file."""
+    executor is called: no child is forked, and the run is serial's,
+    value for value and trace file for trace file."""
     engine = PregelEngine(
         JOBS[job][0], _graph(), num_workers=workers, executor="processes",
         **SPILL_PLANES[plane],
     )
     assert engine._store is not None
-    assert engine.executor_name == "processes"
+    assert engine.executor_name == "serial"
     reference = _run(job, "serial", workers, plane)
-    backend = ProcessBackend()
-    candidate = _run(job, backend, workers, plane)
-    _assert_stayed_in_the_parent(backend)
-    assert candidate["transport_bytes"] == 0
+    candidate = _run(job, "processes", workers, plane)
+    _assert_stayed_in_the_parent()
     assert candidate["values"] == reference["values"]
     assert candidate["canonical_digest"] == reference["canonical_digest"]
     assert candidate["file_hashes"] == reference["file_hashes"]
@@ -293,17 +268,16 @@ def test_processes_chaos_recovery_on_the_spill_plane_is_serials(plane, workers):
     """A worker crash rolled back over spilled pages recovers in the
     parent under ``processes`` exactly as under serial."""
     reports = {}
-    backend = ProcessBackend()
-    for name, executor in (("serial", "serial"), ("processes", backend)):
-        reports[name] = run_chaos(
+    for executor in ("serial", "processes"):
+        reports[executor] = run_chaos(
             lambda: PageRank(iterations=8), _graph(),
             PRESET_PLANS["worker-crash"], seed=7, num_workers=workers,
             executor=executor, checkpoint_every=2, num_partitions=8,
             **SPILL_PLANES[plane],
         )
-        assert reports[name].ok, reports[name].summary()
-        assert reports[name].rollbacks > 0
-    _assert_stayed_in_the_parent(backend)
+        assert reports[executor].ok, reports[executor].summary()
+        assert reports[executor].rollbacks > 0
+    _assert_stayed_in_the_parent()
     assert reports["processes"].injected_digest == reports["serial"].injected_digest
     assert reports["processes"].baseline_digest == reports["serial"].baseline_digest
 

@@ -2,9 +2,8 @@
 
 Importing a ``repro`` package costs what the caller goes on to use: the
 package surfaces resolve names on first access
-(:mod:`repro.common.lazy`), registering modules are imported by the
-modules that decode, and fork-side modules are imported when a backend is
-built. Every case here starts a fresh interpreter and checks *sets and
+(:mod:`repro.common.lazy`), and registering modules are imported by the
+modules that decode. Every case here starts a fresh interpreter and checks *sets and
 counts* of ``sys.modules`` — nothing is timed, so nothing flakes.
 
 Module sets and counts are taken under ``-S``, with this interpreter's
@@ -15,7 +14,6 @@ guarded ``import numpy`` would still succeed and the sets still bite.
 """
 
 import ast
-import json
 import os
 import pathlib
 import site
@@ -369,77 +367,6 @@ def test_trace_stats_needs_neither_engine_nor_the_table_harness(exported):
 def test_create_server_is_what_loads_the_http_stack():
     assert "http.server" not in modules_after("import repro.serve")
     assert "http.server" in modules_after("from repro.serve import create_server")
-
-
-# -- nothing is first-imported inside a forked worker ----------------------------
-
-_FORKED_WORKERS = """
-import json, sys
-from repro.algorithms.pagerank import PageRank
-from repro.datasets.registry import load_dataset
-from repro.pregel.checkpoint import CheckpointConfig
-from repro.pregel.engine import PregelEngine
-from repro.pregel.runtime import ProcessBackend, StepBatch
-from repro.simfs.filesystem import SimFileSystem
-
-class Recording(ProcessBackend):
-    '''Every child reports the modules it ended its step with.'''
-    parent_before_first_superstep = None
-    first_imported_in_a_child = []
-
-    def run_superstep(self, steps):
-        if self.parent_before_first_superstep is None:
-            self.parent_before_first_superstep = set(sys.modules)
-
-        def reporting(step):
-            def run(*request):
-                outcome = step(*request)
-                outcome.child_modules = set(sys.modules)
-                return outcome
-            return run
-
-        outcomes = super().run_superstep(StepBatch(
-            [reporting(step) for step in steps],
-            steps.requests, reporting(steps.resume),
-        ))
-        self.first_imported_in_a_child.append(sorted(set().union(*(
-            outcome.child_modules - self.parent_before_first_superstep
-            for outcome in outcomes
-        ))))
-        return outcomes
-
-kwargs = {}
-if sys.argv[1] == "chaos":
-    from repro.chaos import FaultInjector, load_fault_plan
-    fs = SimFileSystem()
-    kwargs = {
-        "fault_injector": FaultInjector(load_fault_plan("worker-crash")),
-        "checkpoint_config": CheckpointConfig(filesystem=fs, every_n_supersteps=2),
-    }
-backend = Recording()
-result = PregelEngine(
-    lambda: PageRank(iterations=5), load_dataset("web-BS", num_vertices=60),
-    num_workers=2, executor=backend, **kwargs,
-).run()
-print(json.dumps({
-    "supersteps": result.num_supersteps,
-    "recovered": sum(m.recovered for m in result.metrics.supersteps),
-    "per_superstep": backend.first_imported_in_a_child,
-}))
-"""
-
-
-@pytest.mark.parametrize("path", ["clean", "chaos"])
-def test_nothing_is_first_imported_inside_a_forked_worker(path):
-    """A module first imported in a child is imported again by every
-    worker of every superstep and never reaches the parent. The parent's
-    modules are taken once, before the first fork: a module the parent
-    itself first imports mid-run would count too."""
-    report = json.loads(fresh(_FORKED_WORKERS, path).stdout)
-    assert len(report["per_superstep"]) >= report["supersteps"] >= 5
-    if path == "chaos":
-        assert report["recovered"] > 0          # the re-fork path ran
-    assert report["per_superstep"] == [[]] * len(report["per_superstep"])
 
 
 # -- first use under threads ------------------------------------------------------

@@ -20,7 +20,7 @@ The hazards the flat sort must get right are all generated here:
   canonical order decides;
 - a combiner together with a delivery schedule.
 
-Each program runs on ``serial``, ``processes`` (frames) and the
+Each program runs under both accepted executor names and the
 reversed-step test backend, on one to three workers.
 """
 

@@ -13,7 +13,7 @@ must come out of
   and
 - the memory plane's packed store (:meth:`ColumnarMessageStore.inbox`
   while packed, :meth:`~ColumnarMessageStore.settled` at a barrier that
-  permutes, combines or drops; frames or live outboxes)
+  permutes, combines or drops)
 
 inbox for inbox as ``tests/reference_delivery.py`` gives it from the
 contexts' own send logs: merge in worker-id order, canonicalize, permute,
@@ -26,12 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.pregel import MessageCombiner
-from repro.pregel.columnar import (
-    ColumnarMessageStore,
-    ColumnarRunState,
-    build_frame,
-    parse_frame,
-)
+from repro.pregel.columnar import ColumnarMessageStore, ColumnarRunState
 from repro.pregel.context import ComputeContext
 from repro.pregel.permutation import PermutationSchedule
 from repro.pregel.store.runs import RunOutbox, SpilledMessageStore, run_path
@@ -171,7 +166,6 @@ def _assert_same_inboxes(delivered, expected):
     combine=st.booleans(),
     schedule=st.sampled_from([None, 0, 1, 2]),
     values_only=st.booleans(),
-    framed=st.booleans(),
 )
 # Two targets that print alike, the second located so that the two stores
 # walk them in opposite orders: a ``repr``-keyed comparison of the
@@ -184,7 +178,7 @@ def _assert_same_inboxes(delivered, expected):
         Tagged("x", 1): (0, 0, [], []),
     },
     dropped=set(), chunk_entries=1, combine=False, schedule=None,
-    values_only=False, framed=False,
+    values_only=False,
 )
 @example(
     program={
@@ -192,7 +186,7 @@ def _assert_same_inboxes(delivered, expected):
         1: (0, 0, [], []),
     },
     dropped=set(), chunk_entries=1, combine=False, schedule=None,
-    values_only=False, framed=False,
+    values_only=False,
 )
 # ISSUE 20's bug: a clean worker's compact broadcast, then the sender
 # rewires — the fan-out belongs to the edges it was sent along.
@@ -203,7 +197,7 @@ def _assert_same_inboxes(delivered, expected):
         "10": (1, 2, [], []),
     },
     dropped=set(), chunk_entries=6, combine=False, schedule=None,
-    values_only=False, framed=True,
+    values_only=False,
 )
 # Two senders that print alike on one worker, the later-loaded one interned
 # first (as another vertex's edge target): canonical order is emission
@@ -215,11 +209,11 @@ def _assert_same_inboxes(delivered, expected):
         Tagged("x", 1): (0, 0, ["a"], [("broadcast", 2.0)]),
     },
     dropped=set(), chunk_entries=6, combine=False, schedule=None,
-    values_only=False, framed=False,
+    values_only=False,
 )
 @settings(max_examples=150, deadline=None)
 def test_column_runs_deliver_the_oracle_inboxes(
-    program, dropped, chunk_entries, combine, schedule, values_only, framed
+    program, dropped, chunk_entries, combine, schedule, values_only
 ):
     partitioner = _ReprPartitioner()
     combiner = PairUp() if combine else None
@@ -249,11 +243,7 @@ def test_column_runs_deliver_the_oracle_inboxes(
         # reverse index its compact broadcasts expand against.
         worker.prepare_superstep(None, run_state.index)
         worker_sends.append(_run_step(program, worker, values_only))
-        if framed:
-            frame = build_frame(worker, run_state.interner, SUPERSTEP - 1)
-            packed.absorb_frame(parse_frame(frame, run_state.interner))
-        else:
-            packed.absorb_outbox(worker.worker_id, worker.outbox)
+        packed.absorb_outbox(worker.worker_id, worker.outbox)
     # The index the next superstep would run under: must not be the one
     # this superstep's compact broadcasts expand against.
     run_state.invalidate()

@@ -427,12 +427,16 @@ class TestGL019SharedMutableState:
             "GL019",
         )
         assert finding.confidence == PROVEN
-        # The hazards named are those of the two executors that exist.
+        # The hazard named is the one left: every worker steps in one
+        # process, so the shared object's contents follow vertex order.
         assert (
-            "under the processes backend its writes stay inside each "
-            "worker's process" in finding.message
+            "all workers share one process, so what it holds depends on "
+            "vertex order" in finding.message
         )
-        assert "vertex order under serial" in finding.hint
+        assert "processes" not in finding.message + finding.hint
+        assert "depends on vertex order when all workers share one process" in (
+            finding.hint
+        )
 
     def test_closure_mutation_is_likely(self):
         (finding,) = findings_of(

@@ -192,7 +192,7 @@ class TestConstraintInterceptionPoints:
         debug_run(MixedSends, small_graph(), NegativeCheck(), combiner=SumCombiner())
         assert (0, -5) in violations_seen
         # The per-send path on the same shape: the library's predicate,
-        # point sends, a combiner that would hide the -5, forked workers.
+        # point sends, a combiner that would hide the -5, two workers.
         run = debug_run(
             MixedSends, small_graph(), NonNegativeMessages(), lint=False,
             combiner=MinCombiner(), executor="processes", num_workers=2,

@@ -1,21 +1,13 @@
 """Unit tests for the columnar message plane (repro.pregel.columnar).
 
-Covers the two layers separately — typed value columns and
-length-prefixed frames — plus the property the whole plane exists to
-preserve: any sequence of built-in payloads survives pack -> unpack with
-the reference's canonical inbox order intact
+Covers typed value columns and the interner, plus the property the whole
+plane exists to preserve: any sequence of built-in payloads survives
+outbox -> store with the reference's canonical inbox order intact
 (``tests/reference_delivery.py``), and anything unpackable degrades to the
-pickled fallback without changing delivery order. Under ``processes`` a
-frame is plain bytes in the step outcome (``TestTransport``), and
-``test_processes_jobs_run_without_shared_memory`` runs jobs with
-``multiprocessing.shared_memory`` made unimportable.
+pickled fallback without changing delivery order.
 """
 
-import os
-import pickle
 import random
-import subprocess
-import sys
 from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -30,17 +22,13 @@ from repro.pregel.columnar import (
     COL_I64,
     COL_OBJ,
     COL_STR,
-    UNINTERNED,
     ColumnarMessageStore,
     ColumnarOutbox,
     ColumnarRunState,
     ColumnBuilder,
     VertexInterner,
-    build_frame,
     decode_column,
-    parse_frame,
 )
-from repro.pregel.runtime import StepOutcome
 from repro.pregel.value_types import Int32, Short16
 from repro.pregel.worker import _estimate_bytes
 from tests.reference_delivery import ReferenceDelivery
@@ -139,148 +127,29 @@ class TestInterner:
         assert interner.reprs == [repr(v) for v in ids]
 
 
-def _outbox_worker(outbox, worker_id=0, edges_dirty=False):
-    return SimpleNamespace(
-        worker_id=worker_id,
-        edges_dirty=edges_dirty,
-        outbox=outbox,
-        values={},
-        halted={},
-        edges={},
-        active=[],
-    )
-
-
-class TestFrames:
-    def test_point_and_broadcast_roundtrip(self):
-        interner = VertexInterner()
-        for vid in ("a", "b", "c"):
-            interner.intern(vid)
+class TestPickleFallbacks:
+    def test_outbox_counts_degraded_columns(self):
         outbox = ColumnarOutbox()
-        outbox.add_point("a", "b", 1.5)
-        outbox.add_broadcast("b", 2.5, fan_out=2)
-        outbox.add_point("a", "c", 3.5)
-        blob = build_frame(_outbox_worker(outbox, worker_id=3), interner, 7)
-        frame = parse_frame(blob, interner)
-        assert frame.worker_id == 3
-        assert frame.superstep == 7
-        assert frame.messages == 4  # 2 points + fan_out 2
-        assert not frame.edges_dirty
-        assert frame.bcast == [(interner.get("b"), 1, 2.5)]
-        # One flat point section: (sources, targets, seqs, values) over
-        # every target, in emission order.
-        a_idx, b_idx, c_idx = (interner.get(v) for v in ("a", "b", "c"))
-        assert frame.point == (
-            [a_idx, a_idx], [b_idx, c_idx], [0, 2], [1.5, 3.5]
-        )
-        assert frame.pickle_fallbacks == 0
-        assert frame.batches == 2  # the point columns + the bcast column
-        assert (frame.values, frame.halted, frame.edges) == ({}, {}, None)
+        outbox.add_point("a", "b", (1, 2))
+        outbox.add_broadcast("a", 1.5, fan_out=2)
+        assert outbox.pickle_fallbacks == 1
+        outbox.add_broadcast("a", Opaque(1), fan_out=2)
+        assert outbox.pickle_fallbacks == 2
 
-    def test_uninterned_target_ships_via_fallback_section(self):
-        interner = VertexInterner()
-        interner.intern("a")
-        outbox = ColumnarOutbox()
-        outbox.add_point("a", "ghost", 9.0)
-        blob = build_frame(_outbox_worker(outbox), interner, 0)
-        frame = parse_frame(blob, interner)
-        assert frame.point == ([interner.get("a")], [UNINTERNED], [0], [9.0])
-        assert frame.fallback == ["ghost"]
-        assert frame.pickle_fallbacks == 1
+    def test_memory_plane_metrics_count_them(self):
+        from repro.graph import GraphBuilder
+        from repro.pregel import Computation, run_computation
 
-    def test_state_sections_ship_values_and_halts(self):
-        interner = VertexInterner()
-        for vid in ("a", "b"):
-            interner.intern(vid)
-        worker = _outbox_worker(ColumnarOutbox(), worker_id=1)
-        worker.values = {"a": 0.25, "b": 0.75, "c": 0.5}
-        worker.halted = {"a": False, "b": True, "c": False}
-        worker.edges = {"a": {"b": None}}
-        # Only the vertices the step computed travel, in compute order.
-        worker.active = ["b", "a"]
-        blob = build_frame(worker, interner, 2)
-        frame = parse_frame(blob, interner)
-        assert list(frame.values.items()) == [("b", 0.75), ("a", 0.25)]
-        assert list(frame.halted.items()) == [("b", True), ("a", False)]
-        assert frame.edges is None  # clean adjacency never ships
+        class SendsTuples(Computation):
+            def compute(self, ctx, messages):
+                if ctx.superstep == 0:
+                    ctx.send_message_to_all_neighbors((ctx.vertex_id, 1))
+                ctx.vote_to_halt()
 
-    def test_dirty_adjacency_ships_edges(self):
-        interner = VertexInterner()
-        interner.intern("a")
-        worker = _outbox_worker(
-            ColumnarOutbox(), worker_id=1, edges_dirty=True
-        )
-        worker.values = {"a": 1.0}
-        worker.halted = {"a": False}
-        worker.edges = {"a": {"z": 4}}
-        worker.active = ["a"]
-        blob = build_frame(worker, interner, 2)
-        frame = parse_frame(blob, interner)
-        assert frame.edges_dirty
-        assert frame.edges == {"a": {"z": 4}}
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(PregelError):
-            parse_frame(b"NOPE" + b"\x00" * 8, VertexInterner())
-
-
-class TestTransport:
-    """Under ``processes`` a frame crosses the pipe as plain bytes inside
-    the pickled :class:`~repro.pregel.runtime.StepOutcome`."""
-
-    def test_inline_roundtrip(self):
-        interner = VertexInterner()
-        for vid in ("a", "b"):
-            interner.intern(vid)
-        outbox = ColumnarOutbox()
-        outbox.add_point("a", "b", 1.5)
-        outbox.add_broadcast("b", 2.5, fan_out=1)
-        blob = build_frame(_outbox_worker(outbox, worker_id=2), interner, 4)
-        assert type(blob) is bytes
-        shipped = pickle.loads(
-            pickle.dumps(StepOutcome(worker_id=2, frame=blob))
-        )
-        assert shipped.frame == blob
-        frame = parse_frame(shipped.frame, interner)
-        assert (frame.worker_id, frame.superstep, frame.messages) == (2, 4, 2)
-        assert frame.point == (
-            [interner.get("a")], [interner.get("b")], [0], [1.5]
-        )
-
-    def test_failed_barrier_releases_unretrieved_frames(self, monkeypatch):
-        """Worker 1's frame fails to parse: the barrier raises, the frames
-        of workers 2 and 3 leave no shared-memory segment behind, and the
-        next job runs as usual."""
-        from repro.algorithms import PageRank
-        from repro.datasets import load_dataset
-        from repro.pregel import engine, run_computation
-
-        graph = load_dataset("web-BS", num_vertices=40, seed=3)
-
-        def job():
-            return run_computation(
-                lambda: PageRank(iterations=2), graph, num_workers=4,
-                executor="processes",
-            )
-
-        def parse(blob, interner):
-            frame = parse_frame(blob, interner)
-            if frame.worker_id == 1:
-                raise PregelError("frame 1 is unreadable")
-            return frame
-
-        before = _shm_segments()
-        with monkeypatch.context() as patch:
-            patch.setattr(engine, "parse_frame", parse)
-            with pytest.raises(PregelError, match="unreadable"):
-                job()
-        assert _shm_segments() - before == set()
-        assert dict(job().vertex_values) == dict(
-            run_computation(
-                lambda: PageRank(iterations=2), graph, num_workers=4,
-                executor="serial",
-            ).vertex_values
-        )
+        graph = GraphBuilder().edge(1, 2).edge(2, 1).build()
+        metrics = run_computation(SendsTuples, graph, num_workers=2).metrics
+        assert metrics.supersteps[0].pickle_fallbacks == 2
+        assert metrics.total_pickle_fallbacks == 2
 
 
 class TestLazyReverseIndex:
@@ -379,9 +248,7 @@ def _random_plane(seed, payload_kind):
                 sends.append((source, target, value))
                 outbox.add_point(source, target, value)
         reference.merge_grouped(sends)
-        worker = _outbox_worker(outbox, worker_id=worker_id)
-        blob = build_frame(worker, run_state.interner, 0)
-        columnar.absorb_frame(parse_frame(blob, run_state.interner))
+        columnar.absorb_outbox(worker_id, outbox)
     reference.canonicalize()
     return vertices, reference, columnar
 
@@ -398,10 +265,11 @@ class Printed:
 
 
 class TestFlatPointSort:
-    @pytest.mark.parametrize("framed", [False, True])
-    def test_equal_reprs_tie_by_worker_not_by_load_order(self, framed):
+    @pytest.mark.parametrize("settled", [False, True])
+    def test_equal_reprs_tie_by_worker_not_by_load_order(self, settled):
         """A vertex created at a barrier has no load order; a source key
-        that fell back on it would put worker 1's message first."""
+        that fell back on it would put worker 1's message first. Settling
+        the store into columns keeps the order."""
         loaded, created = Printed("x", 0), Printed("x", 1)
         run_state = ColumnarRunState()
         workers = [
@@ -414,13 +282,9 @@ class TestFlatPointSort:
         for worker_id, source, value in ((0, loaded, 0.0), (1, created, -0.0)):
             outbox = ColumnarOutbox()
             outbox.add_point(source, "t", value)
-            if framed:
-                blob = build_frame(
-                    _outbox_worker(outbox, worker_id), run_state.interner, 0
-                )
-                store.absorb_frame(parse_frame(blob, run_state.interner))
-            else:
-                store.absorb_outbox(worker_id, outbox)
+            store.absorb_outbox(worker_id, outbox)
+        if settled:
+            store = store.settled(1, None, None)
         assert store.inbox("t") == [(loaded, 0.0), (created, -0.0)]
         assert repr(store.inbox_values("t")) == "[0.0, -0.0]"
 
@@ -462,114 +326,6 @@ class TestCanonicalOrderProperty:
         before = _shm_segments()
         _random_plane(123, "float")
         assert _shm_segments() - before == set()
-
-
-# ---------------------------------------------------------------------------
-# Frames ride the step outcome: no shared memory, no resource tracker
-# ---------------------------------------------------------------------------
-
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..", "..", "src")
-
-#: Run in a fresh interpreter. With ``blocked``, ``multiprocessing.shared_memory``
-#: cannot be imported there, and forked workers inherit that: each job must
-#: behave as it does with the module available. Either way no job imports
-#: the module or starts multiprocessing's resource tracker.
-_NO_SHARED_MEMORY_JOBS = """
-import sys
-if sys.argv[1] == "blocked":
-    sys.modules["multiprocessing.shared_memory"] = None
-from multiprocessing import resource_tracker
-
-from repro.algorithms import PageRank
-from repro.chaos import FaultPlan, FaultSpec, run_chaos
-from repro.common.errors import ComputeError, PregelError
-from repro.datasets import load_dataset, premade_graph
-from repro.pregel import Computation, engine, run_computation
-
-graph = load_dataset("web-BS", num_vertices=40, seed=3)
-
-
-def values(**kwargs):
-    result = run_computation(
-        lambda: PageRank(iterations=3), graph, num_workers=3, **kwargs
-    )
-    return dict(result.vertex_values)
-
-
-serial = values(executor="serial")
-assert values(executor="processes") == serial, "memory plane"
-assert values(executor="processes", store="spill") == serial, "spill plane"
-
-
-class FailAtOne(Computation):
-    def compute(self, ctx, messages):
-        if ctx.superstep == 1 and ctx.vertex_id == 1:
-            raise ValueError("vertex 1 fails")
-        ctx.send_message_to_all_neighbors(1.0)
-
-
-def failure(executor):
-    try:
-        run_computation(FailAtOne, graph, num_workers=3, executor=executor)
-    except ComputeError as exc:
-        return exc.vertex_id, exc.superstep, str(exc.original)
-    raise AssertionError("compute() error did not propagate")
-
-
-assert failure("processes") == failure("serial") == (1, 1, "vertex 1 fails")
-
-report = run_chaos(
-    lambda: PageRank(iterations=5), premade_graph("petersen"),
-    FaultPlan(name="one-crash", faults=(
-        FaultSpec(kind="worker_crash", superstep=3, worker_id=1),
-    )),
-    seed=3, num_workers=2, executor="processes",
-)
-assert report.ok, report.failures
-assert report.rollbacks == 1
-assert report.injected_digest == report.baseline_digest
-
-parse_frame = engine.parse_frame
-
-
-def parse(blob, interner):
-    frame = parse_frame(blob, interner)
-    if frame.worker_id == 1:
-        raise PregelError("frame 1 is unreadable")
-    return frame
-
-
-engine.parse_frame = parse
-try:
-    run_computation(
-        lambda: PageRank(iterations=2), graph, num_workers=4,
-        executor="processes",
-    )
-except PregelError as exc:
-    assert "unreadable" in str(exc), exc
-else:
-    raise AssertionError("an unparsable frame did not fail the barrier")
-engine.parse_frame = parse_frame
-
-assert sys.modules.get("multiprocessing.shared_memory") is None
-assert resource_tracker._resource_tracker._pid is None, "tracker started"
-print("ok")
-"""
-
-
-@pytest.mark.parametrize("mode", ["blocked", "available"])
-def test_processes_jobs_run_without_shared_memory(mode):
-    """Memory and spill planes, a compute() error, a worker-crash
-    rollback and an unparsable frame at the barrier all behave as usual
-    with ``multiprocessing.shared_memory`` unimportable, and no job
-    imports it or starts a resource tracker when it is available."""
-    done = subprocess.run(
-        [sys.executable, "-c", _NO_SHARED_MEMORY_JOBS, mode],
-        capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=os.path.abspath(SRC)),
-    )
-    assert done.returncode == 0, done.stderr[-3000:]
-    assert done.stdout.split() == ["ok"]
 
 
 class TestEstimateBytes:
